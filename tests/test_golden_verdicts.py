@@ -1,0 +1,108 @@
+"""Golden verdicts: every law's counts and counterexample bytes, pinned.
+
+Each case records the pass / vacuous / fail counts, the first failing trial
+and the sha256 of the verdict document's canonical JSON.  A change to the
+harness that keeps these bytes keeps the determinism contract, including
+the draw order of generate_instance.  A change that alters verdicts on
+purpose regenerates the file in one step:
+
+    PYTHONPATH=src python tests/test_golden_verdicts.py --write
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from softgamma import InstanceSpec, check_theorem, files, fuzz_theorem, generate_instance
+from softgamma.harness import ALL_THEOREMS
+
+GOLDEN = Path(__file__).parent / "golden" / "verdicts.json"
+
+SUITE_SEEDS = (0, 7)
+SUITE_TRIALS = 100
+NECESSITY_TRIALS = 300
+
+# the pinned families of scripts/necessity_experiments.py
+NECESSITY = (
+    ("T3.7", InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))),
+    ("T3.8", InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))),
+    ("T3.9", InstanceSpec(generator="zn", size=(6,), gamma=(1,))),
+    ("T3.12", InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3))),
+    ("T3.17i", InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))),
+    ("T4.2", InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))),
+    ("T4.7", InstanceSpec(generator="matrix", size=(2, 1, 2))),
+)
+
+# instances generated without any law's policy, so some laws meet shapes
+# they were not written for: a missing outer or homomorphism, members on the
+# wrong side of the homomorphism, values that are arbitrary subsets
+RAW_SPECS = (
+    InstanceSpec(seed=3, nested=True, with_hom=True),
+    InstanceSpec(
+        generator="zn",
+        size=(8,),
+        gamma=(2, 4, 6),
+        seed=5,
+        nested=True,
+        with_hom=True,
+        target_side=True,
+        family_size=2,
+    ),
+    InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3), seed=11, family_size=3, value_policy="arbitrary"),
+)
+
+
+def _summary(verdict) -> dict:
+    text = files.dumps(files.verdict_to_doc(verdict))
+    return {
+        "pass": verdict.passes,
+        "vacuous": verdict.vacuous,
+        "fail": verdict.failures,
+        "first_failing_trial": verdict.counterexample["trial"] if verdict.counterexample else None,
+        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    }
+
+
+def compute() -> dict:
+    cases = {}
+    for mode, drop in (("enforced", False), ("dropped", True)):
+        for seed in SUITE_SEEDS:
+            for tid in ALL_THEOREMS:
+                verdict = fuzz_theorem(tid, SUITE_TRIALS, InstanceSpec(seed=seed), drop_hypothesis=drop)
+                cases[f"suite/{mode}/seed{seed}/{tid}"] = _summary(verdict)
+    for tid, template in NECESSITY:
+        verdict = fuzz_theorem(tid, NECESSITY_TRIALS, template, drop_hypothesis=True)
+        cases[f"necessity/{tid}"] = _summary(verdict)
+    for index, spec in enumerate(RAW_SPECS):
+        instance = generate_instance(spec)
+        for tid in ALL_THEOREMS:
+            try:
+                cases[f"check/spec{index}/{tid}"] = _summary(check_theorem(tid, instance))
+            except Exception as exc:  # the raised error is the recorded outcome
+                cases[f"check/spec{index}/{tid}"] = {"error": f"{type(exc).__name__}: {exc}"}
+    return cases
+
+
+def test_verdicts_match_the_golden_file():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    actual = compute()
+    assert sorted(actual) == sorted(golden)
+    changed = [key for key in golden if actual[key] != golden[key]]
+    assert not changed, f"{len(changed)} verdicts changed, first {changed[0]}: {actual[changed[0]]}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Check or regenerate the golden verdicts.")
+    parser.add_argument("--write", action="store_true", help=f"regenerate {GOLDEN.name}")
+    args = parser.parse_args()
+    text = files.dumps(compute())
+    if args.write:
+        GOLDEN.write_text(text, encoding="utf-8")
+        return 0
+    return 0 if text == GOLDEN.read_text(encoding="utf-8") else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
