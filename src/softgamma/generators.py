@@ -18,6 +18,28 @@ def _int_subset(values, n: int, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _integer_gamma(kind: str, n: int, gamma: tuple[int, ...], with_gamma_add: bool) -> GammaSemiring:
+    """Carrier 0..n-1 of family "zn" (+ and a*alpha*b mod n) or "minmax" (max
+    and min(a, alpha, b)), zero 0.  Gamma labels are taken as given and may
+    exceed n - 1; with_gamma_add attaches their sums as a label table."""
+    if kind == "zn":
+        add = lambda a, b: (a + b) % n
+        mul = lambda a, g, b: a * g * b % n
+    else:
+        add, mul = max, min
+    elements = tuple(str(i) for i in range(n))
+    add_table = tuple(tuple(add(i, j) for j in range(n)) for i in range(n))
+    product = tuple(tuple(tuple(mul(i, g, j) for j in range(n)) for g in gamma) for i in range(n))
+    gamma_add = tuple(tuple(str(add(g, h)) for h in gamma) for g in gamma) if with_gamma_add else None
+    return GammaSemiring(
+        FiniteCommutativeSemigroup(elements, add_table),
+        tuple(str(g) for g in gamma),
+        gamma_add,
+        product,
+        zero="0",
+    )
+
+
 def make_zn_gamma(n: int, gamma_subset, strict: bool = False) -> GammaSemiring:
     """Integers mod n under + with product a*alpha*b mod n and zero 0.
 
@@ -27,19 +49,7 @@ def make_zn_gamma(n: int, gamma_subset, strict: bool = False) -> GammaSemiring:
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
-    gam = _int_subset(gamma_subset, n, "gamma subset")
-    elements = tuple(str(i) for i in range(n))
-    add = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    product = tuple(
-        tuple(tuple(i * g * j % n for j in range(n)) for g in gam) for i in range(n)
-    )
-    gamma_elements = tuple(str(g) for g in gam)
-    gamma_add = None
-    if strict:
-        gamma_add = tuple(tuple(str((g + h) % n) for h in gam) for g in gam)
-    return GammaSemiring(
-        FiniteCommutativeSemigroup(elements, add), gamma_elements, gamma_add, product, zero="0"
-    )
+    return _integer_gamma("zn", n, _int_subset(gamma_subset, n, "gamma subset"), strict)
 
 
 def make_minmax_gamma(n: int, gamma_subset) -> GammaSemiring:
@@ -50,17 +60,7 @@ def make_minmax_gamma(n: int, gamma_subset) -> GammaSemiring:
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"n must be a positive integer, got {n!r}")
-    gam = _int_subset(gamma_subset, n, "gamma subset")
-    elements = tuple(str(i) for i in range(n))
-    add = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
-    product = tuple(
-        tuple(tuple(min(i, g, j) for j in range(n)) for g in gam) for i in range(n)
-    )
-    gamma_elements = tuple(str(g) for g in gam)
-    gamma_add = tuple(tuple(str(max(g, h)) for h in gam) for g in gam)
-    return GammaSemiring(
-        FiniteCommutativeSemigroup(elements, add), gamma_elements, gamma_add, product, zero="0"
-    )
+    return _integer_gamma("minmax", n, _int_subset(gamma_subset, n, "gamma subset"), True)
 
 
 def _matmul(a, a_shape, b, b_shape, p):

@@ -1,16 +1,17 @@
 """Seeded instance generation and mechanical checking of the closure laws.
 
-Each registered law pairs a generation policy (which realizes the law's
-hypotheses: values drawn from enumerated subalgebras, nested families,
-chains, disjoint parameter sets, canonical homomorphisms) with a conclusion
-check.  A trial verdict is:
+Each law is one row of a table (Law, _TABLE): the generation policy that
+realizes its hypotheses (values drawn from enumerated subalgebras, nested
+families, chains, disjoint parameter sets, canonical homomorphisms), the
+operation, the members it reads, the structure its conclusion is judged
+over, and the conclusion; Law.evaluate checks every row.  A trial verdict is:
 
   pass     the conclusion held;
   vacuous  the operation or a predicate precondition was undefined on the
            instance, a required soft set was null, or a structural gate
            (e.g. pairwise-disjoint parameter sets) failed;
-  fail     the conclusion was evaluated and did not hold; a replayable
-           counterexample document is produced.
+  fail     the conclusion was evaluated and did not hold; the lowest
+           failing trial's replayable counterexample document is built.
 
 Value-level hypothesis violations are deliberately *not* gated: feeding a
 non-chain or non-subalgebra instance to a check evaluates the conclusion
@@ -36,7 +37,6 @@ from typing import Callable
 
 from . import files
 from .algebra import (
-    FiniteCommutativeSemigroup,
     GammaHom,
     GammaSemiring,
     gamma_hom,
@@ -44,14 +44,13 @@ from .algebra import (
     kernel,
 )
 from .errors import DomainError, GenerationError, InputError
-from .generators import make_matrix_gamma, make_minmax_gamma, make_zn_gamma, product_gamma
+from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma, product_gamma
 from .reports import TheoremVerdict, Witness
 from .soft_gamma import (
+    _trivial_whole_conclusion,
     check_trivial_whole_theorem,
     is_soft_gamma_semiring,
     is_soft_sub_gamma_semiring,
-    is_trivial_soft,
-    is_whole_soft,
     soft_image_under_hom,
     soft_preimage_under_hom,
 )
@@ -146,14 +145,10 @@ def _resolve_descriptor(spec: InstanceSpec, rng: random.Random) -> tuple:
     kind = spec.generator
     if kind == "mix":
         kind = rng.choice(("zn", "minmax", "matrix"))
-    if kind == "zn":
-        n = spec.size[0] if spec.size else rng.choice((4, 6, 8))
+    if kind in ("zn", "minmax"):
+        n = spec.size[0] if spec.size else rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
         gamma = tuple(spec.gamma) if spec.gamma else _random_gamma(rng, n)
-        return ("zn", n, gamma)
-    if kind == "minmax":
-        n = spec.size[0] if spec.size else rng.choice((3, 4, 5))
-        gamma = tuple(spec.gamma) if spec.gamma else _random_gamma(rng, n)
-        return ("minmax", n, gamma)
+        return (kind, n, gamma)
     if kind == "matrix":
         p, rows, cols = spec.size if spec.size else (2, 1, 2)
         return ("matrix", p, rows, cols)
@@ -183,37 +178,6 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _zn_like(m: int, gamma_values: tuple[int, ...]) -> GammaSemiring:
-    # integers mod m whose gamma labels keep the source's (possibly larger) values
-    elements = tuple(str(i) for i in range(m))
-    add = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-    product = tuple(
-        tuple(tuple(i * g * j % m for j in range(m)) for g in gamma_values) for i in range(m)
-    )
-    return GammaSemiring(
-        FiniteCommutativeSemigroup(elements, add),
-        tuple(str(g) for g in gamma_values),
-        None,
-        product,
-        zero="0",
-    )
-
-
-def _minmax_like(m: int, gamma_values: tuple[int, ...]) -> GammaSemiring:
-    elements = tuple(str(i) for i in range(m))
-    add = tuple(tuple(max(i, j) for j in range(m)) for i in range(m))
-    product = tuple(
-        tuple(tuple(min(i, g, j) for j in range(m)) for g in gamma_values) for i in range(m)
-    )
-    return GammaSemiring(
-        FiniteCommutativeSemigroup(elements, add),
-        tuple(str(g) for g in gamma_values),
-        None,
-        product,
-        zero="0",
-    )
-
-
 def canonical_hom(descriptor: tuple, hom_kind: str = "collapse") -> GammaHom:
     """The family's deterministic surjective homomorphism.
 
@@ -228,20 +192,19 @@ def canonical_hom(descriptor: tuple, hom_kind: str = "collapse") -> GammaHom:
     source = base_structure(descriptor)
     if hom_kind == "identity":
         hom = identity_hom(source)
-    elif hom_kind == "collapse":
-        kind = descriptor[0]
+    elif hom_kind == "collapse" and descriptor[0] in ("zn", "minmax"):
+        kind, n, gamma = descriptor
         if kind == "zn":
-            n, gamma = descriptor[1], descriptor[2]
-            m = 1 if n == 1 else n // _smallest_prime_factor(n)
-            target = _zn_like(m, gamma)
-            hom = gamma_hom(source, target, {str(i): str(i % m) for i in range(n)})
-        elif kind == "minmax":
-            n, gamma = descriptor[1], descriptor[2]
-            m = (n + 1) // 2
-            target = _minmax_like(m, gamma)
-            hom = gamma_hom(source, target, {str(i): str(min(i, m - 1)) for i in range(n)})
+            m = n // _smallest_prime_factor(n)
+            images = [i % m for i in range(n)]
         else:
-            hom = identity_hom(source)
+            m = (n + 1) // 2
+            images = [min(i, m - 1) for i in range(n)]
+        # the target keeps the source's gamma labels, which may be >= m
+        target = _integer_gamma(kind, m, gamma, with_gamma_add=False)
+        hom = gamma_hom(source, target, {str(i): str(j) for i, j in enumerate(images)})
+    elif hom_kind == "collapse":
+        hom = identity_hom(source)
     else:
         raise InputError(f"unknown homomorphism kind {hom_kind!r}")
     _homs[key] = hom
@@ -411,6 +374,7 @@ def _dump(
     result: SoftSet | None = None,
     witness: Witness | None = None,
     extra: dict | None = None,
+    outer_result: SoftSet | None = None,
 ) -> dict:
     doc = {
         "structure": files.structure_to_doc(inst.gs, name=_descriptor_name(inst.descriptor)),
@@ -426,44 +390,18 @@ def _dump(
         doc["result"] = files.soft_set_to_doc(result)
     if witness is not None:
         doc["violation"] = files.witness_to_doc(witness)
+    if outer_result is not None:
+        doc["outer_result"] = files.soft_set_to_doc(outer_result)
     if extra:
         doc.update(extra)
     return doc
 
 
-Outcome = tuple[str, dict | None]
-
-
-def _closure_check(inst: Instance, op: Callable, opname: str, members, over=None) -> Outcome:
-    if any(m.is_null() for m in members):
-        return "vacuous", None
-    try:
-        result = op(members)
-    except DomainError:
-        return "vacuous", None
-    if result.is_null():
-        return "vacuous", None
-    target = over if over is not None else inst.side_gs
-    w = is_soft_gamma_semiring(target, result)
-    if w:
-        return "pass", None
-    return "fail", _dump(inst, opname, members=members, result=result, witness=w)
-
-
-def _check_rint_binary(inst: Instance, enforce: bool) -> Outcome:
-    return _closure_check(inst, restricted_intersect, "restricted-intersection", inst.soft_sets[:2])
-
-
-def _check_rint_family(inst: Instance, enforce: bool) -> Outcome:
-    return _closure_check(inst, restricted_intersect, "restricted-intersection", inst.soft_sets)
-
-
-def _check_eint_family(inst: Instance, enforce: bool) -> Outcome:
-    return _closure_check(inst, extended_intersect, "extended-intersection", inst.soft_sets)
-
-
-def _check_runion_family(inst: Instance, enforce: bool) -> Outcome:
-    return _closure_check(inst, restricted_union, "restricted-union", inst.soft_sets)
+# A check's outcome and, for a failure, a callable that builds its
+# counterexample document; only the lowest failing trial's is ever built.
+Outcome = tuple[str, Callable[[], dict] | None]
+_PASS: Outcome = ("pass", None)
+_VACUOUS: Outcome = ("vacuous", None)
 
 
 def _pairwise_disjoint(members) -> bool:
@@ -476,46 +414,135 @@ def _pairwise_disjoint(members) -> bool:
     return True
 
 
-def _check_eunion_family(inst: Instance, enforce: bool) -> Outcome:
-    if enforce and not _pairwise_disjoint(inst.soft_sets):
-        return "vacuous", None
-    return _closure_check(inst, extended_union, "extended-union", inst.soft_sets)
+def _soft_sub_outcome(gs: GammaSemiring, inner: SoftSet, outer: SoftSet) -> Witness | None:
+    try:
+        return is_soft_sub_gamma_semiring(gs, inner, outer)
+    except DomainError:
+        return None
 
 
-def _check_and_binary(inst: Instance, enforce: bool) -> Outcome:
-    return _closure_check(inst, and_intersect_family, "and-intersection", inst.soft_sets[:2])
+# the operations a law row names; hom-image and hom-preimage take (hom, soft set)
+_OPS: dict[str, Callable] = {
+    "restricted-intersection": restricted_intersect,
+    "extended-intersection": extended_intersect,
+    "restricted-union": restricted_union,
+    "extended-union": extended_union,
+    "and-intersection": and_intersect_family,
+    "or-union": or_union_family,
+    "cartesian-product": cartesian_product,
+    "hom-image": soft_image_under_hom,
+    "hom-preimage": soft_preimage_under_hom,
+}
 
 
-def _check_and_family(inst: Instance, enforce: bool) -> Outcome:
-    return _closure_check(inst, and_intersect_family, "and-intersection", inst.soft_sets)
+class Law:
+    """One closure law as a row of data.
+
+    flags are the InstanceSpec fields that realize the law's hypotheses.  The
+    operation (one of _OPS, else the first member itself) is applied to the
+    first `reads` members, or all when None, and its result is judged over
+    `over`: the members' side, its k-fold product, or the homomorphism's
+    "target" or "source".  The conclusion is that the result is "closed", or
+    a soft sub-gamma-semiring of the "outer" soft set, of the operation
+    applied to copies of the outer ("outer-op"), or of each of the "members".
+    L3.16 ("hom-transport") and T3.17 ("trivial-whole") have checkers of
+    their own.
+    """
+
+    def __init__(
+        self,
+        theorem_id: str,
+        conclusion: str,
+        operation: str = "",
+        reads: int | None = None,
+        over: str = "side",
+        **flags,
+    ):
+        self.theorem_id = theorem_id
+        self.conclusion = conclusion
+        self.operation = operation
+        self.reads = reads
+        self.over = over
+        self.flags = flags
+
+    def spec(self, template: InstanceSpec, drop: bool) -> InstanceSpec:
+        updates = dict(self.flags)
+        if drop:
+            updates.update(chain=False, chain_outer=False, disjoint=False, same_parameters=False)
+            # the nested containment laws keep subalgebra values (so the
+            # conclusion's preconditions stay evaluable) and instead stop
+            # confining member values to the enclosing soft set; the plain
+            # closure laws widen values to arbitrary subsets
+            if self.flags.get("nested"):
+                updates.update(value_policy="subsemirings", nested_free=True)
+            else:
+                updates["value_policy"] = "arbitrary"
+        return replace(template, **updates)
+
+    def _apply(self, inst: Instance, family) -> SoftSet:
+        if self.over in ("target", "source"):
+            return _OPS[self.operation](inst.hom, family[0])
+        return _OPS[self.operation](family)
+
+    def evaluate(self, inst: Instance, enforce: bool) -> Outcome:
+        if self.conclusion == "hom-transport":
+            return _check_hom_transport(inst)
+        if self.conclusion == "trivial-whole":
+            return _check_trivial_whole(self.theorem_id.removeprefix("T3.17"), inst, enforce)
+        members = inst.soft_sets if self.reads is None else inst.soft_sets[: self.reads]
+        if enforce and self.flags.get("disjoint") and not _pairwise_disjoint(members):
+            return _VACUOUS
+        gated = members
+        if self.conclusion in ("outer", "outer-op"):
+            # single-member laws index their member, then test it before the outer
+            gated = [inst.soft_sets[0], inst.outer] if self.reads == 1 else [inst.outer, *members]
+        if any(ss.is_null() for ss in gated):
+            return _VACUOUS
+        if self.operation in _OPS:
+            try:
+                result = self._apply(inst, members)
+            except DomainError:
+                return _VACUOUS
+            if result.is_null():
+                return _VACUOUS
+            shown = result
+        else:
+            result, shown = members[0], None
+        k = len(members)
+        if self.over == "product":
+            over = product_structure(inst.side_gs, k)
+        elif self.over == "side":
+            over = inst.side_gs
+        else:
+            over = getattr(inst.hom, self.over)  # the homomorphism's target or source
+
+        if self.conclusion == "closed":
+            w = is_soft_gamma_semiring(over, result)
+            if w:
+                return _PASS
+            extra = {"product_arity": k} if self.over == "product" else None
+            return "fail", lambda: _dump(inst, self.operation, members, shown, w, extra)
+
+        if self.conclusion == "members":
+            bounds = members
+        elif self.conclusion == "outer":
+            bounds = [inst.outer]
+        else:
+            bounds = [self._apply(inst, [inst.outer] * k)]
+        for bound in bounds:
+            w = _soft_sub_outcome(over, result, bound)
+            if w is None:
+                return _VACUOUS
+            if not w:
+                outer_result = bound if self.conclusion == "outer-op" else None
+                return "fail", lambda: _dump(
+                    inst, self.operation, members, shown, w, outer_result=outer_result
+                )
+        return _PASS
 
 
-def _check_or_family(inst: Instance, enforce: bool) -> Outcome:
-    return _closure_check(inst, or_union_family, "or-union", inst.soft_sets)
-
-
-def _check_product_family(inst: Instance, enforce: bool) -> Outcome:
-    members = inst.soft_sets
-    if any(m.is_null() for m in members):
-        return "vacuous", None
-    over = product_structure(inst.side_gs, len(members))
-    result = cartesian_product(members)
-    if result.is_null():
-        return "vacuous", None
-    w = is_soft_gamma_semiring(over, result)
-    if w:
-        return "pass", None
-    return "fail", _dump(
-        inst,
-        "cartesian-product",
-        members=members,
-        result=result,
-        witness=w,
-        extra={"product_arity": len(members)},
-    )
-
-
-def _check_hom_transport(inst: Instance, enforce: bool) -> Outcome:
+def _check_hom_transport(inst: Instance) -> Outcome:
+    # images of source members and preimages of the auxiliary target member
     hom = inst.hom
     applicable = False
     source_member = inst.soft_sets[0]
@@ -524,9 +551,7 @@ def _check_hom_transport(inst: Instance, enforce: bool) -> Outcome:
         image = soft_image_under_hom(hom, source_member)
         w = is_soft_gamma_semiring(hom.target, image)
         if not w:
-            return "fail", _dump(
-                inst, "hom-image", members=[source_member], result=image, witness=w
-            )
+            return "fail", lambda: _dump(inst, "hom-image", [source_member], image, w)
     target_member = inst.aux_target
     if target_member is not None and not target_member.is_null():
         applicable = True
@@ -534,342 +559,99 @@ def _check_hom_transport(inst: Instance, enforce: bool) -> Outcome:
         if not pre.is_null():
             w = is_soft_gamma_semiring(hom.source, pre)
             if not w:
-                return "fail", _dump(
-                    inst,
-                    "hom-preimage",
-                    members=[target_member],
-                    result=pre,
-                    witness=w,
-                )
-    if not applicable:
-        return "vacuous", None
-    return "pass", None
+                return "fail", lambda: _dump(inst, "hom-preimage", [target_member], pre, w)
+    return _PASS if applicable else _VACUOUS
 
 
-def _trivial_whole_case(case: str):
-    def check(inst: Instance, enforce: bool) -> Outcome:
-        hom = inst.hom
-        member = inst.soft_sets[0]
-        if enforce:
-            verdict = check_trivial_whole_theorem(hom, member, case)
-            if verdict.vacuous:
-                return "vacuous", None
-            if verdict.passes:
-                return "pass", None
-            return "fail", _dump(
-                inst, f"trivial-whole-{case}", members=[member], extra=verdict.counterexample
-            )
-        # hypothesis dropped: evaluate the conclusion directly
-        if member.is_null():
-            return "vacuous", None
-        src, tgt = hom.source, hom.target
-        if case == "i":
-            image = soft_image_under_hom(hom, member)
-            ok = is_trivial_soft(tgt, image) and bool(is_soft_gamma_semiring(tgt, image))
-            result = image
-        elif case == "ii":
-            image = soft_image_under_hom(hom, member)
-            ok = is_whole_soft(tgt, image) and bool(is_soft_gamma_semiring(tgt, image))
-            result = image
-        elif case == "iii":
-            pre = soft_preimage_under_hom(hom, member)
-            ok = is_whole_soft(src, pre) and bool(is_soft_gamma_semiring(src, pre))
-            result = pre
-        else:
-            if src.zero is None or tgt.zero is None:
-                return "vacuous", None
-            pre = soft_preimage_under_hom(hom, member)
-            ok = is_trivial_soft(src, pre) and bool(is_soft_gamma_semiring(src, pre))
-            result = pre
-        if ok:
-            return "pass", None
-        return "fail", _dump(inst, f"trivial-whole-{case}", members=[member], result=result)
-
-    return check
+def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
+    operation = f"trivial-whole-{case}"
+    hom, member = inst.hom, inst.soft_sets[0]
+    if enforce:
+        verdict = check_trivial_whole_theorem(hom, member, case)
+        if verdict.vacuous:
+            return _VACUOUS
+        if verdict.passes:
+            return _PASS
+        return "fail", lambda: _dump(inst, operation, [member], extra=verdict.counterexample)
+    # hypothesis dropped: evaluate the conclusion directly
+    if member.is_null():
+        return _VACUOUS
+    if case == "iv" and (hom.source.zero is None or hom.target.zero is None):
+        return _VACUOUS
+    result, ok = _trivial_whole_conclusion(hom, member, case)
+    if ok:
+        return _PASS
+    return "fail", lambda: _dump(inst, operation, [member], result)
 
 
-def _soft_sub_outcome(gs: GammaSemiring, inner: SoftSet, outer: SoftSet) -> Witness | None:
-    try:
-        return is_soft_sub_gamma_semiring(gs, inner, outer)
-    except DomainError:
-        return None
-
-
-def _check_nested_subset(inst: Instance, enforce: bool) -> Outcome:
-    inner, outer = inst.soft_sets[0], inst.outer
-    if inner.is_null() or outer.is_null():
-        return "vacuous", None
-    w = _soft_sub_outcome(inst.side_gs, inner, outer)
-    if w is None:
-        return "vacuous", None
-    if w:
-        return "pass", None
-    return "fail", _dump(inst, "soft-subsemiring-of", members=[inner], witness=w)
-
-
-def _check_rint_sub_of_both(inst: Instance, enforce: bool) -> Outcome:
-    members = inst.soft_sets[:2]
-    if any(m.is_null() for m in members):
-        return "vacuous", None
-    try:
-        result = restricted_intersect(members)
-    except DomainError:
-        return "vacuous", None
-    if result.is_null():
-        return "vacuous", None
-    for m in members:
-        w = _soft_sub_outcome(inst.side_gs, result, m)
-        if w is None:
-            return "vacuous", None
-        if not w:
-            return "fail", _dump(
-                inst, "restricted-intersection", members=members, result=result, witness=w
-            )
-    return "pass", None
-
-
-def _nested_family_check(op: Callable, opname: str):
-    def check(inst: Instance, enforce: bool) -> Outcome:
-        members, outer = inst.soft_sets, inst.outer
-        if outer.is_null() or any(m.is_null() for m in members):
-            return "vacuous", None
-        try:
-            result = op(members)
-        except DomainError:
-            return "vacuous", None
-        if result.is_null():
-            return "vacuous", None
-        w = _soft_sub_outcome(inst.side_gs, result, outer)
-        if w is None:
-            return "vacuous", None
-        if w:
-            return "pass", None
-        return "fail", _dump(inst, opname, members=members, result=result, witness=w)
-
-    return check
-
-
-def _paired_family_check(op: Callable, opname: str, product: bool = False):
-    # inner = op(members), outer = op(k copies of the enclosing soft set)
-    def check(inst: Instance, enforce: bool) -> Outcome:
-        members, outer = inst.soft_sets, inst.outer
-        if outer.is_null() or any(m.is_null() for m in members):
-            return "vacuous", None
-        inner_result = op(members)
-        outer_result = op([outer] * len(members))
-        if inner_result.is_null():
-            return "vacuous", None
-        over = product_structure(inst.side_gs, len(members)) if product else inst.side_gs
-        w = _soft_sub_outcome(over, inner_result, outer_result)
-        if w is None:
-            return "vacuous", None
-        if w:
-            return "pass", None
-        return "fail", _dump(
-            inst,
-            opname,
-            members=members,
-            result=inner_result,
-            witness=w,
-            extra={"outer_result": files.soft_set_to_doc(outer_result)},
-        )
-
-    return check
-
-
-def _check_image_preserves_sub(inst: Instance, enforce: bool) -> Outcome:
-    hom, inner, outer = inst.hom, inst.soft_sets[0], inst.outer
-    if inner.is_null() or outer.is_null():
-        return "vacuous", None
-    img_inner = soft_image_under_hom(hom, inner)
-    img_outer = soft_image_under_hom(hom, outer)
-    w = _soft_sub_outcome(hom.target, img_inner, img_outer)
-    if w is None:
-        return "vacuous", None
-    if w:
-        return "pass", None
-    return "fail", _dump(
-        inst,
-        "hom-image",
-        members=[inner],
-        result=img_inner,
-        witness=w,
-        extra={"outer_result": files.soft_set_to_doc(img_outer)},
-    )
-
-
-def _check_preimage_preserves_sub(inst: Instance, enforce: bool) -> Outcome:
-    hom, inner, outer = inst.hom, inst.soft_sets[0], inst.outer
-    if inner.is_null() or outer.is_null():
-        return "vacuous", None
-    pre_inner = soft_preimage_under_hom(hom, inner)
-    pre_outer = soft_preimage_under_hom(hom, outer)
-    if pre_inner.is_null():
-        return "vacuous", None
-    w = _soft_sub_outcome(hom.source, pre_inner, pre_outer)
-    if w is None:
-        return "vacuous", None
-    if w:
-        return "pass", None
-    return "fail", _dump(
-        inst,
-        "hom-preimage",
-        members=[inner],
-        result=pre_inner,
-        witness=w,
-        extra={"outer_result": files.soft_set_to_doc(pre_outer)},
-    )
-
-
-@dataclass(frozen=True)
-class TheoremDef:
-    theorem_id: str
-    policy: Callable[[InstanceSpec, bool], InstanceSpec]
-    check: Callable[[Instance, bool], Outcome]
-
-
-def _policy(drop_keeps_subsemirings: bool = False, **flags):
-    # drop_keeps_subsemirings: for the nested containment laws, a dropped run
-    # keeps subalgebra values (so the conclusion's preconditions stay
-    # evaluable) and instead stops filtering member values into the enclosing
-    # soft set; the plain closure laws widen values to arbitrary subsets.
-    def apply(spec: InstanceSpec, drop: bool) -> InstanceSpec:
-        updates = dict(flags)
-        if drop:
-            updates["chain"] = False
-            updates["chain_outer"] = False
-            updates["disjoint"] = False
-            updates["same_parameters"] = False
-            if drop_keeps_subsemirings:
-                updates["value_policy"] = "subsemirings"
-                updates["nested_free"] = True
-            else:
-                updates["value_policy"] = "arbitrary"
-        return replace(spec, **updates)
-
-    return apply
-
-
-_REGISTRY: dict[str, TheoremDef] = {}
-
-
-def _register(theorem_id: str, policy, check) -> None:
-    _REGISTRY[theorem_id] = TheoremDef(theorem_id, policy, check)
-
-
-_register("T3.4", _policy(family_size=2, same_parameters=True), _check_rint_binary)
-_register("T3.6", _policy(anchored=True), _check_rint_family)
-_register("T3.7", _policy(), _check_eint_family)
-_register("T3.8", _policy(anchored=True, chain=True), _check_runion_family)
-_register("T3.9", _policy(disjoint=True), _check_eunion_family)
-_register("T3.10", _policy(family_size=2), _check_and_binary)
-_register("T3.11", _policy(), _check_and_family)
-_register("T3.12", _policy(chain=True), _check_or_family)
-_register("T3.13", _policy(family_size=2), _check_product_family)
-_register("L3.16", _policy(with_hom=True), _check_hom_transport)
-_register("T3.17i", _policy(with_hom=True, family_size=1, value_policy="kernel"), _trivial_whole_case("i"))
-_register("T3.17ii", _policy(with_hom=True, family_size=1, value_policy="whole"), _trivial_whole_case("ii"))
-_register(
-    "T3.17iii",
-    _policy(with_hom=True, target_side=True, family_size=1, value_policy="carrier-image"),
-    _trivial_whole_case("iii"),
-)
-_register(
-    "T3.17iv",
-    _policy(with_hom=True, target_side=True, family_size=1, value_policy="trivial", hom_kind="identity"),
-    _trivial_whole_case("iv"),
-)
-_register(
-    "T4.2",
-    _policy(nested=True, family_size=1, drop_keeps_subsemirings=True),
-    _check_nested_subset,
-)
-_register("T4.3", _policy(family_size=2, anchored=True), _check_rint_sub_of_both)
-_register(
-    "T4.4",
-    _policy(nested=True, anchored=True, drop_keeps_subsemirings=True),
-    _nested_family_check(restricted_intersect, "restricted-intersection"),
-)
-_register(
-    "T4.5",
-    _policy(nested=True, anchored=True, same_parameters=True, drop_keeps_subsemirings=True),
-    _nested_family_check(restricted_intersect, "restricted-intersection"),
-)
-_register(
-    "T4.6",
-    _policy(nested=True, drop_keeps_subsemirings=True),
-    _nested_family_check(extended_intersect, "extended-intersection"),
-)
-_register(
-    "T4.7",
-    _policy(nested=True, anchored=True, chain=True, drop_keeps_subsemirings=True),
-    _nested_family_check(restricted_union, "restricted-union"),
-)
-_register(
-    "T4.8",
-    _policy(nested=True, chain=True, chain_outer=True, drop_keeps_subsemirings=True),
-    _paired_family_check(or_union_family, "or-union"),
-)
-_register(
-    "T4.9",
-    _policy(nested=True, drop_keeps_subsemirings=True),
-    _paired_family_check(and_intersect_family, "and-intersection"),
-)
-_register(
-    "T4.10",
-    _policy(nested=True, family_size=2, drop_keeps_subsemirings=True),
-    _paired_family_check(cartesian_product, "cartesian-product", product=True),
-)
-_register(
-    "T4.11",
-    _policy(nested=True, family_size=1, with_hom=True, drop_keeps_subsemirings=True),
-    _check_image_preserves_sub,
-)
-_register(
-    "T4.12",
-    _policy(nested=True, family_size=1, with_hom=True, target_side=True, drop_keeps_subsemirings=True),
-    _check_preimage_preserves_sub,
+_TABLE = (
+    Law("T3.4", "closed", "restricted-intersection", 2, family_size=2, same_parameters=True),
+    Law("T3.6", "closed", "restricted-intersection", anchored=True),
+    Law("T3.7", "closed", "extended-intersection"),
+    Law("T3.8", "closed", "restricted-union", anchored=True, chain=True),
+    Law("T3.9", "closed", "extended-union", disjoint=True),
+    Law("T3.10", "closed", "and-intersection", 2, family_size=2),
+    Law("T3.11", "closed", "and-intersection"),
+    Law("T3.12", "closed", "or-union", chain=True),
+    Law("T3.13", "closed", "cartesian-product", over="product", family_size=2),
+    Law("L3.16", "hom-transport", with_hom=True),
+    Law("T3.17i", "trivial-whole", with_hom=True, family_size=1, value_policy="kernel"),
+    Law("T3.17ii", "trivial-whole", with_hom=True, family_size=1, value_policy="whole"),
+    Law("T3.17iii", "trivial-whole",
+        with_hom=True, target_side=True, family_size=1, value_policy="carrier-image"),
+    Law("T3.17iv", "trivial-whole",
+        with_hom=True, target_side=True, family_size=1, value_policy="trivial", hom_kind="identity"),
+    Law("T4.2", "outer", "soft-subsemiring-of", 1, nested=True, family_size=1),
+    Law("T4.3", "members", "restricted-intersection", 2, family_size=2, anchored=True),
+    Law("T4.4", "outer", "restricted-intersection", nested=True, anchored=True),
+    Law("T4.5", "outer", "restricted-intersection", nested=True, anchored=True, same_parameters=True),
+    Law("T4.6", "outer", "extended-intersection", nested=True),
+    Law("T4.7", "outer", "restricted-union", nested=True, anchored=True, chain=True),
+    Law("T4.8", "outer-op", "or-union", nested=True, chain=True, chain_outer=True),
+    Law("T4.9", "outer-op", "and-intersection", nested=True),
+    Law("T4.10", "outer-op", "cartesian-product", over="product", nested=True, family_size=2),
+    Law("T4.11", "outer-op", "hom-image", 1, "target", nested=True, family_size=1, with_hom=True),
+    Law("T4.12", "outer-op", "hom-preimage", 1, "source",
+        nested=True, family_size=1, with_hom=True, target_side=True),
 )
 
-ALL_THEOREMS = tuple(_REGISTRY)
+_LAWS = {law.theorem_id: law for law in _TABLE}
 
-ACCEPTANCE_THEOREMS = (
-    "T3.4",
-    "T3.6",
-    "T3.7",
-    "T3.8",
-    "T3.9",
-    "T3.10",
-    "T3.11",
-    "T3.12",
-    "T3.13",
-    "L3.16",
-    "T3.17i",
-    "T3.17ii",
-    "T3.17iii",
-    "T3.17iv",
-    "T4.2",
-    "T4.3",
-    "T4.4",
-    "T4.6",
-    "T4.7",
-    "T4.8",
-    "T4.9",
-    "T4.10",
-    "T4.11",
-    "T4.12",
-)
+ALL_THEOREMS = tuple(_LAWS)
+
+# T4.5 is T4.4 on shared parameter sets; the acceptance suite covers it through T4.4
+ACCEPTANCE_THEOREMS = tuple(tid for tid in ALL_THEOREMS if tid != "T4.5")
 
 
 def theorem_ids() -> tuple[str, ...]:
     return ALL_THEOREMS
 
 
-def _lookup(theorem_id: str) -> TheoremDef:
+def _lookup(theorem_id: str) -> Law:
     try:
-        return _REGISTRY[theorem_id]
+        return _LAWS[theorem_id]
     except KeyError:
         raise InputError(f"unknown theorem id {theorem_id!r}") from None
+
+
+def _verdict(theorem_id: str, outcomes) -> TheoremVerdict:
+    """Tally (trial, spec, outcome) triples; build the counterexample of the
+    lowest failing trial only."""
+    counts = {"pass": 0, "vacuous": 0, "fail": 0}
+    counterexample = None
+    for trial, spec, (outcome, deferred) in outcomes:
+        counts[outcome] += 1
+        if outcome == "fail" and counterexample is None:
+            counterexample = {"theorem": theorem_id, "trial": trial, "seed": spec.seed}
+            counterexample.update(deferred())
+    return TheoremVerdict(
+        theorem=theorem_id,
+        trials=sum(counts.values()),
+        passes=counts["pass"],
+        vacuous=counts["vacuous"],
+        failures=counts["fail"],
+        counterexample=counterexample,
+    )
 
 
 def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
@@ -879,20 +661,8 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
     hypotheses) yield a vacuous verdict; value-level hypothesis violations
     evaluate the conclusion honestly, so a non-hypothesis instance can fail.
     """
-    tdef = _lookup(theorem_id)
-    outcome, dump = tdef.check(instance, True)
-    counterexample = None
-    if outcome == "fail":
-        counterexample = {"theorem": theorem_id, "trial": 0, "seed": instance.spec.seed}
-        counterexample.update(dump)
-    return TheoremVerdict(
-        theorem=theorem_id,
-        trials=1,
-        passes=1 if outcome == "pass" else 0,
-        vacuous=1 if outcome == "vacuous" else 0,
-        failures=1 if outcome == "fail" else 0,
-        counterexample=counterexample,
-    )
+    law = _lookup(theorem_id)
+    return _verdict(theorem_id, [(0, instance.spec, law.evaluate(instance, True))])
 
 
 def fuzz_theorem(
@@ -910,28 +680,12 @@ def fuzz_theorem(
     """
     if trials < 1:
         raise InputError("trials must be at least 1")
-    tdef = _lookup(theorem_id)
+    law = _lookup(theorem_id)
     template = template if template is not None else InstanceSpec()
-    passes = vacuous = failures = 0
-    counterexample = None
-    for t in range(trials):
-        spec = tdef.policy(replace(template, seed=template.seed + t), drop_hypothesis)
-        instance = generate_instance(spec)
-        outcome, dump = tdef.check(instance, not drop_hypothesis)
-        if outcome == "pass":
-            passes += 1
-        elif outcome == "vacuous":
-            vacuous += 1
-        else:
-            failures += 1
-            if counterexample is None:
-                counterexample = {"theorem": theorem_id, "trial": t, "seed": spec.seed}
-                counterexample.update(dump)
-    return TheoremVerdict(
-        theorem=theorem_id,
-        trials=trials,
-        passes=passes,
-        vacuous=vacuous,
-        failures=failures,
-        counterexample=counterexample,
-    )
+
+    def outcomes():
+        for t in range(trials):
+            spec = law.spec(replace(template, seed=template.seed + t), drop_hypothesis)
+            yield t, spec, law.evaluate(generate_instance(spec), not drop_hypothesis)
+
+    return _verdict(theorem_id, outcomes())

@@ -17,7 +17,7 @@ from .algebra import (
     kernel,
     sub_gamma_witness_mask,
 )
-from .errors import DomainError, InputError
+from .errors import ConstraintError, DomainError, InputError
 from .reports import PASSED, TheoremVerdict, Witness
 from .soft_sets import SoftSet
 
@@ -76,14 +76,18 @@ def soft_image_under_hom(hom: GammaHom, ss: SoftSet, onto: bool = False) -> Soft
     """Pointwise image of every value, same parameters, over the target carrier.
 
     With onto=True the homomorphism must be surjective, and when the input is
-    a soft gamma-semiring the output is asserted to be one too.
+    a soft gamma-semiring the output must be one too: ConstraintError, with
+    the closure witness, when it is not (the map then does not preserve the
+    operations).
     """
     _require_carrier(hom.source, ss)
     if onto and not hom.surjective:
         raise InputError("onto flag set but the homomorphism is not surjective")
     out = SoftSet(hom.target.elements, ss.parameters, tuple(hom.image_mask(m) for m in ss.masks))
     if onto and is_soft_gamma_semiring(hom.source, ss):
-        assert is_soft_gamma_semiring(hom.target, out), "surjective image lost closure"
+        w = is_soft_gamma_semiring(hom.target, out)
+        if not w:
+            raise ConstraintError("surjective image lost closure", witness=w)
     return out
 
 
@@ -106,6 +110,25 @@ def _single_verdict(theorem: str, outcome: str, counterexample: dict | None = No
     )
 
 
+_TRIVIAL_WHOLE_FLAGS = {
+    "i": "image_not_trivial",
+    "ii": "image_not_whole",
+    "iii": "preimage_not_whole",
+    "iv": "preimage_not_trivial",
+}
+
+
+def _trivial_whole_conclusion(hom: GammaHom, ss: SoftSet, case: str) -> tuple[SoftSet, bool]:
+    """The conclusion of T3.17 case: the image (i, ii) or preimage (iii, iv)
+    of ss is trivial (i, iv) or whole (ii, iii), and a soft gamma-semiring."""
+    if case in ("i", "ii"):
+        result, gs = soft_image_under_hom(hom, ss), hom.target
+    else:
+        result, gs = soft_preimage_under_hom(hom, ss), hom.source
+    shape = is_trivial_soft if case in ("i", "iv") else is_whole_soft
+    return result, shape(gs, result) and bool(is_soft_gamma_semiring(gs, result))
+
+
 def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> TheoremVerdict:
     """Check one of the four kernel/whole/image/trivial transport statements.
 
@@ -120,11 +143,7 @@ def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> Theore
         raise InputError(f"case must be one of i, ii, iii, iv, got {case!r}")
     theorem = f"T3.17{case}"
     src, tgt = hom.source, hom.target
-
-    if case in ("i", "ii"):
-        _require_carrier(src, ss)
-    else:
-        _require_carrier(tgt, ss)
+    _require_carrier(src if case in ("i", "ii") else tgt, ss)
 
     if case == "i":
         ker_mask = src.subset_mask(kernel(hom))
@@ -133,50 +152,25 @@ def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> Theore
             and all(m == ker_mask for m in ss.masks)
             and bool(is_soft_gamma_semiring(src, ss))
         )
-        if not hyp:
-            return _single_verdict(theorem, "vacuous")
-        image = soft_image_under_hom(hom, ss)
-        ok = is_trivial_soft(tgt, image) and bool(is_soft_gamma_semiring(tgt, image))
-        return _single_verdict(
-            theorem, "pass" if ok else "fail", None if ok else {"image_not_trivial": True}
-        )
-
-    if case == "ii":
+    elif case == "ii":
         hyp = (
             hom.surjective
             and is_whole_soft(src, ss)
             and bool(is_soft_gamma_semiring(src, ss))
         )
-        if not hyp:
-            return _single_verdict(theorem, "vacuous")
-        image = soft_image_under_hom(hom, ss)
-        ok = is_whole_soft(tgt, image) and bool(is_soft_gamma_semiring(tgt, image))
-        return _single_verdict(
-            theorem, "pass" if ok else "fail", None if ok else {"image_not_whole": True}
-        )
-
-    if case == "iii":
+    elif case == "iii":
         f_s = hom.image_mask(src.full_mask)
         hyp = all(m == f_s for m in ss.masks) and bool(is_soft_gamma_semiring(tgt, ss))
-        if not hyp:
+    else:
+        if src.zero is None or tgt.zero is None:
             return _single_verdict(theorem, "vacuous")
-        pre = soft_preimage_under_hom(hom, ss)
-        ok = is_whole_soft(src, pre) and bool(is_soft_gamma_semiring(src, pre))
-        return _single_verdict(
-            theorem, "pass" if ok else "fail", None if ok else {"preimage_not_whole": True}
-        )
-
-    # case iv
-    if src.zero is None or tgt.zero is None:
-        return _single_verdict(theorem, "vacuous")
-    hyp = hom.injective and is_trivial_soft(tgt, ss) and bool(is_soft_gamma_semiring(tgt, ss))
+        hyp = hom.injective and is_trivial_soft(tgt, ss) and bool(is_soft_gamma_semiring(tgt, ss))
     if not hyp:
         return _single_verdict(theorem, "vacuous")
-    pre = soft_preimage_under_hom(hom, ss)
-    ok = is_trivial_soft(src, pre) and bool(is_soft_gamma_semiring(src, pre))
-    return _single_verdict(
-        theorem, "pass" if ok else "fail", None if ok else {"preimage_not_trivial": True}
-    )
+    _, ok = _trivial_whole_conclusion(hom, ss, case)
+    if ok:
+        return _single_verdict(theorem, "pass")
+    return _single_verdict(theorem, "fail", {_TRIVIAL_WHOLE_FLAGS[case]: True})
 
 
 def is_soft_sub_gamma_semiring(gs: GammaSemiring, inner: SoftSet, outer: SoftSet) -> Witness:

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from softgamma import (
+    ConstraintError,
     DomainError,
+    GammaHom,
     InputError,
     SoftGammaSemiring,
     SoftSet,
@@ -124,6 +126,16 @@ class TestHomImagePreimage:
         ss = soft_over(mod4.source, ("a",), {"a": ["0", "4"]})
         out = soft_image_under_hom(mod4, ss, onto=True)
         assert is_soft_gamma_semiring(mod4.target, out)
+
+    def test_onto_image_that_loses_closure_is_a_constraint_error(self, z8):
+        # shape-valid but no homomorphism: swapping 2 and 3 maps the closed
+        # value {0, 2, 4, 6} onto {0, 3, 4, 6}, which is not closed under +
+        swap = GammaHom(z8, z8, (0, 1, 3, 2, 4, 5, 6, 7))
+        ss = soft_over(z8, ("a",), {"a": ["0", "2", "4", "6"]})
+        with pytest.raises(ConstraintError) as info:
+            soft_image_under_hom(swap, ss, onto=True)
+        assert not info.value.witness
+        assert info.value.witness.failing_parameter == "a"
 
     def test_identity_preimage_is_a_copy(self, z8, z8_soft):
         assert soft_equal(soft_preimage_under_hom(identity_hom(z8), z8_soft), z8_soft)
