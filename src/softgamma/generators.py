@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .algebra import FiniteCommutativeSemigroup, GammaSemiring
-from .errors import InputError, SizeLimitError
+from .errors import ConstraintError, InputError, SizeLimitError
 
 
 def _int_subset(values, n: int, what: str) -> tuple[int, ...]:
@@ -66,7 +66,8 @@ def make_minmax_gamma(n: int, gamma_subset) -> GammaSemiring:
 def _matmul(a, a_shape, b, b_shape, p):
     ra, ca = a_shape
     rb, cb = b_shape
-    assert ca == rb
+    if ca != rb:
+        raise ConstraintError(f"cannot multiply a {ra}x{ca} matrix by a {rb}x{cb} matrix")
     out = []
     for i in range(ra):
         for j in range(cb):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from softgamma import (
+    ConstraintError,
     GammaSemiring,
     InputError,
     SizeLimitError,
@@ -11,6 +12,7 @@ from softgamma import (
     make_zn_gamma,
     ternary_product,
 )
+from softgamma.generators import _matmul
 
 
 class TestZnFamily:
@@ -134,6 +136,10 @@ class TestMatrixFamily:
                         _matmul_oracle(_mat(a, 1, 2), _mat(g, 2, 1), 2), _mat(b, 1, 2), 2
                     )
                     assert got == expected
+
+    def test_mismatched_matrix_shapes_are_a_constraint_error(self):
+        with pytest.raises(ConstraintError):
+            _matmul((1, 0), (1, 2), (1, 0), (1, 2), 2)
 
     def test_size_bounds_refused(self):
         with pytest.raises(InputError):

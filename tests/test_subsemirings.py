@@ -4,6 +4,7 @@ import pytest
 
 from softgamma import (
     GammaSemiring,
+    InputError,
     SizeLimitError,
     check_gamma_semiring,
     enumerate_sub_gamma_semirings,
@@ -11,6 +12,7 @@ from softgamma import (
     make_matrix_gamma,
     make_minmax_gamma,
     make_zn_gamma,
+    product_gamma,
     sub_gamma_witness,
     ternary_product,
 )
@@ -90,11 +92,46 @@ class TestEnumeration:
             make_zn_gamma(8, (2, 4, 6)),
             make_minmax_gamma(5, (1, 2, 3)),
             make_matrix_gamma(2, 1, 2),
+            make_zn_gamma(12, (2, 4, 6, 8, 10)),
+            make_minmax_gamma(12, (1, 4, 7, 10)),
+            product_gamma(make_zn_gamma(2, (1,)), 3),
+            make_matrix_gamma(3, 1, 2),
         ],
-        ids=["z2", "z4", "z6", "z8", "minmax5", "matrix212"],
+        ids=["z2", "z4", "z6", "z8", "minmax5", "matrix212", "z12", "minmax12", "z2cubed", "matrix312"],
     )
     def test_enumeration_equals_naive_power_set_filter(self, gs):
         assert [frozenset(t) for t in enumerate_sub_gamma_semirings(gs)] == naive_subsemirings(gs)
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_zn_with_even_gamma_has_exactly_the_subgroups(self, n):
+        # closed under + in a finite cyclic group means a subgroup, and every
+        # subgroup dZ_n is closed under a·alpha·b
+        gs = make_zn_gamma(n, range(0, n, 2))
+        subgroups = [
+            tuple(str(x) for x in range(0, n, d)) for d in range(1, n + 1) if n % d == 0
+        ]
+        subgroups.sort(key=gs.subset_mask)
+        assert enumerate_sub_gamma_semirings(gs, max_carrier=n) == subgroups
+
+    def test_minmax20_count_matches_closed_form(self):
+        # X is closed iff it holds every gamma label below max(X)
+        n, gamma = 20, range(0, 20, 2)
+        gs = make_minmax_gamma(n, gamma)
+        expected = sum(2 ** (m - sum(1 for g in gamma if g < m)) for m in range(n))
+        assert expected == 2046
+        masks = gs.sub_masks
+        assert len(masks) == expected
+        assert list(masks) == sorted(masks)
+
+    def test_enumeration_leaves_no_closure_memo(self):
+        gs = make_zn_gamma(16, (2,))
+        assert len(enumerate_sub_gamma_semirings(gs, max_carrier=16)) == 5
+        assert gs.__dict__.get("_closed_memo", {}) == {}
+
+    @pytest.mark.parametrize("bound", ["16", True, 12.5])
+    def test_non_integer_bound_argument_is_an_input_error(self, bound):
+        with pytest.raises(InputError, match="max_carrier"):
+            enumerate_sub_gamma_semirings(make_zn_gamma(4, (1,)), max_carrier=bound)
 
     def test_carrier_above_bound_is_refused(self, monkeypatch):
         monkeypatch.delenv("SOFTGAMMA_MAX_CARRIER", raising=False)
