@@ -1,3 +1,5 @@
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from softgamma import (
     make_matrix_gamma,
     make_minmax_gamma,
     make_zn_gamma,
+    product_gamma,
     ternary_product,
 )
 from softgamma.generators import _matmul
@@ -146,6 +149,35 @@ class TestMatrixFamily:
             make_matrix_gamma(5, 1, 1)
         with pytest.raises(SizeLimitError):
             make_matrix_gamma(2, 2, 3)
+
+
+class TestProductFamily:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "base",
+        [
+            make_zn_gamma(3, (1, 2)),
+            make_minmax_gamma(3, (1,)),
+            make_zn_gamma(2, (1,)),
+            make_matrix_gamma(2, 1, 2),
+        ],
+        ids=["z3", "minmax3", "z2", "matrix212"],
+    )
+    def test_tables_match_the_coordinatewise_oracle(self, base, k):
+        # every sum and product is read off the labels of the element tuples
+        pg = product_gamma(base, k)
+        elements = list(iproduct(base.elements, repeat=k))
+        pos = {e: i for i, e in enumerate(elements)}
+        assert pg.elements == tuple(elements)
+        assert pg.gamma_elements == base.gamma_elements
+        assert pg.gamma_add == base.gamma_add
+        assert pg.zero == (base.zero,) * k
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                assert pg.s.add_table[i][j] == pos[tuple(base.s.add(x, y) for x, y in zip(a, b))]
+                for g, label in enumerate(base.gamma_elements):
+                    expected = tuple(ternary_product(base, x, label, y) for x, y in zip(a, b))
+                    assert pg.product[i][g][j] == pos[expected]
 
 
 class TestTernaryProduct:

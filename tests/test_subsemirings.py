@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from softgamma import (
+    FiniteCommutativeSemigroup,
     GammaSemiring,
     InputError,
     SizeLimitError,
@@ -16,6 +18,7 @@ from softgamma import (
     sub_gamma_witness,
     ternary_product,
 )
+from softgamma.algebra import sub_gamma_witness_mask
 
 
 def naive_subsemirings(gs):
@@ -58,6 +61,65 @@ class TestPredicate:
     def test_whole_carrier_always_closed(self, z8, z4_full):
         for gs in (z8, z4_full, make_minmax_gamma(5, (1, 2, 3)), make_matrix_gamma(2, 1, 2)):
             assert is_sub_gamma_semiring(gs, gs.elements)
+
+
+def reference_witness(gs, mask):
+    """(kind, elements) of the first escape, or None when closed: additive
+    pairs first, then (i, gamma, j) triples, both lexicographic by position."""
+    if mask == 0:
+        return ("empty-subset", ())
+    members = [e for i, e in enumerate(gs.elements) if mask >> i & 1]
+    for a in members:
+        for b in members:
+            c = gs.s.add(a, b)
+            if c not in members:
+                return ("add-closure", (a, b, c))
+    for a in members:
+        for g in gs.gamma_elements:
+            for b in members:
+                c = ternary_product(gs, a, g, b)
+                if c not in members:
+                    return ("product-closure", (a, g, b, c))
+    return None
+
+
+def random_table_structure(seed):
+    """Seeded tables with no axiom imposed, 3 <= n <= 5."""
+    rng = random.Random(seed)
+    n, ng = rng.randint(3, 5), rng.randint(1, 3)
+    add = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+    prod = [[[rng.randrange(n) for _ in range(n)] for _ in range(ng)] for _ in range(n)]
+    elements = tuple(f"e{i}" for i in range(n))
+    return GammaSemiring(FiniteCommutativeSemigroup(elements, add), tuple(f"g{g}" for g in range(ng)), None, prod)
+
+
+class TestWitnessOrder:
+    @pytest.mark.parametrize(
+        "gs",
+        [make_zn_gamma(4, (0, 1, 2, 3), strict=True), make_minmax_gamma(4, (1, 2))]
+        + [random_table_structure(seed) for seed in range(6)],
+        ids=["z4full", "minmax4"] + [f"random{seed}" for seed in range(6)],
+    )
+    def test_every_mask_matches_the_reference_scan(self, gs):
+        for mask in range(gs.full_mask + 1):
+            expected = reference_witness(gs, mask)
+            w = sub_gamma_witness_mask(gs, mask)
+            if expected is None:
+                assert w
+            else:
+                assert not w
+                assert (w.kind, w.elements) == expected
+            assert sub_gamma_witness_mask(gs, mask) == w
+
+    def test_random_tables_break_some_closure(self):
+        # the seeded tables must exercise both witness kinds
+        kinds = {
+            reference_witness(gs, mask)[0]
+            for gs in (random_table_structure(seed) for seed in range(6))
+            for mask in range(1, gs.full_mask + 1)
+            if reference_witness(gs, mask) is not None
+        }
+        assert {"add-closure", "product-closure"} <= kinds
 
 
 class TestEnumeration:
