@@ -231,29 +231,8 @@ class GammaSemiring:
         return tuple(need)
 
     @cached_property
-    def _closed_memo(self) -> dict[int, bool]:
+    def _closed_memo(self) -> dict[int, Witness]:
         return {}
-
-    def closed_mask(self, mask: int) -> bool:
-        """Whether the subset encoded by mask is closed under + and the product."""
-        memo = self._closed_memo
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        need = self._closure_need
-        inv = ~mask
-        result = True
-        members = list(iter_bits(mask))
-        for i in members:
-            row = need[i]
-            for j in members:
-                if row[j] & inv:
-                    result = False
-                    break
-            if not result:
-                break
-        memo[mask] = result
-        return result
 
     def _closure(self, mask: int, stop: int) -> int:
         """Least superset of mask closed under + and the product.
@@ -316,31 +295,52 @@ def ternary_product(gs: GammaSemiring, a: Label, alpha: str, b: Label) -> Label:
 def sub_gamma_witness_mask(gs: GammaSemiring, mask: int) -> Witness:
     """Closure verdict for a subset given as a bitmask, with a witness on failure.
 
-    Scan order: additive pairs first, then product triples, both lexicographic
-    by position, so witnesses are deterministic.
+    Scan order: additive pairs first, then product triples (i, alpha, j), both
+    lexicographic by position, so witnesses are deterministic.  The verdict is
+    memoized per mask on the structure.
     """
+    memo = gs._closed_memo
+    w = memo.get(mask)
+    if w is None:
+        w = memo[mask] = _closure_witness(gs, mask)
+    return w
+
+
+def _first_escaping_row(need, members: list[int], inv: int) -> int | None:
+    """Index into members of the first i with some need[i][j] outside the mask."""
+    for start, i in enumerate(members):
+        need_i = need[i]
+        for j in members:
+            if need_i[j] & inv:
+                return start
+    return None
+
+
+def _closure_witness(gs: GammaSemiring, mask: int) -> Witness:
     if mask == 0:
         return Witness(False, kind="empty-subset")
-    if gs.closed_mask(mask):
-        return PASSED
-    add = gs.s.add_table
-    prod = gs.product
-    elems = gs.elements
+    inv = ~mask
     members = list(iter_bits(mask))
-    for i in members:
+    start = _first_escaping_row(gs._closure_need, members, inv)
+    if start is None:
+        return PASSED
+    # rows before start hold no witness of either kind
+    rows = members[start:]
+    elems = gs.elements
+    for i in rows:
+        row = gs.s.add_table[i]
         for j in members:
-            k = add[i][j]
-            if not mask >> k & 1:
+            k = row[j]
+            if inv >> k & 1:
                 return Witness(False, kind="add-closure", elements=(elems[i], elems[j], elems[k]))
-    for i in members:
-        for g, glabel in enumerate(gs.gamma_elements):
-            for j in members:
-                k = prod[i][g][j]
-                if not mask >> k & 1:
-                    return Witness(
-                        False, kind="product-closure", elements=(elems[i], glabel, elems[j], elems[k])
-                    )
-    raise AssertionError("closure memo disagrees with the witness scan")
+    # with + closed, the first escaping row escapes through a product
+    i = rows[0]
+    for g, glabel in enumerate(gs.gamma_elements):
+        row = gs.product[i][g]
+        for j in members:
+            k = row[j]
+            if inv >> k & 1:
+                return Witness(False, kind="product-closure", elements=(elems[i], glabel, elems[j], elems[k]))
 
 
 def sub_gamma_witness(gs: GammaSemiring, subset: Iterable[Label]) -> Witness:

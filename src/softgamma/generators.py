@@ -142,42 +142,22 @@ def product_gamma(gs: GammaSemiring, k: int, max_size: int = 4096) -> GammaSemir
         raise SizeLimitError(f"product carrier would have {n ** k} elements, above {max_size}")
 
     elements = tuple(iproduct(gs.elements, repeat=k))
+    # position i*n + x of the (j+1)-fold carrier pairs position i of the
+    # j-fold carrier with base position x, so its row pairs row i with base
+    # row x: column j*n + y holds T[i][j]*n + base[x][y]
     base_add = gs.s.add_table
     base_prod = gs.product
-    ng = len(gs.gamma_elements)
-
-    digits = []
-    for idx in range(n**k):
-        rest, ds = idx, []
-        for _ in range(k):
-            rest, d = divmod(rest, n)
-            ds.append(d)
-        digits.append(tuple(reversed(ds)))
-
-    def encode(ds):
-        idx = 0
-        for d in ds:
-            idx = idx * n + d
-        return idx
-
-    total = n**k
-    add = tuple(
-        tuple(
-            encode([base_add[x][y] for x, y in zip(digits[i], digits[j])])
-            for j in range(total)
-        )
-        for i in range(total)
-    )
-    product = tuple(
-        tuple(
+    add, product = base_add, base_prod
+    for _ in range(k - 1):
+        add = tuple(tuple(t * n + b for t in row for b in base_row) for row in add for base_row in base_add)
+        product = tuple(
             tuple(
-                encode([base_prod[x][g][y] for x, y in zip(digits[i], digits[j])])
-                for j in range(total)
+                tuple(t * n + b for t in row for b in base_row)
+                for row, base_row in zip(layer, base_layer)
             )
-            for g in range(ng)
+            for layer in product
+            for base_layer in base_prod
         )
-        for i in range(total)
-    )
     zero = None
     if gs.zero is not None:
         zero = tuple(gs.zero for _ in range(k))

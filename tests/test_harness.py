@@ -12,9 +12,9 @@ from softgamma import (
     generate_instance,
     is_soft_gamma_semiring,
 )
-from softgamma import files
+from softgamma import files, make_zn_gamma
 from softgamma.algebra import is_sub_gamma_semiring
-from softgamma.harness import ALL_THEOREMS
+from softgamma.harness import ALL_THEOREMS, base_structure, canonical_hom, product_structure
 from softgamma.soft_sets import restricted_union
 
 Z8_TEMPLATE = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6), seed=0)
@@ -152,6 +152,21 @@ class TestFuzzing:
     def test_trials_below_one_are_rejected(self):
         with pytest.raises(InputError):
             fuzz_theorem("T3.7", 0)
+
+
+class TestStructureCaches:
+    def test_products_are_cached_on_the_structure_value(self):
+        a = make_zn_gamma(4, (1, 3))
+        b = make_zn_gamma(4, (1, 3))
+        assert a is not b
+        pa, pb = product_structure(a, 2), product_structure(b, 2)
+        assert (pa.s.add_table, pa.product) == (pb.s.add_table, pb.product)
+        assert pa is pb
+
+    @pytest.mark.parametrize("cache", [base_structure, canonical_hom, product_structure])
+    def test_every_cache_is_bounded(self, cache):
+        maxsize = cache.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestCounterexampleReplay:
