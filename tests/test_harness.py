@@ -3,6 +3,7 @@ import json
 import pytest
 
 from softgamma import (
+    GenerationError,
     InputError,
     Instance,
     InstanceSpec,
@@ -14,7 +15,7 @@ from softgamma import (
 )
 from softgamma import files, make_zn_gamma
 from softgamma.algebra import is_sub_gamma_semiring
-from softgamma.harness import ALL_THEOREMS, base_structure, canonical_hom, product_structure
+from softgamma.harness import _LAWS, ALL_THEOREMS, base_structure, canonical_hom, product_structure
 from softgamma.soft_sets import restricted_union
 
 Z8_TEMPLATE = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6), seed=0)
@@ -80,6 +81,45 @@ class TestGeneration:
             generate_instance(InstanceSpec(value_policy="nonsense"))
         with pytest.raises(InputError):
             generate_instance(InstanceSpec(generator="nonsense"))
+
+    @staticmethod
+    def _expected_forced_mask(policy, inst):
+        # built from the homomorphism's position map, not from the harness
+        hom = inst.hom
+        target_zero = hom.target.s.pos(hom.target.zero)
+        if policy == "kernel":
+            return sum(1 << i for i, t in enumerate(hom.mapping) if t == target_zero)
+        if policy == "whole":
+            return (1 << hom.source.size) - 1
+        if policy == "carrier-image":
+            return sum(1 << t for t in set(hom.mapping))
+        return 1 << target_zero  # trivial
+
+    @pytest.mark.parametrize(
+        "law_id, policy",
+        [("T3.17i", "kernel"), ("T3.17ii", "whole"), ("T3.17iii", "carrier-image"), ("T3.17iv", "trivial")],
+    )
+    def test_forced_value_policies_give_every_value_the_forced_mask(self, law_id, policy):
+        law = _LAWS[law_id]
+        assert law.flags["value_policy"] == policy
+        for seed in range(12):
+            spec = law.spec(InstanceSpec(seed=seed), drop=False)
+            inst = generate_instance(spec)
+            side = inst.hom.target if spec.target_side else inst.hom.source
+            expected = self._expected_forced_mask(policy, inst)
+            assert inst.soft_sets
+            for member in inst.soft_sets:
+                assert member.universe == side.elements
+                assert member.masks and all(m == expected for m in member.masks), (seed, member)
+
+    @pytest.mark.parametrize("policy", ["kernel", "carrier-image"])
+    def test_hom_value_policies_without_a_hom_are_a_generation_error(self, policy):
+        with pytest.raises(GenerationError):
+            generate_instance(InstanceSpec(value_policy=policy, seed=3))
+
+    def test_target_side_without_a_hom_is_a_generation_error(self):
+        with pytest.raises(GenerationError):
+            generate_instance(InstanceSpec(target_side=True, seed=3))
 
 
 class TestCheckTheorem:
