@@ -441,11 +441,8 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
             return None
 
         def gamma_commutativity():
-            for i in range(ng):
-                for j in range(ng):
-                    if gadd[i][j] != gadd[j][i]:
-                        return (gamma[i], gamma[j])
-            return None
+            w = _commutativity_witness(gadd)
+            return None if w is None else (gamma[w[0]], gamma[w[1]])
 
         def gamma_associativity():
             # only triples whose intermediate sums stay inside the gamma set

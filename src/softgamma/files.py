@@ -73,6 +73,13 @@ def require_fields(doc: dict, fields: set[str], what: str) -> None:
         raise ParseError(f"{what} has unknown fields {sorted(extra)}")
 
 
+def _gamma_labels(entries: list) -> tuple[str, ...]:
+    for g in entries:
+        if not isinstance(g, str):
+            raise ParseError(f"gamma element {g!r} must be a string")
+    return tuple(entries)
+
+
 _STRUCTURE_FIELDS = {"name", "s_elements", "s_add", "gamma_elements", "gamma_add", "product", "zero"}
 
 
@@ -95,11 +102,7 @@ def structure_from_doc(doc: dict) -> GammaSemiring:
     if not isinstance(doc["s_elements"], list) or not isinstance(doc["gamma_elements"], list):
         raise ParseError("s_elements and gamma_elements must be lists")
     elements = tuple(label_from_jsonable(e) for e in doc["s_elements"])
-    gamma = []
-    for g in doc["gamma_elements"]:
-        if not isinstance(g, str):
-            raise ParseError(f"gamma element {g!r} must be a string")
-        gamma.append(g)
+    gamma = _gamma_labels(doc["gamma_elements"])
     zero_idx = doc["zero"]
     if zero_idx is not None:
         if not isinstance(zero_idx, int) or not 0 <= zero_idx < len(elements):
@@ -113,7 +116,7 @@ def structure_from_doc(doc: dict) -> GammaSemiring:
         sg = FiniteCommutativeSemigroup(elements, doc["s_add"])
         return GammaSemiring(
             sg,
-            tuple(gamma),
+            gamma,
             gamma_add,
             doc["product"],
             zero=None if zero_idx is None else elements[zero_idx],
@@ -188,11 +191,7 @@ def relation_from_doc(doc: dict) -> TernaryRelation:
     if not isinstance(doc["triples"], list):
         raise ParseError("triples must be a list")
     parameters = tuple(label_from_jsonable(p) for p in doc["n_params"])
-    gamma = []
-    for g in doc["gamma"]:
-        if not isinstance(g, str):
-            raise ParseError(f"gamma element {g!r} must be a string")
-        gamma.append(g)
+    gamma = _gamma_labels(doc["gamma"])
     triples = []
     for t in doc["triples"]:
         if not isinstance(t, list) or len(t) != 3:
@@ -201,7 +200,7 @@ def relation_from_doc(doc: dict) -> TernaryRelation:
             raise ParseError(f"relation gamma component {t[1]!r} must be a string")
         triples.append((label_from_jsonable(t[0]), t[1], label_from_jsonable(t[2])))
     try:
-        return TernaryRelation(parameters, tuple(gamma), frozenset(triples))
+        return TernaryRelation(parameters, gamma, frozenset(triples))
     except InputError as exc:
         raise ParseError(str(exc)) from None
 

@@ -92,37 +92,31 @@ def make_matrix_gamma(p: int, rows: int, cols: int) -> GammaSemiring:
     if rows * cols > 4:
         raise SizeLimitError(f"matrix carrier refused: rows*cols = {rows * cols} exceeds 4")
 
+    # a cols x rows gamma matrix has as many entries as a rows x cols carrier
+    # matrix, so one list of flat p-ary tuples serves both
     k = rows * cols
-    s_entries = [tuple(t) for t in iproduct(range(p), repeat=k)]
-    g_entries = [tuple(t) for t in iproduct(range(p), repeat=k)]
-    label = lambda flat: "".join(str(d) for d in flat)
-
-    elements = tuple(label(m) for m in s_entries)
-    s_index = {m: i for i, m in enumerate(s_entries)}
-    g_index = {m: i for i, m in enumerate(g_entries)}
+    entries = list(iproduct(range(p), repeat=k))
+    labels = tuple("".join(str(d) for d in flat) for flat in entries)
+    index = {m: i for i, m in enumerate(entries)}
 
     add = tuple(
-        tuple(s_index[tuple((x + y) % p for x, y in zip(a, b))] for b in s_entries)
-        for a in s_entries
+        tuple(index[tuple((x + y) % p for x, y in zip(a, b))] for b in entries)
+        for a in entries
     )
     product = []
-    for a in s_entries:
+    for a in entries:
         layer = []
-        for g in g_entries:
+        for g in entries:
             ag = _matmul(a, (rows, cols), g, (cols, rows), p)
             layer.append(
-                tuple(s_index[_matmul(ag, (rows, rows), b, (rows, cols), p)] for b in s_entries)
+                tuple(index[_matmul(ag, (rows, rows), b, (rows, cols), p)] for b in entries)
             )
         product.append(tuple(layer))
 
-    gamma_elements = tuple(label(m) for m in g_entries)
-    gamma_add = tuple(
-        tuple(label(tuple((x + y) % p for x, y in zip(g, h))) for h in g_entries)
-        for g in g_entries
-    )
+    gamma_add = tuple(tuple(labels[i] for i in row) for row in add)
     return GammaSemiring(
-        FiniteCommutativeSemigroup(elements, add),
-        gamma_elements,
+        FiniteCommutativeSemigroup(labels, add),
+        labels,
         gamma_add,
         tuple(product),
         zero="0" * k,

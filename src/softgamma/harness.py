@@ -24,9 +24,9 @@ soft set.
 
 Randomness comes from random.Random (MT19937) seeded per trial with
 template.seed + trial_index; the draw order inside generate_instance is part
-of the determinism contract: descriptor, homomorphism, outer parameters and
-values, then per member its parameters and values, then the auxiliary
-target-side member.
+of the determinism contract: descriptor, chain order (chain policies only),
+outer parameters and values, then per member its parameters and values, then
+the auxiliary target-side member.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ class InstanceSpec:
     generator "mix" rotates among the three structure families; size and
     gamma pin them down ((n,) for zn/minmax, (p, rows, cols) for matrix; an
     empty gamma means a seeded random nonempty subset).  family_size None
-    draws 1..3 members.  Policies: value_policy selects where values come
+    draws 1..3 members; the parameter pool, the per-member parameter cap and
+    the empty-value rate are the module constants _PARAMETER_POOL,
+    _MAX_PARAMETERS and _EMPTY_RATE.  Policies: value_policy selects where values come
     from; chain forces all drawn values into one containment chain
     (chain_outer extends that to the enclosing soft set); disjoint gives
     members pairwise disjoint parameter sets; same_parameters gives them all
@@ -90,9 +92,6 @@ class InstanceSpec:
     size: tuple[int, ...] = ()
     gamma: tuple[int, ...] = ()
     family_size: int | None = None
-    parameter_pool: tuple[str, ...] = ("a", "b", "c", "d")
-    max_parameters: int = 3
-    empty_rate: float = 0.2
     value_policy: str = "subsemirings"
     chain: bool = False
     chain_outer: bool = False
@@ -116,18 +115,24 @@ class Instance:
     outer: SoftSet | None = None
     hom: GammaHom | None = None
     aux_target: SoftSet | None = None
-    members_over_target: bool = False
     descriptor: tuple = ("custom",)
     spec: InstanceSpec = field(default_factory=InstanceSpec)
 
     @property
     def side_gs(self) -> GammaSemiring:
-        if self.members_over_target and self.hom is not None:
+        if self.spec.target_side and self.hom is not None:
             return self.hom.target
         return self.gs
 
 
 _VALUE_POLICIES = ("subsemirings", "arbitrary", "kernel", "whole", "carrier-image", "trivial")
+
+# members draw their parameters from _PARAMETER_POOL, at most _MAX_PARAMETERS
+# each (the enclosing soft set may take the whole pool), and a drawn value is
+# empty with probability _EMPTY_RATE
+_PARAMETER_POOL = ("a", "b", "c", "d")
+_MAX_PARAMETERS = 3
+_EMPTY_RATE = 0.2
 
 # entries kept by each of the structure, homomorphism and product caches; a
 # 200-trial pass over every law on the mix generator needs under 100 structures
@@ -230,22 +235,34 @@ def _draw_parameters(
     return tuple(pool[i] for i in sorted(set(idxs)))
 
 
-def _forced_mask(spec: InstanceSpec, gs: GammaSemiring, side: GammaSemiring, hom) -> int:
-    if spec.value_policy == "kernel":
-        if hom is None:
-            raise GenerationError("kernel value policy requires a homomorphism")
+def _forced_mask(spec: InstanceSpec, gs: GammaSemiring, side: GammaSemiring, hom) -> int | None:
+    """The one value every member takes under a forced value policy; None
+    when values are drawn."""
+    policy = spec.value_policy
+    if policy in ("kernel", "carrier-image") and hom is None:
+        raise GenerationError(f"{policy} value policy requires a homomorphism")
+    if policy == "kernel":
         return gs.subset_mask(kernel(hom))
-    if spec.value_policy == "whole":
+    if policy == "whole":
         return side.full_mask
-    if spec.value_policy == "carrier-image":
-        if hom is None:
-            raise GenerationError("carrier-image value policy requires a homomorphism")
+    if policy == "carrier-image":
         return hom.image_mask(hom.source.full_mask)
-    if spec.value_policy == "trivial":
+    if policy == "trivial":
         if side.zero is None:
             raise GenerationError("trivial value policy requires a designated zero")
         return 1 << side.s.pos(side.zero)
-    raise AssertionError(spec.value_policy)
+    return None
+
+
+def _draw_value(rng: random.Random, spec: InstanceSpec, side: GammaSemiring, candidates) -> int:
+    """A drawn value over side: empty with probability _EMPTY_RATE, else an
+    arbitrary subset under the "arbitrary" policy, else one of candidates
+    (empty when there are none)."""
+    if rng.random() < _EMPTY_RATE:
+        return 0
+    if spec.value_policy == "arbitrary":
+        return rng.getrandbits(side.size)
+    return rng.choice(candidates) if candidates else 0
 
 
 def generate_instance(spec: InstanceSpec) -> Instance:
@@ -255,8 +272,6 @@ def generate_instance(spec: InstanceSpec) -> Instance:
         raise InputError("family_size must be at least 1")
     if spec.value_policy not in _VALUE_POLICIES:
         raise InputError(f"unknown value policy {spec.value_policy!r}")
-    if not spec.parameter_pool:
-        raise GenerationError("parameter pool must be nonempty")
 
     rng = random.Random(spec.seed)
     descriptor = _resolve_descriptor(spec, rng)
@@ -264,7 +279,7 @@ def generate_instance(spec: InstanceSpec) -> Instance:
     hom = canonical_hom(descriptor, spec.hom_kind) if spec.with_hom else None
     if spec.target_side and hom is None:
         raise GenerationError("target_side generation requires with_hom")
-    side = hom.target if (spec.target_side and hom is not None) else gs
+    side = hom.target if spec.target_side else gs
 
     subs = side.sub_masks
     chain_pool: list[int] | None = None
@@ -272,64 +287,48 @@ def generate_instance(spec: InstanceSpec) -> Instance:
         chain_pool = _draw_chain(rng, subs)
         if not chain_pool:
             raise GenerationError("chain policy found no comparable subalgebras")
-
-    def draw_value(candidates, outer_mask=None) -> int:
-        if spec.value_policy in ("kernel", "whole", "carrier-image", "trivial"):
-            return _forced_mask(spec, gs, side, hom)
-        if rng.random() < spec.empty_rate:
-            return 0
-        if spec.value_policy == "arbitrary":
-            return rng.getrandbits(side.size)
-        pool = candidates
-        if outer_mask is not None:
-            pool = [m for m in candidates if m & ~outer_mask == 0]
-        if not pool:
-            return 0
-        return rng.choice(pool)
-
-    value_candidates: list[int] = list(chain_pool if spec.chain else subs)
-    outer_candidates: list[int] = list(chain_pool if spec.chain_outer else subs)
+    forced = _forced_mask(spec, gs, side, hom)
+    value_candidates = chain_pool if spec.chain else subs
+    outer_candidates = chain_pool if spec.chain_outer else subs
 
     outer = None
     if spec.nested:
-        oparams = _draw_parameters(rng, spec.parameter_pool, len(spec.parameter_pool), spec.anchored)
-        omasks = tuple(draw_value(outer_candidates) for _ in oparams)
+        oparams = _draw_parameters(rng, _PARAMETER_POOL, len(_PARAMETER_POOL), spec.anchored)
+        omasks = tuple(
+            _draw_value(rng, spec, side, outer_candidates) if forced is None else forced for _ in oparams
+        )
         outer = SoftSet(side.elements, oparams, omasks)
 
     k = spec.family_size if spec.family_size is not None else rng.randint(1, 3)
     members: list[SoftSet] = []
     shared_params: tuple | None = None
+    constrain = spec.nested and not spec.nested_free and spec.value_policy == "subsemirings"
     for index in range(k):
         if spec.nested:
             pool = outer.parameters
         elif spec.disjoint:
-            pool = tuple(f"{name}{index}" for name in spec.parameter_pool)
+            pool = tuple(f"{name}{index}" for name in _PARAMETER_POOL)
         else:
-            pool = spec.parameter_pool
+            pool = _PARAMETER_POOL
         if spec.same_parameters:
             if shared_params is None:
-                shared_params = _draw_parameters(rng, pool, spec.max_parameters, spec.anchored)
+                shared_params = _draw_parameters(rng, pool, _MAX_PARAMETERS, spec.anchored)
             params = shared_params
         else:
-            params = _draw_parameters(rng, pool, spec.max_parameters, spec.anchored)
-        constrain = spec.nested and not spec.nested_free and spec.value_policy == "subsemirings"
+            params = _draw_parameters(rng, pool, _MAX_PARAMETERS, spec.anchored)
         masks = []
         for w in params:
-            outer_mask = outer.mask(w) if constrain else None
-            masks.append(draw_value(value_candidates, outer_mask))
+            candidates = value_candidates
+            if constrain:
+                candidates = [m for m in value_candidates if m & ~outer.mask(w) == 0]
+            masks.append(_draw_value(rng, spec, side, candidates) if forced is None else forced)
         members.append(SoftSet(side.elements, params, tuple(masks)))
 
     aux_target = None
     if hom is not None and not spec.target_side:
-        tsubs = hom.target.sub_masks
-        params = _draw_parameters(rng, spec.parameter_pool, spec.max_parameters, spec.anchored)
-        masks = []
-        for _ in params:
-            if spec.value_policy == "arbitrary":
-                masks.append(0 if rng.random() < spec.empty_rate else rng.getrandbits(hom.target.size))
-            else:
-                masks.append(0 if rng.random() < spec.empty_rate else rng.choice(list(tsubs)))
-        aux_target = SoftSet(hom.target.elements, params, tuple(masks))
+        params = _draw_parameters(rng, _PARAMETER_POOL, _MAX_PARAMETERS, spec.anchored)
+        masks = tuple(_draw_value(rng, spec, hom.target, hom.target.sub_masks) for _ in params)
+        aux_target = SoftSet(hom.target.elements, params, masks)
 
     return Instance(
         gs=gs,
@@ -337,7 +336,6 @@ def generate_instance(spec: InstanceSpec) -> Instance:
         outer=outer,
         hom=hom,
         aux_target=aux_target,
-        members_over_target=spec.target_side,
         descriptor=descriptor,
         spec=spec,
     )
@@ -366,7 +364,7 @@ def _dump(
         "structure": files.structure_to_doc(inst.gs, name=_descriptor_name(inst.descriptor)),
         "operation": operation,
         "members": [files.soft_set_to_doc(m) for m in members],
-        "members_over": "target" if inst.members_over_target else "source",
+        "members_over": "target" if inst.spec.target_side else "source",
     }
     if inst.hom is not None:
         doc["hom"] = files.hom_to_doc(inst.hom)
@@ -607,10 +605,6 @@ ALL_THEOREMS = tuple(_LAWS)
 
 # T4.5 is T4.4 on shared parameter sets; the acceptance suite covers it through T4.4
 ACCEPTANCE_THEOREMS = tuple(tid for tid in ALL_THEOREMS if tid != "T4.5")
-
-
-def theorem_ids() -> tuple[str, ...]:
-    return ALL_THEOREMS
 
 
 def _lookup(theorem_id: str) -> Law:

@@ -11,8 +11,9 @@ tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iproduct
+from operator import and_, or_
 from typing import Mapping, Sequence
 
 from .algebra import GammaSemiring, Label, iter_bits
@@ -125,102 +126,62 @@ def soft_equal(a: SoftSet, b: SoftSet) -> bool:
     return is_soft_subset(a, b) and is_soft_subset(b, a)
 
 
-def restricted_intersect(family: Sequence[SoftSet]) -> SoftSet:
-    """Pointwise intersection over the (nonempty) intersection of parameter sets."""
+# the three operation shapes, each folding the members' masks with the
+# pointwise combiner operator.and_ (intersection) or operator.or_ (union)
+def _restricted(family: Sequence[SoftSet], combine) -> SoftSet:
     fam = _family(family)
-    common = [w for w in fam[0].parameters if all(m.has_param(w) for m in fam[1:])]
+    common = tuple(w for w in fam[0].parameters if all(m.has_param(w) for m in fam[1:]))
     if not common:
         raise DomainError("restricted operation needs a nonempty parameter intersection")
-    masks = []
-    for w in common:
-        v = fam[0].mask(w)
-        for m in fam[1:]:
-            v &= m.mask(w)
-        masks.append(v)
-    return SoftSet(fam[0].universe, tuple(common), tuple(masks))
+    masks = tuple(reduce(combine, [m.mask(w) for m in fam]) for w in common)
+    return SoftSet(fam[0].universe, common, masks)
+
+
+def _extended(family: Sequence[SoftSet], combine) -> SoftSet:
+    fam = _family(family)
+    params = tuple(dict.fromkeys(w for m in fam for w in m.parameters))
+    masks = tuple(reduce(combine, [m.mask(w) for m in fam if m.has_param(w)]) for w in params)
+    return SoftSet(fam[0].universe, params, masks)
+
+
+def _tabular(family: Sequence[SoftSet], combine) -> SoftSet:
+    fam = _family(family)
+    params = tuple(iproduct(*[m.parameters for m in fam]))
+    masks = tuple(reduce(combine, [m.mask(y) for m, y in zip(fam, combo)]) for combo in params)
+    return SoftSet(fam[0].universe, params, masks)
+
+
+def restricted_intersect(family: Sequence[SoftSet]) -> SoftSet:
+    """Pointwise intersection over the (nonempty) intersection of parameter sets."""
+    return _restricted(family, and_)
 
 
 def restricted_union(family: Sequence[SoftSet]) -> SoftSet:
     """Pointwise union over the (nonempty) intersection of parameter sets."""
-    fam = _family(family)
-    common = [w for w in fam[0].parameters if all(m.has_param(w) for m in fam[1:])]
-    if not common:
-        raise DomainError("restricted operation needs a nonempty parameter intersection")
-    masks = []
-    for w in common:
-        v = 0
-        for m in fam:
-            v |= m.mask(w)
-        masks.append(v)
-    return SoftSet(fam[0].universe, tuple(common), tuple(masks))
-
-
-def _union_params(fam: Sequence[SoftSet]) -> tuple[Label, ...]:
-    seen = []
-    known = set()
-    for m in fam:
-        for w in m.parameters:
-            if w not in known:
-                known.add(w)
-                seen.append(w)
-    return tuple(seen)
+    return _restricted(family, or_)
 
 
 def extended_intersect(family: Sequence[SoftSet]) -> SoftSet:
-    """Over the union of parameter sets; at each parameter, intersect exactly
-    the members that carry it."""
-    fam = _family(family)
-    params = _union_params(fam)
-    masks = []
-    for w in params:
-        v = None
-        for m in fam:
-            if m.has_param(w):
-                v = m.mask(w) if v is None else v & m.mask(w)
-        masks.append(v)
-    return SoftSet(fam[0].universe, params, tuple(masks))
+    """Over the union of parameter sets, in first-seen order; at each
+    parameter, intersect exactly the members that carry it."""
+    return _extended(family, and_)
 
 
 def extended_union(family: Sequence[SoftSet]) -> SoftSet:
-    """Over the union of parameter sets; at each parameter, unite exactly the
-    members that carry it."""
-    fam = _family(family)
-    params = _union_params(fam)
-    masks = []
-    for w in params:
-        v = 0
-        for m in fam:
-            if m.has_param(w):
-                v |= m.mask(w)
-        masks.append(v)
-    return SoftSet(fam[0].universe, params, tuple(masks))
+    """Over the union of parameter sets, in first-seen order; at each
+    parameter, unite exactly the members that carry it."""
+    return _extended(family, or_)
 
 
 def and_intersect_family(family: Sequence[SoftSet]) -> SoftSet:
     """Parameters are tuples from the ordered product of the parameter sets;
     the value at (y_1..y_k) is the intersection of the coordinate values."""
-    fam = _family(family)
-    params = tuple(iproduct(*[m.parameters for m in fam]))
-    masks = []
-    for combo in params:
-        v = fam[0].mask(combo[0])
-        for m, y in zip(fam[1:], combo[1:]):
-            v &= m.mask(y)
-        masks.append(v)
-    return SoftSet(fam[0].universe, params, tuple(masks))
+    return _tabular(family, and_)
 
 
 def or_union_family(family: Sequence[SoftSet]) -> SoftSet:
     """Like and_intersect_family with pointwise union."""
-    fam = _family(family)
-    params = tuple(iproduct(*[m.parameters for m in fam]))
-    masks = []
-    for combo in params:
-        v = 0
-        for m, y in zip(fam, combo):
-            v |= m.mask(y)
-        masks.append(v)
-    return SoftSet(fam[0].universe, params, tuple(masks))
+    return _tabular(family, or_)
 
 
 def and_intersect(a: SoftSet, b: SoftSet) -> SoftSet:
