@@ -29,6 +29,7 @@ from .harness import (
     ACCEPTANCE_THEOREMS,
     ALL_THEOREMS,
     Instance,
+    NECESSITY_TEMPLATES,
     InstanceSpec,
     check_theorem,
     fuzz_theorem,

@@ -41,7 +41,8 @@ def _positions_table(table, rows: int, cols: int, what: str) -> tuple[tuple[int,
         raise InputError(f"{what} must have {rows} rows, got {len(outer)}")
     normalized = []
     for row in outer:
-        row = list(row)
+        if not isinstance(row, (list, tuple)):
+            raise InputError(f"{what} row {row!r} must be a list")
         if len(row) != cols:
             raise InputError(f"{what} is ragged: row of length {len(row)}, expected {cols}")
         for entry in row:
@@ -153,7 +154,9 @@ class GammaSemiring:
 
         n = len(self.s.elements)
         ng = len(gamma)
-        prod = list(self.product)
+        if not isinstance(self.product, (list, tuple)):
+            raise InputError(f"product table must be a table, got {type(self.product).__name__}")
+        prod = self.product
         if len(prod) != n:
             raise InputError(f"product table must have {n} outer rows, got {len(prod)}")
         layers = []
@@ -167,6 +170,8 @@ class GammaSemiring:
                 raise InputError(f"gamma addition table must have {ng} rows, got {len(rows)}")
             normalized = []
             for row in rows:
+                if not isinstance(row, (list, tuple)):
+                    raise InputError(f"gamma addition table row {row!r} must be a list")
                 row = tuple(row)
                 if len(row) != ng:
                     raise InputError("gamma addition table is ragged")

@@ -1,22 +1,25 @@
 """Command-line interface.
 
-Subcommands: validate, op, soft-check, subsemirings, theorem, example.
-Exit codes: 0 success, 1 axiom/domain failure (or, with --drop-hypothesis,
-no counterexample found), 2 parse/input error.  stdout carries only
-machine-readable JSON; diagnostics go to stderr.
+Subcommands: validate, op, soft-check, subsemirings, theorem, suite, example.
+theorem fuzzes one closure law; suite fuzzes every law in table order or,
+with --drop-hypothesis, every law of the necessity column on its pinned
+family.  Exit codes: 0 success, 1 axiom/domain failure (or, with
+--drop-hypothesis, a law with no counterexample found), 2 parse/input
+error.  stdout carries only machine-readable JSON; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import files
 from .algebra import check_gamma_semiring, enumerate_sub_gamma_semirings
 from .errors import DomainError, GenerationError, InputError
 from .generators import make_matrix_gamma, make_minmax_gamma, make_zn_gamma
-from .harness import InstanceSpec, fuzz_theorem
+from .harness import ALL_THEOREMS, NECESSITY_TEMPLATES, InstanceSpec, fuzz_theorem
 from .soft_gamma import is_soft_gamma_semiring
 from .soft_sets import (
     TernaryRelation,
@@ -123,6 +126,16 @@ def cmd_subsemirings(args) -> int:
     return EXIT_OK
 
 
+def _fuzz_exit(verdicts, drop_hypothesis: bool) -> int:
+    """EXIT_OK when no enforced law failed or, with the hypothesis dropped,
+    when every law found a counterexample."""
+    if drop_hypothesis:
+        ok = all(v.counterexample is not None for v in verdicts)
+    else:
+        ok = all(v.failures == 0 for v in verdicts)
+    return EXIT_OK if ok else EXIT_FAIL
+
+
 def cmd_theorem(args) -> int:
     verdict = fuzz_theorem(
         args.id,
@@ -131,9 +144,20 @@ def cmd_theorem(args) -> int:
         drop_hypothesis=args.drop_hypothesis,
     )
     _emit(files.dumps(files.verdict_to_doc(verdict)), args.output)
+    return _fuzz_exit([verdict], args.drop_hypothesis)
+
+
+def cmd_suite(args) -> int:
     if args.drop_hypothesis:
-        return EXIT_OK if verdict.counterexample is not None else EXIT_FAIL
-    return EXIT_OK if verdict.failures == 0 else EXIT_FAIL
+        runs = [(tid, replace(template, seed=args.seed)) for tid, template in NECESSITY_TEMPLATES.items()]
+    else:
+        runs = [(tid, InstanceSpec(seed=args.seed)) for tid in ALL_THEOREMS]
+    verdicts = [
+        fuzz_theorem(tid, args.trials, template, drop_hypothesis=args.drop_hypothesis)
+        for tid, template in runs
+    ]
+    _emit(files.dumps([files.verdict_to_doc(v) for v in verdicts]), args.output)
+    return _fuzz_exit(verdicts, args.drop_hypothesis)
 
 
 def z8_example():
@@ -210,13 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_subsemirings)
 
-    p = sub.add_parser("theorem", help="fuzz one closure law")
+    # the options theorem and suite share
+    fuzz = argparse.ArgumentParser(add_help=False)
+    fuzz.add_argument("--trials", type=int, default=500)
+    fuzz.add_argument("--seed", type=int, default=0)
+    fuzz.add_argument("--drop-hypothesis", action="store_true")
+    fuzz.add_argument("-o", "--output", default=None)
+
+    p = sub.add_parser("theorem", parents=[fuzz], help="fuzz one closure law")
     p.add_argument("id")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--drop-hypothesis", action="store_true")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_theorem)
+
+    p = sub.add_parser(
+        "suite", parents=[fuzz], help="fuzz every closure law, or every pinned law with --drop-hypothesis"
+    )
+    p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("example", help="emit a bundled example structure")
     p.add_argument("name")

@@ -105,13 +105,12 @@ def structure_from_doc(doc: dict) -> GammaSemiring:
     gamma = _gamma_labels(doc["gamma_elements"])
     zero_idx = doc["zero"]
     if zero_idx is not None:
-        if not isinstance(zero_idx, int) or not 0 <= zero_idx < len(elements):
-            raise ParseError(f"zero index {zero_idx!r} out of range")
+        # exactly int: a JSON true is a bool, which Python counts as the int 1
+        if type(zero_idx) is not int or not 0 <= zero_idx < len(elements):
+            raise ParseError(f"zero index {zero_idx!r} is not a position in 0..{len(elements) - 1}")
     gamma_add = doc["gamma_add"]
-    if gamma_add is not None:
-        if not isinstance(gamma_add, list):
-            raise ParseError("gamma_add must be a table or null")
-        gamma_add = tuple(tuple(row) for row in gamma_add)
+    if gamma_add is not None and not isinstance(gamma_add, list):
+        raise ParseError("gamma_add must be a table or null")
     try:
         sg = FiniteCommutativeSemigroup(elements, doc["s_add"])
         return GammaSemiring(

@@ -49,6 +49,7 @@ from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, ma
 from .reports import TheoremVerdict, Witness
 from .soft_gamma import (
     _trivial_whole_conclusion,
+    _trivial_whole_gates,
     check_trivial_whole_theorem,
     is_soft_gamma_semiring,
     is_soft_sub_gamma_semiring,
@@ -430,7 +431,9 @@ class Law:
     a soft sub-gamma-semiring of the "outer" soft set, of the operation
     applied to copies of the outer ("outer-op"), or of each of the "members".
     L3.16 ("hom-transport") and T3.17 ("trivial-whole") have checkers of
-    their own.
+    their own.  necessity pins the structure family on which fuzzing with
+    the hypothesis dropped finds a counterexample, showing the hypothesis is
+    needed; it is not a flag, because spec() hands every flag to InstanceSpec.
     """
 
     def __init__(
@@ -440,6 +443,7 @@ class Law:
         operation: str = "",
         reads: int | None = None,
         over: str = "side",
+        necessity: InstanceSpec | None = None,
         **flags,
     ):
         self.theorem_id = theorem_id
@@ -447,6 +451,7 @@ class Law:
         self.operation = operation
         self.reads = reads
         self.over = over
+        self.necessity = necessity
         self.flags = flags
 
     def spec(self, template: InstanceSpec, drop: bool) -> InstanceSpec:
@@ -558,9 +563,7 @@ def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
             return _PASS
         return "fail", lambda: _dump(inst, operation, [member], extra=verdict.counterexample)
     # hypothesis dropped: evaluate the conclusion directly
-    if member.is_null():
-        return _VACUOUS
-    if case == "iv" and (hom.source.zero is None or hom.target.zero is None):
+    if not _trivial_whole_gates(hom, member, case):
         return _VACUOUS
     result, ok = _trivial_whole_conclusion(hom, member, case)
     if ok:
@@ -568,29 +571,35 @@ def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
     return "fail", lambda: _dump(inst, operation, [member], result)
 
 
+# the drop-hypothesis family that four rows of the necessity column share
+_ZN8 = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))
+
 _TABLE = (
     Law("T3.4", "closed", "restricted-intersection", 2, family_size=2, same_parameters=True),
     Law("T3.6", "closed", "restricted-intersection", anchored=True),
-    Law("T3.7", "closed", "extended-intersection"),
-    Law("T3.8", "closed", "restricted-union", anchored=True, chain=True),
-    Law("T3.9", "closed", "extended-union", disjoint=True),
+    Law("T3.7", "closed", "extended-intersection", necessity=_ZN8),
+    Law("T3.8", "closed", "restricted-union", necessity=_ZN8, anchored=True, chain=True),
+    Law("T3.9", "closed", "extended-union",
+        necessity=InstanceSpec(generator="zn", size=(6,), gamma=(1,)), disjoint=True),
     Law("T3.10", "closed", "and-intersection", 2, family_size=2),
     Law("T3.11", "closed", "and-intersection"),
-    Law("T3.12", "closed", "or-union", chain=True),
+    Law("T3.12", "closed", "or-union",
+        necessity=InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3)), chain=True),
     Law("T3.13", "closed", "cartesian-product", over="product", family_size=2),
     Law("L3.16", "hom-transport", with_hom=True),
-    Law("T3.17i", "trivial-whole", with_hom=True, family_size=1, value_policy="kernel"),
+    Law("T3.17i", "trivial-whole", necessity=_ZN8, with_hom=True, family_size=1, value_policy="kernel"),
     Law("T3.17ii", "trivial-whole", with_hom=True, family_size=1, value_policy="whole"),
     Law("T3.17iii", "trivial-whole",
         with_hom=True, target_side=True, family_size=1, value_policy="carrier-image"),
     Law("T3.17iv", "trivial-whole",
         with_hom=True, target_side=True, family_size=1, value_policy="trivial", hom_kind="identity"),
-    Law("T4.2", "outer", "soft-subsemiring-of", 1, nested=True, family_size=1),
+    Law("T4.2", "outer", "soft-subsemiring-of", 1, necessity=_ZN8, nested=True, family_size=1),
     Law("T4.3", "members", "restricted-intersection", 2, family_size=2, anchored=True),
     Law("T4.4", "outer", "restricted-intersection", nested=True, anchored=True),
     Law("T4.5", "outer", "restricted-intersection", nested=True, anchored=True, same_parameters=True),
     Law("T4.6", "outer", "extended-intersection", nested=True),
-    Law("T4.7", "outer", "restricted-union", nested=True, anchored=True, chain=True),
+    Law("T4.7", "outer", "restricted-union",
+        necessity=InstanceSpec(generator="matrix", size=(2, 1, 2)), nested=True, anchored=True, chain=True),
     Law("T4.8", "outer-op", "or-union", nested=True, chain=True, chain_outer=True),
     Law("T4.9", "outer-op", "and-intersection", nested=True),
     Law("T4.10", "outer-op", "cartesian-product", over="product", nested=True, family_size=2),
@@ -602,6 +611,9 @@ _TABLE = (
 _LAWS = {law.theorem_id: law for law in _TABLE}
 
 ALL_THEOREMS = tuple(_LAWS)
+
+# the necessity column: law id -> its pinned drop-hypothesis family, in table order
+NECESSITY_TEMPLATES = {tid: law.necessity for tid, law in _LAWS.items() if law.necessity is not None}
 
 # T4.5 is T4.4 on shared parameter sets; the acceptance suite covers it through T4.4
 ACCEPTANCE_THEOREMS = tuple(tid for tid in ALL_THEOREMS if tid != "T4.5")

@@ -129,6 +129,19 @@ def _trivial_whole_conclusion(hom: GammaHom, ss: SoftSet, case: str) -> tuple[So
     return result, shape(gs, result) and bool(is_soft_gamma_semiring(gs, result))
 
 
+def _trivial_whole_gates(hom: GammaHom, ss: SoftSet, case: str) -> bool:
+    """Whether T3.17 case passes its structural gates: the soft set is
+    non-null and, in case iv, both sides designate a zero.  An unknown case or
+    a soft set off the case's carrier is an InputError, checked first."""
+    if case not in ("i", "ii", "iii", "iv"):
+        raise InputError(f"case must be one of i, ii, iii, iv, got {case!r}")
+    src, tgt = hom.source, hom.target
+    _require_carrier(src if case in ("i", "ii") else tgt, ss)
+    if ss.is_null():
+        return False
+    return case != "iv" or (src.zero is not None and tgt.zero is not None)
+
+
 def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> TheoremVerdict:
     """Check one of the four kernel/whole/image/trivial transport statements.
 
@@ -137,14 +150,12 @@ def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> Theore
     case iii: all values equal f(carrier)  -> preimage is whole.
     case iv:  f injective, input trivial   -> preimage is trivial.
     Cases i/ii read the soft set over the source, iii/iv over the target.
-    The verdict is vacuous when the case hypothesis does not hold.
+    The verdict is vacuous when a gate or the case hypothesis does not hold.
     """
-    if case not in ("i", "ii", "iii", "iv"):
-        raise InputError(f"case must be one of i, ii, iii, iv, got {case!r}")
     theorem = f"T3.17{case}"
+    if not _trivial_whole_gates(hom, ss, case):
+        return _single_verdict(theorem, "vacuous")
     src, tgt = hom.source, hom.target
-    _require_carrier(src if case in ("i", "ii") else tgt, ss)
-
     if case == "i":
         ker_mask = src.subset_mask(kernel(hom))
         hyp = (
@@ -162,8 +173,6 @@ def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> Theore
         f_s = hom.image_mask(src.full_mask)
         hyp = all(m == f_s for m in ss.masks) and bool(is_soft_gamma_semiring(tgt, ss))
     else:
-        if src.zero is None or tgt.zero is None:
-            return _single_verdict(theorem, "vacuous")
         hyp = hom.injective and is_trivial_soft(tgt, ss) and bool(is_soft_gamma_semiring(tgt, ss))
     if not hyp:
         return _single_verdict(theorem, "vacuous")

@@ -30,7 +30,7 @@ from softgamma import (
     ternary_product,
 )
 from softgamma.cli import main, z8_example
-from softgamma.harness import ACCEPTANCE_THEOREMS
+from softgamma.harness import ACCEPTANCE_THEOREMS, NECESSITY_TEMPLATES
 from softgamma.soft_sets import SoftSet
 
 from conftest import random_soft_set
@@ -124,8 +124,7 @@ def test_theorem_suite_enforced():
 
 def test_hypothesis_necessity():
     start = time.monotonic()
-    template = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6), seed=0)
-    verdict = fuzz_theorem("T3.8", 1000, template, drop_hypothesis=True)
+    verdict = fuzz_theorem("T3.8", 1000, NECESSITY_TEMPLATES["T3.8"], drop_hypothesis=True)
     ok = verdict.failures >= 1 and verdict.counterexample is not None
     _report("hypothesis-necessity-T3.8", ok, time.monotonic() - start, 10.0)
 

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from softgamma import files, make_zn_gamma
+from softgamma import InstanceSpec, files, fuzz_theorem, make_zn_gamma
 from softgamma.cli import main
+from softgamma.harness import ALL_THEOREMS, NECESSITY_TEMPLATES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,6 +47,16 @@ class TestValidate:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_table_row_that_is_a_number_exits_2(self, capsys, tmp_path):
+        doc = json.loads((GOLDEN / "z8.structure.json").read_text(encoding="utf-8"))
+        doc["product"][0][0] = 5
+        bad = tmp_path / "bad.structure.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "must be a list" in err
 
 
 class TestOp:
@@ -221,6 +233,27 @@ class TestTheorem:
         _, out_a, _ = run(capsys, "theorem", "T3.4", "--trials", "40", "--seed", "3")
         _, out_b, _ = run(capsys, "theorem", "T3.4", "--trials", "40", "--seed", "3")
         assert out_a == out_b
+
+
+class TestSuite:
+    def test_enforced_stdout_is_every_law_in_table_order(self, capsys):
+        code, out, _ = run(capsys, "suite", "--trials", "20")
+        assert code == 0
+        expected = [files.verdict_to_doc(fuzz_theorem(tid, 20, InstanceSpec(seed=0))) for tid in ALL_THEOREMS]
+        assert out == files.dumps(expected)
+
+    @pytest.mark.parametrize("tid", NECESSITY_TEMPLATES)
+    def test_every_pinned_law_finds_a_counterexample(self, tid):
+        template = replace(NECESSITY_TEMPLATES[tid], seed=0)
+        assert fuzz_theorem(tid, 5, template, drop_hypothesis=True).counterexample is not None
+
+    def test_dropped_suite_exits_1_when_a_pinned_law_finds_none(self, capsys):
+        # at seed 0 T4.2 first fails at trial 1 (tests/golden/verdicts.json)
+        code, out, _ = run(capsys, "suite", "--drop-hypothesis", "--trials", "1", "--seed", "0")
+        assert code == 1
+        docs = json.loads(out)
+        assert [doc["theorem"] for doc in docs] == list(NECESSITY_TEMPLATES)
+        assert [doc["theorem"] for doc in docs if doc["counterexample"] is None] == ["T4.2"]
 
 
 class TestExample:

@@ -47,6 +47,27 @@ class TestStructureDocuments:
         with pytest.raises(ParseError):
             files.structure_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "table, path, row",
+        [("s_add", (0,), 5), ("product", (0, 0), 5), ("gamma_add", (0,), 5), ("gamma_add", (0,), "460")],
+        ids=["s_add", "product", "gamma_add", "gamma_add-string"],
+    )
+    def test_table_row_that_is_not_a_list_is_a_parse_error(self, z8, table, path, row):
+        # a string row must not be split into one-character labels either
+        doc = files.structure_to_doc(z8)
+        rows = doc[table]
+        for index in path[:-1]:
+            rows = rows[index]
+        rows[path[-1]] = row
+        with pytest.raises(ParseError, match="must be a list"):
+            files.structure_from_doc(doc)
+
+    def test_boolean_zero_is_a_parse_error(self, z8):
+        doc = files.structure_to_doc(z8)
+        doc["zero"] = True
+        with pytest.raises(ParseError):
+            files.structure_from_doc(doc)
+
     def test_gamma_add_labels_outside_gamma_parse_fine(self, z8):
         # a non-closed gamma addition is representable; only validation objects
         doc = files.structure_to_doc(z8)

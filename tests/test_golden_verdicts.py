@@ -16,24 +16,13 @@ import sys
 from pathlib import Path
 
 from softgamma import InstanceSpec, check_theorem, files, fuzz_theorem, generate_instance
-from softgamma.harness import ALL_THEOREMS
+from softgamma.harness import ALL_THEOREMS, NECESSITY_TEMPLATES
 
 GOLDEN = Path(__file__).parent / "golden" / "verdicts.json"
 
 SUITE_SEEDS = (0, 7)
 SUITE_TRIALS = 100
 NECESSITY_TRIALS = 300
-
-# the pinned families of scripts/necessity_experiments.py
-NECESSITY = (
-    ("T3.7", InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))),
-    ("T3.8", InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))),
-    ("T3.9", InstanceSpec(generator="zn", size=(6,), gamma=(1,))),
-    ("T3.12", InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3))),
-    ("T3.17i", InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))),
-    ("T4.2", InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))),
-    ("T4.7", InstanceSpec(generator="matrix", size=(2, 1, 2))),
-)
 
 # instances generated without any law's policy, so some laws meet shapes
 # they were not written for: a missing outer or homomorphism, members on the
@@ -72,7 +61,7 @@ def compute() -> dict:
             for tid in ALL_THEOREMS:
                 verdict = fuzz_theorem(tid, SUITE_TRIALS, InstanceSpec(seed=seed), drop_hypothesis=drop)
                 cases[f"suite/{mode}/seed{seed}/{tid}"] = _summary(verdict)
-    for tid, template in NECESSITY:
+    for tid, template in NECESSITY_TEMPLATES.items():
         verdict = fuzz_theorem(tid, NECESSITY_TRIALS, template, drop_hypothesis=True)
         cases[f"necessity/{tid}"] = _summary(verdict)
     for index, spec in enumerate(RAW_SPECS):

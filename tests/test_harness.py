@@ -15,7 +15,14 @@ from softgamma import (
 )
 from softgamma import files, make_zn_gamma
 from softgamma.algebra import is_sub_gamma_semiring
-from softgamma.harness import _LAWS, ALL_THEOREMS, base_structure, canonical_hom, product_structure
+from softgamma.harness import (
+    _LAWS,
+    ALL_THEOREMS,
+    NECESSITY_TEMPLATES,
+    base_structure,
+    canonical_hom,
+    product_structure,
+)
 from softgamma.soft_sets import restricted_union
 
 Z8_TEMPLATE = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6), seed=0)
@@ -253,14 +260,13 @@ class TestHypothesisNecessity:
     def test_union_of_incomparable_subalgebras_exists_in_the_drop_space(self, z8):
         # the hand instance from the replay test is reachable: make sure the
         # dropped sampler covers non-subalgebra values at shared parameters
-        v = fuzz_theorem("T3.8", 400, Z8_TEMPLATE, drop_hypothesis=True)
+        v = fuzz_theorem("T3.8", 400, NECESSITY_TEMPLATES["T3.8"], drop_hypothesis=True)
         assert v.failures > 0
 
     def test_dropping_disjointness_breaks_extended_union_on_z6(self):
-        template = InstanceSpec(generator="zn", size=(6,), gamma=(1,), seed=0)
-        v = fuzz_theorem("T3.9", 400, template, drop_hypothesis=True)
+        v = fuzz_theorem("T3.9", 400, NECESSITY_TEMPLATES["T3.9"], drop_hypothesis=True)
         assert v.failures > 0
 
     def test_dropping_the_kernel_hypothesis_breaks_the_trivial_image(self):
-        v = fuzz_theorem("T3.17i", 300, Z8_TEMPLATE, drop_hypothesis=True)
+        v = fuzz_theorem("T3.17i", 300, NECESSITY_TEMPLATES["T3.17i"], drop_hypothesis=True)
         assert v.failures > 0

@@ -26,6 +26,7 @@ from softgamma import (
     support,
 )
 from softgamma.algebra import GammaSemiring
+from softgamma.harness import _LAWS, Instance
 
 
 def soft_over(gs, params, values):
@@ -189,6 +190,18 @@ class TestTrivialWholeTheorem:
     def test_case_iv_gates_on_injectivity(self, mod4):
         ss = SoftSet.build(mod4.target.elements, ("y",), {"y": ["0"]})
         assert check_trivial_whole_theorem(mod4, ss, "iv").vacuous == 1
+
+    @pytest.mark.parametrize("enforce", [True, False], ids=["enforced", "dropped"])
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+    def test_gates_are_the_same_with_the_hypothesis_dropped(self, z8, case, enforce):
+        # no zero anywhere: case i has no kernel and case iv fails its zero gate
+        no_zero = GammaSemiring(z8.s, z8.gamma_elements, None, z8.product, zero=None)
+        hom = identity_hom(no_zero)
+        null = soft_over(no_zero, ("a",), {"a": []})
+        trivial_shaped = soft_over(no_zero, ("a",), {"a": ["0"]})
+        law = _LAWS[f"T3.17{case}"]
+        for ss in [null] + ([trivial_shaped] if case == "iv" else []):
+            assert law.evaluate(Instance(no_zero, [ss], hom=hom), enforce) == ("vacuous", None)
 
     def test_wrong_side_universe_is_an_input_error(self, mod4):
         source_side = soft_over(mod4.source, ("a",), {"a": ["0"]})
