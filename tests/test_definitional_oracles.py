@@ -7,15 +7,21 @@ layer shows up as a value mismatch.
 
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from softgamma import (
     SoftSet,
+    DomainError,
     TernaryRelation,
+    Witness,
     and_intersect,
     cartesian_product,
     extended_intersect,
     extended_union,
+    is_soft_sub_gamma_semiring,
+    is_soft_subset,
+    make_minmax_gamma,
     make_zn_gamma,
     or_union,
     restricted_intersect,
@@ -26,6 +32,9 @@ from softgamma import (
 
 UNIVERSE = ("u0", "u1", "u2", "u3")
 POOL = ("a", "b", "c")
+# a four-element structure in which 11 of the 15 nonempty subsets are closed,
+# so drawn soft sets land on both sides of the soft gamma-semiring gate
+MINMAX4 = make_minmax_gamma(4, (2, 3))
 
 
 @st.composite
@@ -117,3 +126,50 @@ def test_closure_predicate_matches_a_label_level_scan():
                 for y in subset
             )
             assert is_sub_gamma_semiring(gs, subset) == expected
+
+
+def _containment_oracle(a, b):
+    """(kind, parameter, elements) of Maji's soft subset a <= b, recomputed on
+    dicts of sets: every parameter of a is one of b's, then every value of a
+    lies inside b's value there; the first escaping element in universe order
+    names a value failure."""
+    da, db = as_dict(a), as_dict(b)
+    for w in a.parameters:
+        if w not in db:
+            return ("parameter-not-contained", w, ())
+    for w in a.parameters:
+        escaped = da[w] - db[w]
+        if escaped:
+            return ("value-not-contained", w, (min(escaped, key=a.universe.index),))
+    return None
+
+
+def _is_soft_gamma_semiring_oracle(gs, ss):
+    values = [set(ss.value(w)) for w in ss.parameters]
+    return any(values) and all(
+        all(gs.s.add(x, y) in v for x in v for y in v)
+        and all(ternary_product(gs, x, g, y) in v for x in v for g in gs.gamma_elements for y in v)
+        for v in values
+    )
+
+
+@given(ab=st.tuples(soft_sets(), soft_sets()))
+def test_soft_subset_matches_the_dict_of_sets_containment(ab):
+    a, b = ab
+    assert is_soft_subset(a, b) == (_containment_oracle(a, b) is None)
+
+
+@given(ab=st.tuples(soft_sets(), soft_sets()))
+def test_soft_sub_gamma_semiring_matches_the_dict_of_sets_containment(ab):
+    inner, outer = (SoftSet(MINMAX4.elements, ss.parameters, ss.masks) for ss in ab)
+    if not (_is_soft_gamma_semiring_oracle(MINMAX4, inner) and _is_soft_gamma_semiring_oracle(MINMAX4, outer)):
+        with pytest.raises(DomainError):
+            is_soft_sub_gamma_semiring(MINMAX4, inner, outer)
+        return
+    w = is_soft_sub_gamma_semiring(MINMAX4, inner, outer)
+    expected = _containment_oracle(inner, outer)
+    if expected is None:
+        assert w == Witness(True)
+    else:
+        kind, parameter, elements = expected
+        assert w == Witness(False, kind=kind, failing_parameter=parameter, elements=elements)

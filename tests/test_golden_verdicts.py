@@ -7,6 +7,9 @@ the draw order of generate_instance.  A change that alters verdicts on
 purpose regenerates the file in one step:
 
     PYTHONPATH=src python tests/test_golden_verdicts.py --write
+
+Without --write the script checks the file and prints each added, removed
+or changed case to stderr.
 """
 
 import argparse
@@ -74,23 +77,38 @@ def compute() -> dict:
     return cases
 
 
+def differences(golden: dict, actual: dict) -> list[str]:
+    """One line per case added, removed or changed, in key order."""
+    lines = [f"added {key}: {actual[key]}" for key in sorted(actual.keys() - golden.keys())]
+    lines += [f"removed {key}: {golden[key]}" for key in sorted(golden.keys() - actual.keys())]
+    lines += [
+        f"changed {key}: {golden[key]} -> {actual[key]}"
+        for key in sorted(golden.keys() & actual.keys())
+        if golden[key] != actual[key]
+    ]
+    return lines
+
+
 def test_verdicts_match_the_golden_file():
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = compute()
-    assert sorted(actual) == sorted(golden)
-    changed = [key for key in golden if actual[key] != golden[key]]
-    assert not changed, f"{len(changed)} verdicts changed, first {changed[0]}: {actual[changed[0]]}"
+    changes = differences(json.loads(GOLDEN.read_text(encoding="utf-8")), compute())
+    assert not changes, f"{len(changes)} golden cases differ:\n" + "\n".join(changes)
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Check or regenerate the golden verdicts.")
+    parser = argparse.ArgumentParser(
+        description="Check or regenerate the golden verdicts; a check prints every differing case to stderr."
+    )
     parser.add_argument("--write", action="store_true", help=f"regenerate {GOLDEN.name}")
     args = parser.parse_args()
-    text = files.dumps(compute())
+    actual = compute()
+    text = files.dumps(actual)
     if args.write:
         GOLDEN.write_text(text, encoding="utf-8")
         return 0
-    return 0 if text == GOLDEN.read_text(encoding="utf-8") else 1
+    golden_text = GOLDEN.read_text(encoding="utf-8")
+    for line in differences(json.loads(golden_text), actual):
+        print(line, file=sys.stderr)
+    return 0 if text == golden_text else 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from softgamma import (
     InputError,
     SoftGammaSemiring,
     SoftSet,
+    Witness,
     check_trivial_whole_theorem,
     enumerate_sub_gamma_semirings,
     gamma_hom,
@@ -292,13 +293,22 @@ class TestSoftGammaHomomorphism:
         )
         assert w
 
-    def test_non_surjective_carrier_map_fails_the_first_clause(self):
+    @pytest.mark.parametrize(
+        "case, target_gamma, f, elements",
+        [
+            ("gamma-mismatch", (1,), {str(i): str(i) for i in range(4)}, ("gamma-mismatch",)),
+            ("not-a-homomorphism", (1, 2), {str(i): str((i + 1) % 4) for i in range(4)}, ()),
+            ("undefined", (1, 2), {str(i): str(i) for i in range(3)}, ()),
+            ("not-surjective", (1, 2), {str(i): "0" for i in range(4)}, ("not-surjective",)),
+        ],
+    )
+    def test_carrier_map_failures_carry_their_exact_witness(self, case, target_gamma, f, elements):
         gs = make_zn_gamma(4, (1, 2))
-        soft = soft_over(gs, ("a",), {"a": ["0"]})
-        sgs = SoftGammaSemiring(gs, soft)
-        w = is_soft_gamma_homomorphism({e: "0" for e in gs.elements}, {"a": "a"}, sgs, sgs)
-        assert not w
-        assert w.kind == "epimorphism"
+        source = SoftGammaSemiring(gs, soft_over(gs, ("a",), {"a": ["0"]}))
+        tgs = make_zn_gamma(4, target_gamma)
+        target = SoftGammaSemiring(tgs, soft_over(tgs, ("a",), {"a": ["0"]}))
+        w = is_soft_gamma_homomorphism(f, {"a": "a"}, source, target)
+        assert w == Witness(False, kind="epimorphism", elements=elements)
 
     def test_parameter_map_must_be_onto(self, z8):
         soft_a = soft_over(z8, ("a", "b"), {"a": ["0"], "b": ["0"]})
