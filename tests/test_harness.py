@@ -166,6 +166,47 @@ class TestCheckTheorem:
         inst = Instance(gs=z8, soft_sets=[a, b])
         assert check_theorem("T3.4", inst).vacuous == 1
 
+    @pytest.mark.parametrize(
+        "values, outer, outcome",
+        [
+            # the intersection {0,3} is not closed: the conclusion is undefined
+            ((["0", "3"], ["0", "3"]), None, "vacuous"),
+            # the result {0,4} is closed, the member bound {0,3,4} is not
+            ((["0", "4"], ["0", "3", "4"]), None, "vacuous"),
+            ((["0", "4"], ["0", "4"]), None, "pass"),
+            # the outer value {0} misses the result's 4
+            ((["0", "4"], ["0", "4"]), ["0"], "fail"),
+        ],
+    )
+    def test_containment_conclusions_need_two_soft_gamma_semirings(self, z8, values, outer, outcome):
+        a, b = (SoftSet.build(z8.elements, ("a",), {"a": v}) for v in values)
+        if outer is None:
+            verdict = check_theorem("T4.3", Instance(gs=z8, soft_sets=[a, b]))
+        else:
+            bound = SoftSet.build(z8.elements, ("a",), {"a": outer})
+            verdict = check_theorem("T4.4", Instance(gs=z8, soft_sets=[a, b], outer=bound))
+        assert (verdict.passes, verdict.vacuous, verdict.failures) == (
+            outcome == "pass",
+            outcome == "vacuous",
+            outcome == "fail",
+        )
+        if outcome == "fail":
+            assert verdict.counterexample["violation"] == {
+                "verdict": False,
+                "kind": "value-not-contained",
+                "failing_parameter": "a",
+                "elements": ["4"],
+            }
+
+    def test_an_outer_off_the_operation_side_is_an_input_error_before_closure_is_judged(self):
+        # T4.11 images the outer through the homomorphism before judging the
+        # image of the member, which here is not closed ({0,3} + {0,3} holds 2)
+        hom = canonical_hom(("zn", 8, (2,)))
+        member = SoftSet.build(hom.source.elements, ("a",), {"a": ["0", "3"]})
+        outer = SoftSet.build(hom.target.elements, ("a",), {"a": ["0"]})
+        with pytest.raises(InputError, match="universe must equal the structure carrier"):
+            check_theorem("T4.11", Instance(gs=hom.source, soft_sets=[member], outer=outer, hom=hom))
+
     def test_accounting_always_balances(self):
         for tid in ALL_THEOREMS:
             v = fuzz_theorem(tid, 30, Z8_TEMPLATE)
