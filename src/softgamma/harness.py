@@ -52,12 +52,12 @@ from .soft_gamma import (
     _trivial_whole_gates,
     check_trivial_whole_theorem,
     is_soft_gamma_semiring,
-    is_soft_sub_gamma_semiring,
     soft_image_under_hom,
     soft_preimage_under_hom,
 )
 from .soft_sets import (
     SoftSet,
+    _subset_witness,
     and_intersect_family,
     cartesian_product,
     extended_intersect,
@@ -399,13 +399,6 @@ def _pairwise_disjoint(members) -> bool:
     return True
 
 
-def _soft_sub_outcome(gs: GammaSemiring, inner: SoftSet, outer: SoftSet) -> Witness | None:
-    try:
-        return is_soft_sub_gamma_semiring(gs, inner, outer)
-    except DomainError:
-        return None
-
-
 # the operations a law row names; hom-image and hom-preimage take (hom, soft set)
 _OPS: dict[str, Callable] = {
     "restricted-intersection": restricted_intersect,
@@ -518,10 +511,14 @@ class Law:
             bounds = [inst.outer]
         else:
             bounds = [self._apply(inst, [inst.outer] * k)]
+        # a soft sub-gamma-semiring relates two soft gamma-semirings: a result
+        # or a bound that is not one leaves the conclusion undefined
+        if not is_soft_gamma_semiring(over, result):
+            return _VACUOUS
         for bound in bounds:
-            w = _soft_sub_outcome(over, result, bound)
-            if w is None:
+            if not is_soft_gamma_semiring(over, bound):
                 return _VACUOUS
+            w = _subset_witness(result, bound)
             if not w:
                 outer_result = bound if self.conclusion == "outer-op" else None
                 return "fail", lambda: _dump(

@@ -18,6 +18,7 @@ from typing import Mapping, Sequence
 
 from .algebra import GammaSemiring, Label, iter_bits
 from .errors import ConstraintError, DomainError, InputError
+from .reports import PASSED, Witness
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,25 @@ def _same_universe(a: SoftSet, b: SoftSet) -> None:
         raise InputError("soft sets must share an identically ordered universe")
 
 
+def _subset_witness(a: SoftSet, b: SoftSet) -> Witness:
+    """Soft subset a <= b: every parameter of a is one of b's, then every value
+    of a lies inside b's value there.  The first failure is witnessed; a value
+    failure names its first escaping element by universe position."""
+    _same_universe(a, b)
+    for w in a.parameters:
+        if not b.has_param(w):
+            return Witness(False, kind="parameter-not-contained", failing_parameter=w)
+    for w, m in zip(a.parameters, a.masks):
+        escaped = m & ~b.mask(w)
+        if escaped:
+            elem = a.universe[next(iter_bits(escaped))]
+            return Witness(False, kind="value-not-contained", failing_parameter=w, elements=(elem,))
+    return PASSED
+
+
 def is_soft_subset(a: SoftSet, b: SoftSet) -> bool:
     """Parameter containment plus pointwise value containment on a's parameters."""
-    _same_universe(a, b)
-    for w, m in zip(a.parameters, a.masks):
-        if not b.has_param(w):
-            return False
-        if m & ~b.mask(w):
-            return False
-    return True
+    return bool(_subset_witness(a, b))
 
 
 def soft_equal(a: SoftSet, b: SoftSet) -> bool:
