@@ -649,8 +649,14 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
     Structural gates (undefined operations, null soft sets, parameter-shape
     hypotheses) yield a vacuous verdict; value-level hypothesis violations
     evaluate the conclusion honestly, so a non-hypothesis instance can fail.
+    An instance without the homomorphism or the enclosing soft set that the
+    law reads is an InputError.
     """
     law = _lookup(theorem_id)
+    if law.flags.get("with_hom") and instance.hom is None:
+        raise InputError(f"{theorem_id} reads a homomorphism, and the instance has none")
+    if law.conclusion in ("outer", "outer-op") and instance.outer is None:
+        raise InputError(f"{theorem_id} reads an enclosing soft set, and the instance has none")
     return _verdict(theorem_id, [(0, instance.spec, law.evaluate(instance, True))])
 
 

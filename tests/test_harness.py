@@ -207,6 +207,21 @@ class TestCheckTheorem:
         with pytest.raises(InputError, match="universe must equal the structure carrier"):
             check_theorem("T4.11", Instance(gs=hom.source, soft_sets=[member], outer=outer, hom=hom))
 
+    @pytest.mark.parametrize("law_id", ALL_THEOREMS)
+    def test_a_missing_homomorphism_or_outer_is_an_input_error_naming_it(self, z8, law_id):
+        member = SoftSet.build(z8.elements, ("a",), {"a": ["0", "4"]})
+        inst = Instance(gs=z8, soft_sets=[member, member])
+        law = _LAWS[law_id]
+        if law.flags.get("with_hom"):
+            missing = "a homomorphism"
+        elif law.conclusion in ("outer", "outer-op"):
+            missing = "an enclosing soft set"
+        else:
+            assert check_theorem(law_id, inst).trials == 1
+            return
+        with pytest.raises(InputError, match=f"^{law_id} reads {missing}, and the instance has none$"):
+            check_theorem(law_id, inst)
+
     def test_accounting_always_balances(self):
         for tid in ALL_THEOREMS:
             v = fuzz_theorem(tid, 30, Z8_TEMPLATE)
