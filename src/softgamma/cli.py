@@ -56,6 +56,16 @@ def _soft_sets(paths) -> list:
     return [files.soft_set_from_doc(files.load(p)) for p in paths]
 
 
+def _map_file(path) -> tuple[dict, dict]:
+    """The carrier map f and parameter map g of a soft-function map file."""
+    maps = files.load(path)
+    files.require_fields(maps, {"f", "g"}, "soft-function map document")
+    return (
+        files.label_map_from_jsonable(maps["f"], "carrier map"),
+        files.label_map_from_jsonable(maps["g"], "parameter map"),
+    )
+
+
 def cmd_validate(args) -> int:
     gs = files.structure_from_doc(files.load(args.file))
     report = check_gamma_semiring(gs, mode=args.mode)
@@ -85,21 +95,15 @@ def cmd_op(args) -> int:
     elif kind == "image":
         if len(args.files) != 3:
             raise InputError("op image takes a map file, a source file, and a target file")
-        maps = files.load(args.files[0])
-        files.require_fields(maps, {"f", "g"}, "soft-function map document")
+        f, g = _map_file(args.files[0])
         source, target = _soft_sets(args.files[1:])
-        sf = make_soft_function(maps["f"], maps["g"], source, target)
-        result = soft_image(sf)
+        result = soft_image(make_soft_function(f, g, source, target))
     elif kind == "preimage":
         if len(args.files) != 2:
             raise InputError("op preimage takes a map file and a target file")
-        maps = files.load(args.files[0])
-        files.require_fields(maps, {"f", "g"}, "soft-function map document")
+        f, g = _map_file(args.files[0])
         target = _soft_sets(args.files[1:])[0]
-        g = maps["g"]
-        if not isinstance(g, dict):
-            raise InputError("parameter map must be an object")
-        result = soft_preimage(maps["f"], g, target, tuple(g.keys()))
+        result = soft_preimage(f, g, target, tuple(g.keys()))
     else:
         raise InputError(f"unknown op kind {kind!r}")
     _emit(files.dumps(files.soft_set_to_doc(result)), args.output)

@@ -55,6 +55,13 @@ def label_from_jsonable(node):
     raise ParseError(f"label entry {node!r} must be a string or nested list")
 
 
+def label_map_from_jsonable(node, what: str) -> dict:
+    """A JSON object read as a map from its keys to labels."""
+    if not isinstance(node, dict):
+        raise ParseError(f"{what} must be an object")
+    return {key: label_from_jsonable(value) for key, value in node.items()}
+
+
 def param_key(label) -> str:
     """Canonical string key for a parameter: itself for plain labels, compact
     JSON of the nested-list form for tuples (JSON objects cannot key on arrays)."""
@@ -204,10 +211,10 @@ def relation_from_doc(doc: dict) -> TernaryRelation:
         raise ParseError(str(exc)) from None
 
 
-def hom_to_doc(hom: GammaHom, source_name: str = "source", target_name: str = "target") -> dict:
+def hom_to_doc(hom: GammaHom) -> dict:
     return {
-        "source": structure_to_doc(hom.source, name=source_name),
-        "target": structure_to_doc(hom.target, name=target_name),
+        "source": structure_to_doc(hom.source, name="source"),
+        "target": structure_to_doc(hom.target, name="target"),
         "map": {param_key(e): label_to_jsonable(t) for e, t in hom.as_label_map().items()},
     }
 
@@ -216,14 +223,12 @@ def hom_from_doc(doc: dict) -> GammaHom:
     require_fields(doc, {"source", "target", "map"}, "homomorphism document")
     source = structure_from_doc(doc["source"])
     target = structure_from_doc(doc["target"])
-    if not isinstance(doc["map"], dict):
-        raise ParseError("homomorphism map must be an object")
     keyed = {param_key(e): e for e in source.elements}
     mapping = {}
-    for key, value in doc["map"].items():
+    for key, value in label_map_from_jsonable(doc["map"], "homomorphism map").items():
         if key not in keyed:
             raise ParseError(f"homomorphism map mentions unknown element key {key!r}")
-        mapping[keyed[key]] = label_from_jsonable(value)
+        mapping[keyed[key]] = value
     try:
         return gamma_hom(source, target, mapping)
     except (InputError, DomainError) as exc:

@@ -123,17 +123,22 @@ def make_matrix_gamma(p: int, rows: int, cols: int) -> GammaSemiring:
     )
 
 
-def product_gamma(gs: GammaSemiring, k: int, max_size: int = 4096) -> GammaSemiring:
+# the largest product carrier product_gamma builds
+MAX_PRODUCT_SIZE = 4096
+
+
+def product_gamma(gs: GammaSemiring, k: int) -> GammaSemiring:
     """k-fold product carrier with coordinatewise + and product, shared gamma.
 
     Elements are k-tuples of the base labels in row-major order, matching the
-    universe produced by the soft-set cartesian product.
+    universe produced by the soft-set cartesian product.  SizeLimitError when
+    the carrier would exceed MAX_PRODUCT_SIZE elements.
     """
     if not isinstance(k, int) or k < 1:
         raise InputError(f"product arity must be a positive integer, got {k!r}")
     n = gs.size
-    if n**k > max_size:
-        raise SizeLimitError(f"product carrier would have {n ** k} elements, above {max_size}")
+    if n**k > MAX_PRODUCT_SIZE:
+        raise SizeLimitError(f"product carrier would have {n ** k} elements, above {MAX_PRODUCT_SIZE}")
 
     elements = tuple(iproduct(gs.elements, repeat=k))
     # position i*n + x of the (j+1)-fold carrier pairs position i of the

@@ -132,6 +132,35 @@ class TestOp:
         assert code == 0
         assert json.loads(out)["values"]["w"] == ["0", "1"]
 
+    @pytest.mark.parametrize(
+        "kind, maps",
+        [
+            ("preimage", {"f": 5, "g": {"w": "y"}}),
+            ("image", {"f": {"0": "x", "1": "x"}, "g": 7}),
+            ("image", {"f": {"0": ["x"], "1": "x"}, "g": {"w": "y"}}),
+            ("preimage", {"f": {"0": "x", "1": {"x": 1}}, "g": {"w": "y"}}),
+        ],
+        ids=["f-number", "g-number", "f-list-label", "f-object-label"],
+    )
+    def test_malformed_map_file_exits_2(self, capsys, tmp_path, kind, maps):
+        source = tmp_path / "source.json"
+        target = tmp_path / "target.json"
+        map_file = tmp_path / "maps.json"
+        source.write_text(
+            files.dumps({"universe": ["0", "1"], "parameters": ["w"], "values": {"w": ["0", "1"]}}),
+            encoding="utf-8",
+        )
+        target.write_text(
+            files.dumps({"universe": ["x"], "parameters": ["y"], "values": {"y": ["x"]}}),
+            encoding="utf-8",
+        )
+        map_file.write_text(files.dumps(maps), encoding="utf-8")
+        sides = [str(source), str(target)] if kind == "image" else [str(target)]
+        code, out, err = run(capsys, "op", kind, str(map_file), *sides)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_wrong_arity_exits_2(self, capsys, pair):
         code, _, _ = run(capsys, "op", "and", str(pair[0]))
         assert code == 2

@@ -180,6 +180,11 @@ class TestProductFamily:
                     assert pg.product[i][g][j] == pos[expected]
 
 
+    def test_a_product_above_the_size_limit_is_refused(self):
+        with pytest.raises(SizeLimitError, match="^product carrier would have 4913 elements, above 4096$"):
+            product_gamma(make_zn_gamma(17, (1,)), 3)
+
+
 class TestTernaryProduct:
     def test_z8_lookup(self, z8):
         assert ternary_product(z8, "1", "2", "2") == "4"
