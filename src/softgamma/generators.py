@@ -123,7 +123,6 @@ def make_matrix_gamma(p: int, rows: int, cols: int) -> GammaSemiring:
     )
 
 
-# the largest product carrier product_gamma builds
 MAX_PRODUCT_SIZE = 4096
 
 
