@@ -162,7 +162,7 @@ def test_soft_subset_matches_the_dict_of_sets_containment(ab):
 @given(ab=st.tuples(soft_sets(), soft_sets()))
 def test_soft_sub_gamma_semiring_matches_the_dict_of_sets_containment(ab):
     inner, outer = (SoftSet(MINMAX4.elements, ss.parameters, ss.masks) for ss in ab)
-    if not (_is_soft_gamma_semiring_oracle(MINMAX4, inner) and _is_soft_gamma_semiring_oracle(MINMAX4, outer)):
+    if not all(_is_soft_gamma_semiring_oracle(MINMAX4, ss) for ss in (inner, outer)):
         with pytest.raises(DomainError):
             is_soft_sub_gamma_semiring(MINMAX4, inner, outer)
         return
