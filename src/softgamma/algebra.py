@@ -11,9 +11,9 @@ unconstructible.
 from __future__ import annotations
 
 import os
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import ConstraintError, InputError, SizeLimitError
 from .reports import PASSED, AxiomReport, Violation, Witness
@@ -32,24 +32,38 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _positions_table(table, rows: int, cols: int, what: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        outer = list(table)
-    except TypeError:
-        raise InputError(f"{what} must be a table, got {type(table).__name__}") from None
-    if len(outer) != rows:
-        raise InputError(f"{what} must have {rows} rows, got {len(outer)}")
-    normalized = []
-    for row in outer:
+def _entries(row, valid: frozenset | None, what: str) -> tuple:
+    """row as a tuple once every entry is an exact-int position in valid or,
+    when valid is None, an exact-str label.  The row is checked whole at C
+    level; only a failing row is scanned for its first bad entry."""
+    kind = str if valid is None else int
+    if set(map(type, row)) <= {kind} and (valid is None or valid.issuperset(row)):
+        return tuple(row)
+    bad = next(e for e in row if type(e) is not kind or valid is not None and e not in valid)
+    rule = "a label string" if valid is None else f"a position in 0..{len(valid) - 1}"
+    raise InputError(f"{what} entry {bad!r} is not {rule}")
+
+
+def _table(table, rows: int, cols: int, what: str, labels: bool = False) -> tuple[tuple, ...]:
+    """table as a tuple of row tuples, after one check of its shape and entries.
+
+    A table is a list or tuple of `rows` list-or-tuple rows of length `cols`,
+    whose entries are positions in 0..cols-1 or, with labels, label strings.
+    Faults are raised row by row, shape before entries.
+    """
+    if not isinstance(table, (list, tuple)):
+        raise InputError(f"{what} must be a table, got {type(table).__name__}")
+    if len(table) != rows:
+        raise InputError(f"{what} must have {rows} rows, got {len(table)}")
+    valid = None if labels else frozenset(range(cols))
+    checked = []
+    for row in table:
         if not isinstance(row, (list, tuple)):
             raise InputError(f"{what} row {row!r} must be a list")
         if len(row) != cols:
             raise InputError(f"{what} is ragged: row of length {len(row)}, expected {cols}")
-        for entry in row:
-            if not isinstance(entry, int) or isinstance(entry, bool) or not 0 <= entry < cols:
-                raise InputError(f"{what} entry {entry!r} is not a position in 0..{cols - 1}")
-        normalized.append(tuple(row))
-    return tuple(normalized)
+        checked.append(_entries(row, valid, what))
+    return tuple(checked)
 
 
 @dataclass(frozen=True)
@@ -72,7 +86,7 @@ class FiniteCommutativeSemigroup:
             raise InputError("element labels must be unique")
         n = len(elements)
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "add_table", _positions_table(self.add_table, n, n, "addition table"))
+        object.__setattr__(self, "add_table", _table(self.add_table, n, n, "addition table"))
 
     @cached_property
     def _pos(self) -> dict:
@@ -159,27 +173,11 @@ class GammaSemiring:
         prod = self.product
         if len(prod) != n:
             raise InputError(f"product table must have {n} outer rows, got {len(prod)}")
-        layers = []
-        for layer in prod:
-            layers.append(_positions_table(layer, ng, n, "product table layer"))
-        object.__setattr__(self, "product", tuple(layers))
-
+        layers = tuple(_table(layer, ng, n, "product table layer") for layer in prod)
+        object.__setattr__(self, "product", layers)
         if self.gamma_add is not None:
-            rows = list(self.gamma_add)
-            if len(rows) != ng:
-                raise InputError(f"gamma addition table must have {ng} rows, got {len(rows)}")
-            normalized = []
-            for row in rows:
-                if not isinstance(row, (list, tuple)):
-                    raise InputError(f"gamma addition table row {row!r} must be a list")
-                row = tuple(row)
-                if len(row) != ng:
-                    raise InputError("gamma addition table is ragged")
-                for entry in row:
-                    if not isinstance(entry, str):
-                        raise InputError(f"gamma addition entry {entry!r} must be a label string")
-                normalized.append(row)
-            object.__setattr__(self, "gamma_add", tuple(normalized))
+            gamma_add = _table(self.gamma_add, ng, ng, "gamma addition table", labels=True)
+            object.__setattr__(self, "gamma_add", gamma_add)
 
         if self.zero is not None:
             self.s.pos(self.zero)
@@ -548,29 +546,22 @@ class GammaHom:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        mapping = tuple(self.mapping)
+        mapping = self.mapping
+        if not isinstance(mapping, (list, tuple)):
+            raise InputError(f"homomorphism mapping must be a list, got {type(mapping).__name__}")
         if len(mapping) != self.source.size:
             raise InputError("homomorphism mapping must cover the whole source carrier")
-        for t in mapping:
-            if not isinstance(t, int) or not 0 <= t < self.target.size:
-                raise InputError(f"mapping entry {t!r} is not a target position")
-        object.__setattr__(self, "mapping", mapping)
+        targets = frozenset(range(self.target.size))
+        object.__setattr__(self, "mapping", _entries(mapping, targets, "homomorphism mapping"))
 
     def apply(self, label: Label) -> Label:
         return self.target.elements[self.mapping[self.source.s.pos(label)]]
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for i in iter_bits(mask):
-            out |= 1 << self.mapping[i]
-        return out
+        return _image_mask(self.mapping, mask)
 
     def preimage_mask(self, target_mask: int) -> int:
-        out = 0
-        for i, t in enumerate(self.mapping):
-            if target_mask >> t & 1:
-                out |= 1 << i
-        return out
+        return _preimage_mask(self.mapping, target_mask)
 
     @cached_property
     def surjective(self) -> bool:
@@ -584,22 +575,48 @@ class GammaHom:
         return {e: self.target.elements[t] for e, t in zip(self.source.elements, self.mapping)}
 
 
-def is_gamma_homomorphism(mapping: Mapping, source: GammaSemiring, target: GammaSemiring) -> bool:
-    """Exhaustively check additive and ternary-product preservation.
+def _map_positions(mapping, domain, index: dict, what: str, outside: str) -> tuple[int, ...]:
+    """The target position of mapping at each label of domain, in order.
 
-    The two structures must share an identically ordered gamma set (InputError
-    otherwise); the mapping must be total on the source carrier with values in
-    the target carrier.
+    index maps target labels to positions.  InputError for a non-mapping, at
+    the first label where mapping is undefined, and at the first value that
+    index does not hold (an unhashable value included).
     """
+    if not isinstance(mapping, Mapping):
+        raise InputError(f"{what} must be a mapping, got {type(mapping).__name__}")
+    positions = []
+    for label in domain:
+        try:
+            image = mapping[label]
+        except KeyError:
+            raise InputError(f"{what} is undefined at {label!r}") from None
+        try:
+            positions.append(index[image])
+        except (KeyError, TypeError):
+            raise InputError(f"{what} sends {label!r} outside {outside}") from None
+    return tuple(positions)
+
+
+def _image_mask(positions, mask: int) -> int:
+    out = 0
+    for i in iter_bits(mask):
+        out |= 1 << positions[i]
+    return out
+
+
+def _preimage_mask(positions, target_mask: int) -> int:
+    out = 0
+    for i, t in enumerate(positions):
+        if target_mask >> t & 1:
+            out |= 1 << i
+    return out
+
+
+def _hom_positions(mapping, source: GammaSemiring, target: GammaSemiring) -> tuple[int, ...] | None:
+    """The positions of mapping when it preserves + and the product, else None."""
     if source.gamma_elements != target.gamma_elements:
         raise InputError("source and target must share an identically ordered gamma set")
-    positions = []
-    for e in source.elements:
-        try:
-            image = mapping[e]
-        except (KeyError, TypeError):
-            raise InputError(f"mapping is undefined at source element {e!r}") from None
-        positions.append(target.s.pos(image))
+    positions = _map_positions(mapping, source.elements, target.s._pos, "mapping", "the target carrier")
 
     s_add = source.s.add_table
     t_add = target.s.add_table
@@ -608,7 +625,7 @@ def is_gamma_homomorphism(mapping: Mapping, source: GammaSemiring, target: Gamma
         fi = positions[i]
         for j in range(n):
             if positions[s_add[i][j]] != t_add[fi][positions[j]]:
-                return False
+                return None
     s_prod = source.product
     t_prod = target.product
     for i in range(n):
@@ -618,15 +635,25 @@ def is_gamma_homomorphism(mapping: Mapping, source: GammaSemiring, target: Gamma
             t_row = t_prod[fi][g]
             for j in range(n):
                 if positions[row[j]] != t_row[positions[j]]:
-                    return False
-    return True
+                    return None
+    return positions
+
+
+def is_gamma_homomorphism(mapping: Mapping, source: GammaSemiring, target: GammaSemiring) -> bool:
+    """Exhaustively check additive and ternary-product preservation.
+
+    The two structures must share an identically ordered gamma set (InputError
+    otherwise); the mapping must be total on the source carrier with values in
+    the target carrier.
+    """
+    return _hom_positions(mapping, source, target) is not None
 
 
 def gamma_hom(source: GammaSemiring, target: GammaSemiring, mapping: Mapping) -> GammaHom:
     """Validated constructor; ConstraintError when preservation fails."""
-    if not is_gamma_homomorphism(mapping, source, target):
+    positions = _hom_positions(mapping, source, target)
+    if positions is None:
         raise ConstraintError("mapping does not preserve addition and the ternary product")
-    positions = tuple(target.s.pos(mapping[e]) for e in source.elements)
     return GammaHom(source, target, positions)
 
 

@@ -115,15 +115,12 @@ def structure_from_doc(doc: dict) -> GammaSemiring:
         # exactly int: a JSON true is a bool, which Python counts as the int 1
         if type(zero_idx) is not int or not 0 <= zero_idx < len(elements):
             raise ParseError(f"zero index {zero_idx!r} is not a position in 0..{len(elements) - 1}")
-    gamma_add = doc["gamma_add"]
-    if gamma_add is not None and not isinstance(gamma_add, list):
-        raise ParseError("gamma_add must be a table or null")
     try:
         sg = FiniteCommutativeSemigroup(elements, doc["s_add"])
         return GammaSemiring(
             sg,
             gamma,
-            gamma_add,
+            doc["gamma_add"],
             doc["product"],
             zero=None if zero_idx is None else elements[zero_idx],
         )

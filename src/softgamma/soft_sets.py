@@ -16,7 +16,7 @@ from itertools import product as iproduct
 from operator import and_, or_
 from typing import Mapping, Sequence
 
-from .algebra import GammaSemiring, Label, iter_bits
+from .algebra import GammaSemiring, Label, _image_mask, _map_positions, _preimage_mask, iter_bits
 from .errors import ConstraintError, DomainError, InputError
 from .reports import PASSED, Witness
 
@@ -75,7 +75,10 @@ class SoftSet:
         return {w: i for i, w in enumerate(self.parameters)}
 
     def has_param(self, param: Label) -> bool:
-        return param in self._ppos
+        try:
+            return param in self._ppos
+        except TypeError:  # an unhashable label is no parameter
+            return False
 
     def mask(self, param: Label) -> int:
         try:
@@ -248,11 +251,12 @@ def relative_whole(universe, parameters) -> SoftSet:
     return SoftSet(universe, parameters, tuple(full for _ in parameters))
 
 
-def _image_mask(f: Mapping, source: SoftSet, target: SoftSet, mask: int) -> int:
-    out = 0
-    for i in iter_bits(mask):
-        out |= 1 << target._upos[f[source.universe[i]]]
-    return out
+def _soft_positions(f, g, source: SoftSet, target: SoftSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Target positions of f on the source universe and of g on the source parameters."""
+    return (
+        _map_positions(f, source.universe, target._upos, "carrier map", "the target universe"),
+        _map_positions(g, source.parameters, target._ppos, "parameter map", "the target parameters"),
+    )
 
 
 @dataclass(frozen=True)
@@ -273,30 +277,19 @@ class SoftFunction:
 
 def make_soft_function(f: Mapping, g: Mapping, source: SoftSet, target: SoftSet) -> SoftFunction:
     """Validated constructor; ConstraintError names the first incompatible parameter."""
-    f = dict(f)
-    g = dict(g)
-    for v in source.universe:
-        if v not in f:
-            raise InputError(f"carrier map is undefined at {v!r}")
-        if f[v] not in target._upos:
-            raise InputError(f"carrier map sends {v!r} outside the target universe")
-    for w in source.parameters:
-        if w not in g:
-            raise InputError(f"parameter map is undefined at {w!r}")
-        if g[w] not in target._ppos:
-            raise InputError(f"parameter map sends {w!r} outside the target parameters")
-    for w in source.parameters:
-        if _image_mask(f, source, target, source.mask(w)) != target.mask(g[w]):
+    fpos, gpos = _soft_positions(f, g, source, target)
+    for w, m, y in zip(source.parameters, source.masks, gpos):
+        if _image_mask(fpos, m) != target.masks[y]:
             raise ConstraintError(
                 f"soft-function compatibility fails at parameter {w!r}", witness=w
             )
-    f_inj = len({f[v] for v in source.universe}) == len(source.universe)
-    g_inj = len({g[w] for w in source.parameters}) == len(source.parameters)
-    f_sur = {f[v] for v in source.universe} == set(target.universe)
-    g_sur = {g[w] for w in source.parameters} == set(target.parameters)
+    f_inj = len(set(fpos)) == len(fpos)
+    g_inj = len(set(gpos)) == len(gpos)
+    f_sur = len(set(fpos)) == len(target.universe)
+    g_sur = len(set(gpos)) == len(target.parameters)
     return SoftFunction(
-        f,
-        g,
+        dict(f),
+        dict(g),
         source,
         target,
         injective=f_inj and g_inj,
@@ -322,13 +315,10 @@ def compose_soft_functions(first: SoftFunction, second: SoftFunction) -> SoftFun
 def soft_image(sf: SoftFunction) -> SoftSet:
     """Over the target parameters: at y, the union of f(value(w)) over the
     fiber g(w) == y; empty off the image of g."""
-    masks = []
-    for y in sf.target.parameters:
-        v = 0
-        for w in sf.source.parameters:
-            if sf.g[w] == y:
-                v |= _image_mask(sf.f, sf.source, sf.target, sf.source.mask(w))
-        masks.append(v)
+    fpos, gpos = _soft_positions(sf.f, sf.g, sf.source, sf.target)
+    masks = [0] * len(sf.target.parameters)
+    for m, y in zip(sf.source.masks, gpos):
+        masks[y] |= _image_mask(fpos, m)
     return SoftSet(sf.target.universe, sf.target.parameters, tuple(masks))
 
 
@@ -337,27 +327,11 @@ def soft_preimage(f: Mapping, g: Mapping, target: SoftSet, parameters) -> SoftSe
 
     The result universe is the ordered domain of f.
     """
-    f = dict(f)
-    g = dict(g)
-    universe = tuple(f.keys())
-    for v, image in f.items():
-        if image not in target._upos:
-            raise InputError(f"carrier map sends {v!r} outside the target universe")
+    fpos = _map_positions(f, f, target._upos, "carrier map", "the target universe")
     parameters = tuple(parameters)
-    masks = []
-    for w in parameters:
-        if w not in g:
-            raise InputError(f"parameter map is undefined at {w!r}")
-        y = g[w]
-        if y not in target._ppos:
-            raise InputError(f"parameter map sends {w!r} outside the target parameters")
-        tm = target.mask(y)
-        v = 0
-        for i, elem in enumerate(universe):
-            if tm >> target._upos[f[elem]] & 1:
-                v |= 1 << i
-        masks.append(v)
-    return SoftSet(universe, parameters, tuple(masks))
+    gpos = _map_positions(g, parameters, target._ppos, "parameter map", "the target parameters")
+    masks = tuple(_preimage_mask(fpos, target.masks[y]) for y in gpos)
+    return SoftSet(tuple(f), parameters, masks)
 
 
 @dataclass(frozen=True)
