@@ -7,6 +7,7 @@ parameters outside the support may be empty without penalty.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .algebra import GammaHom, GammaSemiring, gamma_hom, kernel, sub_gamma_witness_mask
@@ -198,12 +199,14 @@ def is_soft_gamma_homomorphism(
 ) -> Witness:
     """Three clauses: f a surjective structure homomorphism, g onto the target
     parameters, and pointwise image compatibility f(value(y)) == target value
-    at g(y).  Never raises; the witness records the failing clause.
+    at g(y).  Never raises, malformed maps included: an f that is not a
+    mapping, is undefined somewhere on the source carrier or leaves the target
+    carrier fails the first clause ("epimorphism"); a g that is not a mapping,
+    is undefined at a source parameter or leaves the target parameters fails
+    the second ("parameter-surjection").
     """
     sgs, tgs = source.base, target.base
     sss, tss = source.soft, target.soft
-    f = dict(f)
-    g = dict(g)
 
     if sgs.gamma_elements != tgs.gamma_elements:
         return Witness(False, kind="epimorphism", elements=("gamma-mismatch",))
@@ -214,6 +217,8 @@ def is_soft_gamma_homomorphism(
     if not hom.surjective:
         return Witness(False, kind="epimorphism", elements=("not-surjective",))
 
+    if not isinstance(g, Mapping):
+        return Witness(False, kind="parameter-surjection")
     for w in sss.parameters:
         if w not in g:
             return Witness(False, kind="parameter-surjection", failing_parameter=w)

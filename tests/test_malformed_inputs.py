@@ -66,33 +66,6 @@ ACCEPTED = {("gamma-add-entry", "str"): (("ab",),), ("gamma-add-row", "list-labe
 TABLE_CASES = [(slot, bad) for slot in TABLE_SLOTS for bad in BAD if (slot, bad) not in ACCEPTED]
 
 
-# cases where is_soft_gamma_homomorphism still copies f and g with dict()
-# and escapes with a raw TypeError or ValueError
-_PENDING = {
-    "test_is_soft_gamma_homomorphism_returns_a_false_witness": {
-        "f-whole-int",
-        "f-whole-str",
-        "f-whole-bool",
-        "f-whole-float",
-        "f-whole-negative",
-        "f-whole-out-of-range",
-        "f-whole-list-label",
-        "g-whole-int",
-        "g-whole-str",
-        "g-whole-bool",
-        "g-whole-float",
-        "g-whole-negative",
-        "g-whole-out-of-range",
-        "g-whole-list-label",
-    },
-}
-
-
-def _pending(test: str, cases: list) -> list:
-    skip = _PENDING.get(test, set())
-    return [c for c in cases if "-".join(c if isinstance(c, tuple) else (c,)) not in skip]
-
-
 def _doc_with(slot: str, bad: str) -> dict:
     doc = copy.deepcopy(files.structure_to_doc(Z2))
     *path, last = TABLE_SLOTS[slot]
@@ -108,13 +81,13 @@ def _construct(doc: dict) -> GammaSemiring:
     return GammaSemiring(sg, tuple(doc["gamma_elements"]), doc["gamma_add"], doc["product"])
 
 
-@pytest.mark.parametrize("slot,bad", _pending("test_table_slot_raises_input_error", TABLE_CASES))
+@pytest.mark.parametrize("slot,bad", TABLE_CASES)
 def test_table_slot_raises_input_error(slot, bad):
     with pytest.raises(InputError):
         _construct(_doc_with(slot, bad))
 
 
-@pytest.mark.parametrize("slot,bad", _pending("test_table_slot_in_a_structure_file_is_a_parse_error", TABLE_CASES))
+@pytest.mark.parametrize("slot,bad", TABLE_CASES)
 def test_table_slot_in_a_structure_file_is_a_parse_error(slot, bad):
     with pytest.raises(ParseError):
         files.structure_from_doc(_doc_with(slot, bad))
@@ -125,13 +98,13 @@ def test_accepted_slot_builds(slot, bad):
     assert _construct(_doc_with(slot, bad)).gamma_add == ACCEPTED[slot, bad]
 
 
-@pytest.mark.parametrize("bad", _pending("test_hom_mapping_raises_input_error", list(BAD)))
+@pytest.mark.parametrize("bad", BAD)
 def test_hom_mapping_raises_input_error(bad):
     with pytest.raises(InputError):
         GammaHom(Z2, Z2, copy.deepcopy(BAD[bad]))
 
 
-@pytest.mark.parametrize("bad", _pending("test_hom_mapping_entry_raises_input_error", list(BAD)))
+@pytest.mark.parametrize("bad", BAD)
 def test_hom_mapping_entry_raises_input_error(bad):
     with pytest.raises(InputError):
         GammaHom(Z2, Z2, [copy.deepcopy(BAD[bad]), 1])
@@ -170,35 +143,35 @@ def test_identity_maps_are_valid():
     assert is_soft_gamma_homomorphism(IDENTITY_F, IDENTITY_G, soft, soft)
 
 
-@pytest.mark.parametrize("where,bad", _pending("test_gamma_hom_mapping_raises_input_error", HOM_CASES))
+@pytest.mark.parametrize("where,bad", HOM_CASES)
 def test_gamma_hom_mapping_raises_input_error(where, bad):
     mapping, _ = _maps("f", where, bad)
     with pytest.raises(InputError):
         gamma_hom(Z2, Z2, mapping)
 
 
-@pytest.mark.parametrize("where,bad", _pending("test_is_gamma_homomorphism_mapping_raises_input_error", HOM_CASES))
+@pytest.mark.parametrize("where,bad", HOM_CASES)
 def test_is_gamma_homomorphism_mapping_raises_input_error(where, bad):
     mapping, _ = _maps("f", where, bad)
     with pytest.raises(InputError):
         is_gamma_homomorphism(mapping, Z2, Z2)
 
 
-@pytest.mark.parametrize("which,where,bad", _pending("test_make_soft_function_raises_input_error", MAP_CASES))
+@pytest.mark.parametrize("which,where,bad", MAP_CASES)
 def test_make_soft_function_raises_input_error(which, where, bad):
     f, g = _maps(which, where, bad)
     with pytest.raises(InputError):
         make_soft_function(f, g, SOURCE, SOURCE)
 
 
-@pytest.mark.parametrize("which,where,bad", _pending("test_soft_preimage_raises_input_error", MAP_CASES))
+@pytest.mark.parametrize("which,where,bad", MAP_CASES)
 def test_soft_preimage_raises_input_error(which, where, bad):
     f, g = _maps(which, where, bad)
     with pytest.raises(InputError):
         soft_preimage(f, g, SOURCE, ("w",))
 
 
-@pytest.mark.parametrize("which,where,bad", _pending("test_is_soft_gamma_homomorphism_returns_a_false_witness", MAP_CASES))
+@pytest.mark.parametrize("which,where,bad", MAP_CASES)
 def test_is_soft_gamma_homomorphism_returns_a_false_witness(which, where, bad):
     f, g = _maps(which, where, bad)
     soft = SoftGammaSemiring(Z2, SOURCE)

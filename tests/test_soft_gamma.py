@@ -310,6 +310,28 @@ class TestSoftGammaHomomorphism:
         w = is_soft_gamma_homomorphism(f, {"a": "a"}, source, target)
         assert w == Witness(False, kind="epimorphism", elements=elements)
 
+    @pytest.fixture
+    def z4_identity(self):
+        gs = make_zn_gamma(4, (1, 2))
+        return SoftGammaSemiring(gs, soft_over(gs, ("a",), {"a": ["0"]}))
+
+    def test_a_carrier_map_that_is_not_a_mapping_fails_the_first_clause(self, z4_identity):
+        w = is_soft_gamma_homomorphism(5, {"a": "a"}, z4_identity, z4_identity)
+        assert w == Witness(False, kind="epimorphism")
+
+    def test_a_parameter_map_that_is_not_a_mapping_fails_the_second_clause(self, z4_identity):
+        f = {e: e for e in z4_identity.base.elements}
+        w = is_soft_gamma_homomorphism(f, 5, z4_identity, z4_identity)
+        assert w == Witness(False, kind="parameter-surjection")
+
+    def test_an_unhashable_parameter_image_fails_the_second_clause(self, z4_identity):
+        f = {e: e for e in z4_identity.base.elements}
+        w = is_soft_gamma_homomorphism(f, {"a": ["a"]}, z4_identity, z4_identity)
+        assert w == Witness(False, kind="parameter-surjection", failing_parameter="a")
+
+    def test_has_param_is_false_for_an_unhashable_label(self, z4_identity):
+        assert not z4_identity.soft.has_param(["a"])
+
     def test_parameter_map_must_be_onto(self, z8):
         soft_a = soft_over(z8, ("a", "b"), {"a": ["0"], "b": ["0"]})
         soft_b = soft_over(z8, ("a", "b"), {"a": ["0"], "b": ["0"]})
