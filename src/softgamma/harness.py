@@ -476,8 +476,7 @@ class Law:
             return _VACUOUS
         gated = members
         if self.conclusion in ("outer", "outer-op"):
-            # single-member laws index their member, then test it before the outer
-            gated = [inst.soft_sets[0], inst.outer] if self.reads == 1 else [inst.outer, *members]
+            gated = [inst.outer, *members]
         if any(ss.is_null() for ss in gated):
             return _VACUOUS
         if self.operation in _OPS:
@@ -649,14 +648,16 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
     Structural gates (undefined operations, null soft sets, parameter-shape
     hypotheses) yield a vacuous verdict; value-level hypothesis violations
     evaluate the conclusion honestly, so a non-hypothesis instance can fail.
-    An instance without the homomorphism or the enclosing soft set that the
-    law reads is an InputError.
+    An instance without the homomorphism, the enclosing soft set or the
+    member that the law reads is an InputError.
     """
     law = _lookup(theorem_id)
     if law.flags.get("with_hom") and instance.hom is None:
         raise InputError(f"{theorem_id} reads a homomorphism, and the instance has none")
     if law.conclusion in ("outer", "outer-op") and instance.outer is None:
         raise InputError(f"{theorem_id} reads an enclosing soft set, and the instance has none")
+    if not instance.soft_sets and (law.reads == 1 or law.conclusion in ("hom-transport", "trivial-whole")):
+        raise InputError(f"{theorem_id} reads a member, and the instance has none")
     return _verdict(theorem_id, [(0, instance.spec, law.evaluate(instance, True))])
 
 

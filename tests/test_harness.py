@@ -11,6 +11,7 @@ from softgamma import (
     check_theorem,
     fuzz_theorem,
     generate_instance,
+    identity_hom,
     is_soft_gamma_semiring,
 )
 from softgamma import files, make_zn_gamma
@@ -134,6 +135,13 @@ class TestCheckTheorem:
         inst = generate_instance(Z8_TEMPLATE)
         with pytest.raises(InputError):
             check_theorem("T9.9", inst)
+
+    @pytest.mark.parametrize("tid", ALL_THEOREMS)
+    def test_an_instance_without_members_is_an_input_error(self, tid, z8):
+        outer = SoftSet.build(z8.elements, ("a",), {"a": ["0"]})
+        inst = Instance(gs=z8, soft_sets=[], outer=outer, hom=identity_hom(z8))
+        with pytest.raises(InputError):
+            check_theorem(tid, inst)
 
     def test_intersection_of_shared_parameter_soft_gamma_semirings_passes(self, z8):
         a = SoftSet.build(z8.elements, ("a", "b"), {"a": ["0", "4"], "b": list(z8.elements)})
