@@ -98,14 +98,12 @@ def cmd_op(args) -> int:
         f, g = _map_file(args.files[0])
         source, target = _soft_sets(args.files[1:])
         result = soft_image(make_soft_function(f, g, source, target))
-    elif kind == "preimage":
+    else:  # preimage, the last of _OP_KINDS, which the parser enforces
         if len(args.files) != 2:
             raise InputError("op preimage takes a map file and a target file")
         f, g = _map_file(args.files[0])
         target = _soft_sets(args.files[1:])[0]
         result = soft_preimage(f, g, target, tuple(g.keys()))
-    else:
-        raise InputError(f"unknown op kind {kind!r}")
     _emit(files.dumps(files.soft_set_to_doc(result)), args.output)
     return EXIT_OK
 
@@ -191,13 +189,9 @@ def cmd_example(args) -> int:
     elif name == "minmax5":
         gs = make_minmax_gamma(5, (1, 2, 3))
         doc = {"structure": files.structure_to_doc(gs, name="minmax5")}
-        ss = None
-    elif name == "matrix2x1x2":
+    else:  # matrix2x1x2, the last of _EXAMPLES, which the parser enforces
         gs = make_matrix_gamma(2, 1, 2)
         doc = {"structure": files.structure_to_doc(gs, name="matrix2x1x2")}
-        ss = None
-    else:
-        raise InputError(f"unknown example {name!r}")
     if args.output:
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -255,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("example", help="emit a bundled example structure")
-    p.add_argument("name")
+    p.add_argument("name", choices=_EXAMPLES)
     p.add_argument("-o", "--output", default=None, help="directory to write files into")
     p.set_defaults(func=cmd_example)
 

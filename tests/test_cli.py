@@ -311,3 +311,9 @@ class TestExample:
     def test_unknown_example_exits_2(self, capsys):
         code, _, _ = run(capsys, "example", "nosuch")
         assert code == 2
+
+    def test_unknown_example_is_refused_by_the_argument_parser(self, capsys):
+        code, out, err = run(capsys, "example", "nope")
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'nope'" in err
