@@ -474,9 +474,7 @@ class Law:
         members = inst.soft_sets if self.reads is None else inst.soft_sets[: self.reads]
         if enforce and self.flags.get("disjoint") and not _pairwise_disjoint(members):
             return _VACUOUS
-        gated = members
-        if self.conclusion in ("outer", "outer-op"):
-            gated = [inst.outer, *members]
+        gated = [inst.outer, *members] if self.conclusion in ("outer", "outer-op") else members
         if any(ss.is_null() for ss in gated):
             return _VACUOUS
         if self.operation in _OPS:
@@ -656,6 +654,7 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
         raise InputError(f"{theorem_id} reads a homomorphism, and the instance has none")
     if law.conclusion in ("outer", "outer-op") and instance.outer is None:
         raise InputError(f"{theorem_id} reads an enclosing soft set, and the instance has none")
+    # the single-member rows and the two laws with checkers of their own index the first member
     if not instance.soft_sets and (law.reads == 1 or law.conclusion in ("hom-transport", "trivial-whole")):
         raise InputError(f"{theorem_id} reads a member, and the instance has none")
     return _verdict(theorem_id, [(0, instance.spec, law.evaluate(instance, True))])
