@@ -175,6 +175,7 @@ class GammaSemiring:
             raise InputError(f"product table must have {n} outer rows, got {len(prod)}")
         layers = tuple(_table(layer, ng, n, "product table layer") for layer in prod)
         object.__setattr__(self, "product", layers)
+
         if self.gamma_add is not None:
             gamma_add = _table(self.gamma_add, ng, ng, "gamma addition table", labels=True)
             object.__setattr__(self, "gamma_add", gamma_add)

@@ -309,10 +309,7 @@ class TestExample:
         assert len(json.loads(out)["structure"]["s_elements"]) == 4
 
     def test_unknown_example_exits_2(self, capsys):
-        code, _, _ = run(capsys, "example", "nosuch")
-        assert code == 2
-
-    def test_unknown_example_is_refused_by_the_argument_parser(self, capsys):
+        # refused by the argument parser, which lists the bundled names
         code, out, err = run(capsys, "example", "nope")
         assert code == 2
         assert out == ""
