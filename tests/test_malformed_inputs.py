@@ -1,13 +1,16 @@
-"""Malformed-input contract: one grid of bad values fed into every table slot
-and every label-map slot.
+"""Malformed-input contract: grids of bad values fed into every table slot,
+every label-map slot, every label collection, every label set and every
+count.
 
 A table slot is a position inside the addition table, the product table,
 the gamma addition table or a homomorphism's position mapping; a map slot is
 the label map itself, or its value at the first source label, in every
-function that reads one.  Each case must raise InputError (ParseError
-through files.structure_from_doc); is_soft_gamma_homomorphism, a predicate,
-must return a false Witness instead.  No case may escape as a raw
-TypeError, IndexError or AttributeError.
+function that reads one.  A label collection is a carrier, gamma set,
+universe or parameter set; a label set is a soft-set value or a subset of a
+carrier; a count is a size, an arity, a bound or a number of trials.  Each
+case must raise InputError (ParseError through files); is_soft_gamma_homomorphism,
+a predicate, must return a false Witness instead.  No case may escape as a
+raw TypeError, IndexError or AttributeError.
 """
 
 import copy
@@ -17,19 +20,28 @@ import pytest
 from softgamma import (
     GammaHom,
     InputError,
+    InstanceSpec,
     ParseError,
     SoftGammaSemiring,
     SoftSet,
+    TernaryRelation,
     Witness,
     files,
+    fuzz_theorem,
     gamma_hom,
+    generate_instance,
     is_gamma_homomorphism,
     is_soft_gamma_homomorphism,
+    is_sub_gamma_semiring,
+    make_matrix_gamma,
+    make_minmax_gamma,
     make_soft_function,
     make_zn_gamma,
+    product_gamma,
+    relative_null,
     soft_preimage,
 )
-from softgamma.algebra import FiniteCommutativeSemigroup, GammaSemiring
+from softgamma.algebra import FiniteCommutativeSemigroup, GammaSemiring, carrier_bound
 
 Z2 = make_zn_gamma(2, (1,), strict=True)
 
@@ -178,3 +190,156 @@ def test_is_soft_gamma_homomorphism_returns_a_false_witness(which, where, bad):
     w = is_soft_gamma_homomorphism(f, g, soft, soft)
     assert isinstance(w, Witness)
     assert not w
+
+
+# -- label collections, label sets and counts ---------------------------------
+
+# cases that still raise a raw TypeError or are silently accepted (CHANGES.md FOUND)
+OPEN = {
+    ("carrier", "int"), ("carrier", "str"), ("carrier", "unhashable"),
+    ("gamma", "int"), ("gamma", "unhashable"), ("gamma", "dict"), ("gamma", "int-label"),
+    ("universe", "int"), ("universe", "str"), ("universe", "unhashable"), ("universe", "dict"),
+    ("parameters", "int"), ("parameters", "unhashable"), ("parameters", "dict"),
+    ("relation-parameters", "int"), ("relation-parameters", "str"),
+    ("relation-parameters", "unhashable"), ("relation-parameters", "dict"),
+    ("relation-gamma", "int"), ("relation-gamma", "str"), ("relation-gamma", "unhashable"),
+    ("relation-gamma", "dict"), ("relation-gamma", "int-label"),
+    ("relative-null-parameters", "int"), ("relative-null-parameters", "str"),
+    ("relative-null-parameters", "unhashable"), ("relative-null-parameters", "dict"),
+    ("preimage-parameters", "int"), ("preimage-parameters", "unhashable"),
+    ("value", "int"), ("value", "str"), ("value", "dict"),
+    ("values", "int"), ("values", "str"), ("values", "unknown"), ("values", "unhashable"),
+    ("subset-mask", "int"), ("subset-mask", "str"), ("subset-mask", "dict"),
+    ("is-sub-gamma-semiring", "int"), ("is-sub-gamma-semiring", "str"), ("is-sub-gamma-semiring", "dict"),
+    ("zn-n", "bool"), ("minmax-n", "bool"), ("matrix-rows", "bool"), ("matrix-cols", "bool"),
+    ("product-arity", "bool"), ("family_size", "str"), ("family_size", "bool"), ("family_size", "float"),
+    ("trials", "str"), ("trials", "bool"), ("trials", "float"),
+}
+
+U = Z2.elements
+EMPTY = frozenset()
+
+# each slot builds its object with the value in one label-collection position
+COLLECTION_SLOTS = {
+    "carrier": lambda v: FiniteCommutativeSemigroup(v, Z2.s.add_table),
+    "gamma": lambda v: GammaSemiring(Z2.s, v, None, Z2.product),
+    "universe": lambda v: SoftSet(v, ("w",), (0,)),
+    "parameters": lambda v: SoftSet(U, v, (0,)),
+    "relation-parameters": lambda v: TernaryRelation(v, ("1",), EMPTY),
+    "relation-gamma": lambda v: TernaryRelation(("w",), v, EMPTY),
+    "relative-null-parameters": lambda v: relative_null(U, v),
+    "preimage-parameters": lambda v: soft_preimage(IDENTITY_F, IDENTITY_G, SOURCE, v),
+}
+
+# the same positions in a structure, soft set or relation document
+COLLECTION_DOCS = {
+    "carrier": (lambda: files.structure_to_doc(Z2), "s_elements", files.structure_from_doc),
+    "gamma": (lambda: files.structure_to_doc(Z2), "gamma_elements", files.structure_from_doc),
+    "universe": (lambda: files.soft_set_to_doc(SOURCE), "universe", files.soft_set_from_doc),
+    "parameters": (lambda: files.soft_set_to_doc(SOURCE), "parameters", files.soft_set_from_doc),
+    "relation-parameters": (
+        lambda: {"n_params": ["w"], "gamma": ["1"], "triples": []}, "n_params", files.relation_from_doc
+    ),
+    "relation-gamma": (
+        lambda: {"n_params": ["w"], "gamma": ["1"], "triples": []}, "gamma", files.relation_from_doc
+    ),
+}
+
+BAD_COLLECTIONS = {
+    "int": 5,
+    "str": "01",
+    "unhashable": [["a"]],
+    "repeated": ["0", "0"],
+    "dict": {"0": 1},
+}
+GAMMA_SLOTS = ("gamma", "relation-gamma")
+
+COLLECTION_CASES = [(slot, bad) for slot in COLLECTION_SLOTS for bad in BAD_COLLECTIONS] + [
+    (slot, "int-label") for slot in GAMMA_SLOTS
+]
+COLLECTION_CHECKED = [case for case in COLLECTION_CASES if case not in OPEN]
+# in a document a nested list is a tuple label, so [["a"]] is well-formed there
+COLLECTION_DOC_CASES = [
+    (slot, bad) for slot, bad in COLLECTION_CASES if slot in COLLECTION_DOCS and bad != "unhashable"
+]
+
+
+def _bad_collection(bad: str):
+    return [1] if bad == "int-label" else copy.deepcopy(BAD_COLLECTIONS[bad])
+
+
+def test_valid_collections_build():
+    for slot, build in COLLECTION_SLOTS.items():
+        build(("1",) if slot in GAMMA_SLOTS else ("w",) if "param" in slot else U)
+
+
+@pytest.mark.parametrize("slot,bad", COLLECTION_CHECKED)
+def test_label_collection_raises_input_error(slot, bad):
+    with pytest.raises(InputError):
+        COLLECTION_SLOTS[slot](_bad_collection(bad))
+
+
+@pytest.mark.parametrize("slot,bad", COLLECTION_DOC_CASES)
+def test_label_collection_in_a_file_is_a_parse_error(slot, bad):
+    make_doc, key, parse = COLLECTION_DOCS[slot]
+    doc = copy.deepcopy(make_doc())
+    doc[key] = _bad_collection(bad)
+    with pytest.raises(ParseError):
+        parse(doc)
+
+
+LABEL_SET_SLOTS = {
+    "value": lambda v: SoftSet.build(U, ("w",), {"w": v}),
+    "values": lambda v: SoftSet.build(U, ("w",), v),
+    "subset-mask": lambda v: Z2.subset_mask(v),
+    "is-sub-gamma-semiring": lambda v: is_sub_gamma_semiring(Z2, v),
+}
+
+BAD_LABEL_SETS = {
+    "int": 5,
+    "str": "01",
+    "dict": {"0": 1},
+    "unknown": ["9"],
+    "unhashable": [["0"]],
+}
+
+LABEL_SET_CASES = [(slot, bad) for slot in LABEL_SET_SLOTS for bad in BAD_LABEL_SETS if (slot, bad) not in OPEN]
+
+
+def test_valid_label_sets_build():
+    assert SoftSet.build(U, ("w",), {"w": ["0"]}).masks == (1,)
+    assert Z2.subset_mask(["1"]) == 2
+    assert is_sub_gamma_semiring(Z2, ["0"])
+
+
+@pytest.mark.parametrize("slot,bad", LABEL_SET_CASES)
+def test_label_set_raises_input_error(slot, bad):
+    with pytest.raises(InputError):
+        LABEL_SET_SLOTS[slot](copy.deepcopy(BAD_LABEL_SETS[bad]))
+
+
+COUNT_SLOTS = {
+    "max_carrier": lambda v: carrier_bound(v),
+    "zn-n": lambda v: make_zn_gamma(v, (0,)),
+    "minmax-n": lambda v: make_minmax_gamma(v, (0,)),
+    "matrix-rows": lambda v: make_matrix_gamma(2, v, 1),
+    "matrix-cols": lambda v: make_matrix_gamma(2, 1, v),
+    "product-arity": lambda v: product_gamma(Z2, v),
+    "family_size": lambda v: generate_instance(InstanceSpec(generator="zn", size=(2,), family_size=v)),
+    "trials": lambda v: fuzz_theorem("T3.4", v),
+}
+
+BAD_COUNTS = {"str": "5", "bool": True, "float": 2.5, "zero": 0, "negative": -1}
+
+COUNT_CASES = [(slot, bad) for slot in COUNT_SLOTS for bad in BAD_COUNTS if (slot, bad) not in OPEN]
+
+
+def test_valid_counts_build():
+    for build in COUNT_SLOTS.values():
+        build(1)
+
+
+@pytest.mark.parametrize("slot,bad", COUNT_CASES)
+def test_count_raises_input_error(slot, bad):
+    with pytest.raises(InputError):
+        COUNT_SLOTS[slot](BAD_COUNTS[bad])
