@@ -44,6 +44,44 @@ def _entries(row, valid: frozenset | None, what: str) -> tuple:
     raise InputError(f"{what} entry {bad!r} is not {rule}")
 
 
+def _collection(value, what: str) -> tuple:
+    """value as a tuple once it is an iterable that is neither a str nor a mapping."""
+    # a tuple or list is one, so only other types pay for the ABC checks
+    if type(value) in (tuple, list) or isinstance(value, Iterable) and not isinstance(value, (str, Mapping)):
+        return tuple(value)
+    raise InputError(f"{what} must be a collection, got {type(value).__name__}")
+
+
+def _labels(labels, what: str) -> tuple:
+    """labels as a tuple once it is a collection of distinct hashable labels."""
+    out = labels if type(labels) is tuple else _collection(labels, f"{what} labels")
+    try:
+        distinct = len(set(out)) == len(out)
+    except TypeError:
+        raise InputError(f"{what} labels must be hashable, got {labels!r}") from None
+    if not distinct:
+        raise InputError(f"{what} labels must be unique")
+    return out
+
+
+def _label_mask(index: dict, labels, what: str) -> int:
+    """The bitmask of a collection of labels, index mapping each label to its bit."""
+    mask = 0
+    for label in _collection(labels, f"{what} label set"):
+        try:
+            mask |= 1 << index[label]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown {what} label {label!r}") from None
+    return mask
+
+
+def _count(value, what: str, minimum: int = 1) -> int:
+    """value once it is an exact int (bool refused) of at least minimum."""
+    if type(value) is not int or value < minimum:
+        raise InputError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+    return value
+
+
 def _table(table, rows: int, cols: int, what: str, labels: bool = False) -> tuple[tuple, ...]:
     """table as a tuple of row tuples, after one check of its shape and entries.
 
@@ -79,11 +117,9 @@ class FiniteCommutativeSemigroup:
     add_table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        elements = tuple(self.elements)
+        elements = _labels(self.elements, "element")
         if not elements:
             raise InputError("carrier must be nonempty")
-        if len(set(elements)) != len(elements):
-            raise InputError("element labels must be unique")
         n = len(elements)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "add_table", _table(self.add_table, n, n, "addition table"))
@@ -159,11 +195,9 @@ class GammaSemiring:
     zero: Label | None = None
 
     def __post_init__(self):
-        gamma = tuple(self.gamma_elements)
+        gamma = _entries(_labels(self.gamma_elements, "gamma"), None, "gamma set")
         if not gamma:
             raise InputError("gamma set must be nonempty")
-        if len(set(gamma)) != len(gamma):
-            raise InputError("gamma labels must be unique")
         object.__setattr__(self, "gamma_elements", gamma)
 
         n = len(self.s.elements)
@@ -206,10 +240,7 @@ class GammaSemiring:
         return (1 << self.size) - 1
 
     def subset_mask(self, labels: Iterable[Label]) -> int:
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.s.pos(label)
-        return mask
+        return _label_mask(self.s._pos, labels, "element")
 
     def labels_of_mask(self, mask: int) -> tuple[Label, ...]:
         return tuple(self.s.elements[i] for i in iter_bits(mask))
@@ -363,20 +394,15 @@ def is_sub_gamma_semiring(gs: GammaSemiring, subset: Iterable[Label]) -> bool:
 def carrier_bound(max_carrier: int | None = None) -> int:
     """Enumeration bound: explicit argument, else the environment override, else 12."""
     if max_carrier is not None:
-        if not isinstance(max_carrier, int) or isinstance(max_carrier, bool):
-            raise InputError(f"max_carrier must be an integer, got {max_carrier!r}")
-        bound = max_carrier
-    else:
-        raw = os.environ.get(MAX_CARRIER_ENV)
-        if raw is None:
-            return DEFAULT_MAX_CARRIER
-        try:
-            bound = int(raw)
-        except ValueError:
-            raise InputError(f"{MAX_CARRIER_ENV} must be an integer, got {raw!r}") from None
-    if bound < 1:
-        raise InputError(f"carrier bound must be positive, got {bound}")
-    return bound
+        return _count(max_carrier, "max_carrier")
+    raw = os.environ.get(MAX_CARRIER_ENV)
+    if raw is None:
+        return DEFAULT_MAX_CARRIER
+    try:
+        bound = int(raw)
+    except ValueError:
+        raise InputError(f"{MAX_CARRIER_ENV} must be an integer, got {raw!r}") from None
+    return _count(bound, MAX_CARRIER_ENV)
 
 
 def enumerate_sub_gamma_semirings(
@@ -576,6 +602,11 @@ class GammaHom:
         return {e: self.target.elements[t] for e, t in zip(self.source.elements, self.mapping)}
 
 
+def _require_mapping(mapping, what: str) -> None:
+    if not isinstance(mapping, Mapping):
+        raise InputError(f"{what} must be a mapping, got {type(mapping).__name__}")
+
+
 def _map_positions(mapping, domain, index: dict, what: str, outside: str) -> tuple[int, ...]:
     """The target position of mapping at each label of domain, in order.
 
@@ -583,8 +614,7 @@ def _map_positions(mapping, domain, index: dict, what: str, outside: str) -> tup
     the first label where mapping is undefined, and at the first value that
     index does not hold (an unhashable value included).
     """
-    if not isinstance(mapping, Mapping):
-        raise InputError(f"{what} must be a mapping, got {type(mapping).__name__}")
+    _require_mapping(mapping, what)
     positions = []
     for label in domain:
         try:

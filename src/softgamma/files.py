@@ -80,13 +80,6 @@ def require_fields(doc: dict, fields: set[str], what: str) -> None:
         raise ParseError(f"{what} has unknown fields {sorted(extra)}")
 
 
-def _gamma_labels(entries: list) -> tuple[str, ...]:
-    for g in entries:
-        if not isinstance(g, str):
-            raise ParseError(f"gamma element {g!r} must be a string")
-    return tuple(entries)
-
-
 _STRUCTURE_FIELDS = {"name", "s_elements", "s_add", "gamma_elements", "gamma_add", "product", "zero"}
 
 
@@ -109,7 +102,6 @@ def structure_from_doc(doc: dict) -> GammaSemiring:
     if not isinstance(doc["s_elements"], list) or not isinstance(doc["gamma_elements"], list):
         raise ParseError("s_elements and gamma_elements must be lists")
     elements = tuple(label_from_jsonable(e) for e in doc["s_elements"])
-    gamma = _gamma_labels(doc["gamma_elements"])
     zero_idx = doc["zero"]
     if zero_idx is not None:
         # exactly int: a JSON true is a bool, which Python counts as the int 1
@@ -119,7 +111,7 @@ def structure_from_doc(doc: dict) -> GammaSemiring:
         sg = FiniteCommutativeSemigroup(elements, doc["s_add"])
         return GammaSemiring(
             sg,
-            gamma,
+            doc["gamma_elements"],
             doc["gamma_add"],
             doc["product"],
             zero=None if zero_idx is None else elements[zero_idx],
@@ -194,7 +186,6 @@ def relation_from_doc(doc: dict) -> TernaryRelation:
     if not isinstance(doc["triples"], list):
         raise ParseError("triples must be a list")
     parameters = tuple(label_from_jsonable(p) for p in doc["n_params"])
-    gamma = _gamma_labels(doc["gamma"])
     triples = []
     for t in doc["triples"]:
         if not isinstance(t, list) or len(t) != 3:
@@ -203,7 +194,7 @@ def relation_from_doc(doc: dict) -> TernaryRelation:
             raise ParseError(f"relation gamma component {t[1]!r} must be a string")
         triples.append((label_from_jsonable(t[0]), t[1], label_from_jsonable(t[2])))
     try:
-        return TernaryRelation(parameters, gamma, frozenset(triples))
+        return TernaryRelation(parameters, doc["gamma"], frozenset(triples))
     except InputError as exc:
         raise ParseError(str(exc)) from None
 

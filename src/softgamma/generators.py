@@ -4,18 +4,15 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import FiniteCommutativeSemigroup, GammaSemiring
+from .algebra import FiniteCommutativeSemigroup, GammaSemiring, _collection, _count, _entries
 from .errors import ConstraintError, InputError, SizeLimitError
 
 
 def _int_subset(values, n: int, what: str) -> tuple[int, ...]:
-    out = sorted(set(values))
+    out = tuple(sorted(set(_entries(_collection(values, what), frozenset(range(n)), what))))
     if not out:
         raise InputError(f"{what} must be nonempty")
-    for v in out:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-            raise InputError(f"{what} entry {v!r} is not in 0..{n - 1}")
-    return tuple(out)
+    return out
 
 
 def _integer_gamma(kind: str, n: int, gamma: tuple[int, ...], with_gamma_add: bool) -> GammaSemiring:
@@ -47,9 +44,7 @@ def make_zn_gamma(n: int, gamma_subset, strict: bool = False) -> GammaSemiring:
     not closed under + mod n this deliberately fails strict validation with a
     gamma-closure witness.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
-    return _integer_gamma("zn", n, _int_subset(gamma_subset, n, "gamma subset"), strict)
+    return _integer_gamma("zn", _count(n, "n"), _int_subset(gamma_subset, n, "gamma subset"), strict)
 
 
 def make_minmax_gamma(n: int, gamma_subset) -> GammaSemiring:
@@ -58,9 +53,7 @@ def make_minmax_gamma(n: int, gamma_subset) -> GammaSemiring:
     Any gamma subset is closed under max, so the result always passes the
     strict check.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"n must be a positive integer, got {n!r}")
-    return _integer_gamma("minmax", n, _int_subset(gamma_subset, n, "gamma subset"), True)
+    return _integer_gamma("minmax", _count(n, "n"), _int_subset(gamma_subset, n, "gamma subset"), True)
 
 
 def _matmul(a, a_shape, b, b_shape, p):
@@ -85,16 +78,14 @@ def make_matrix_gamma(p: int, rows: int, cols: int) -> GammaSemiring:
     product W·alpha·Y mod p.  Labels are row-major digit strings.  Bounded to
     p <= 3 and rows*cols <= 4 to keep the tables at desk scale.
     """
-    if p not in (2, 3):
+    if _count(p, "p", 2) > 3:
         raise InputError(f"p must be a prime at most 3, got {p!r}")
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
-        raise InputError("rows and cols must be positive integers")
-    if rows * cols > 4:
-        raise SizeLimitError(f"matrix carrier refused: rows*cols = {rows * cols} exceeds 4")
+    k = _count(rows, "rows") * _count(cols, "cols")
+    if k > 4:
+        raise SizeLimitError(f"matrix carrier refused: rows*cols = {k} exceeds 4")
 
     # a cols x rows gamma matrix has as many entries as a rows x cols carrier
     # matrix, so one list of flat p-ary tuples serves both
-    k = rows * cols
     entries = list(iproduct(range(p), repeat=k))
     labels = tuple("".join(str(d) for d in flat) for flat in entries)
     index = {m: i for i, m in enumerate(entries)}
@@ -133,8 +124,7 @@ def product_gamma(gs: GammaSemiring, k: int) -> GammaSemiring:
     universe produced by the soft-set cartesian product.  SizeLimitError when
     the carrier would exceed MAX_PRODUCT_SIZE elements.
     """
-    if not isinstance(k, int) or k < 1:
-        raise InputError(f"product arity must be a positive integer, got {k!r}")
+    _count(k, "product arity")
     n = gs.size
     if n**k > MAX_PRODUCT_SIZE:
         raise SizeLimitError(f"product carrier would have {n ** k} elements, above {MAX_PRODUCT_SIZE}")

@@ -40,6 +40,7 @@ from . import files
 from .algebra import (
     GammaHom,
     GammaSemiring,
+    _count,
     gamma_hom,
     identity_hom,
     kernel,
@@ -152,7 +153,7 @@ def _resolve_descriptor(spec: InstanceSpec, rng: random.Random) -> tuple:
     if kind == "mix":
         kind = rng.choice(("zn", "minmax", "matrix"))
     if kind in ("zn", "minmax"):
-        n = spec.size[0] if spec.size else rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
+        n = _count(spec.size[0], "n") if spec.size else rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
         gamma = tuple(spec.gamma) if spec.gamma else _random_gamma(rng, n)
         return (kind, n, gamma)
     if kind == "matrix":
@@ -269,8 +270,8 @@ def _draw_value(rng: random.Random, spec: InstanceSpec, side: GammaSemiring, can
 def generate_instance(spec: InstanceSpec) -> Instance:
     """Build the seed-determined instance for a spec.  Identical specs give
     identical instances."""
-    if spec.family_size is not None and spec.family_size < 1:
-        raise InputError("family_size must be at least 1")
+    if spec.family_size is not None:
+        _count(spec.family_size, "family_size")
     if spec.value_policy not in _VALUE_POLICIES:
         raise InputError(f"unknown value policy {spec.value_policy!r}")
 
@@ -673,8 +674,7 @@ def fuzz_theorem(
     conclusion failures; the recorded counterexample is the one from the
     lowest failing trial.
     """
-    if trials < 1:
-        raise InputError("trials must be at least 1")
+    _count(trials, "trials")
     law = _lookup(theorem_id)
     template = template if template is not None else InstanceSpec()
     # the law's policy never touches the seed, so it is applied once

@@ -16,30 +16,31 @@ from itertools import product as iproduct
 from operator import and_, or_
 from typing import Mapping, Sequence
 
-from .algebra import GammaSemiring, Label, _image_mask, _map_positions, _preimage_mask, iter_bits
+from .algebra import (
+    GammaSemiring, Label, _collection, _entries, _image_mask, _label_mask, _labels, _map_positions,
+    _preimage_mask, _require_mapping, iter_bits,
+)
 from .errors import ConstraintError, DomainError, InputError
 from .reports import PASSED, Witness
 
 
-@dataclass(frozen=True)
+# init=False: the one __init__ checks each field before it sets it once
+@dataclass(frozen=True, init=False)
 class SoftSet:
     universe: tuple[Label, ...]
     parameters: tuple[Label, ...]
     masks: tuple[int, ...]
 
-    def __post_init__(self):
-        universe = tuple(self.universe)
-        parameters = tuple(self.parameters)
-        masks = tuple(self.masks)
-        if len(set(universe)) != len(universe):
-            raise InputError("universe labels must be unique")
-        if len(set(parameters)) != len(parameters):
-            raise InputError("parameter labels must be unique")
+    def __init__(self, universe, parameters, masks):
+        universe = _labels(universe, "universe")
+        parameters = _labels(parameters, "parameter")
+        masks = masks if type(masks) is tuple else _collection(masks, "value masks")
         if len(masks) != len(parameters):
             raise InputError("one value mask per parameter is required")
         limit = 1 << len(universe)
         for m in masks:
-            if not isinstance(m, int) or not 0 <= m < limit:
+            # exactly int, as table entries are: a bool is no mask
+            if type(m) is not int or not 0 <= m < limit:
                 raise InputError(f"value mask {m!r} does not fit the universe")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "parameters", parameters)
@@ -48,23 +49,16 @@ class SoftSet:
     @classmethod
     def build(cls, universe, parameters, values: Mapping | None = None) -> "SoftSet":
         """Construct from label sets; parameters missing from values get the empty set."""
-        universe = tuple(universe)
-        parameters = tuple(parameters)
-        pos = {v: i for i, v in enumerate(universe)}
-        values = dict(values or {})
+        universe = _labels(universe, "universe")
+        parameters = _labels(parameters, "parameter")
+        values = {} if values is None else values
+        _require_mapping(values, "values")
         unknown = set(values) - set(parameters)
         if unknown:
             raise InputError(f"values given for unknown parameters {sorted(map(repr, unknown))}")
-        masks = []
-        for w in parameters:
-            mask = 0
-            for label in values.get(w, ()):
-                try:
-                    mask |= 1 << pos[label]
-                except (KeyError, TypeError):
-                    raise InputError(f"value label {label!r} is not in the universe") from None
-            masks.append(mask)
-        return cls(universe, parameters, tuple(masks))
+        pos = {v: i for i, v in enumerate(universe)}
+        masks = tuple(_label_mask(pos, values.get(w, ()), "value") for w in parameters)
+        return cls(universe, parameters, masks)
 
     @cached_property
     def _upos(self) -> dict:
@@ -240,13 +234,13 @@ def cartesian_product(family: Sequence[SoftSet]) -> SoftSet:
 
 
 def relative_null(universe, parameters) -> SoftSet:
-    parameters = tuple(parameters)
-    return SoftSet(tuple(universe), parameters, tuple(0 for _ in parameters))
+    parameters = _labels(parameters, "parameter")
+    return SoftSet(universe, parameters, tuple(0 for _ in parameters))
 
 
 def relative_whole(universe, parameters) -> SoftSet:
-    universe = tuple(universe)
-    parameters = tuple(parameters)
+    universe = _labels(universe, "universe")
+    parameters = _labels(parameters, "parameter")
     full = (1 << len(universe)) - 1
     return SoftSet(universe, parameters, tuple(full for _ in parameters))
 
@@ -328,7 +322,7 @@ def soft_preimage(f: Mapping, g: Mapping, target: SoftSet, parameters) -> SoftSe
     The result universe is the ordered domain of f.
     """
     fpos = _map_positions(f, f, target._upos, "carrier map", "the target universe")
-    parameters = tuple(parameters)
+    parameters = _labels(parameters, "parameter")
     gpos = _map_positions(g, parameters, target._ppos, "parameter map", "the target parameters")
     masks = tuple(_preimage_mask(fpos, target.masks[y]) for y in gpos)
     return SoftSet(tuple(f), parameters, masks)
@@ -343,13 +337,12 @@ class TernaryRelation:
     triples: frozenset
 
     def __post_init__(self):
-        parameters = tuple(self.parameters)
-        gamma = tuple(self.gamma)
-        if len(set(parameters)) != len(parameters):
-            raise InputError("relation parameters must be unique")
-        if len(set(gamma)) != len(gamma):
-            raise InputError("relation gamma labels must be unique")
-        triples = frozenset(tuple(t) for t in self.triples)
+        parameters = _labels(self.parameters, "relation parameter")
+        gamma = _entries(_labels(self.gamma, "relation gamma"), None, "relation gamma set")
+        try:
+            triples = frozenset(tuple(t) for t in self.triples)
+        except TypeError:
+            raise InputError("relation triples must be a collection of hashable triples") from None
         pset, gset = set(parameters), set(gamma)
         for t in triples:
             if len(t) != 3:
@@ -370,17 +363,11 @@ def soft_set_from_relation(rel: TernaryRelation, gs: GammaSemiring) -> SoftSet:
     """
     if rel.gamma != gs.gamma_elements:
         raise InputError("relation gamma set must match the structure gamma set, in order")
-    spos = gs.s._pos
-    per_pair: dict[tuple, int] = {}
+    related: dict[tuple, list] = {}
     for (y, g, s) in rel.triples:
-        if s not in spos:
-            raise InputError(f"relation triple mentions unknown element {s!r}")
-        key = (y, g)
-        per_pair[key] = per_pair.get(key, 0) | (1 << spos[s])
-    masks = []
-    for y in rel.parameters:
-        v = gs.full_mask
-        for g in rel.gamma:
-            v &= per_pair.get((y, g), 0)
-        masks.append(v)
-    return SoftSet(gs.elements, rel.parameters, tuple(masks))
+        related.setdefault((y, g), []).append(s)
+    per_pair = {key: gs.subset_mask(labels) for key, labels in related.items()}
+    masks = tuple(
+        reduce(and_, (per_pair.get((y, g), 0) for g in rel.gamma), gs.full_mask) for y in rel.parameters
+    )
+    return SoftSet(gs.elements, rel.parameters, masks)

@@ -194,27 +194,6 @@ def test_is_soft_gamma_homomorphism_returns_a_false_witness(which, where, bad):
 
 # -- label collections, label sets and counts ---------------------------------
 
-# cases that still raise a raw TypeError or are silently accepted (CHANGES.md FOUND)
-OPEN = {
-    ("carrier", "int"), ("carrier", "str"), ("carrier", "unhashable"),
-    ("gamma", "int"), ("gamma", "unhashable"), ("gamma", "dict"), ("gamma", "int-label"),
-    ("universe", "int"), ("universe", "str"), ("universe", "unhashable"), ("universe", "dict"),
-    ("parameters", "int"), ("parameters", "unhashable"), ("parameters", "dict"),
-    ("relation-parameters", "int"), ("relation-parameters", "str"),
-    ("relation-parameters", "unhashable"), ("relation-parameters", "dict"),
-    ("relation-gamma", "int"), ("relation-gamma", "str"), ("relation-gamma", "unhashable"),
-    ("relation-gamma", "dict"), ("relation-gamma", "int-label"),
-    ("relative-null-parameters", "int"), ("relative-null-parameters", "str"),
-    ("relative-null-parameters", "unhashable"), ("relative-null-parameters", "dict"),
-    ("preimage-parameters", "int"), ("preimage-parameters", "unhashable"),
-    ("value", "int"), ("value", "str"), ("value", "dict"),
-    ("values", "int"), ("values", "str"), ("values", "unknown"), ("values", "unhashable"),
-    ("subset-mask", "int"), ("subset-mask", "str"), ("subset-mask", "dict"),
-    ("is-sub-gamma-semiring", "int"), ("is-sub-gamma-semiring", "str"), ("is-sub-gamma-semiring", "dict"),
-    ("zn-n", "bool"), ("minmax-n", "bool"), ("matrix-rows", "bool"), ("matrix-cols", "bool"),
-    ("product-arity", "bool"), ("family_size", "str"), ("family_size", "bool"), ("family_size", "float"),
-    ("trials", "str"), ("trials", "bool"), ("trials", "float"),
-}
 
 U = Z2.elements
 EMPTY = frozenset()
@@ -257,7 +236,6 @@ GAMMA_SLOTS = ("gamma", "relation-gamma")
 COLLECTION_CASES = [(slot, bad) for slot in COLLECTION_SLOTS for bad in BAD_COLLECTIONS] + [
     (slot, "int-label") for slot in GAMMA_SLOTS
 ]
-COLLECTION_CHECKED = [case for case in COLLECTION_CASES if case not in OPEN]
 # in a document a nested list is a tuple label, so [["a"]] is well-formed there
 COLLECTION_DOC_CASES = [
     (slot, bad) for slot, bad in COLLECTION_CASES if slot in COLLECTION_DOCS and bad != "unhashable"
@@ -273,7 +251,7 @@ def test_valid_collections_build():
         build(("1",) if slot in GAMMA_SLOTS else ("w",) if "param" in slot else U)
 
 
-@pytest.mark.parametrize("slot,bad", COLLECTION_CHECKED)
+@pytest.mark.parametrize("slot,bad", COLLECTION_CASES)
 def test_label_collection_raises_input_error(slot, bad):
     with pytest.raises(InputError):
         COLLECTION_SLOTS[slot](_bad_collection(bad))
@@ -303,7 +281,7 @@ BAD_LABEL_SETS = {
     "unhashable": [["0"]],
 }
 
-LABEL_SET_CASES = [(slot, bad) for slot in LABEL_SET_SLOTS for bad in BAD_LABEL_SETS if (slot, bad) not in OPEN]
+LABEL_SET_CASES = [(slot, bad) for slot in LABEL_SET_SLOTS for bad in BAD_LABEL_SETS]
 
 
 def test_valid_label_sets_build():
@@ -331,7 +309,7 @@ COUNT_SLOTS = {
 
 BAD_COUNTS = {"str": "5", "bool": True, "float": 2.5, "zero": 0, "negative": -1}
 
-COUNT_CASES = [(slot, bad) for slot in COUNT_SLOTS for bad in BAD_COUNTS if (slot, bad) not in OPEN]
+COUNT_CASES = [(slot, bad) for slot in COUNT_SLOTS for bad in BAD_COUNTS]
 
 
 def test_valid_counts_build():
