@@ -10,7 +10,7 @@ tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product as iproduct
 from operator import and_, or_
@@ -257,16 +257,31 @@ def _soft_positions(f, g, source: SoftSet, target: SoftSet) -> tuple[tuple[int, 
 class SoftFunction:
     """A carrier map and a parameter map with f(value(w)) == target value(g(w)).
 
-    Injectivity/surjectivity/bijectivity are joint properties of f and g.
+    Injectivity/surjectivity/bijectivity are joint properties of f and g,
+    computed from their positions, which are read once per instance.
     """
 
     f: Mapping
     g: Mapping
     source: SoftSet
     target: SoftSet
-    injective: bool = field(default=False, compare=False)
-    surjective: bool = field(default=False, compare=False)
-    bijective: bool = field(default=False, compare=False)
+
+    @cached_property
+    def _positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return _soft_positions(self.f, self.g, self.source, self.target)
+
+    @property
+    def injective(self) -> bool:
+        return all(len(set(pos)) == len(pos) for pos in self._positions)
+
+    @property
+    def surjective(self) -> bool:
+        fpos, gpos = self._positions
+        return len(set(fpos)) == len(self.target.universe) and len(set(gpos)) == len(self.target.parameters)
+
+    @property
+    def bijective(self) -> bool:
+        return self.injective and self.surjective
 
 
 def make_soft_function(f: Mapping, g: Mapping, source: SoftSet, target: SoftSet) -> SoftFunction:
@@ -277,19 +292,7 @@ def make_soft_function(f: Mapping, g: Mapping, source: SoftSet, target: SoftSet)
             raise ConstraintError(
                 f"soft-function compatibility fails at parameter {w!r}", witness=w
             )
-    f_inj = len(set(fpos)) == len(fpos)
-    g_inj = len(set(gpos)) == len(gpos)
-    f_sur = len(set(fpos)) == len(target.universe)
-    g_sur = len(set(gpos)) == len(target.parameters)
-    return SoftFunction(
-        dict(f),
-        dict(g),
-        source,
-        target,
-        injective=f_inj and g_inj,
-        surjective=f_sur and g_sur,
-        bijective=f_inj and g_inj and f_sur and g_sur,
-    )
+    return SoftFunction(dict(f), dict(g), source, target)
 
 
 def compose_soft_functions(first: SoftFunction, second: SoftFunction) -> SoftFunction:
@@ -309,7 +312,7 @@ def compose_soft_functions(first: SoftFunction, second: SoftFunction) -> SoftFun
 def soft_image(sf: SoftFunction) -> SoftSet:
     """Over the target parameters: at y, the union of f(value(w)) over the
     fiber g(w) == y; empty off the image of g."""
-    fpos, gpos = _soft_positions(sf.f, sf.g, sf.source, sf.target)
+    fpos, gpos = sf._positions
     masks = [0] * len(sf.target.parameters)
     for m, y in zip(sf.source.masks, gpos):
         masks[y] |= _image_mask(fpos, m)

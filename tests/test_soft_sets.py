@@ -4,6 +4,7 @@ from softgamma import (
     ConstraintError,
     DomainError,
     InputError,
+    SoftFunction,
     SoftSet,
     TernaryRelation,
     and_intersect,
@@ -233,6 +234,27 @@ class TestSoftFunctions:
         target = ss(("y",), {"y": ["0"]})
         sf = make_soft_function({"0": "0", "1": "0", "2": "2"}, {"w": "y"}, source, target)
         assert not sf.injective
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            ({v: v for v in U}, {"a": "a", "b": "b"}),
+            ({"0": "0", "1": "0", "2": "2"}, {"a": "a", "b": "b"}),
+            ({v: v for v in U}, {"a": "a", "b": "a"}),
+        ],
+        ids=["identity", "collapsing-f", "collapsing-g"],
+    )
+    def test_direct_construction_reports_the_validated_flags(self, f, g):
+        source = ss(("a", "b"), {})
+        target = ss(("a", "b"), {})
+        direct = SoftFunction(f, g, source, target)
+        made = make_soft_function(f, g, source, target)
+        assert (direct.injective, direct.surjective, direct.bijective) == (
+            made.injective,
+            made.surjective,
+            made.bijective,
+        )
+        assert direct.bijective == (f == {v: v for v in U} and g == {"a": "a", "b": "b"})
 
     def test_missing_image_point_is_a_constraint_error(self):
         source = ss(("w",), {"w": ["0", "1"]})
