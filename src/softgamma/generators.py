@@ -71,18 +71,25 @@ def _matmul(a, a_shape, b, b_shape, p):
     return tuple(out)
 
 
+# the largest matrix carrier: weak validation of the 27-element
+# make_matrix_gamma(3, 1, 3) takes about 1.6 s, of an 81-element one minutes
+MAX_MATRIX_CARRIER = 27
+
+
 def make_matrix_gamma(p: int, rows: int, cols: int) -> GammaSemiring:
     """All rows x cols matrices over the field of p elements, entrywise +.
 
     The gamma set is all cols x rows matrices and the product is the matrix
     product W·alpha·Y mod p.  Labels are row-major digit strings.  Bounded to
-    p <= 3 and rows*cols <= 4 to keep the tables at desk scale.
+    p <= 3 and p**(rows*cols) <= MAX_MATRIX_CARRIER elements, which
+    check_gamma_semiring validates in seconds.
     """
     if _count(p, "p", 2) > 3:
         raise InputError(f"p must be a prime at most 3, got {p!r}")
     k = _count(rows, "rows") * _count(cols, "cols")
-    if k > 4:
-        raise SizeLimitError(f"matrix carrier refused: rows*cols = {k} exceeds 4")
+    # p >= 2, so p**k exceeds the bound exactly when p**min(k, bound) does
+    if p ** min(k, MAX_MATRIX_CARRIER) > MAX_MATRIX_CARRIER:
+        raise SizeLimitError(f"matrix carrier refused: {p}**{k} elements exceed {MAX_MATRIX_CARRIER}")
 
     # a cols x rows gamma matrix has as many entries as a rows x cols carrier
     # matrix, so one list of flat p-ary tuples serves both
