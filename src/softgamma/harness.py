@@ -49,9 +49,10 @@ from .errors import DomainError, GenerationError, InputError
 from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma, product_gamma
 from .reports import TheoremVerdict, Witness
 from .soft_gamma import (
+    _TRIVIAL_WHOLE_FLAGS,
     _trivial_whole_conclusion,
     _trivial_whole_gates,
-    check_trivial_whole_theorem,
+    _trivial_whole_hypothesis,
     is_soft_gamma_semiring,
     soft_image_under_hom,
     soft_preimage_under_hom,
@@ -550,20 +551,16 @@ def _check_hom_transport(inst: Instance) -> Outcome:
 def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
     operation = f"trivial-whole-{case}"
     hom, member = inst.hom, inst.soft_sets[0]
-    if enforce:
-        verdict = check_trivial_whole_theorem(hom, member, case)
-        if verdict.vacuous:
-            return _VACUOUS
-        if verdict.passes:
-            return _PASS
-        return "fail", lambda: _dump(inst, operation, [member], extra=verdict.counterexample)
-    # hypothesis dropped: evaluate the conclusion directly
     if not _trivial_whole_gates(hom, member, case):
+        return _VACUOUS
+    if enforce and not _trivial_whole_hypothesis(hom, member, case):
         return _VACUOUS
     result, ok = _trivial_whole_conclusion(hom, member, case)
     if ok:
         return _PASS
-    return "fail", lambda: _dump(inst, operation, [member], result)
+    # an enforced failure names the broken conclusion; a dropped one shows the result
+    extra = {_TRIVIAL_WHOLE_FLAGS[case]: True} if enforce else None
+    return "fail", lambda: _dump(inst, operation, [member], None if enforce else result, extra=extra)
 
 
 # the drop-hypothesis family that four rows of the necessity column share

@@ -136,6 +136,21 @@ def _trivial_whole_gates(hom: GammaHom, ss: SoftSet, case: str) -> bool:
     return case != "iv" or (src.zero is not None and tgt.zero is not None)
 
 
+def _trivial_whole_hypothesis(hom: GammaHom, ss: SoftSet, case: str) -> bool:
+    """Whether ss, a soft gamma-semiring past the gates, meets the hypothesis
+    of T3.17 case (see check_trivial_whole_theorem)."""
+    src, tgt = hom.source, hom.target
+    if case == "i":
+        ker_mask = src.subset_mask(kernel(hom))
+        return ker_mask != 0 and all(m == ker_mask for m in ss.masks) and bool(is_soft_gamma_semiring(src, ss))
+    if case == "ii":
+        return hom.surjective and is_whole_soft(src, ss) and bool(is_soft_gamma_semiring(src, ss))
+    if case == "iii":
+        f_s = hom.image_mask(src.full_mask)
+        return all(m == f_s for m in ss.masks) and bool(is_soft_gamma_semiring(tgt, ss))
+    return hom.injective and is_trivial_soft(tgt, ss) and bool(is_soft_gamma_semiring(tgt, ss))
+
+
 def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> TheoremVerdict:
     """Check one of the four kernel/whole/image/trivial transport statements.
 
@@ -147,28 +162,7 @@ def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> Theore
     The verdict is vacuous when a gate or the case hypothesis does not hold.
     """
     theorem = f"T3.17{case}"
-    if not _trivial_whole_gates(hom, ss, case):
-        return _single_verdict(theorem, "vacuous")
-    src, tgt = hom.source, hom.target
-    if case == "i":
-        ker_mask = src.subset_mask(kernel(hom))
-        hyp = (
-            ker_mask != 0
-            and all(m == ker_mask for m in ss.masks)
-            and bool(is_soft_gamma_semiring(src, ss))
-        )
-    elif case == "ii":
-        hyp = (
-            hom.surjective
-            and is_whole_soft(src, ss)
-            and bool(is_soft_gamma_semiring(src, ss))
-        )
-    elif case == "iii":
-        f_s = hom.image_mask(src.full_mask)
-        hyp = all(m == f_s for m in ss.masks) and bool(is_soft_gamma_semiring(tgt, ss))
-    else:
-        hyp = hom.injective and is_trivial_soft(tgt, ss) and bool(is_soft_gamma_semiring(tgt, ss))
-    if not hyp:
+    if not _trivial_whole_gates(hom, ss, case) or not _trivial_whole_hypothesis(hom, ss, case):
         return _single_verdict(theorem, "vacuous")
     _, ok = _trivial_whole_conclusion(hom, ss, case)
     if ok:
