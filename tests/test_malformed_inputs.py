@@ -303,6 +303,7 @@ COUNT_SLOTS = {
     "matrix-rows": lambda v: make_matrix_gamma(2, v, 1),
     "matrix-cols": lambda v: make_matrix_gamma(2, 1, v),
     "product-arity": lambda v: product_gamma(Z2, v),
+    "spec-size": lambda v: generate_instance(InstanceSpec(generator="zn", size=(v,))),
     "family_size": lambda v: generate_instance(InstanceSpec(generator="zn", size=(2,), family_size=v)),
     "trials": lambda v: fuzz_theorem("T3.4", v),
 }
