@@ -24,7 +24,8 @@ from .errors import ConstraintError, DomainError, InputError
 from .reports import PASSED, Witness
 
 
-# init=False: the one __init__ checks each field before it sets it once
+# init=False: __init__ checks each field and then sets it, once; a generated
+# __init__ would set every field before __post_init__ could check it
 @dataclass(frozen=True, init=False)
 class SoftSet:
     universe: tuple[Label, ...]
