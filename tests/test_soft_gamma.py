@@ -27,7 +27,7 @@ from softgamma import (
     support,
 )
 from softgamma.algebra import GammaSemiring
-from softgamma.harness import _LAWS, Instance
+from softgamma.harness import _LAWS, Instance, InstanceSpec, check_theorem, generate_instance
 
 
 def soft_over(gs, params, values):
@@ -213,6 +213,24 @@ class TestTrivialWholeTheorem:
         ss = soft_over(mod4.source, ("a",), {"a": ["0"]})
         with pytest.raises(InputError):
             check_trivial_whole_theorem(mod4, ss, "v")
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+    def test_counts_match_check_theorem_on_generated_instances(self, case):
+        # odd seeds drop the hypothesis policies, so vacuous verdicts occur too
+        law = _LAWS[f"T3.17{case}"]
+        counts = {"wrapper": [0, 0, 0], "harness": [0, 0, 0]}
+        for seed in range(50):
+            inst = generate_instance(law.spec(InstanceSpec(seed=seed), drop=seed % 2 == 1))
+            for key, verdict in (
+                ("wrapper", check_trivial_whole_theorem(inst.hom, inst.soft_sets[0], case)),
+                ("harness", check_theorem(f"T3.17{case}", inst)),
+            ):
+                tally = counts[key]
+                tally[0] += verdict.passes
+                tally[1] += verdict.vacuous
+                tally[2] += verdict.failures
+        assert counts["wrapper"] == counts["harness"]
+        assert sum(counts["harness"]) == 50
 
 
 class TestSoftSubRelation:
