@@ -32,13 +32,13 @@ from .harness import (
     NECESSITY_TEMPLATES,
     InstanceSpec,
     check_theorem,
+    check_trivial_whole_theorem,
     fuzz_theorem,
     generate_instance,
 )
 from .reports import AxiomReport, TheoremVerdict, Violation, Witness
 from .soft_gamma import (
     SoftGammaSemiring,
-    check_trivial_whole_theorem,
     is_soft_gamma_homomorphism,
     is_soft_gamma_semiring,
     is_soft_sub_gamma_semiring,

@@ -49,11 +49,10 @@ from .errors import DomainError, GenerationError, InputError
 from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma, product_gamma
 from .reports import TheoremVerdict, Witness
 from .soft_gamma import (
-    _TRIVIAL_WHOLE_FLAGS,
-    _trivial_whole_conclusion,
-    _trivial_whole_gates,
-    _trivial_whole_hypothesis,
+    _require_carrier,
     is_soft_gamma_semiring,
+    is_trivial_soft,
+    is_whole_soft,
     soft_image_under_hom,
     soft_preimage_under_hom,
 )
@@ -548,19 +547,57 @@ def _check_hom_transport(inst: Instance) -> Outcome:
     return _PASS if applicable else _VACUOUS
 
 
+# the conclusion of T3.17 case that an enforced failure names
+_TRIVIAL_WHOLE_FLAGS = {
+    "i": "image_not_trivial",
+    "ii": "image_not_whole",
+    "iii": "preimage_not_whole",
+    "iv": "preimage_not_trivial",
+}
+
+
 def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
-    operation = f"trivial-whole-{case}"
+    """T3.17 case on the first member, a soft set over the homomorphism's
+    source in cases i and ii and over its target in cases iii and iv:
+
+    case i:   all values equal ker(f)      -> image is the trivial soft set.
+    case ii:  f onto, input whole          -> image is whole.
+    case iii: all values equal f(carrier)  -> preimage is whole.
+    case iv:  f injective, input trivial   -> preimage is trivial.
+
+    Each hypothesis also asks the member, and each conclusion the result, to
+    be a soft gamma-semiring.  Vacuous when the member is null, when case iv
+    finds no zero on both sides, or, enforced, when the hypothesis does not
+    hold.  A member off the case's carrier is an InputError.
+    """
     hom, member = inst.hom, inst.soft_sets[0]
-    if not _trivial_whole_gates(hom, member, case):
+    forward = case in ("i", "ii")
+    side, other = (hom.source, hom.target) if forward else (hom.target, hom.source)
+    _require_carrier(side, member)
+    if member.is_null() or case == "iv" and (side.zero is None or other.zero is None):
         return _VACUOUS
-    if enforce and not _trivial_whole_hypothesis(hom, member, case):
-        return _VACUOUS
-    result, ok = _trivial_whole_conclusion(hom, member, case)
-    if ok:
+    if enforce:
+        if case == "i":
+            ker_mask = side.subset_mask(kernel(hom))
+            held = ker_mask != 0 and all(m == ker_mask for m in member.masks)
+        elif case == "ii":
+            held = hom.surjective and is_whole_soft(side, member)
+        elif case == "iii":
+            image = hom.image_mask(other.full_mask)
+            held = all(m == image for m in member.masks)
+        else:
+            held = hom.injective and is_trivial_soft(side, member)
+        if not held or not is_soft_gamma_semiring(side, member):
+            return _VACUOUS
+    result = soft_image_under_hom(hom, member) if forward else soft_preimage_under_hom(hom, member)
+    shape = is_trivial_soft if case in ("i", "iv") else is_whole_soft
+    if shape(other, result) and is_soft_gamma_semiring(other, result):
         return _PASS
     # an enforced failure names the broken conclusion; a dropped one shows the result
     extra = {_TRIVIAL_WHOLE_FLAGS[case]: True} if enforce else None
-    return "fail", lambda: _dump(inst, operation, [member], None if enforce else result, extra=extra)
+    return "fail", lambda: _dump(
+        inst, f"trivial-whole-{case}", [member], None if enforce else result, extra=extra
+    )
 
 
 # the drop-hypothesis family that four rows of the necessity column share
@@ -656,6 +693,14 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
     if not instance.soft_sets and (law.reads == 1 or law.conclusion in ("hom-transport", "trivial-whole")):
         raise InputError(f"{theorem_id} reads a member, and the instance has none")
     return _verdict(theorem_id, [(0, instance.spec, law.evaluate(instance, True))])
+
+
+def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> TheoremVerdict:
+    """check_theorem for T3.17 case (one of i, ii, iii, iv; see
+    _check_trivial_whole) on ss, a soft set over the source of hom in cases i
+    and ii and over its target in cases iii and iv."""
+    spec = InstanceSpec(target_side=case in ("iii", "iv"))
+    return check_theorem(f"T3.17{case}", Instance(hom.source, [ss], hom=hom, spec=spec))
 
 
 def fuzz_theorem(

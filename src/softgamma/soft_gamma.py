@@ -10,9 +10,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .algebra import GammaHom, GammaSemiring, gamma_hom, kernel, sub_gamma_witness_mask
+from .algebra import GammaHom, GammaSemiring, gamma_hom, sub_gamma_witness_mask
 from .errors import ConstraintError, DomainError, InputError
-from .reports import PASSED, TheoremVerdict, Witness
+from .reports import PASSED, Witness
 from .soft_sets import SoftSet, _subset_witness
 
 
@@ -66,23 +66,10 @@ def is_whole_soft(gs: GammaSemiring, ss: SoftSet) -> bool:
     return all(m == gs.full_mask for m in ss.masks)
 
 
-def soft_image_under_hom(hom: GammaHom, ss: SoftSet, onto: bool = False) -> SoftSet:
-    """Pointwise image of every value, same parameters, over the target carrier.
-
-    With onto=True the homomorphism must be surjective, and when the input is
-    a soft gamma-semiring the output must be one too: ConstraintError, with
-    the closure witness, when it is not (the map then does not preserve the
-    operations).
-    """
+def soft_image_under_hom(hom: GammaHom, ss: SoftSet) -> SoftSet:
+    """Pointwise image of every value, same parameters, over the target carrier."""
     _require_carrier(hom.source, ss)
-    if onto and not hom.surjective:
-        raise InputError("onto flag set but the homomorphism is not surjective")
-    out = SoftSet(hom.target.elements, ss.parameters, tuple(hom.image_mask(m) for m in ss.masks))
-    if onto and is_soft_gamma_semiring(hom.source, ss):
-        w = is_soft_gamma_semiring(hom.target, out)
-        if not w:
-            raise ConstraintError("surjective image lost closure", witness=w)
-    return out
+    return SoftSet(hom.target.elements, ss.parameters, tuple(hom.image_mask(m) for m in ss.masks))
 
 
 def soft_preimage_under_hom(hom: GammaHom, ss: SoftSet) -> SoftSet:
@@ -91,83 +78,6 @@ def soft_preimage_under_hom(hom: GammaHom, ss: SoftSet) -> SoftSet:
     return SoftSet(
         hom.source.elements, ss.parameters, tuple(hom.preimage_mask(m) for m in ss.masks)
     )
-
-
-def _single_verdict(theorem: str, outcome: str, counterexample: dict | None = None) -> TheoremVerdict:
-    return TheoremVerdict(
-        theorem=theorem,
-        trials=1,
-        passes=1 if outcome == "pass" else 0,
-        vacuous=1 if outcome == "vacuous" else 0,
-        failures=1 if outcome == "fail" else 0,
-        counterexample=counterexample,
-    )
-
-
-_TRIVIAL_WHOLE_FLAGS = {
-    "i": "image_not_trivial",
-    "ii": "image_not_whole",
-    "iii": "preimage_not_whole",
-    "iv": "preimage_not_trivial",
-}
-
-
-def _trivial_whole_conclusion(hom: GammaHom, ss: SoftSet, case: str) -> tuple[SoftSet, bool]:
-    """The conclusion of T3.17 case: the image (i, ii) or preimage (iii, iv)
-    of ss is trivial (i, iv) or whole (ii, iii), and a soft gamma-semiring."""
-    if case in ("i", "ii"):
-        result, gs = soft_image_under_hom(hom, ss), hom.target
-    else:
-        result, gs = soft_preimage_under_hom(hom, ss), hom.source
-    shape = is_trivial_soft if case in ("i", "iv") else is_whole_soft
-    return result, shape(gs, result) and bool(is_soft_gamma_semiring(gs, result))
-
-
-def _trivial_whole_gates(hom: GammaHom, ss: SoftSet, case: str) -> bool:
-    """Whether T3.17 case passes its structural gates: the soft set is
-    non-null and, in case iv, both sides designate a zero.  An unknown case or
-    a soft set off the case's carrier is an InputError, checked first."""
-    if case not in ("i", "ii", "iii", "iv"):
-        raise InputError(f"case must be one of i, ii, iii, iv, got {case!r}")
-    src, tgt = hom.source, hom.target
-    _require_carrier(src if case in ("i", "ii") else tgt, ss)
-    if ss.is_null():
-        return False
-    return case != "iv" or (src.zero is not None and tgt.zero is not None)
-
-
-def _trivial_whole_hypothesis(hom: GammaHom, ss: SoftSet, case: str) -> bool:
-    """Whether ss, a soft gamma-semiring past the gates, meets the hypothesis
-    of T3.17 case (see check_trivial_whole_theorem)."""
-    src, tgt = hom.source, hom.target
-    if case == "i":
-        ker_mask = src.subset_mask(kernel(hom))
-        return ker_mask != 0 and all(m == ker_mask for m in ss.masks) and bool(is_soft_gamma_semiring(src, ss))
-    if case == "ii":
-        return hom.surjective and is_whole_soft(src, ss) and bool(is_soft_gamma_semiring(src, ss))
-    if case == "iii":
-        f_s = hom.image_mask(src.full_mask)
-        return all(m == f_s for m in ss.masks) and bool(is_soft_gamma_semiring(tgt, ss))
-    return hom.injective and is_trivial_soft(tgt, ss) and bool(is_soft_gamma_semiring(tgt, ss))
-
-
-def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> TheoremVerdict:
-    """Check one of the four kernel/whole/image/trivial transport statements.
-
-    case i:   all values equal ker(f)      -> image is the trivial soft set.
-    case ii:  f onto, input whole          -> image is whole.
-    case iii: all values equal f(carrier)  -> preimage is whole.
-    case iv:  f injective, input trivial   -> preimage is trivial.
-    Cases i/ii read the soft set over the source, iii/iv over the target.
-    The verdict is vacuous when a gate or the case hypothesis does not hold.
-    """
-    theorem = f"T3.17{case}"
-    if not _trivial_whole_gates(hom, ss, case) or not _trivial_whole_hypothesis(hom, ss, case):
-        return _single_verdict(theorem, "vacuous")
-    _, ok = _trivial_whole_conclusion(hom, ss, case)
-    if ok:
-        return _single_verdict(theorem, "pass")
-    return _single_verdict(theorem, "fail", {_TRIVIAL_WHOLE_FLAGS[case]: True})
 
 
 def is_soft_sub_gamma_semiring(gs: GammaSemiring, inner: SoftSet, outer: SoftSet) -> Witness:

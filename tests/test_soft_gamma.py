@@ -3,7 +3,6 @@ import random
 import pytest
 
 from softgamma import (
-    ConstraintError,
     DomainError,
     GammaHom,
     InputError,
@@ -26,6 +25,7 @@ from softgamma import (
     soft_preimage_under_hom,
     support,
 )
+from softgamma import files
 from softgamma.algebra import GammaSemiring
 from softgamma.harness import _LAWS, Instance, InstanceSpec, check_theorem, generate_instance
 
@@ -117,27 +117,20 @@ class TestHomImagePreimage:
         ss = soft_over(gs, ("a",), {"a": ["1", "3"]})
         assert soft_image_under_hom(hom, ss).value("a") == ("0",)
 
-    def test_onto_flag_requires_surjectivity(self):
-        gs = make_zn_gamma(4, (1, 2))
-        hom = gamma_hom(gs, gs, {e: "0" for e in gs.elements})
-        ss = soft_over(gs, ("a",), {"a": ["0"]})
-        with pytest.raises(InputError):
-            soft_image_under_hom(hom, ss, onto=True)
-
-    def test_onto_image_of_soft_gamma_semiring_stays_one(self, mod4):
+    def test_surjective_image_of_soft_gamma_semiring_stays_one(self, mod4):
         ss = soft_over(mod4.source, ("a",), {"a": ["0", "4"]})
-        out = soft_image_under_hom(mod4, ss, onto=True)
-        assert is_soft_gamma_semiring(mod4.target, out)
+        verdict = check_theorem("L3.16", Instance(mod4.source, [ss], hom=mod4))
+        assert verdict.passes == 1
 
-    def test_onto_image_that_loses_closure_is_a_constraint_error(self, z8):
+    def test_image_that_loses_closure_fails_l316(self, z8):
         # shape-valid but no homomorphism: swapping 2 and 3 maps the closed
         # value {0, 2, 4, 6} onto {0, 3, 4, 6}, which is not closed under +
         swap = GammaHom(z8, z8, (0, 1, 3, 2, 4, 5, 6, 7))
         ss = soft_over(z8, ("a",), {"a": ["0", "2", "4", "6"]})
-        with pytest.raises(ConstraintError) as info:
-            soft_image_under_hom(swap, ss, onto=True)
-        assert not info.value.witness
-        assert info.value.witness.failing_parameter == "a"
+        verdict = check_theorem("L3.16", Instance(z8, [ss], hom=swap))
+        assert verdict.failures == 1
+        assert verdict.counterexample["operation"] == "hom-image"
+        assert verdict.counterexample["violation"]["failing_parameter"] == "a"
 
     def test_identity_preimage_is_a_copy(self, z8, z8_soft):
         assert soft_equal(soft_preimage_under_hom(identity_hom(z8), z8_soft), z8_soft)
@@ -211,8 +204,33 @@ class TestTrivialWholeTheorem:
 
     def test_unknown_case_is_an_input_error(self, mod4):
         ss = soft_over(mod4.source, ("a",), {"a": ["0"]})
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="unknown theorem id 'T3.17v'"):
             check_trivial_whole_theorem(mod4, ss, "v")
+
+    def test_case_iv_failure_is_the_harness_document(self, z8):
+        # swapping 0 and 1 is injective but no homomorphism: the preimage of
+        # the trivial value {0} is {1}
+        swap = GammaHom(z8, z8, (1, 0, 2, 3, 4, 5, 6, 7))
+        ss = soft_over(z8, ("y",), {"y": ["0"]})
+        verdict = check_trivial_whole_theorem(swap, ss, "iv")
+        assert verdict.failures == 1
+        doc = verdict.counterexample
+        assert doc["preimage_not_trivial"] is True
+        assert doc["members"] == [files.soft_set_to_doc(ss)]
+        assert doc["hom"] == files.hom_to_doc(swap)
+        assert doc["structure"] == files.structure_to_doc(z8, name="custom")
+        assert doc["members_over"] == "target"
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
+    def test_wrapper_equals_check_theorem_on_the_wrapped_instance(self, z8, case):
+        swap = GammaHom(z8, z8, (1, 0, 2, 3, 4, 5, 6, 7))
+        for hom in (swap, identity_hom(z8)):
+            for values in (["0"], list(z8.elements), ["0", "4"]):
+                ss = soft_over(z8, ("y",), {"y": values})
+                spec = InstanceSpec(target_side=case in ("iii", "iv"))
+                assert check_trivial_whole_theorem(hom, ss, case) == check_theorem(
+                    f"T3.17{case}", Instance(z8, [ss], hom=hom, spec=spec)
+                )
 
     @pytest.mark.parametrize("case", ["i", "ii", "iii", "iv"])
     def test_counts_match_check_theorem_on_generated_instances(self, case):
