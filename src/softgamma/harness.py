@@ -40,6 +40,7 @@ from . import files
 from .algebra import (
     GammaHom,
     GammaSemiring,
+    _collection,
     _count,
     gamma_hom,
     identity_hom,
@@ -152,14 +153,24 @@ def _resolve_descriptor(spec: InstanceSpec, rng: random.Random) -> tuple:
     kind = spec.generator
     if kind == "mix":
         kind = rng.choice(("zn", "minmax", "matrix"))
+    size = _collection(spec.size, "spec size")
     if kind in ("zn", "minmax"):
-        n = _count(spec.size[0], "n") if spec.size else rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
-        gamma = tuple(spec.gamma) if spec.gamma else _random_gamma(rng, n)
-        return (kind, n, gamma)
-    if kind == "matrix":
-        p, rows, cols = spec.size if spec.size else (2, 1, 2)
-        return ("matrix", p, rows, cols)
-    raise InputError(f"unknown generator {spec.generator!r}")
+        if len(size) > 1:
+            raise InputError(f"a {kind} spec size is at most one count, got {spec.size!r}")
+        n = _count(size[0], "n") if size else rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
+        # entries are checked when the structure is built, on a cache miss
+        descriptor = (kind, n, _collection(spec.gamma, "spec gamma") or _random_gamma(rng, n))
+    elif kind == "matrix":
+        if len(size) not in (0, 3):
+            raise InputError(f"a matrix spec size is empty or three counts, got {spec.size!r}")
+        descriptor = ("matrix", *(size or (2, 1, 2)))
+    else:
+        raise InputError(f"unknown generator {spec.generator!r}")
+    try:
+        hash(descriptor)
+    except TypeError:
+        raise InputError(f"spec size and gamma entries must be hashable, got {descriptor!r}") from None
+    return descriptor
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -696,9 +707,8 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
 
 
 def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> TheoremVerdict:
-    """check_theorem for T3.17 case (one of i, ii, iii, iv; see
-    _check_trivial_whole) on ss, a soft set over the source of hom in cases i
-    and ii and over its target in cases iii and iv."""
+    """check_theorem for T3.17 case (i, ii, iii or iv; see _check_trivial_whole)
+    on ss, a soft set over the source of hom in cases i and ii, its target in iii and iv."""
     spec = InstanceSpec(target_side=case in ("iii", "iv"))
     return check_theorem(f"T3.17{case}", Instance(hom.source, [ss], hom=hom, spec=spec))
 

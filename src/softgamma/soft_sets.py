@@ -207,30 +207,19 @@ def cartesian_product(family: Sequence[SoftSet]) -> SoftSet:
     fam = list(family)
     if not fam:
         raise InputError("family of soft sets must be nonempty")
-    universes = [m.universe for m in fam]
-    dims = [len(u) for u in universes]
-    universe = tuple(iproduct(*universes))
+    universe = tuple(iproduct(*[m.universe for m in fam]))
     params = tuple(iproduct(*[m.parameters for m in fam]))
     masks = []
     for combo in params:
-        factor_bits = []
-        empty = False
+        # row-major: point t of the product so far owns block t of the next one
+        prev = 1
         for m, y in zip(fam, combo):
-            fm = m.mask(y)
-            if fm == 0:
-                empty = True
-                break
-            factor_bits.append(list(iter_bits(fm)))
-        if empty:
-            masks.append(0)
-            continue
-        v = 0
-        for poss in iproduct(*factor_bits):
-            idx = 0
-            for d, p in zip(dims, poss):
-                idx = idx * d + p
-            v |= 1 << idx
-        masks.append(v)
+            mask, width = m.mask(y), len(m.universe)
+            box = 0
+            for t in iter_bits(prev):
+                box |= mask << t * width
+            prev = box
+        masks.append(prev)
     return SoftSet(universe, params, tuple(masks))
 
 
@@ -343,8 +332,9 @@ class TernaryRelation:
     def __post_init__(self):
         parameters = _labels(self.parameters, "relation parameter")
         gamma = _entries(_labels(self.gamma, "relation gamma"), None, "relation gamma set")
+        rows = _collection(self.triples, "relation triples")
         try:
-            triples = frozenset(tuple(t) for t in self.triples)
+            triples = frozenset(_collection(t, "relation triple") for t in rows)
         except TypeError:
             raise InputError("relation triples must be a collection of hashable triples") from None
         pset, gset = set(parameters), set(gamma)

@@ -5,6 +5,7 @@ the definitions and compared pointwise; any representation bug in the mask
 layer shows up as a value mismatch.
 """
 
+import itertools
 import random
 
 import pytest
@@ -38,14 +39,18 @@ MINMAX4 = make_minmax_gamma(4, (2, 3))
 
 
 @st.composite
-def soft_sets(draw):
+def soft_sets(draw, universe=UNIVERSE):
     size = draw(st.integers(min_value=1, max_value=len(POOL)))
     idxs = draw(
         st.lists(st.integers(min_value=0, max_value=len(POOL) - 1), min_size=size, max_size=size, unique=True)
     )
     params = tuple(POOL[i] for i in sorted(idxs))
-    masks = tuple(draw(st.integers(min_value=0, max_value=15)) for _ in params)
-    return SoftSet(UNIVERSE, params, masks)
+    masks = tuple(draw(st.integers(min_value=0, max_value=2 ** len(universe) - 1)) for _ in params)
+    return SoftSet(universe, params, masks)
+
+
+# product factors of different sizes, so a row-major indexing slip shows
+MIXED_UNIVERSES = (UNIVERSE, ("x", "y"), ("0", "1", "2"), ("p",))
 
 
 def as_dict(ss):
@@ -87,6 +92,23 @@ def test_binary_operations_match_plain_set_semantics(ab):
         (w, y): {(x, z) for x in da[w] for z in db[y]}
         for w in a.parameters
         for y in b.parameters
+    }
+
+
+@given(
+    family=st.lists(
+        st.sampled_from(MIXED_UNIVERSES).flatmap(lambda universe: soft_sets(universe)),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_cartesian_product_of_up_to_three_mixed_factors_matches_the_comprehension(family):
+    values = [as_dict(m) for m in family]
+    out = cartesian_product(family)
+    assert out.universe == tuple(itertools.product(*[m.universe for m in family]))
+    assert as_dict(out) == {
+        combo: set(itertools.product(*[v[y] for v, y in zip(values, combo)]))
+        for combo in itertools.product(*[m.parameters for m in family])
     }
 
 

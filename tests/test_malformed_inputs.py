@@ -206,6 +206,7 @@ COLLECTION_SLOTS = {
     "parameters": lambda v: SoftSet(U, v, (0,)),
     "relation-parameters": lambda v: TernaryRelation(v, ("1",), EMPTY),
     "relation-gamma": lambda v: TernaryRelation(("w",), v, EMPTY),
+    "relation-triple": lambda v: TernaryRelation(("w",), ("1",), [v]),
     "relative-null-parameters": lambda v: relative_null(U, v),
     "preimage-parameters": lambda v: soft_preimage(IDENTITY_F, IDENTITY_G, SOURCE, v),
 }
@@ -227,6 +228,8 @@ COLLECTION_DOCS = {
 BAD_COLLECTIONS = {
     "int": 5,
     "str": "01",
+    # a valid relation triple's three labels, spelled as one string
+    "str-triple": "w10",
     "unhashable": [["a"]],
     "repeated": ["0", "0"],
     "dict": {"0": 1},
@@ -248,7 +251,10 @@ def _bad_collection(bad: str):
 
 def test_valid_collections_build():
     for slot, build in COLLECTION_SLOTS.items():
-        build(("1",) if slot in GAMMA_SLOTS else ("w",) if "param" in slot else U)
+        if slot == "relation-triple":
+            build(("w", "1", "0"))
+        else:
+            build(("1",) if slot in GAMMA_SLOTS else ("w",) if "param" in slot else U)
 
 
 @pytest.mark.parametrize("slot,bad", COLLECTION_CASES)
@@ -322,3 +328,19 @@ def test_valid_counts_build():
 def test_count_raises_input_error(slot, bad):
     with pytest.raises(InputError):
         COUNT_SLOTS[slot](BAD_COUNTS[bad])
+
+
+# spec fields whose shape is wrong before any count or label is read
+BAD_SPECS = {
+    "gamma-int": InstanceSpec(generator="zn", size=(4,), gamma=5),
+    "gamma-unhashable": InstanceSpec(generator="zn", size=(4,), gamma=[[1]]),
+    "size-int": InstanceSpec(generator="zn", size=5),
+    "zn-two-counts": InstanceSpec(generator="zn", size=(4, 5)),
+    "matrix-one-count": InstanceSpec(generator="matrix", size=(2,)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SPECS)
+def test_malformed_spec_raises_input_error(name):
+    with pytest.raises(InputError):
+        generate_instance(BAD_SPECS[name])
