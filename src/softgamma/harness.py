@@ -577,9 +577,9 @@ def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
     case iv:  f injective, input trivial   -> preimage is trivial.
 
     Each hypothesis also asks the member, and each conclusion the result, to
-    be a soft gamma-semiring.  Vacuous when the member is null, when case iv
-    finds no zero on both sides, or, enforced, when the hypothesis does not
-    hold.  A member off the case's carrier is an InputError.
+    be a soft gamma-semiring.  Vacuous when the member is null, when in case
+    iv a side has no zero, or, enforced, when the hypothesis does not hold.
+    A member off the case's carrier is an InputError.
     """
     hom, member = inst.hom, inst.soft_sets[0]
     forward = case in ("i", "ii")
