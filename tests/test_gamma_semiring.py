@@ -1,3 +1,4 @@
+import random
 from itertools import product as iproduct
 
 import pytest
@@ -5,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from softgamma import (
     ConstraintError,
+    FiniteCommutativeSemigroup,
     GammaSemiring,
     InputError,
     SizeLimitError,
+    check_commutative_semigroup,
     check_gamma_semiring,
     make_matrix_gamma,
     make_minmax_gamma,
@@ -229,3 +232,128 @@ class TestStructuralValidation:
         report = check_gamma_semiring(gs, "weak")
         assert not report.passed
         assert report.violations[0].axiom == "zero-identity"
+
+
+def _first(axes, holds):
+    """The labels of the first index tuple, lexicographic over the ranges of
+    axes, at which holds is false; None when it holds everywhere."""
+    for index in iproduct(*(range(len(axis)) for axis in axes)):
+        labels = tuple(axis[i] for axis, i in zip(axes, index))
+        if not holds(*labels):
+            return labels
+    return None
+
+
+def _reference_violations(gs, mode):
+    """(axiom, witness) pairs of the README definitions, in report order, each
+    identity written out on labels and scanned independently of algebra.py."""
+    E, G = gs.elements, gs.gamma_elements
+    pos = {e: i for i, e in enumerate(E)}
+    gpos = {g: i for i, g in enumerate(G)}
+
+    def add(x, y):
+        return E[gs.s.add_table[pos[x]][pos[y]]]
+
+    def mul(x, g, y):
+        return E[gs.product[pos[x]][gpos[g]][pos[y]]]
+
+    def gadd(g, h):
+        return gs.gamma_add[gpos[g]][gpos[h]]
+
+    found = [
+        ("s-commutativity", _first((E, E), lambda a, b: add(a, b) == add(b, a))),
+        ("s-associativity", _first((E, E, E), lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)))),
+    ]
+    if gs.zero is not None:
+        found.append(("zero-identity", _first((E,), lambda a: add(gs.zero, a) == a)))
+    if mode == "strict":
+        pair = _first((G, G), lambda g, h: gadd(g, h) in gpos)
+        found += [
+            ("gamma-closure", pair and (*pair, gadd(*pair))),
+            ("gamma-commutativity", _first((G, G), lambda g, h: gadd(g, h) == gadd(h, g))),
+            # only triples whose inner sums stay in gamma are judged
+            ("gamma-associativity", _first((G, G, G), lambda g, h, k: gadd(g, h) not in gpos
+                or gadd(h, k) not in gpos or gadd(gadd(g, h), k) == gadd(g, gadd(h, k)))),
+        ]
+    found += [
+        ("distributive-sum-left", _first((E, E, G, E), lambda a, b, g, c:
+            mul(add(a, b), g, c) == add(mul(a, g, c), mul(b, g, c)))),
+        ("distributive-sum-right", _first((E, G, E, E), lambda a, g, b, c:
+            mul(a, g, add(b, c)) == add(mul(a, g, b), mul(a, g, c)))),
+    ]
+    if mode == "strict":
+        found.append(("distributive-gamma", _first((E, G, G, E), lambda a, g, h, b:
+            gadd(g, h) not in gpos or mul(a, gadd(g, h), b) == add(mul(a, g, b), mul(a, h, b)))))
+    found.append(("product-associativity", _first((E, G, E, G, E), lambda a, g, b, h, c:
+        mul(a, g, mul(b, h, c)) == mul(mul(a, g, b), h, c))))
+    return [(axiom, w) for axiom, w in found if w is not None]
+
+
+def _reference_semigroup(elements, table):
+    pos = {e: i for i, e in enumerate(elements)}
+
+    def add(x, y):
+        return elements[table[pos[x]][pos[y]]]
+
+    E = elements
+    found = [
+        ("commutativity", _first((E, E), lambda a, b: add(a, b) == add(b, a))),
+        ("associativity", _first((E, E, E), lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)))),
+    ]
+    return [(axiom, w) for axiom, w in found if w is not None]
+
+
+def _mutant(gs, rng):
+    """gs with one to three random entries of its +, product or gamma-addition
+    tables changed (gamma sums may leave gamma), and maybe a moved or dropped zero."""
+    n, ng = gs.size, len(gs.gamma_elements)
+    add = [list(row) for row in gs.s.add_table]
+    prod = [[list(row) for row in layer] for layer in gs.product]
+    gadd = None if gs.gamma_add is None else [list(row) for row in gs.gamma_add]
+    for _ in range(rng.randint(1, 3)):
+        target = rng.choice(("add", "product", "gamma") if gadd is not None else ("add", "product"))
+        if target == "add":
+            add[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        elif target == "product":
+            prod[rng.randrange(n)][rng.randrange(ng)][rng.randrange(n)] = rng.randrange(n)
+        else:
+            gadd[rng.randrange(ng)][rng.randrange(ng)] = rng.choice((*gs.gamma_elements, "x", "y"))
+    zero = gs.zero
+    roll = rng.random()
+    if roll < 0.2:
+        zero = rng.choice(gs.elements)
+    elif roll < 0.3:
+        zero = None
+    return GammaSemiring(FiniteCommutativeSemigroup(gs.elements, add), gs.gamma_elements, gadd, prod, zero)
+
+
+REFERENCE_BASES = {
+    "z4-full": make_zn_gamma(4, (0, 1, 2, 3), strict=True),
+    "z8-even": make_zn_gamma(8, (2, 4, 6), strict=True),
+    "z6-weak": make_zn_gamma(6, (1, 3)),
+    "minmax5": make_minmax_gamma(5, (1, 2, 3)),
+    "matrix212": make_matrix_gamma(2, 1, 2),
+    "z2-squared": product_gamma(make_zn_gamma(2, (1,), strict=True), 2),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_BASES)
+def test_reports_match_an_independent_reference_scan_on_mutants(name):
+    # every report, weak, strict and semigroup, against the reference on
+    # seeded mutants; the unmutated structure comes first
+    base = REFERENCE_BASES[name]
+    rng = random.Random(name)
+    for trial in range(60):
+        gs = base if trial == 0 else _mutant(base, rng)
+        modes = ("weak", "strict") if gs.gamma_add is not None else ("weak",)
+        for mode in modes:
+            report = check_gamma_semiring(gs, mode)
+            expected = _reference_violations(gs, mode)
+            assert [(v.axiom, v.witness) for v in report.violations] == expected, (name, trial, mode)
+            assert (report.mode, report.passed) == (mode, not expected)
+        sg = check_commutative_semigroup(gs.elements, gs.s.add_table)
+        assert [(v.axiom, v.witness) for v in sg.violations] == _reference_semigroup(gs.elements, gs.s.add_table)
+        assert (sg.mode, sg.passed) == ("semigroup", not sg.violations)
+    if base.gamma_add is None:
+        with pytest.raises(InputError, match="gamma addition table"):
+            check_gamma_semiring(base, "strict")
