@@ -141,24 +141,51 @@ class FiniteCommutativeSemigroup:
         return len(self.elements)
 
 
-def _commutativity_witness(add) -> tuple[int, int] | None:
-    n = len(add)
+def _commutativity_witness(table) -> tuple[int, int] | None:
+    n = len(table)
     for i in range(n):
         for j in range(n):
-            if add[i][j] != add[j][i]:
+            if table[i][j] != table[j][i]:
                 return (i, j)
     return None
 
 
-def _associativity_witness(add) -> tuple[int, int, int] | None:
-    n = len(add)
+def _associativity_witness(table, rows: dict) -> tuple[int, int, int] | None:
+    """The first (i, j, k) with (i+j)+k != i+(j+k), each inner sum read as a
+    row through rows; triples with an inner sum outside rows are skipped."""
+    get = rows.get
+    n = len(table)
     for i in range(n):
+        row_i = table[i]
         for j in range(n):
-            ij = add[i][j]
+            ij = get(row_i[j])
+            if ij is None:
+                continue
+            row_ij, row_j = table[ij], table[j]
             for k in range(n):
-                if add[ij][k] != add[i][add[j][k]]:
+                jk = get(row_j[k])
+                if jk is not None and row_ij[k] != row_i[jk]:
                     return (i, j, k)
     return None
+
+
+def _labelled(labels, witness) -> tuple | None:
+    return None if witness is None else tuple(labels[i] for i in witness)
+
+
+def _semigroup_scans(prefix: str, table, labels, rows: dict) -> tuple:
+    """The commutativity and associativity (axiom, scan) pairs of a square
+    table over labels, its entries read as rows through rows."""
+    return (
+        (prefix + "commutativity", lambda: _labelled(labels, _commutativity_witness(table))),
+        (prefix + "associativity", lambda: _labelled(labels, _associativity_witness(table, rows))),
+    )
+
+
+def _report(mode: str, scans) -> AxiomReport:
+    """Run the ordered (axiom, scan) pairs; a scan returns its first witness or None."""
+    violations = tuple(Violation(axiom, w) for axiom, scan in scans if (w := scan()) is not None)
+    return AxiomReport(mode=mode, passed=not violations, violations=violations)
 
 
 def check_commutative_semigroup(elements, add_table) -> AxiomReport:
@@ -169,14 +196,8 @@ def check_commutative_semigroup(elements, add_table) -> AxiomReport:
     witness per axiom.
     """
     sg = FiniteCommutativeSemigroup(tuple(elements), add_table)
-    violations = []
-    w = _commutativity_witness(sg.add_table)
-    if w is not None:
-        violations.append(Violation("commutativity", (sg.elements[w[0]], sg.elements[w[1]])))
-    w = _associativity_witness(sg.add_table)
-    if w is not None:
-        violations.append(Violation("associativity", tuple(sg.elements[i] for i in w)))
-    return AxiomReport(mode="semigroup", passed=not violations, violations=tuple(violations))
+    rows = {i: i for i in range(len(sg))}
+    return _report("semigroup", _semigroup_scans("", sg.add_table, sg.elements, rows))
 
 
 @dataclass(frozen=True)
@@ -434,69 +455,26 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     """
     if mode not in ("weak", "strict"):
         raise InputError(f"mode must be 'weak' or 'strict', got {mode!r}")
-    if mode == "strict" and gs.gamma_add is None:
+    strict = mode == "strict"
+    if strict and gs.gamma_add is None:
         raise InputError("strict mode requires a gamma addition table")
 
     elems = gs.elements
     add = gs.s.add_table
     prod = gs.product
     gamma = gs.gamma_elements
+    gadd = gs.gamma_add
+    gpos = gs._gpos
     n = len(elems)
     ng = len(gamma)
-    violations: list[Violation] = []
 
-    w = _commutativity_witness(add)
-    if w is not None:
-        violations.append(Violation("s-commutativity", (elems[w[0]], elems[w[1]])))
-    w = _associativity_witness(add)
-    if w is not None:
-        violations.append(Violation("s-associativity", tuple(elems[i] for i in w)))
+    def zero_identity():
+        row = add[gs.s.pos(gs.zero)]
+        return next(((elems[i],) for i in range(n) if row[i] != i), None)
 
-    if gs.zero is not None:
-        z = gs.s.pos(gs.zero)
-        for i in range(n):
-            if add[z][i] != i:
-                violations.append(Violation("zero-identity", (elems[i],)))
-                break
-
-    if mode == "strict":
-        gadd = gs.gamma_add
-        gpos = gs._gpos
-
-        def gamma_closure():
-            for i in range(ng):
-                for j in range(ng):
-                    if gadd[i][j] not in gpos:
-                        return (gamma[i], gamma[j], gadd[i][j])
-            return None
-
-        def gamma_commutativity():
-            w = _commutativity_witness(gadd)
-            return None if w is None else (gamma[w[0]], gamma[w[1]])
-
-        def gamma_associativity():
-            # only triples whose intermediate sums stay inside the gamma set
-            for i in range(ng):
-                for j in range(ng):
-                    ij = gpos.get(gadd[i][j])
-                    if ij is None:
-                        continue
-                    for k in range(ng):
-                        jk = gpos.get(gadd[j][k])
-                        if jk is None:
-                            continue
-                        if gadd[ij][k] != gadd[i][jk]:
-                            return (gamma[i], gamma[j], gamma[k])
-            return None
-
-        for axiom, scan in (
-            ("gamma-closure", gamma_closure),
-            ("gamma-commutativity", gamma_commutativity),
-            ("gamma-associativity", gamma_associativity),
-        ):
-            witness = scan()
-            if witness is not None:
-                violations.append(Violation(axiom, witness))
+    def gamma_closure():
+        return next(((gamma[i], gamma[j], gadd[i][j]) for i in range(ng) for j in range(ng)
+                     if gadd[i][j] not in gpos), None)
 
     def sum_left():
         # (a+b) alpha c == a alpha c + b alpha c
@@ -522,8 +500,6 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
 
     def gamma_distributivity():
         # a (alpha+beta) b == a alpha b + a beta b, on pairs whose sum stays in gamma
-        gadd = gs.gamma_add
-        gpos = gs._gpos
         for a in range(n):
             for i in range(ng):
                 for j in range(ng):
@@ -548,16 +524,16 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
                                 return (elems[a], gamma[g], elems[b], gamma[h], elems[c])
         return None
 
-    scans = [("distributive-sum-left", sum_left), ("distributive-sum-right", sum_right)]
-    if mode == "strict":
+    scans = list(_semigroup_scans("s-", add, elems, {i: i for i in range(n)}))
+    if gs.zero is not None:
+        scans.append(("zero-identity", zero_identity))
+    if strict:
+        scans += [("gamma-closure", gamma_closure), *_semigroup_scans("gamma-", gadd, gamma, gpos)]
+    scans += [("distributive-sum-left", sum_left), ("distributive-sum-right", sum_right)]
+    if strict:
         scans.append(("distributive-gamma", gamma_distributivity))
     scans.append(("product-associativity", product_associativity))
-    for axiom, scan in scans:
-        witness = scan()
-        if witness is not None:
-            violations.append(Violation(axiom, witness))
-
-    return AxiomReport(mode=mode, passed=not violations, violations=tuple(violations))
+    return _report(mode, scans)
 
 
 @dataclass(frozen=True)

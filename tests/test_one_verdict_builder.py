@@ -1,43 +1,56 @@
-"""Every law check returns one document format: only harness._verdict builds a
-TheoremVerdict, so each counterexample is the harness's replayable document."""
+"""Each report record has one builder: only harness._verdict builds a
+TheoremVerdict, so each counterexample is the harness's replayable document,
+and only algebra._report builds an AxiomReport, so every axiom report comes
+from one ordered scan list."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "softgamma").glob("*.py"))
+
+# (record class, module, the one function of that module that builds it)
+BUILDERS = [
+    ("TheoremVerdict", "harness.py", "_verdict"),
+    ("AxiomReport", "algebra.py", "_report"),
+]
 
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _builds_verdict(node: ast.AST) -> bool:
+def _builds(node: ast.AST, record: str) -> bool:
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
-    return name == "TheoremVerdict"
+    return name == record
 
 
-def test_sources_are_found():
-    assert any(path.name == "harness.py" for path in SOURCES)
+@pytest.mark.parametrize("record,module,builder", BUILDERS)
+def test_sources_are_found(record, module, builder):
+    assert any(path.name == module for path in SOURCES)
 
 
-def test_no_module_but_the_harness_builds_a_verdict():
+@pytest.mark.parametrize("record,module,builder", BUILDERS)
+def test_no_other_module_builds_the_record(record, module, builder):
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
-        if path.name != "harness.py"
+        if path.name != module
         for node in ast.walk(_tree(path))
-        if _builds_verdict(node)
+        if _builds(node, record)
     ]
-    assert found == [], "TheoremVerdict built outside harness.py: " + ", ".join(found)
+    assert found == [], f"{record} built outside {module}: " + ", ".join(found)
 
 
-def test_the_harness_builds_verdicts_in_verdict_only():
-    tree = _tree(next(path for path in SOURCES if path.name == "harness.py"))
-    builder = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_verdict")
-    lines = [node.lineno for node in ast.walk(tree) if _builds_verdict(node)]
-    assert lines, "harness.py builds no TheoremVerdict"
-    outside = [line for line in lines if not builder.lineno <= line <= builder.end_lineno]
-    assert outside == [], f"harness.py builds a TheoremVerdict outside _verdict at lines {outside}"
+@pytest.mark.parametrize("record,module,builder", BUILDERS)
+def test_the_module_builds_the_record_in_its_builder_only(record, module, builder):
+    tree = _tree(next(path for path in SOURCES if path.name == module))
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == builder)
+    lines = [node.lineno for node in ast.walk(tree) if _builds(node, record)]
+    assert lines, f"{module} builds no {record}"
+    outside = [line for line in lines if not body.lineno <= line <= body.end_lineno]
+    assert outside == [], f"{module} builds a {record} outside {builder} at lines {outside}"
