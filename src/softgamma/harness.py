@@ -74,21 +74,23 @@ from .soft_sets import (
 class InstanceSpec:
     """Seed-determined recipe for one fuzzing instance.
 
-    generator "mix" rotates among the three structure families; size and
-    gamma pin them down ((n,) for zn/minmax, (p, rows, cols) for matrix; an
-    empty gamma means a seeded random nonempty subset).  family_size None
-    draws 1..3 members; the parameter pool, the per-member parameter cap and
-    the empty-value rate are the module constants _PARAMETER_POOL,
-    _MAX_PARAMETERS and _EMPTY_RATE.  Policies: value_policy selects where values come
-    from; chain forces all drawn values into one containment chain
-    (chain_outer extends that to the enclosing soft set); disjoint gives
-    members pairwise disjoint parameter sets; same_parameters gives them all
-    the first member's parameters; anchored forces a common parameter;
-    nested draws members inside an enclosing soft set (nested_free keeps the
-    parameter nesting but stops constraining values to the enclosing ones);
-    with_hom attaches the family's canonical surjective homomorphism
-    (hom_kind "identity" for the identity); target_side moves generation to
-    the homomorphism target.
+    generator "mix" rotates among the three structure families and takes no
+    size or gamma; on zn and minmax they pin down (n,) and the gamma set (an
+    int collection, read ascending without repeats; empty means a seeded
+    random nonempty subset), on matrix size pins (p, rows, cols) and gamma
+    must be empty.  family_size None draws 1..3 members; the parameter pool,
+    the per-member parameter cap and the empty-value rate are the module
+    constants _PARAMETER_POOL, _MAX_PARAMETERS and _EMPTY_RATE.  Policies:
+    value_policy selects where values come from; chain forces all drawn
+    values into one containment chain (chain_outer extends that to the
+    enclosing soft set); disjoint gives members pairwise disjoint parameter
+    sets; same_parameters gives them all the first member's parameters;
+    anchored forces a common parameter; nested draws members inside an
+    enclosing soft set (nested_free keeps the parameter nesting but stops
+    constraining values to the enclosing ones); with_hom attaches the
+    family's canonical surjective homomorphism (hom_kind "identity" for the
+    identity, which is built per instance rather than cached); target_side
+    moves generation to the homomorphism target.
     """
 
     generator: str = "mix"
@@ -151,25 +153,33 @@ def _random_gamma(rng: random.Random, n: int) -> tuple[int, ...]:
 
 def _resolve_descriptor(spec: InstanceSpec, rng: random.Random) -> tuple:
     kind = spec.generator
-    if kind == "mix":
-        kind = rng.choice(("zn", "minmax", "matrix"))
     size = _collection(spec.size, "spec size")
+    gamma = _collection(spec.gamma, "spec gamma")
+    if kind == "mix":
+        if size or gamma:
+            raise InputError(f"a mix spec takes no size or gamma, got {spec.size!r} and {spec.gamma!r}")
+        kind = rng.choice(("zn", "minmax", "matrix"))
     if kind in ("zn", "minmax"):
         if len(size) > 1:
             raise InputError(f"a {kind} spec size is at most one count, got {spec.size!r}")
         n = _count(size[0], "n") if size else rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
-        # entries are checked when the structure is built, on a cache miss
-        descriptor = (kind, n, _collection(spec.gamma, "spec gamma") or _random_gamma(rng, n))
+        if gamma and set(map(type, gamma)) != {int}:
+            raise InputError(f"spec gamma entries must be integers, got {spec.gamma!r}")
+        # as the generator builds the gamma set: ascending, without repeats
+        # (bool refused above); ranges are checked on a cache miss
+        descriptor = (kind, n, tuple(sorted(set(gamma))) or _random_gamma(rng, n))
     elif kind == "matrix":
         if len(size) not in (0, 3):
             raise InputError(f"a matrix spec size is empty or three counts, got {spec.size!r}")
+        if gamma:
+            raise InputError(f"a matrix spec takes no gamma (it is all cols x rows matrices), got {spec.gamma!r}")
         descriptor = ("matrix", *(size or (2, 1, 2)))
     else:
         raise InputError(f"unknown generator {spec.generator!r}")
     try:
         hash(descriptor)
     except TypeError:
-        raise InputError(f"spec size and gamma entries must be hashable, got {descriptor!r}") from None
+        raise InputError(f"spec size entries must be hashable, got {descriptor!r}") from None
     return descriptor
 
 
@@ -193,30 +203,25 @@ def _smallest_prime_factor(n: int) -> int:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def canonical_hom(descriptor: tuple, hom_kind: str = "collapse") -> GammaHom:
+def canonical_hom(descriptor: tuple) -> GammaHom:
     """The family's deterministic surjective homomorphism.
 
     zn collapses mod its largest proper divisor, minmax clamps to the lower
-    half, matrix uses the identity; hom_kind "identity" forces the identity
-    for any family.
+    half, matrix uses the identity.
     """
     source = base_structure(descriptor)
-    if hom_kind == "identity":
+    if descriptor[0] == "matrix":
         return identity_hom(source)
-    if hom_kind == "collapse" and descriptor[0] in ("zn", "minmax"):
-        kind, n, gamma = descriptor
-        if kind == "zn":
-            m = n // _smallest_prime_factor(n)
-            images = [i % m for i in range(n)]
-        else:
-            m = (n + 1) // 2
-            images = [min(i, m - 1) for i in range(n)]
-        # the target keeps the source's gamma labels, which may be >= m
-        target = _integer_gamma(kind, m, gamma, with_gamma_add=False)
-        return gamma_hom(source, target, {str(i): str(j) for i, j in enumerate(images)})
-    if hom_kind == "collapse":
-        return identity_hom(source)
-    raise InputError(f"unknown homomorphism kind {hom_kind!r}")
+    kind, n, gamma = descriptor
+    if kind == "zn":
+        m = n // _smallest_prime_factor(n)
+        images = [i % m for i in range(n)]
+    else:
+        m = (n + 1) // 2
+        images = [min(i, m - 1) for i in range(n)]
+    # the target keeps the source's gamma labels, which may be >= m
+    target = _integer_gamma(kind, m, gamma, with_gamma_add=False)
+    return gamma_hom(source, target, {str(i): str(j) for i, j in enumerate(images)})
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -248,14 +253,13 @@ def _draw_parameters(
     return tuple(pool[i] for i in sorted(set(idxs)))
 
 
-def _forced_mask(spec: InstanceSpec, gs: GammaSemiring, side: GammaSemiring, hom) -> int | None:
-    """The one value every member takes under a forced value policy; None
-    when values are drawn."""
-    policy = spec.value_policy
+def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
+    """The one value every member over side takes under a forced value
+    policy; None when values are drawn."""
     if policy in ("kernel", "carrier-image") and hom is None:
         raise GenerationError(f"{policy} value policy requires a homomorphism")
     if policy == "kernel":
-        return gs.subset_mask(kernel(hom))
+        return hom.source.subset_mask(kernel(hom))
     if policy == "whole":
         return side.full_mask
     if policy == "carrier-image":
@@ -289,7 +293,12 @@ def generate_instance(spec: InstanceSpec) -> Instance:
     rng = random.Random(spec.seed)
     descriptor = _resolve_descriptor(spec, rng)
     gs = base_structure(descriptor)
-    hom = canonical_hom(descriptor, spec.hom_kind) if spec.with_hom else None
+    hom = None
+    if spec.with_hom:
+        if spec.hom_kind not in ("collapse", "identity"):
+            raise InputError(f"unknown homomorphism kind {spec.hom_kind!r}")
+        # identity homomorphisms are cheap to build, so only the collapses are cached
+        hom = identity_hom(gs) if spec.hom_kind == "identity" else canonical_hom(descriptor)
     if spec.target_side and hom is None:
         raise GenerationError("target_side generation requires with_hom")
     side = hom.target if spec.target_side else gs
@@ -300,7 +309,7 @@ def generate_instance(spec: InstanceSpec) -> Instance:
         chain_pool = _draw_chain(rng, subs)
         if not chain_pool:
             raise GenerationError("chain policy found no comparable subalgebras")
-    forced = _forced_mask(spec, gs, side, hom)
+    forced = _forced_mask(spec.value_policy, side, hom)
     value_candidates = chain_pool if spec.chain else subs
     outer_candidates = chain_pool if spec.chain_outer else subs
 
@@ -558,7 +567,9 @@ def _check_hom_transport(inst: Instance) -> Outcome:
     return _PASS if applicable else _VACUOUS
 
 
-# the conclusion of T3.17 case that an enforced failure names
+# per T3.17 case, the value policy that states its hypothesis value and the
+# conclusion that an enforced failure names
+_TRIVIAL_WHOLE_POLICIES = {"i": "kernel", "ii": "whole", "iii": "carrier-image", "iv": "trivial"}
 _TRIVIAL_WHOLE_FLAGS = {
     "i": "image_not_trivial",
     "ii": "image_not_whole",
@@ -588,16 +599,9 @@ def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
     if member.is_null() or case == "iv" and (side.zero is None or other.zero is None):
         return _VACUOUS
     if enforce:
-        if case == "i":
-            ker_mask = side.subset_mask(kernel(hom))
-            held = ker_mask != 0 and all(m == ker_mask for m in member.masks)
-        elif case == "ii":
-            held = hom.surjective and is_whole_soft(side, member)
-        elif case == "iii":
-            image = hom.image_mask(other.full_mask)
-            held = all(m == image for m in member.masks)
-        else:
-            held = hom.injective and is_trivial_soft(side, member)
+        mask = _forced_mask(_TRIVIAL_WHOLE_POLICIES[case], side, hom)
+        held = mask != 0 and all(m == mask for m in member.masks)
+        held = held and (case != "ii" or hom.surjective) and (case != "iv" or hom.injective)
         if not held or not is_soft_gamma_semiring(side, member):
             return _VACUOUS
     result = soft_image_under_hom(hom, member) if forward else soft_preimage_under_hom(hom, member)

@@ -20,6 +20,7 @@ from softgamma.harness import (
     _LAWS,
     ALL_THEOREMS,
     NECESSITY_TEMPLATES,
+    _descriptor_name,
     base_structure,
     canonical_hom,
     product_structure,
@@ -273,6 +274,23 @@ class TestStructureCaches:
         pa, pb = product_structure(a, 2), product_structure(b, 2)
         assert (pa.s.add_table, pa.product) == (pb.s.add_table, pb.product)
         assert pa is pb
+
+    @pytest.mark.parametrize(
+        "gamma,n,canonical", [((2, 2), 4, (2,)), ((6, 4, 2), 8, (2, 4, 6))]
+    )
+    def test_a_pinned_gamma_names_the_structure_the_generator_builds(self, gamma, n, canonical):
+        # ascending without repeats, so equal structures share one cache entry and one name
+        inst = generate_instance(InstanceSpec(generator="zn", size=(n,), gamma=gamma))
+        assert inst.descriptor == ("zn", n, canonical)
+        assert inst.gs.gamma_elements == tuple(map(str, canonical))
+        assert inst.gs is base_structure(("zn", n, canonical))
+        assert _descriptor_name(inst.descriptor) == f"zn-{n}-" + ",".join(map(str, canonical))
+
+    def test_identity_homomorphisms_are_not_cached(self):
+        canonical_hom.cache_clear()
+        verdict = fuzz_theorem("T3.17iv", 20, InstanceSpec(seed=3))
+        assert verdict.trials == 20
+        assert canonical_hom.cache_info().currsize == 0
 
     @pytest.mark.parametrize("cache", [base_structure, canonical_hom, product_structure])
     def test_every_cache_is_bounded(self, cache):

@@ -337,6 +337,15 @@ BAD_SPECS = {
     "size-int": InstanceSpec(generator="zn", size=5),
     "zn-two-counts": InstanceSpec(generator="zn", size=(4, 5)),
     "matrix-one-count": InstanceSpec(generator="matrix", size=(2,)),
+    "matrix-gamma": InstanceSpec(generator="matrix", gamma=5),
+    "matrix-pinned-gamma": InstanceSpec(generator="matrix", size=(2, 1, 2), gamma=(1,)),
+    # mix picks matrix on seed 5 and minmax on seed 0
+    "mix-size-on-matrix": InstanceSpec(generator="mix", size=(6,), seed=5),
+    "mix-size-on-minmax": InstanceSpec(generator="mix", size=(6,), seed=0),
+    "mix-gamma-on-matrix": InstanceSpec(generator="mix", gamma=(1,), seed=5),
+    "mix-gamma-on-minmax": InstanceSpec(generator="mix", gamma=(1,), seed=0),
+    "hom-kind-unknown": InstanceSpec(with_hom=True, hom_kind="nonsense"),
+    "gamma-bool": InstanceSpec(generator="zn", size=(4,), gamma=(1, True)),
 }
 
 
