@@ -569,12 +569,11 @@ def _check_hom_transport(inst: Instance) -> Outcome:
 
 # per T3.17 case, the value policy that states its hypothesis value and the
 # conclusion that an enforced failure names
-_TRIVIAL_WHOLE_POLICIES = {"i": "kernel", "ii": "whole", "iii": "carrier-image", "iv": "trivial"}
-_TRIVIAL_WHOLE_FLAGS = {
-    "i": "image_not_trivial",
-    "ii": "image_not_whole",
-    "iii": "preimage_not_whole",
-    "iv": "preimage_not_trivial",
+_TRIVIAL_WHOLE_CASES = {
+    "i": ("kernel", "image_not_trivial"),
+    "ii": ("whole", "image_not_whole"),
+    "iii": ("carrier-image", "preimage_not_whole"),
+    "iv": ("trivial", "preimage_not_trivial"),
 }
 
 
@@ -593,13 +592,14 @@ def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
     A member off the case's carrier is an InputError.
     """
     hom, member = inst.hom, inst.soft_sets[0]
+    policy, flag = _TRIVIAL_WHOLE_CASES[case]
     forward = case in ("i", "ii")
     side, other = (hom.source, hom.target) if forward else (hom.target, hom.source)
     _require_carrier(side, member)
     if member.is_null() or case == "iv" and (side.zero is None or other.zero is None):
         return _VACUOUS
     if enforce:
-        mask = _forced_mask(_TRIVIAL_WHOLE_POLICIES[case], side, hom)
+        mask = _forced_mask(policy, side, hom)
         held = mask != 0 and all(m == mask for m in member.masks)
         held = held and (case != "ii" or hom.surjective) and (case != "iv" or hom.injective)
         if not held or not is_soft_gamma_semiring(side, member):
@@ -609,7 +609,7 @@ def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
     if shape(other, result) and is_soft_gamma_semiring(other, result):
         return _PASS
     # an enforced failure names the broken conclusion; a dropped one shows the result
-    extra = {_TRIVIAL_WHOLE_FLAGS[case]: True} if enforce else None
+    extra = {flag: True} if enforce else None
     return "fail", lambda: _dump(
         inst, f"trivial-whole-{case}", [member], None if enforce else result, extra=extra
     )
