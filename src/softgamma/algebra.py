@@ -287,7 +287,8 @@ class GammaSemiring:
         return tuple(need)
 
     @cached_property
-    def _closed_memo(self) -> dict[int, Witness]:
+    def _closed_memo(self) -> dict[int | tuple[int, int], Witness]:
+        # a mask of this carrier, or (k, mask) for the k-fold product's carrier
         return {}
 
     def _closure(self, mask: int, stop: int) -> int:
@@ -348,17 +349,24 @@ def ternary_product(gs: GammaSemiring, a: Label, alpha: str, b: Label) -> Label:
     return gs.elements[gs.product[gs.s.pos(a)][gs.gamma_pos(alpha)][gs.s.pos(b)]]
 
 
-def sub_gamma_witness_mask(gs: GammaSemiring, mask: int) -> Witness:
+def sub_gamma_witness_mask(gs: GammaSemiring, mask: int, arity: int | None = None) -> Witness:
     """Closure verdict for a subset given as a bitmask, with a witness on failure.
 
     Scan order: additive pairs first, then product triples (i, alpha, j), both
-    lexicographic by position, so witnesses are deterministic.  The verdict is
-    memoized per mask on the structure.
+    lexicographic by position, so witnesses are deterministic.  With arity k
+    the subset is one of the k-fold product of gs, in the positions and labels
+    of product_gamma(gs, k), and is judged from the base tables without
+    building that product.  The verdict is memoized on gs per mask, or per
+    (k, mask) for a product.
     """
+    full = gs.full_mask if arity is None else (1 << _product_size(gs, arity)) - 1
+    if mask & ~full:
+        raise InputError(f"mask {mask!r} is not a subset of the {full.bit_length()}-element carrier")
+    key = mask if arity is None else (arity, mask)
     memo = gs._closed_memo
-    w = memo.get(mask)
+    w = memo.get(key)
     if w is None:
-        w = memo[mask] = _closure_witness(gs, mask)
+        w = memo[key] = _closure_witness(gs, mask) if arity is None else _product_closure_witness(gs, arity, mask)
     return w
 
 
@@ -397,6 +405,107 @@ def _closure_witness(gs: GammaSemiring, mask: int) -> Witness:
             k = row[j]
             if inv >> k & 1:
                 return Witness(False, kind="product-closure", elements=(elems[i], glabel, elems[j], elems[k]))
+
+
+# the largest k-fold product carrier that is built (product_gamma) or judged
+MAX_PRODUCT_SIZE = 4096
+
+
+def _product_size(gs: GammaSemiring, k: int) -> int:
+    """The size n**k of the k-fold product of gs; SizeLimitError above MAX_PRODUCT_SIZE."""
+    _count(k, "product arity")
+    size = gs.size**k
+    if size > MAX_PRODUCT_SIZE:
+        raise SizeLimitError(f"product carrier would have {size} elements, above {MAX_PRODUCT_SIZE}")
+    return size
+
+
+def _product_labels(gs: GammaSemiring, k: int) -> tuple:
+    """The k-fold product's carrier: k-tuples of base labels in row-major order."""
+    _product_size(gs, k)
+    labels = [()]
+    for _ in range(k):
+        labels = [t + (e,) for t in labels for e in gs.elements]
+    return tuple(labels)
+
+
+def _fold_image(table, n: int, j: int, a: int, b: int, memo: dict) -> int:
+    """The set {x o y : x in a, y in b} over the j-fold product of an
+    n-element carrier, o applied coordinatewise from the square table.
+
+    Position x * n**(j-1) + r pairs base position x with tail position r, so
+    a mask splits into the fibres {r : (x, r) in a}, and the image is, over x
+    in a's projection and y in b's, the image of their fibres placed at
+    table[x][y].  memo holds the image of each fibre pair already met.
+    """
+    if j == 1:
+        out = 0
+        ys = list(iter_bits(b))
+        for x in iter_bits(a):
+            row = table[x]
+            for y in ys:
+                out |= 1 << row[y]
+        return out
+    m = n ** (j - 1)
+    low = (1 << m) - 1
+    fa = [(x, f) for x in range(n) if (f := a >> x * m & low)]
+    fb = fa if b == a else [(y, f) for y in range(n) if (f := b >> y * m & low)]
+    out = 0
+    for x, f in fa:
+        row = table[x]
+        for y, g in fb:
+            key = (j, f, g)
+            image = memo.get(key)
+            if image is None:
+                image = memo[key] = _fold_image(table, n, j - 1, f, g, memo)
+            out |= image << row[y] * m
+    return out
+
+
+def _product_closure_witness(gs: GammaSemiring, k: int, mask: int) -> Witness:
+    """_closure_witness(product_gamma(gs, k), mask), read off the base tables,
+    for a mask of the product's carrier.
+
+    A mask is closed under a coordinatewise operation exactly when its image
+    under it stays inside, which _fold_image decides from the fibres.  Only
+    an unclosed mask is scanned row by row, each row's image being that of
+    the row's one bit, in _closure_witness's order.
+    """
+    if mask == 0:
+        return Witness(False, kind="empty-subset")
+    n = gs.size
+    # the addition table, then one table per gamma label
+    tables = [gs.s.add_table, *([layer[g] for layer in gs.product] for g in range(len(gs.gamma_elements)))]
+    memos = [{} for _ in tables]
+    inv = ~mask
+    if not any(_fold_image(t, n, k, mask, mask, memo) & inv for t, memo in zip(tables, memos)):
+        return PASSED
+    members = list(iter_bits(mask))
+
+    def row_escapes(op: int, p: int) -> bool:
+        return bool(_fold_image(tables[op], n, k, 1 << p, mask, memos[op]) & inv)
+
+    def label(p: int) -> tuple:
+        return tuple(gs.elements[p // n**c % n] for c in reversed(range(k)))
+
+    def first_escape(op: int, p: int) -> tuple:
+        # the first member q, ascending, and the escaping position of p o q
+        for q in members:
+            r = _fold_image(tables[op], n, k, 1 << p, 1 << q, memos[op]).bit_length() - 1
+            if inv >> r & 1:
+                return label(q), label(r)
+
+    start = next(s for s, p in enumerate(members) if any(row_escapes(op, p) for op in range(len(tables))))
+    # rows before start hold no witness of either kind
+    for p in members[start:]:
+        if row_escapes(0, p):
+            return Witness(False, kind="add-closure", elements=(label(p), *first_escape(0, p)))
+    # with + closed, the first escaping row escapes through a product
+    p = members[start]
+    for g, glabel in enumerate(gs.gamma_elements):
+        if row_escapes(g + 1, p):
+            q, r = first_escape(g + 1, p)
+            return Witness(False, kind="product-closure", elements=(label(p), glabel, q, r))
 
 
 def sub_gamma_witness(gs: GammaSemiring, subset: Iterable[Label]) -> Witness:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import FiniteCommutativeSemigroup, GammaSemiring, _collection, _count, _entries
+from .algebra import MAX_PRODUCT_SIZE  # noqa: F401  (the bound product_gamma enforces)
+from .algebra import FiniteCommutativeSemigroup, GammaSemiring, _collection, _count, _entries, _product_labels
 from .errors import ConstraintError, InputError, SizeLimitError
 
 
@@ -120,9 +121,6 @@ def make_matrix_gamma(p: int, rows: int, cols: int) -> GammaSemiring:
     )
 
 
-MAX_PRODUCT_SIZE = 4096
-
-
 def product_gamma(gs: GammaSemiring, k: int) -> GammaSemiring:
     """k-fold product carrier with coordinatewise + and product, shared gamma.
 
@@ -130,12 +128,8 @@ def product_gamma(gs: GammaSemiring, k: int) -> GammaSemiring:
     universe produced by the soft-set cartesian product.  SizeLimitError when
     the carrier would exceed MAX_PRODUCT_SIZE elements.
     """
-    _count(k, "product arity")
+    elements = _product_labels(gs, k)
     n = gs.size
-    if n**k > MAX_PRODUCT_SIZE:
-        raise SizeLimitError(f"product carrier would have {n ** k} elements, above {MAX_PRODUCT_SIZE}")
-
-    elements = tuple(iproduct(gs.elements, repeat=k))
     # position i*n + x of the (j+1)-fold carrier pairs position i of the
     # j-fold carrier with base position x, so its row pairs row i with base
     # row x: column j*n + y holds T[i][j]*n + base[x][y]

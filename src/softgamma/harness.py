@@ -47,7 +47,7 @@ from .algebra import (
     kernel,
 )
 from .errors import DomainError, GenerationError, InputError
-from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma, product_gamma
+from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma
 from .reports import TheoremVerdict, Witness
 from .soft_gamma import (
     _require_carrier,
@@ -139,8 +139,8 @@ _PARAMETER_POOL = ("a", "b", "c", "d")
 _MAX_PARAMETERS = 3
 _EMPTY_RATE = 0.2
 
-# entries kept by each of the structure, homomorphism and product caches; a
-# 200-trial pass over every law on the mix generator needs under 100 structures
+# entries kept by each of the structure and homomorphism caches; a 200-trial
+# pass over every law on the mix generator needs under 100 structures
 _CACHE_SIZE = 256
 
 
@@ -222,12 +222,6 @@ def canonical_hom(descriptor: tuple) -> GammaHom:
     # the target keeps the source's gamma labels, which may be >= m
     target = _integer_gamma(kind, m, gamma, with_gamma_add=False)
     return gamma_hom(source, target, {str(i): str(j) for i, j in enumerate(images)})
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def product_structure(gs: GammaSemiring, k: int) -> GammaSemiring:
-    """The k-fold product of gs, cached on the structure's value."""
-    return product_gamma(gs, k)
 
 
 def _draw_chain(rng: random.Random, subs: tuple[int, ...]) -> list[int]:
@@ -440,8 +434,9 @@ class Law:
     flags are the InstanceSpec fields that realize the law's hypotheses.  The
     operation (one of _OPS, else the first member itself) is applied to the
     first `reads` members, or all when None, and its result is judged over
-    `over`: the members' side, its k-fold product, or the homomorphism's
-    "target" or "source".  The conclusion is that the result is "closed", or
+    `over`: the members' side, its k-fold product for k members (judged from
+    the side's tables, never built), or the homomorphism's "target" or
+    "source".  The conclusion is that the result is "closed", or
     a soft sub-gamma-semiring of the "outer" soft set, of the operation
     applied to copies of the outer ("outer-op"), or of each of the "members".
     L3.16 ("hom-transport") and T3.17 ("trivial-whole") have checkers of
@@ -509,18 +504,17 @@ class Law:
         else:
             result, shown = members[0], None
         k = len(members)
-        if self.over == "product":
-            over = product_structure(inst.side_gs, k)
-        elif self.over == "side":
+        arity = k if self.over == "product" else None
+        if self.over in ("side", "product"):
             over = inst.side_gs
         else:
             over = getattr(inst.hom, self.over)  # the homomorphism's target or source
 
         if self.conclusion == "closed":
-            w = is_soft_gamma_semiring(over, result)
+            w = is_soft_gamma_semiring(over, result, arity)
             if w:
                 return _PASS
-            extra = {"product_arity": k} if self.over == "product" else None
+            extra = None if arity is None else {"product_arity": arity}
             return "fail", lambda: _dump(inst, self.operation, members, shown, w, extra)
 
         if self.conclusion == "members":
@@ -531,10 +525,10 @@ class Law:
             bounds = [self._apply(inst, [inst.outer] * k)]
         # a soft sub-gamma-semiring relates two soft gamma-semirings: a result
         # or a bound that is not one leaves the conclusion undefined
-        if not is_soft_gamma_semiring(over, result):
+        if not is_soft_gamma_semiring(over, result, arity):
             return _VACUOUS
         for bound in bounds:
-            if not is_soft_gamma_semiring(over, bound):
+            if not is_soft_gamma_semiring(over, bound, arity):
                 return _VACUOUS
             w = _subset_witness(result, bound)
             if not w:

@@ -10,26 +10,32 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .algebra import GammaHom, GammaSemiring, gamma_hom, sub_gamma_witness_mask
+from .algebra import GammaHom, GammaSemiring, _product_labels, gamma_hom, sub_gamma_witness_mask
 from .errors import ConstraintError, DomainError, InputError
 from .reports import PASSED, Witness
 from .soft_sets import SoftSet, _subset_witness
 
 
-def _require_carrier(gs: GammaSemiring, ss: SoftSet) -> None:
-    if ss.universe != gs.elements:
+def _require_carrier(gs: GammaSemiring, ss: SoftSet, arity: int | None = None) -> None:
+    carrier = gs.elements if arity is None else _product_labels(gs, arity)
+    if ss.universe != carrier:
         raise InputError("soft set universe must equal the structure carrier, in order")
 
 
-def is_soft_gamma_semiring(gs: GammaSemiring, ss: SoftSet) -> Witness:
-    """Non-null and every support value closed; first failure witnessed."""
-    _require_carrier(gs, ss)
+def is_soft_gamma_semiring(gs: GammaSemiring, ss: SoftSet, arity: int | None = None) -> Witness:
+    """Non-null and every support value closed; first failure witnessed.
+
+    With arity k, ss is judged over the k-fold product of gs, the carrier of
+    product_gamma(gs, k), without building it; SizeLimitError, as there, when
+    that carrier would exceed MAX_PRODUCT_SIZE elements.
+    """
+    _require_carrier(gs, ss, arity)
     if ss.is_null():
         return Witness(False, kind="null-soft-set")
     for w, m in zip(ss.parameters, ss.masks):
         if m == 0:
             continue
-        sw = sub_gamma_witness_mask(gs, m)
+        sw = sub_gamma_witness_mask(gs, m, arity)
         if not sw:
             return Witness(False, kind=sw.kind, failing_parameter=w, elements=sw.elements)
     return PASSED

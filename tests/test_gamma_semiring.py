@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from softgamma import (
     ConstraintError,
-    FiniteCommutativeSemigroup,
     GammaSemiring,
     InputError,
     SizeLimitError,
@@ -19,6 +18,8 @@ from softgamma import (
     ternary_product,
 )
 from softgamma.generators import _matmul
+
+from conftest import mutant
 
 
 class TestZnFamily:
@@ -303,30 +304,6 @@ def _reference_semigroup(elements, table):
     return [(axiom, w) for axiom, w in found if w is not None]
 
 
-def _mutant(gs, rng):
-    """gs with one to three random entries of its +, product or gamma-addition
-    tables changed (gamma sums may leave gamma), and maybe a moved or dropped zero."""
-    n, ng = gs.size, len(gs.gamma_elements)
-    add = [list(row) for row in gs.s.add_table]
-    prod = [[list(row) for row in layer] for layer in gs.product]
-    gadd = None if gs.gamma_add is None else [list(row) for row in gs.gamma_add]
-    for _ in range(rng.randint(1, 3)):
-        target = rng.choice(("add", "product", "gamma") if gadd is not None else ("add", "product"))
-        if target == "add":
-            add[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
-        elif target == "product":
-            prod[rng.randrange(n)][rng.randrange(ng)][rng.randrange(n)] = rng.randrange(n)
-        else:
-            gadd[rng.randrange(ng)][rng.randrange(ng)] = rng.choice((*gs.gamma_elements, "x", "y"))
-    zero = gs.zero
-    roll = rng.random()
-    if roll < 0.2:
-        zero = rng.choice(gs.elements)
-    elif roll < 0.3:
-        zero = None
-    return GammaSemiring(FiniteCommutativeSemigroup(gs.elements, add), gs.gamma_elements, gadd, prod, zero)
-
-
 REFERENCE_BASES = {
     "z4-full": make_zn_gamma(4, (0, 1, 2, 3), strict=True),
     "z8-even": make_zn_gamma(8, (2, 4, 6), strict=True),
@@ -344,7 +321,7 @@ def test_reports_match_an_independent_reference_scan_on_mutants(name):
     base = REFERENCE_BASES[name]
     rng = random.Random(name)
     for trial in range(60):
-        gs = base if trial == 0 else _mutant(base, rng)
+        gs = base if trial == 0 else mutant(base, rng)
         modes = ("weak", "strict") if gs.gamma_add is not None else ("weak",)
         for mode in modes:
             report = check_gamma_semiring(gs, mode)

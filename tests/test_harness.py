@@ -1,4 +1,6 @@
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +16,7 @@ from softgamma import (
     identity_hom,
     is_soft_gamma_semiring,
 )
-from softgamma import files, make_zn_gamma
+from softgamma import SizeLimitError, files, generators, make_matrix_gamma, make_zn_gamma
 from softgamma.algebra import is_sub_gamma_semiring
 from softgamma.harness import (
     _LAWS,
@@ -23,9 +25,8 @@ from softgamma.harness import (
     _descriptor_name,
     base_structure,
     canonical_hom,
-    product_structure,
 )
-from softgamma.soft_sets import restricted_union
+from softgamma.soft_sets import cartesian_product, restricted_union
 
 Z8_TEMPLATE = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6), seed=0)
 Z4_TEMPLATE = InstanceSpec(generator="zn", size=(4,), gamma=(0, 1, 2, 3), seed=1)
@@ -231,6 +232,14 @@ class TestCheckTheorem:
         with pytest.raises(InputError, match=f"^{law_id} reads {missing}, and the instance has none$"):
             check_theorem(law_id, inst)
 
+    @pytest.mark.parametrize("law_id", ["T3.13", "T4.10"])
+    def test_a_product_law_refuses_a_product_above_the_size_limit(self, law_id):
+        # three 27-element members: the 27**3-element cube is refused, never scanned
+        gs = make_matrix_gamma(3, 1, 3)
+        zero = SoftSet(gs.elements, ("a",), (1,))
+        with pytest.raises(SizeLimitError, match="^product carrier would have 19683 elements, above 4096$"):
+            check_theorem(law_id, Instance(gs, [zero] * 3, outer=zero))
+
     def test_accounting_always_balances(self):
         for tid in ALL_THEOREMS:
             v = fuzz_theorem(tid, 30, Z8_TEMPLATE)
@@ -266,14 +275,44 @@ class TestFuzzing:
             fuzz_theorem("T3.7", 0)
 
 
+def _verdict_bytes(verdict) -> str:
+    return files.dumps(files.verdict_to_doc(verdict))
+
+
 class TestStructureCaches:
-    def test_products_are_cached_on_the_structure_value(self):
-        a = make_zn_gamma(4, (1, 3))
-        b = make_zn_gamma(4, (1, 3))
-        assert a is not b
-        pa, pb = product_structure(a, 2), product_structure(b, 2)
-        assert (pa.s.add_table, pa.product) == (pb.s.add_table, pb.product)
-        assert pa is pb
+    @pytest.mark.parametrize("drop", [False, True], ids=["enforced", "dropped"])
+    @pytest.mark.parametrize("tid", ["T3.13", "T4.10"])
+    def test_product_laws_build_no_product_table(self, monkeypatch, tid, drop):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a product table was built")
+
+        # fresh structures, so that no verdict is read from an earlier test's memo
+        base_structure.cache_clear()
+        canonical_hom.cache_clear()
+        original = generators.product_gamma
+        with monkeypatch.context() as patch:
+            for name, module in list(sys.modules.items()):
+                if name.partition(".")[0] != "softgamma":
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        patch.setattr(module, attr, refuse)
+            patched = fuzz_theorem(tid, 100, drop_hypothesis=drop)
+        plain = fuzz_theorem(tid, 100, drop_hypothesis=drop)
+        assert _verdict_bytes(patched) == _verdict_bytes(plain)
+
+    def test_the_structure_memo_holds_one_entry_per_product_mask_checked(self):
+        template = InstanceSpec(generator="zn", size=(4,), gamma=(1, 3))
+        law = _LAWS["T3.13"]
+        base_structure.cache_clear()
+        verdict = fuzz_theorem("T3.13", 100, template)
+        assert verdict.passes > 0 and verdict.failures == 0
+        # every nonzero value of a non-null result is judged over the square
+        checked = set()
+        for seed in range(100):
+            inst = generate_instance(replace(law.spec(template, False), seed=seed))
+            checked |= {(2, m) for m in cartesian_product(inst.soft_sets).masks if m}
+        assert set(base_structure(("zn", 4, (1, 3)))._closed_memo) == checked
 
     @pytest.mark.parametrize(
         "gamma,n,canonical", [((2, 2), 4, (2,)), ((6, 4, 2), 8, (2, 4, 6))]
@@ -292,7 +331,7 @@ class TestStructureCaches:
         assert verdict.trials == 20
         assert canonical_hom.cache_info().currsize == 0
 
-    @pytest.mark.parametrize("cache", [base_structure, canonical_hom, product_structure])
+    @pytest.mark.parametrize("cache", [base_structure, canonical_hom])
     def test_every_cache_is_bounded(self, cache):
         maxsize = cache.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0

@@ -41,7 +41,7 @@ from softgamma import (
     relative_null,
     soft_preimage,
 )
-from softgamma.algebra import FiniteCommutativeSemigroup, GammaSemiring, carrier_bound
+from softgamma.algebra import FiniteCommutativeSemigroup, GammaSemiring, carrier_bound, sub_gamma_witness_mask
 
 Z2 = make_zn_gamma(2, (1,), strict=True)
 
@@ -309,6 +309,7 @@ COUNT_SLOTS = {
     "matrix-rows": lambda v: make_matrix_gamma(2, v, 1),
     "matrix-cols": lambda v: make_matrix_gamma(2, 1, v),
     "product-arity": lambda v: product_gamma(Z2, v),
+    "judged-product-arity": lambda v: sub_gamma_witness_mask(Z2, 1, v),
     "spec-size": lambda v: generate_instance(InstanceSpec(generator="zn", size=(v,))),
     "family_size": lambda v: generate_instance(InstanceSpec(generator="zn", size=(2,), family_size=v)),
     "trials": lambda v: fuzz_theorem("T3.4", v),

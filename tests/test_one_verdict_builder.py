@@ -1,7 +1,8 @@
 """Each report record has one builder: only harness._verdict builds a
 TheoremVerdict, so each counterexample is the harness's replayable document,
 and only algebra._report builds an AxiomReport, so every axiom report comes
-from one ordered scan list."""
+from one ordered scan list.  The harness judges product laws from the base
+tables: it names no product_gamma and caches nothing on a structure's value."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,33 @@ def test_the_module_builds_the_record_in_its_builder_only(record, module, builde
     assert lines, f"{module} builds no {record}"
     outside = [line for line in lines if not body.lineno <= line <= body.end_lineno]
     assert outside == [], f"{module} builds a {record} outside {builder} at lines {outside}"
+
+
+def _harness() -> ast.Module:
+    return _tree(next(path for path in SOURCES if path.name == "harness.py"))
+
+
+def _names(node: ast.AST) -> set:
+    """Every name and attribute name under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_the_harness_never_names_product_gamma():
+    tree = _harness()
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "product_gamma" not in imported | _names(tree)
+
+
+def test_no_harness_cache_is_keyed_on_a_structure():
+    # every parameter of a cached function is annotated, and none is a GammaSemiring
+    cached = [
+        node
+        for node in ast.walk(_harness())
+        if isinstance(node, ast.FunctionDef) and any(_names(d) & {"lru_cache", "cache"} for d in node.decorator_list)
+    ]
+    assert cached, "the harness caches no structure at all"
+    for func in cached:
+        args = func.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+        assert all(p.annotation is not None for p in params), func.name
+        assert not any("GammaSemiring" in ast.unparse(p.annotation) for p in params), func.name

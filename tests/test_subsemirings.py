@@ -8,8 +8,10 @@ from softgamma import (
     GammaSemiring,
     InputError,
     SizeLimitError,
+    SoftSet,
     check_gamma_semiring,
     enumerate_sub_gamma_semirings,
+    is_soft_gamma_semiring,
     is_sub_gamma_semiring,
     make_matrix_gamma,
     make_minmax_gamma,
@@ -18,7 +20,9 @@ from softgamma import (
     sub_gamma_witness,
     ternary_product,
 )
-from softgamma.algebra import sub_gamma_witness_mask
+from softgamma.algebra import _closure_witness, sub_gamma_witness_mask
+
+from conftest import mutant
 
 
 def naive_subsemirings(gs):
@@ -120,6 +124,66 @@ class TestWitnessOrder:
             if reference_witness(gs, mask) is not None
         }
         assert {"add-closure", "product-closure"} <= kinds
+
+
+class TestProductScan:
+    """The k-fold product judged from the base tables gives, mask for mask,
+    the witness that the closure scan gives on the built product_gamma."""
+
+    @staticmethod
+    def assert_agrees(base, k, masks):
+        built = product_gamma(base, k)
+        for mask in masks:
+            assert sub_gamma_witness_mask(base, mask, k) == _closure_witness(built, mask), (k, mask)
+
+    @pytest.mark.parametrize(
+        "base,k",
+        [
+            (make_zn_gamma(2, (1,)), 3),
+            (make_zn_gamma(3, (1, 2)), 2),
+            (make_minmax_gamma(3, (1, 2)), 2),
+            (make_matrix_gamma(2, 1, 1), 3),
+        ],
+        ids=["z2-cubed", "z3-squared", "minmax3-squared", "matrix211-cubed"],
+    )
+    def test_every_mask_of_a_small_product(self, base, k):
+        self.assert_agrees(base, k, range(1 << base.size**k))
+
+    @pytest.mark.parametrize("n,gamma", [(4, (1, 3)), (6, (2, 3))])
+    def test_seeded_masks_and_every_subalgebra_of_a_square(self, n, gamma):
+        base = make_zn_gamma(n, gamma)
+        rng = random.Random(n)
+        subs = product_gamma(base, 2).sub_masks
+        self.assert_agrees(base, 2, [*subs, *(rng.getrandbits(n * n) for _ in range(400))])
+
+    @pytest.mark.parametrize(
+        "base,k", [(make_zn_gamma(3, (1, 2)), 2), (make_zn_gamma(2, (0, 1)), 3)], ids=["z3-squared", "z2-cubed"]
+    )
+    def test_every_mask_over_mutated_base_tables(self, base, k):
+        rng = random.Random(base.size)
+        for _ in range(25):
+            self.assert_agrees(mutant(base, rng), k, range(1 << base.size**k))
+
+    def test_a_product_above_the_size_limit_is_refused_unbuilt(self):
+        base = make_zn_gamma(17, (1,))
+        with pytest.raises(SizeLimitError, match="^product carrier would have 4913 elements, above 4096$"):
+            sub_gamma_witness_mask(base, 1, 3)
+        assert base.__dict__.get("_closed_memo", {}) == {}
+
+    @pytest.mark.parametrize("arity,mask", [(None, 1 << 2), (2, 1 << 4), (None, -1), (2, -1)])
+    def test_a_mask_off_the_carrier_is_an_input_error(self, arity, mask):
+        with pytest.raises(InputError, match="not a subset of the"):
+            sub_gamma_witness_mask(make_zn_gamma(2, (1,)), mask, arity)
+
+    def test_a_soft_set_is_judged_over_the_product_carrier_only(self):
+        base = make_zn_gamma(2, (1,))
+        square = product_gamma(base, 2)
+        whole = SoftSet(square.elements, ("a",), (square.full_mask,))
+        assert is_soft_gamma_semiring(base, whole, 2)
+        with pytest.raises(InputError, match="universe must equal the structure carrier"):
+            is_soft_gamma_semiring(base, whole, 3)
+        with pytest.raises(InputError, match="universe must equal the structure carrier"):
+            is_soft_gamma_semiring(base, SoftSet(base.elements, ("a",), (1,)), 2)
 
 
 class TestEnumeration:
