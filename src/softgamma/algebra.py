@@ -451,13 +451,13 @@ def _fold_image(table, n: int, j: int, a: int, b: int, memo: dict) -> int:
     fa = [(x, f) for x in range(n) if (f := a >> x * m & low)]
     fb = fa if b == a else [(y, f) for y in range(n) if (f := b >> y * m & low)]
     out = 0
-    for x, f in fa:
+    for x, fx in fa:
         row = table[x]
-        for y, g in fb:
-            key = (j, f, g)
+        for y, fy in fb:
+            key = (j, fx, fy)
             image = memo.get(key)
             if image is None:
-                image = memo[key] = _fold_image(table, n, j - 1, f, g, memo)
+                image = memo[key] = _fold_image(table, n, j - 1, fx, fy, memo)
             out |= image << row[y] * m
     return out
 
@@ -489,7 +489,7 @@ def _product_closure_witness(gs: GammaSemiring, k: int, mask: int) -> Witness:
         return tuple(gs.elements[p // n**c % n] for c in reversed(range(k)))
 
     def first_escape(op: int, p: int) -> tuple:
-        # the first member q, ascending, and the escaping position of p o q
+        # the labels of the first member q with p o q outside the mask, and of p o q
         for q in members:
             r = _fold_image(tables[op], n, k, 1 << p, 1 << q, memos[op]).bit_length() - 1
             if inv >> r & 1:
