@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from softgamma import (
     ConstraintError,
+    FiniteCommutativeSemigroup,
     GammaSemiring,
     InputError,
     SizeLimitError,
@@ -236,10 +237,9 @@ class TestStructuralValidation:
 
 
 def _first(axes, holds):
-    """The labels of the first index tuple, lexicographic over the ranges of
+    """The first tuple of labels, lexicographic by position along each of
     axes, at which holds is false; None when it holds everywhere."""
-    for index in iproduct(*(range(len(axis)) for axis in axes)):
-        labels = tuple(axis[i] for axis, i in zip(axes, index))
+    for labels in iproduct(*axes):
         if not holds(*labels):
             return labels
     return None
@@ -304,6 +304,22 @@ def _reference_semigroup(elements, table):
     return [(axiom, w) for axiom, w in found if w is not None]
 
 
+def _two_failing_columns():
+    """Z_3 whose column maps x -> x·alpha·c are additive except two: (a, 1)
+    is 0, 1, 0 and first fails at x = y = 1; the later column (b, 0) is
+    constant 1 and fails already at x = y = 0, the lexicographically first
+    distributive-sum-left witness."""
+    zero_a, one_a = (0, 0, 0), (0, 1, 0)
+    one_b = (1, 0, 0)
+    return GammaSemiring(
+        FiniteCommutativeSemigroup(("0", "1", "2"), [[(i + j) % 3 for j in range(3)] for i in range(3)]),
+        ("a", "b"),
+        None,
+        [[zero_a, one_b], [one_a, one_b], [zero_a, one_b]],
+        zero="0",
+    )
+
+
 REFERENCE_BASES = {
     "z4-full": make_zn_gamma(4, (0, 1, 2, 3), strict=True),
     "z8-even": make_zn_gamma(8, (2, 4, 6), strict=True),
@@ -311,7 +327,18 @@ REFERENCE_BASES = {
     "minmax5": make_minmax_gamma(5, (1, 2, 3)),
     "matrix212": make_matrix_gamma(2, 1, 2),
     "z2-squared": product_gamma(make_zn_gamma(2, (1,), strict=True), 2),
+    # n, |gamma| and n·|gamma| all differ, so a witness read off a flat
+    # index of a row block depends on each of its slices
+    "z9-strict": make_zn_gamma(9, (1, 2, 4, 7), strict=True),
+    "minmax9": make_minmax_gamma(9, (1, 3, 5, 7)),
+    "matrix312": make_matrix_gamma(3, 1, 2),
+    "two-failing-columns": _two_failing_columns(),
 }
+
+
+def test_sum_left_witness_is_the_least_over_every_failing_column():
+    report = check_gamma_semiring(_two_failing_columns(), "weak")
+    assert ("distributive-sum-left", ("0", "0", "b", "0")) in [(v.axiom, v.witness) for v in report.violations]
 
 
 @pytest.mark.parametrize("name", REFERENCE_BASES)
