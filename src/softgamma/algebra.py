@@ -552,6 +552,31 @@ def enumerate_sub_gamma_semirings(
     return [gs.labels_of_mask(m) for m in gs.sub_masks]
 
 
+# a position is one byte of the blocks that check_gamma_semiring compares
+MAX_SCAN_CARRIER = 256
+
+
+def _translation(row) -> bytes:
+    """The bytes.translate table sending each position p to row[p]."""
+    return bytes(row).ljust(256, b"\0")
+
+
+def _first_difference(x: bytes, y: bytes) -> int:
+    return next(i for i in range(len(x)) if x[i] != y[i])
+
+
+def _additivity_failure(f: bytes, add_flat: bytes, add_maps: list) -> int | None:
+    """The first flat index b * n + c with f(b + c) != f(b) + f(c), for a map
+    f of the n-element carrier; None when f is additive.
+
+    add_flat is the addition table row by row and add_maps[y] the translation
+    of row y, so f(b) + f(c) over c is f translated by add_maps[f(b)].
+    """
+    lhs = add_flat.translate(_translation(f))
+    rhs = b"".join([f.translate(add_maps[y]) for y in f])
+    return None if lhs == rhs else _first_difference(lhs, rhs)
+
+
 def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     """Scan the gamma-semiring axioms, recording the first witness per axiom.
 
@@ -561,12 +586,19 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     requires a gamma addition table that is closed inside the gamma set and
     forms a commutative semigroup, plus distributivity of the product over
     gamma addition.  The mode is always explicit, never inferred.
+
+    The sum distributivity and product associativity scans hold positions
+    in bytes and compose maps with bytes.translate, a block of rows at a
+    time, so a carrier above MAX_SCAN_CARRIER elements is refused with
+    SizeLimitError before any scan runs.
     """
     if mode not in ("weak", "strict"):
         raise InputError(f"mode must be 'weak' or 'strict', got {mode!r}")
     strict = mode == "strict"
     if strict and gs.gamma_add is None:
         raise InputError("strict mode requires a gamma addition table")
+    if gs.size > MAX_SCAN_CARRIER:
+        raise SizeLimitError(f"carrier has {gs.size} elements, above the scan bound {MAX_SCAN_CARRIER}")
 
     elems = gs.elements
     add = gs.s.add_table
@@ -576,6 +608,10 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     gpos = gs._gpos
     n = len(elems)
     ng = len(gamma)
+    add_flat = b"".join(map(bytes, add))
+    add_maps = [_translation(row) for row in add]
+    # rows[a][g] is the map b -> a g b
+    rows = [[bytes(row) for row in layer] for layer in prod]
 
     def zero_identity():
         row = add[gs.s.pos(gs.zero)]
@@ -586,25 +622,27 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
                      if gadd[i][j] not in gpos), None)
 
     def sum_left():
-        # (a+b) alpha c == a alpha c + b alpha c
-        for a in range(n):
-            for b in range(n):
-                ab = add[a][b]
-                for g in range(ng):
-                    for c in range(n):
-                        if prod[ab][g][c] != add[prod[a][g][c]][prod[b][g][c]]:
-                            return (elems[a], elems[b], gamma[g], elems[c])
-        return None
+        # (a+b) alpha c == a alpha c + b alpha c: every column map x -> x alpha c
+        # is additive; the witness is the least over every failing column
+        found = []
+        for g in range(ng):
+            for c, column in enumerate(zip(*(layer[g] for layer in rows))):
+                i = _additivity_failure(bytes(column), add_flat, add_maps)
+                if i is not None:
+                    found.append((*divmod(i, n), g, c))
+        if not found:
+            return None
+        a, b, g, c = min(found)
+        return (elems[a], elems[b], gamma[g], elems[c])
 
     def sum_right():
-        # a alpha (b+c) == a alpha b + a alpha c
+        # a alpha (b+c) == a alpha b + a alpha c: every row map is additive
         for a in range(n):
             for g in range(ng):
-                row = prod[a][g]
-                for b in range(n):
-                    for c in range(n):
-                        if row[add[b][c]] != add[row[b]][row[c]]:
-                            return (elems[a], gamma[g], elems[b], elems[c])
+                i = _additivity_failure(rows[a][g], add_flat, add_maps)
+                if i is not None:
+                    b, c = divmod(i, n)
+                    return (elems[a], gamma[g], elems[b], elems[c])
         return None
 
     def gamma_distributivity():
@@ -621,16 +659,20 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         return None
 
     def product_associativity():
-        # a alpha (b beta c) == (a alpha b) beta c
+        # a alpha (b beta c) == (a alpha b) beta c.  blocks[x] holds x's rows
+        # in turn, so byte b * ng * n + beta * n + c of the (a, alpha) block is
+        # the left side in whole translated by the row of (a, alpha), and the
+        # right side in the blocks of every a alpha b joined
+        blocks = [b"".join(layer) for layer in rows]
+        whole = b"".join(blocks)
         for a in range(n):
             for g in range(ng):
-                row_a = prod[a][g]
-                for b in range(n):
-                    ab = row_a[b]
-                    for h in range(ng):
-                        for c in range(n):
-                            if row_a[prod[b][h][c]] != prod[ab][h][c]:
-                                return (elems[a], gamma[g], elems[b], gamma[h], elems[c])
+                row = rows[a][g]
+                lhs = whole.translate(_translation(row))
+                rhs = b"".join([blocks[x] for x in row])
+                if lhs != rhs:
+                    i = _first_difference(lhs, rhs)
+                    return (elems[a], gamma[g], elems[i // (ng * n)], gamma[i // n % ng], elems[i % n])
         return None
 
     scans = list(_semigroup_scans("s-", add, elems, {i: i for i in range(n)}))

@@ -18,6 +18,9 @@ from softgamma import (
     product_gamma,
     ternary_product,
 )
+from softgamma import algebra, files
+from softgamma.algebra import MAX_SCAN_CARRIER
+from softgamma.cli import main
 from softgamma.generators import _matmul
 
 from conftest import mutant
@@ -192,6 +195,39 @@ class TestProductFamily:
     def test_a_product_above_the_size_limit_is_refused(self):
         with pytest.raises(SizeLimitError, match="^product carrier would have 4913 elements, above 4096$"):
             product_gamma(make_zn_gamma(17, (1,)), 3)
+
+
+@pytest.fixture(scope="module")
+def above_scan_bound():
+    return make_zn_gamma(MAX_SCAN_CARRIER + 1, (1,), strict=True)
+
+
+class TestScanBound:
+    @pytest.mark.parametrize("mode", ["weak", "strict"])
+    def test_a_carrier_above_the_bound_is_refused_before_any_scan(self, above_scan_bound, mode, monkeypatch):
+        monkeypatch.setattr(algebra, "_report", lambda *args: pytest.fail("a scan ran"))
+        with pytest.raises(SizeLimitError, match="^carrier has 257 elements, above the scan bound 256$"):
+            check_gamma_semiring(above_scan_bound, mode)
+
+    @pytest.mark.parametrize("mode", ["weak", "strict"])
+    def test_validate_exits_2_on_a_carrier_above_the_bound(self, above_scan_bound, mode, tmp_path, capsys):
+        path = tmp_path / "z257.structure.json"
+        path.write_text(files.dumps(files.structure_to_doc(above_scan_bound, name="z257")), encoding="utf-8")
+        code = main(["validate", str(path), "--mode", mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: carrier has 257 elements, above the scan bound 256\n"
+
+    def test_the_semigroup_check_has_no_bound(self):
+        # every sum is 0 but 0 + 0 = 1 and 1 + 0 = 2, so both axioms fail early
+        n = MAX_SCAN_CARRIER + 1
+        table = [[0] * n for _ in range(n)]
+        table[0][0], table[1][0] = 1, 2
+        report = check_commutative_semigroup([str(i) for i in range(n)], table)
+        assert [(v.axiom, v.witness) for v in report.violations] == [
+            ("commutativity", ("0", "1")),
+            ("associativity", ("0", "0", "0")),
+        ]
 
 
 class TestTernaryProduct:
