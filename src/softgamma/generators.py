@@ -72,7 +72,7 @@ def _matmul(a, a_shape, b, b_shape, p):
     return tuple(out)
 
 
-# weak validation of a matrix carrier takes about 1.3 s at 27 elements, minutes at 81
+# validating a matrix carrier takes about 0.03 s weak at 27 elements, 5 s weak and 10 s strict at 81
 MAX_MATRIX_CARRIER = 27
 
 
@@ -82,7 +82,7 @@ def make_matrix_gamma(p: int, rows: int, cols: int) -> GammaSemiring:
     The gamma set is all cols x rows matrices and the product is the matrix
     product W·alpha·Y mod p.  Labels are row-major digit strings.  Bounded to
     p <= 3 and p**(rows*cols) <= MAX_MATRIX_CARRIER elements, which
-    check_gamma_semiring validates in seconds.
+    check_gamma_semiring validates in a tenth of a second or less.
     """
     if _count(p, "p", 2) > 3:
         raise InputError(f"p must be a prime at most 3, got {p!r}")

@@ -157,7 +157,7 @@ class TestMatrixFamily:
             make_matrix_gamma(5, 1, 1)
         with pytest.raises(SizeLimitError):
             make_matrix_gamma(2, 2, 3)
-        # 81 elements: validation of (3, 2, 2) does not finish in minutes
+        # 81 elements, above MAX_MATRIX_CARRIER
         for shape in ((3, 2, 2), (3, 1, 4), (3, 4, 1)):
             with pytest.raises(SizeLimitError):
                 make_matrix_gamma(*shape)
