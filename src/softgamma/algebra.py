@@ -291,57 +291,56 @@ class GammaSemiring:
         # a mask of this carrier, or (k, mask) for the k-fold product's carrier
         return {}
 
-    def _closure(self, mask: int, stop: int) -> int:
-        """Least superset of mask closed under + and the product.
-
-        Each round pairs the newly added members with every member, in both
-        orders, until no pair forces a new bit.  Returns early, with a
-        superset that need not be closed, once the mask meets a bit of stop.
-        """
-        need = self._closure_need
-        done = 0
-        while True:
-            new = mask & ~done
-            if not new or mask & stop:
-                return mask
-            done |= new
-            members = list(iter_bits(done))
-            for i in iter_bits(new):
-                row = need[i]
-                for j in members:
-                    mask |= row[j] | need[j][i]
-
     @cached_property
     def sub_masks(self) -> tuple[int, ...]:
         """All nonempty closed subsets as ascending bitmasks.
 
         The closure conditions are Horn clauses (i, j in X implies i + j and
         every i·alpha·j in X), so the closed subsets are the closed sets of a
-        closure operator, and Ganter's NextClosure lists exactly them, in
-        lectic order, with polynomial delay (B. Ganter, "Two basic algorithms
-        in concept analysis", ICFCA 2010; B. Ganter and K. Reuter, "Finding
-        all closed sets: a general approach", Order 8, 1991).  Ranking
-        position i as bit i makes lectic order ascending bitmask order.  From
-        the closed set a, the next one is the closure of {i} ∪ (a above i)
-        for the lowest i not in a whose closure adds no bit above i; a
-        closure is abandoned as soon as it adds one.  The empty set is closed
-        and starts the walk but is not listed; the whole carrier ends it.
+        closure operator.  A depth-first walk decides the positions from the
+        highest down, each either left out or taken in, the left-out branch
+        first, so the sets come out in ascending bitmask order.  A node holds
+        a closed set and the positions left out so far.  Taking i in closes
+        the set plus i, pairing only the members each round adds with every
+        member, and the branch is cut once the closure meets a left-out
+        position; a position the closure already holds is taken in without a
+        branch.  Every node that stands has a leaf (its set, with every
+        position still open left out), so the walk visits at most n nodes per
+        closed set, and every leaf is a distinct closed set.  The empty set
+        is the first leaf and is not listed.
         """
-        full = self.full_mask
+        need = self._closure_need
+        n = self.size
+        # pair[i][j]: the bits forced by i and j together, in either order
+        pair = [tuple(need[i][j] | need[j][i] for j in range(n)) for i in range(n)]
         found = []
-        a = 0
-        while a != full:
-            for i in range(self.size):
-                bit = 1 << i
-                if a & bit:
-                    continue
-                high = full & -(bit << 1)
-                b = self._closure((a & high) | bit, high & ~a)
-                if not b & high & ~a:
-                    a = b
+        stack = [(n - 1, 0, 0, ())]  # next position, closed set, left out, its members
+        while stack:
+            i, closed, out, members = stack.pop()
+            while i >= 0 and closed >> i & 1:
+                i -= 1
+            if i < 0:
+                found.append(closed)
+                continue
+            bit = 1 << i
+            mask = seen = closed | bit
+            grown = (*members, i)
+            fresh = (i,)
+            while True:
+                for k in fresh:
+                    row = pair[k]
+                    for j in grown:
+                        mask |= row[j]
+                added = mask & ~seen
+                if not added or mask & out:
                     break
-            found.append(a)
-        return tuple(found)
+                seen = mask
+                fresh = tuple(iter_bits(added))
+                grown += fresh
+            if not mask & out:
+                stack.append((i - 1, mask, out, grown))
+            stack.append((i - 1, closed, out | bit, members))
+        return tuple(found[1:])
 
 
 def ternary_product(gs: GammaSemiring, a: Label, alpha: str, b: Label) -> Label:
