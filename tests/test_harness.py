@@ -131,6 +131,59 @@ class TestGeneration:
         with pytest.raises(GenerationError):
             generate_instance(InstanceSpec(target_side=True, seed=3))
 
+    def test_a_forced_mask_off_the_target_carrier_is_refused_by_both_paths(self):
+        # the kernel of the zn 8 collapse is a source mask, {0, 4}, and the
+        # target carrier has four elements
+        spec = InstanceSpec(
+            generator="zn", size=(8,), gamma=(2,), with_hom=True, target_side=True, value_policy="kernel"
+        )
+        for run in (lambda: generate_instance(spec), lambda: fuzz_theorem("T3.4", 3, spec)):
+            with pytest.raises(InputError, match="value mask 17 does not fit the universe"):
+                run()
+
+
+# the templates the trial loop is checked on: the mix generator and one pinned
+# necessity family
+LOOP_TEMPLATES = {"mix": InstanceSpec(seed=9100), "zn8": replace(Z8_TEMPLATE, seed=9200)}
+
+
+class TestTrialLoop:
+    """fuzz_theorem checks its spec once and only draws per trial; every
+    trial's instance must still be the public generator's."""
+
+    @pytest.mark.parametrize("template", LOOP_TEMPLATES)
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("tid", ALL_THEOREMS)
+    def test_each_trial_evaluates_the_instance_generate_instance_builds(self, monkeypatch, tid, drop, template):
+        law, template = _LAWS[tid], LOOP_TEMPLATES[template]
+        seen = []
+        evaluate = type(law).evaluate
+
+        def recording(self, inst, enforce):
+            seen.append((inst, enforce))
+            return evaluate(self, inst, enforce)
+
+        monkeypatch.setattr(type(law), "evaluate", recording)
+        trials = 12
+        fuzz_theorem(tid, trials, template, drop_hypothesis=drop)
+        assert len(seen) == trials
+        for t, (inst, enforce) in enumerate(seen):
+            spec = replace(law.spec(template, drop), seed=template.seed + t)
+            expected = generate_instance(spec)
+            assert enforce is not drop
+            assert type(inst.spec) is InstanceSpec and inst.spec == spec and hash(inst.spec) == hash(spec)
+            assert inst.descriptor == expected.descriptor
+            assert inst.gs is expected.gs
+            assert inst.soft_sets == expected.soft_sets
+            assert inst.outer == expected.outer
+            assert inst.hom == expected.hom
+            assert inst.aux_target == expected.aux_target
+            for ss in filter(None, [*inst.soft_sets, inst.outer, inst.aux_target]):
+                assert type(ss.parameters) is tuple and type(ss.masks) is tuple
+                assert all(type(m) is int for m in ss.masks)
+                # the unchecked parts pass the public constructor's checks
+                assert SoftSet(ss.universe, ss.parameters, ss.masks) == ss
+
 
 class TestCheckTheorem:
     def test_unknown_id_is_an_input_error(self):

@@ -41,6 +41,7 @@ from softgamma import (
     relative_null,
     soft_preimage,
 )
+from softgamma import harness
 from softgamma.algebra import FiniteCommutativeSemigroup, GammaSemiring, carrier_bound, sub_gamma_witness_mask
 
 Z2 = make_zn_gamma(2, (1,), strict=True)
@@ -354,3 +355,22 @@ BAD_SPECS = {
 def test_malformed_spec_raises_input_error(name):
     with pytest.raises(InputError):
         generate_instance(BAD_SPECS[name])
+
+
+@pytest.mark.parametrize("drop", [False, True])
+@pytest.mark.parametrize("name", BAD_SPECS)
+def test_malformed_spec_is_refused_by_fuzz_theorem_before_any_trial(monkeypatch, name, drop):
+    # fuzz_theorem checks its spec once, up front: the same error as the
+    # generator's, and no trial is evaluated
+    with pytest.raises(InputError) as expected:
+        generate_instance(BAD_SPECS[name])
+
+    def no_trial(self, inst, enforce):
+        raise AssertionError("a trial ran on a malformed spec")
+
+    monkeypatch.setattr(harness.Law, "evaluate", no_trial)
+    # T3.4's flags leave generator, size, gamma and the homomorphism to the template
+    with pytest.raises(InputError) as raised:
+        fuzz_theorem("T3.4", 3, BAD_SPECS[name], drop_hypothesis=drop)
+    assert type(raised.value) is type(expected.value)
+    assert str(raised.value) == str(expected.value)
