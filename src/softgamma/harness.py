@@ -23,10 +23,13 @@ preconditions stay evaluable) and stop confining members to the enclosing
 soft set.
 
 Randomness comes from random.Random (MT19937) seeded per trial with
-template.seed + trial_index; the draw order inside generate_instance is part
-of the determinism contract: descriptor, chain order (chain policies only),
-outer parameters and values, then per member its parameters and values, then
-the auxiliary target-side member.
+template.seed + trial_index.  generate_instance is _check_spec, which
+validates a spec without drawing, then _draw_instance, which holds the draw
+order that is part of the determinism contract: descriptor (family, n, gamma
+set; see _draw_descriptor), chain order (chain policies only), outer
+parameters and values, then per member its parameters and values, then the
+auxiliary target-side member.  fuzz_theorem checks its spec once and calls
+_draw_instance per trial.
 """
 
 from __future__ import annotations
@@ -151,36 +154,69 @@ def _random_gamma(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if bits >> i & 1)
 
 
-def _resolve_descriptor(spec: InstanceSpec, rng: random.Random) -> tuple:
+# the descriptor a mix draw of matrix, or an unpinned matrix spec, resolves to
+_MATRIX_DEFAULT = ("matrix", 2, 1, 2)
+
+
+def _check_spec(spec: InstanceSpec) -> tuple:
+    """Every check of a spec that reads no random draw, in generate_instance's
+    order; returns what the spec pins of the descriptor for _draw_descriptor:
+    ("mix",), (kind, n or None, gamma or ()) on zn and minmax, or the whole
+    matrix descriptor.  The seed is not read."""
+    if spec.family_size is not None:
+        _count(spec.family_size, "family_size")
+    if spec.value_policy not in _VALUE_POLICIES:
+        raise InputError(f"unknown value policy {spec.value_policy!r}")
     kind = spec.generator
     size = _collection(spec.size, "spec size")
     gamma = _collection(spec.gamma, "spec gamma")
     if kind == "mix":
         if size or gamma:
             raise InputError(f"a mix spec takes no size or gamma, got {spec.size!r} and {spec.gamma!r}")
-        kind = rng.choice(("zn", "minmax", "matrix"))
-    if kind in ("zn", "minmax"):
+        pinned = ("mix",)
+    elif kind in ("zn", "minmax"):
         if len(size) > 1:
             raise InputError(f"a {kind} spec size is at most one count, got {spec.size!r}")
-        n = _count(size[0], "n") if size else rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
+        n = _count(size[0], "n") if size else None
         if gamma and set(map(type, gamma)) != {int}:
             raise InputError(f"spec gamma entries must be integers, got {spec.gamma!r}")
         # as the generator builds the gamma set: ascending, without repeats
         # (bool refused above); ranges are checked on a cache miss
-        descriptor = (kind, n, tuple(sorted(set(gamma))) or _random_gamma(rng, n))
+        pinned = (kind, n, tuple(sorted(set(gamma))))
     elif kind == "matrix":
         if len(size) not in (0, 3):
             raise InputError(f"a matrix spec size is empty or three counts, got {spec.size!r}")
         if gamma:
             raise InputError(f"a matrix spec takes no gamma (it is all cols x rows matrices), got {spec.gamma!r}")
-        descriptor = ("matrix", *(size or (2, 1, 2)))
+        pinned = ("matrix", *size) if size else _MATRIX_DEFAULT
+        try:
+            hash(pinned)
+        except TypeError:
+            raise InputError(f"spec size entries must be hashable, got {pinned!r}") from None
     else:
         raise InputError(f"unknown generator {spec.generator!r}")
-    try:
-        hash(descriptor)
-    except TypeError:
-        raise InputError(f"spec size entries must be hashable, got {descriptor!r}") from None
-    return descriptor
+    if spec.with_hom and spec.hom_kind not in ("collapse", "identity"):
+        raise InputError(f"unknown homomorphism kind {spec.hom_kind!r}")
+    if spec.target_side and not spec.with_hom:
+        raise GenerationError("target_side generation requires with_hom")
+    return pinned
+
+
+def _draw_descriptor(pinned: tuple, rng: random.Random) -> tuple:
+    """The structure descriptor: pinned (from _check_spec) completed by the
+    draws of the family (mix), n and the gamma set, in that order."""
+    kind = pinned[0]
+    if kind == "mix":
+        kind = rng.choice(("zn", "minmax", "matrix"))
+        if kind == "matrix":
+            return _MATRIX_DEFAULT
+        pinned = (kind, None, ())
+    elif kind == "matrix":
+        return pinned
+    n, gamma = pinned[1], pinned[2]
+    if n is None:
+        n = rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
+    return (kind, n, gamma or _random_gamma(rng, n))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -279,22 +315,30 @@ def _draw_value(rng: random.Random, spec: InstanceSpec, side: GammaSemiring, can
 def generate_instance(spec: InstanceSpec) -> Instance:
     """Build the seed-determined instance for a spec.  Identical specs give
     identical instances."""
-    if spec.family_size is not None:
-        _count(spec.family_size, "family_size")
-    if spec.value_policy not in _VALUE_POLICIES:
-        raise InputError(f"unknown value policy {spec.value_policy!r}")
+    return _draw_instance(spec, _check_spec(spec), random.Random(spec.seed))
 
-    rng = random.Random(spec.seed)
-    descriptor = _resolve_descriptor(spec, rng)
+
+def _reseeded(base: InstanceSpec, seed) -> InstanceSpec:
+    """replace(base, seed=seed) without the dataclass machinery: a copy of
+    base's fields with seed set (InstanceSpec has no __post_init__ to run)."""
+    spec = object.__new__(type(base))
+    spec.__dict__.update(base.__dict__, seed=seed)
+    return spec
+
+
+def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Instance:
+    """The instance of a spec that passed _check_spec, which returned pinned,
+    from rng seeded with spec.seed.  Every random draw of an instance is made
+    here, in the order the determinism contract fixes.  The soft sets are
+    built unchecked: their universe is a structure's carrier, their
+    parameters distinct labels of the pool, and every value a subset mask of
+    that carrier."""
+    descriptor = _draw_descriptor(pinned, rng)
     gs = base_structure(descriptor)
     hom = None
     if spec.with_hom:
-        if spec.hom_kind not in ("collapse", "identity"):
-            raise InputError(f"unknown homomorphism kind {spec.hom_kind!r}")
         # identity homomorphisms are cheap to build, so only the collapses are cached
         hom = identity_hom(gs) if spec.hom_kind == "identity" else canonical_hom(descriptor)
-    if spec.target_side and hom is None:
-        raise GenerationError("target_side generation requires with_hom")
     side = hom.target if spec.target_side else gs
 
     subs = side.sub_masks
@@ -304,6 +348,9 @@ def generate_instance(spec: InstanceSpec) -> Instance:
         if not chain_pool:
             raise GenerationError("chain policy found no comparable subalgebras")
     forced = _forced_mask(spec.value_policy, side, hom)
+    if forced is not None and forced >> side.size:
+        # the kernel is a source mask, which a target_side member cannot take
+        raise InputError(f"value mask {forced!r} does not fit the universe")
     value_candidates = chain_pool if spec.chain else subs
     outer_candidates = chain_pool if spec.chain_outer else subs
 
@@ -313,7 +360,7 @@ def generate_instance(spec: InstanceSpec) -> Instance:
         omasks = tuple(
             _draw_value(rng, spec, side, outer_candidates) if forced is None else forced for _ in oparams
         )
-        outer = SoftSet(side.elements, oparams, omasks)
+        outer = SoftSet._unchecked(side.elements, oparams, omasks)
 
     k = spec.family_size if spec.family_size is not None else rng.randint(1, 3)
     members: list[SoftSet] = []
@@ -338,13 +385,13 @@ def generate_instance(spec: InstanceSpec) -> Instance:
             if constrain:
                 candidates = [m for m in value_candidates if m & ~outer.mask(w) == 0]
             masks.append(_draw_value(rng, spec, side, candidates) if forced is None else forced)
-        members.append(SoftSet(side.elements, params, tuple(masks)))
+        members.append(SoftSet._unchecked(side.elements, params, tuple(masks)))
 
     aux_target = None
     if hom is not None and not spec.target_side:
         params = _draw_parameters(rng, _PARAMETER_POOL, _MAX_PARAMETERS, spec.anchored)
         masks = tuple(_draw_value(rng, spec, hom.target, hom.target.sub_masks) for _ in params)
-        aux_target = SoftSet(hom.target.elements, params, masks)
+        aux_target = SoftSet._unchecked(hom.target.elements, params, masks)
 
     return Instance(
         gs=gs,
@@ -719,20 +766,31 @@ def fuzz_theorem(
 ) -> TheoremVerdict:
     """Run seeded trials template.seed .. template.seed+trials-1.
 
-    With drop_hypothesis the hypothesis-enforcing policies (including the
-    values-are-subalgebras policy) are disabled and the checks report honest
+    With drop_hypothesis the hypothesis-enforcing policies are disabled (see
+    Law.spec): the plain closure laws draw arbitrary subsets as values, the
+    nested containment laws keep subalgebra values but no longer confine
+    members to the enclosing soft set.  The checks then report honest
     conclusion failures; the recorded counterexample is the one from the
     lowest failing trial.
+
+    The spec is checked once, before trial 0; per trial one random.Random is
+    reseeded and only the draws are made.  Trial t evaluates exactly
+    generate_instance(replace(law spec, seed=template.seed + t)).
     """
     _count(trials, "trials")
     law = _lookup(theorem_id)
     template = template if template is not None else InstanceSpec()
-    # the law's policy never touches the seed, so it is applied once
+    # the law's policy never touches the seed, so it is applied and checked once
     base = law.spec(template, drop_hypothesis)
+    pinned = _check_spec(base)
+    rng = random.Random()
+    enforce = not drop_hypothesis
 
     def outcomes():
         for t in range(trials):
-            spec = replace(base, seed=template.seed + t)
-            yield t, spec, law.evaluate(generate_instance(spec), not drop_hypothesis)
+            seed = template.seed + t
+            rng.seed(seed)  # the state random.Random(seed) starts in
+            spec = _reseeded(base, seed)
+            yield t, spec, law.evaluate(_draw_instance(spec, pinned, rng), enforce)
 
     return _verdict(theorem_id, outcomes())

@@ -48,6 +48,17 @@ class SoftSet:
         object.__setattr__(self, "masks", masks)
 
     @classmethod
+    def _unchecked(cls, universe: tuple, parameters: tuple, masks: tuple) -> "SoftSet":
+        """A soft set from parts valid by construction, skipping __init__'s
+        checks: a validated universe, a tuple of distinct hashable
+        parameters and a tuple of exact ints below 1 << len(universe).  Only
+        the soft-set operations below and the harness's instance draw call
+        it; input from outside goes through __init__ or build."""
+        ss = object.__new__(cls)
+        ss.__dict__.update(universe=universe, parameters=parameters, masks=masks)
+        return ss
+
+    @classmethod
     def build(cls, universe, parameters, values: Mapping | None = None) -> "SoftSet":
         """Construct from label sets; parameters missing from values get the empty set."""
         universe = _labels(universe, "universe")
@@ -86,7 +97,7 @@ class SoftSet:
         return tuple(self.universe[i] for i in iter_bits(m))
 
     def is_null(self) -> bool:
-        return all(m == 0 for m in self.masks)
+        return not any(self.masks)
 
 
 def support(ss: SoftSet) -> tuple[Label, ...]:
@@ -136,28 +147,30 @@ def soft_equal(a: SoftSet, b: SoftSet) -> bool:
 
 
 # the three operation shapes, each folding the members' masks with the
-# pointwise combiner operator.and_ (intersection) or operator.or_ (union)
+# pointwise combiner operator.and_ (intersection) or operator.or_ (union);
+# folds of in-range masks stay in range, and a subset, dict-ordered union or
+# product of distinct parameter tuples stays distinct, so results are unchecked
 def _restricted(family: Sequence[SoftSet], combine) -> SoftSet:
     fam = _family(family)
     common = tuple(w for w in fam[0].parameters if all(m.has_param(w) for m in fam[1:]))
     if not common:
         raise DomainError("restricted operation needs a nonempty parameter intersection")
     masks = tuple(reduce(combine, [m.mask(w) for m in fam]) for w in common)
-    return SoftSet(fam[0].universe, common, masks)
+    return SoftSet._unchecked(fam[0].universe, common, masks)
 
 
 def _extended(family: Sequence[SoftSet], combine) -> SoftSet:
     fam = _family(family)
     params = tuple(dict.fromkeys(w for m in fam for w in m.parameters))
     masks = tuple(reduce(combine, [m.mask(w) for m in fam if m.has_param(w)]) for w in params)
-    return SoftSet(fam[0].universe, params, masks)
+    return SoftSet._unchecked(fam[0].universe, params, masks)
 
 
 def _tabular(family: Sequence[SoftSet], combine) -> SoftSet:
     fam = _family(family)
     params = tuple(iproduct(*[m.parameters for m in fam]))
     masks = tuple(reduce(combine, [m.mask(y) for m, y in zip(fam, combo)]) for combo in params)
-    return SoftSet(fam[0].universe, params, masks)
+    return SoftSet._unchecked(fam[0].universe, params, masks)
 
 
 def restricted_intersect(family: Sequence[SoftSet]) -> SoftSet:
@@ -220,7 +233,7 @@ def cartesian_product(family: Sequence[SoftSet]) -> SoftSet:
                 box |= mask << t * width
             prev = box
         masks.append(prev)
-    return SoftSet(universe, params, tuple(masks))
+    return SoftSet._unchecked(universe, params, tuple(masks))
 
 
 def relative_null(universe, parameters) -> SoftSet:
