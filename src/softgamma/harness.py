@@ -775,7 +775,7 @@ def fuzz_theorem(
 
     The spec is checked once, before trial 0; per trial one random.Random is
     reseeded and only the draws are made.  Trial t evaluates exactly
-    generate_instance(replace(law spec, seed=template.seed + t)).
+    generate_instance(replace(base, seed=template.seed + t)).
     """
     _count(trials, "trials")
     law = _lookup(theorem_id)
