@@ -1,5 +1,6 @@
 """Finite soft gamma-semirings: structures, soft-set algebra, law fuzzing."""
 
+from . import files
 from .algebra import (
     FiniteCommutativeSemigroup,
     GammaHom,
@@ -25,17 +26,6 @@ from .errors import (
     SoftGammaError,
 )
 from .generators import make_matrix_gamma, make_minmax_gamma, make_zn_gamma, product_gamma
-from .harness import (
-    ACCEPTANCE_THEOREMS,
-    ALL_THEOREMS,
-    Instance,
-    NECESSITY_TEMPLATES,
-    InstanceSpec,
-    check_theorem,
-    check_trivial_whole_theorem,
-    fuzz_theorem,
-    generate_instance,
-)
 from .reports import AxiomReport, TheoremVerdict, Violation, Witness
 from .soft_gamma import (
     SoftGammaSemiring,
@@ -72,4 +62,35 @@ from .soft_sets import (
     support,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the fuzzing harness is the largest module, and of the CLI commands only
+# theorem and suite run it, so its names load on first use (PEP 562)
+_HARNESS_NAMES = frozenset(
+    {
+        "ACCEPTANCE_THEOREMS",
+        "ALL_THEOREMS",
+        "Instance",
+        "NECESSITY_TEMPLATES",
+        "InstanceSpec",
+        "check_theorem",
+        "check_trivial_whole_theorem",
+        "fuzz_theorem",
+        "generate_instance",
+    }
+)
+
+
+def __getattr__(name):
+    if name == "harness" or name in _HARNESS_NAMES:
+        import importlib
+
+        # not "from . import harness", which asks this hook for "harness" again
+        harness = importlib.import_module(".harness", __name__)
+        return harness if name == "harness" else getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _HARNESS_NAMES | {"harness"})

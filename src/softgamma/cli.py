@@ -6,6 +6,8 @@ with --drop-hypothesis, every law of the necessity column on its pinned
 family.  Exit codes: 0 success, 1 axiom/domain failure (or, with
 --drop-hypothesis, a law with no counterexample found), 2 parse/input
 error.  stdout carries only machine-readable JSON; diagnostics go to stderr.
+theorem and suite import the harness when they run, so the other commands
+start without it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from . import files
 from .algebra import check_gamma_semiring, enumerate_sub_gamma_semirings
 from .errors import DomainError, GenerationError, InputError
 from .generators import make_matrix_gamma, make_minmax_gamma, make_zn_gamma
-from .harness import ALL_THEOREMS, NECESSITY_TEMPLATES, InstanceSpec, fuzz_theorem
 from .soft_gamma import is_soft_gamma_semiring
 from .soft_sets import (
     TernaryRelation,
@@ -139,6 +140,8 @@ def _fuzz_exit(verdicts, drop_hypothesis: bool) -> int:
 
 
 def cmd_theorem(args) -> int:
+    from .harness import InstanceSpec, fuzz_theorem
+
     verdict = fuzz_theorem(
         args.id,
         args.trials,
@@ -150,6 +153,8 @@ def cmd_theorem(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .harness import ALL_THEOREMS, NECESSITY_TEMPLATES, InstanceSpec, fuzz_theorem
+
     if args.drop_hypothesis:
         runs = [(tid, replace(template, seed=args.seed)) for tid, template in NECESSITY_TEMPLATES.items()]
     else:

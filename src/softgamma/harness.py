@@ -93,7 +93,8 @@ class InstanceSpec:
     constraining values to the enclosing ones); with_hom attaches the
     family's canonical surjective homomorphism (hom_kind "identity" for the
     identity, which is built per instance rather than cached); target_side
-    moves generation to the homomorphism target.
+    moves generation to the homomorphism target, which the carrier-image
+    policy requires and the kernel policy refuses.
     """
 
     generator: str = "mix"
@@ -199,6 +200,11 @@ def _check_spec(spec: InstanceSpec) -> tuple:
         raise InputError(f"unknown homomorphism kind {spec.hom_kind!r}")
     if spec.target_side and not spec.with_hom:
         raise GenerationError("target_side generation requires with_hom")
+    # the kernel is a mask over the source, the carrier image one over the target
+    if spec.value_policy == "kernel" and spec.target_side:
+        raise InputError("the kernel value policy gives source values; it takes no target_side")
+    if spec.value_policy == "carrier-image" and spec.with_hom and not spec.target_side:
+        raise InputError("the carrier-image value policy gives target values; it requires target_side")
     return pinned
 
 
@@ -348,9 +354,6 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
         if not chain_pool:
             raise GenerationError("chain policy found no comparable subalgebras")
     forced = _forced_mask(spec.value_policy, side, hom)
-    if forced is not None and forced >> side.size:
-        # the kernel is a source mask, which a target_side member cannot take
-        raise InputError(f"value mask {forced!r} does not fit the universe")
     value_candidates = chain_pool if spec.chain else subs
     outer_candidates = chain_pool if spec.chain_outer else subs
 

@@ -132,14 +132,20 @@ class TestGeneration:
             generate_instance(InstanceSpec(target_side=True, seed=3))
 
     def test_a_forced_mask_off_the_target_carrier_is_refused_by_both_paths(self):
-        # the kernel of the zn 8 collapse is a source mask, {0, 4}, and the
-        # target carrier has four elements
-        spec = InstanceSpec(
-            generator="zn", size=(8,), gamma=(2,), with_hom=True, target_side=True, value_policy="kernel"
-        )
-        for run in (lambda: generate_instance(spec), lambda: fuzz_theorem("T3.4", 3, spec)):
-            with pytest.raises(InputError, match="value mask 17 does not fit the universe"):
-                run()
+        # the kernel is a source mask and the carrier image a target mask; the
+        # zn 8 collapse's kernel does not fit its target carrier, the minmax 5
+        # clamp's kernel {0} does, and both carrier images fit their sources
+        cases = [
+            (dict(target_side=True, value_policy="kernel"), "kernel value policy gives source values"),
+            (dict(value_policy="carrier-image"), "carrier-image value policy gives target values"),
+        ]
+        families = [dict(generator="zn", size=(8,), gamma=(2,)), dict(generator="minmax", size=(5,), gamma=(1, 2, 3))]
+        for family in families:
+            for policy, message in cases:
+                spec = InstanceSpec(**family, **policy, with_hom=True)
+                for run in (lambda: generate_instance(spec), lambda: fuzz_theorem("T3.4", 3, spec)):
+                    with pytest.raises(InputError, match=message):
+                        run()
 
 
 # the templates the trial loop is checked on: the mix generator and one pinned
