@@ -29,7 +29,13 @@ order that is part of the determinism contract: descriptor (family, n, gamma
 set; see _draw_descriptor), chain order (chain policies only), outer
 parameters and values, then per member its parameters and values, then the
 auxiliary target-side member.  fuzz_theorem checks its spec once and calls
-_draw_instance per trial.
+_draw_instance per trial.  Every bounded integer (a choice, a size, a sample
+index, a shuffle swap) is drawn by _below straight from getrandbits, so the
+draw order rests only on seeding and the MT19937 output words, not on the
+random.Random sample, choice, shuffle and randint algorithms, which the
+random docs do not promise to keep across versions.  _below reads the words
+those methods read in CPython 3.10 and 3.11; tests/test_draws.py holds the
+stdlib draws as the oracle.
 """
 
 from __future__ import annotations
@@ -148,10 +154,21 @@ _EMPTY_RATE = 0.2
 _CACHE_SIZE = 256
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform integer in 0..n-1, for n >= 1 only (n = 0 never ends):
+    getrandbits(n.bit_length()) redrawn until it is below n, the words that
+    random.Random's bounded draws read (CPython's _randbelow_with_getrandbits)."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_gamma(rng: random.Random, n: int) -> tuple[int, ...]:
     bits = rng.getrandbits(n)
     if bits == 0:
-        bits = 1 << rng.randrange(n)
+        bits = 1 << _below(rng.getrandbits, n)
     return tuple(i for i in range(n) if bits >> i & 1)
 
 
@@ -213,7 +230,8 @@ def _draw_descriptor(pinned: tuple, rng: random.Random) -> tuple:
     draws of the family (mix), n and the gamma set, in that order."""
     kind = pinned[0]
     if kind == "mix":
-        kind = rng.choice(("zn", "minmax", "matrix"))
+        kinds = ("zn", "minmax", "matrix")
+        kind = kinds[_below(rng.getrandbits, len(kinds))]
         if kind == "matrix":
             return _MATRIX_DEFAULT
         pinned = (kind, None, ())
@@ -221,7 +239,8 @@ def _draw_descriptor(pinned: tuple, rng: random.Random) -> tuple:
         return pinned
     n, gamma = pinned[1], pinned[2]
     if n is None:
-        n = rng.choice((4, 6, 8) if kind == "zn" else (3, 4, 5))
+        sizes = (4, 6, 8) if kind == "zn" else (3, 4, 5)
+        n = sizes[_below(rng.getrandbits, len(sizes))]
     return (kind, n, gamma or _random_gamma(rng, n))
 
 
@@ -267,8 +286,12 @@ def canonical_hom(descriptor: tuple) -> GammaHom:
 
 
 def _draw_chain(rng: random.Random, subs: tuple[int, ...]) -> list[int]:
+    # random.shuffle's Fisher-Yates swaps
     order = list(subs)
-    rng.shuffle(order)
+    bits = rng.getrandbits
+    for i in reversed(range(1, len(order))):
+        j = _below(bits, i + 1)
+        order[i], order[j] = order[j], order[i]
     chain: list[int] = []
     for m in order:
         if all(m & ~c == 0 or c & ~m == 0 for c in chain):
@@ -282,11 +305,23 @@ def _draw_parameters(
     max_size: int,
     anchored: bool,
 ) -> tuple:
-    size = rng.randint(1, max(1, min(max_size, len(pool))))
-    idxs = rng.sample(range(len(pool)), size)
+    bits = rng.getrandbits
+    n = len(pool)
+    size = 1 + _below(bits, max(1, min(max_size, n)))
+    if size > n:
+        raise GenerationError("cannot draw parameters from an empty pool")
+    # random.sample's pool-swap loop on range(n), its path for populations of
+    # at most 21 (the pools hold at most four); left[:n-i] holds the indices
+    # not yet drawn
+    left = list(range(n))
+    idxs = []
+    for i in range(size):
+        j = _below(bits, n - i)
+        idxs.append(left[j])
+        left[j] = left[n - i - 1]
     if anchored and 0 not in idxs:
         idxs[0] = 0
-    return tuple(pool[i] for i in sorted(set(idxs)))
+    return tuple(pool[i] for i in sorted(idxs))
 
 
 def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
@@ -315,7 +350,7 @@ def _draw_value(rng: random.Random, spec: InstanceSpec, side: GammaSemiring, can
         return 0
     if spec.value_policy == "arbitrary":
         return rng.getrandbits(side.size)
-    return rng.choice(candidates) if candidates else 0
+    return candidates[_below(rng.getrandbits, len(candidates))] if candidates else 0
 
 
 def generate_instance(spec: InstanceSpec) -> Instance:
@@ -365,7 +400,7 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
         )
         outer = SoftSet._unchecked(side.elements, oparams, omasks)
 
-    k = spec.family_size if spec.family_size is not None else rng.randint(1, 3)
+    k = spec.family_size if spec.family_size is not None else 1 + _below(rng.getrandbits, 3)
     members: list[SoftSet] = []
     shared_params: tuple | None = None
     constrain = spec.nested and not spec.nested_free and spec.value_policy == "subsemirings"
@@ -386,7 +421,8 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
         for w in params:
             candidates = value_candidates
             if constrain:
-                candidates = [m for m in value_candidates if m & ~outer.mask(w) == 0]
+                outside = ~outer.mask(w)
+                candidates = [m for m in value_candidates if m & outside == 0]
             masks.append(_draw_value(rng, spec, side, candidates) if forced is None else forced)
         members.append(SoftSet._unchecked(side.elements, params, tuple(masks)))
 

@@ -2,7 +2,9 @@
 
 `import softgamma` and every CLI command but theorem and suite leave
 softgamma.harness unloaded; the package still serves the harness names on
-first use, and no module imports the harness at module level.
+first use, and no module imports the harness at module level.  The harness
+itself makes no stdlib bounded draw: it draws bounded integers through
+harness._below, so its draw order rests on getrandbits alone.
 """
 
 import ast
@@ -171,3 +173,41 @@ def test_no_module_imports_the_harness_at_module_level():
         for lineno in _module_level_harness_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert found == [], "module-level harness imports in softgamma: " + ", ".join(found)
+
+
+# random.Random methods whose draws rest on stdlib algorithms, not on getrandbits alone
+STDLIB_BOUNDED_DRAWS = {"sample", "choice", "choices", "randint", "randrange", "shuffle", "uniform"}
+
+
+def _stdlib_bounded_draws(tree):
+    """Line numbers of the uses of a method named in STDLIB_BOUNDED_DRAWS:
+    every attribute of that name, so a call through an alias counts too."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in STDLIB_BOUNDED_DRAWS
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("rng.choice(seq)", [1]),
+        ("x = 1\nrandom.Random(0).shuffle(order)", [2]),
+        ("def f(rng):\n    return [rng.randint(1, 3)]", [2]),
+        ("rng.sample(pool, 2); rng.uniform(0, 1)", [1, 1]),
+        ("r.randrange(n)\nr.choices(seq, k=2)", [1, 2]),
+        ("rng.getrandbits(4); rng.random(); rng.seed(0)", []),
+        ("_below(rng.getrandbits, 3)", []),
+        ("pick = rng.choice\npick(seq)", [1]),
+        ("choice(seq); sample = 2", []),
+    ],
+)
+def test_the_guard_finds_stdlib_bounded_draw_calls(source, flagged):
+    assert sorted(_stdlib_bounded_draws(ast.parse(source))) == flagged
+
+
+def test_the_harness_makes_no_stdlib_bounded_draw():
+    path = SRC / "softgamma" / "harness.py"
+    found = _stdlib_bounded_draws(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert found == [], f"stdlib bounded draws in harness.py (draw through _below): lines {found}"
