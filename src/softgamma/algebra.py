@@ -150,12 +150,48 @@ def _commutativity_witness(table) -> tuple[int, int] | None:
     return None
 
 
+# a position is one byte of the blocks that the axiom scans compare
+MAX_SCAN_CARRIER = 256
+
+
+def _translation(row) -> bytes:
+    """The bytes.translate table sending each position p to row[p]."""
+    return bytes(row).ljust(256, b"\0")
+
+
+def _first_difference(x: bytes, y: bytes, keep: int = -1) -> int | None:
+    """The first index at which x and y differ, of those whose byte in keep
+    (read big-endian, like x and y) is 0xff; None when they agree there."""
+    diff = (int.from_bytes(x, "big") ^ int.from_bytes(y, "big")) & keep
+    return len(x) - 1 - (diff.bit_length() - 1) // 8 if diff else None
+
+
+def _associativity_start(table, rows: dict) -> int:
+    """The row from which _associativity_witness scans entry by entry: the
+    first row i holding some (i+j)+k != i+(j+k), each row compared as one
+    block of bytes, or len(table) when there is none; 0, ruling out no row,
+    when the codes do not fit in a byte or a sum falls outside rows."""
+    n = len(table)
+    if n > MAX_SCAN_CARRIER:
+        return 0
+    try:
+        coded = [bytes(map(rows.__getitem__, row)) for row in table]
+    except KeyError:
+        return 0
+    flat = b"".join(coded)
+    for i, row in enumerate(coded):
+        # byte j * n + k: (i+j)+k on the left, i+(j+k) on the right
+        if b"".join([coded[x] for x in row]) != flat.translate(_translation(row)):
+            return i
+    return n
+
+
 def _associativity_witness(table, rows: dict) -> tuple[int, int, int] | None:
     """The first (i, j, k) with (i+j)+k != i+(j+k), each inner sum read as a
     row through rows; triples with an inner sum outside rows are skipped."""
     get = rows.get
     n = len(table)
-    for i in range(n):
+    for i in range(_associativity_start(table, rows), n):
         row_i = table[i]
         for j in range(n):
             ij = get(row_i[j])
@@ -551,29 +587,19 @@ def enumerate_sub_gamma_semirings(
     return [gs.labels_of_mask(m) for m in gs.sub_masks]
 
 
-# a position is one byte of the blocks that check_gamma_semiring compares
-MAX_SCAN_CARRIER = 256
+def _additivity_failure(f: bytes, sums: bytes, add_maps: list, keep: int = -1) -> int | None:
+    """The first flat index x * m + y with f(x + y) != f(x) + f(y), for a map
+    f of an m-element domain into the carrier; None when f is additive.
 
-
-def _translation(row) -> bytes:
-    """The bytes.translate table sending each position p to row[p]."""
-    return bytes(row).ljust(256, b"\0")
-
-
-def _first_difference(x: bytes, y: bytes) -> int:
-    return next(i for i in range(len(x)) if x[i] != y[i])
-
-
-def _additivity_failure(f: bytes, add_flat: bytes, add_maps: list) -> int | None:
-    """The first flat index b * n + c with f(b + c) != f(b) + f(c), for a map
-    f of the n-element carrier; None when f is additive.
-
-    add_flat is the addition table row by row and add_maps[y] the translation
-    of row y, so f(b) + f(c) over c is f translated by add_maps[f(b)].
+    sums is the domain's addition table row by row and add_maps[z] the
+    translation of the carrier's row z, so f(x) + f(y) over y is f translated
+    by add_maps[f(x)].  Only the flat indices that keep marks are judged (see
+    _first_difference), so a sum outside the domain may sit in sums as any
+    position.
     """
-    lhs = add_flat.translate(_translation(f))
+    lhs = sums.translate(_translation(f))
     rhs = b"".join([f.translate(add_maps[y]) for y in f])
-    return None if lhs == rhs else _first_difference(lhs, rhs)
+    return None if lhs == rhs else _first_difference(lhs, rhs, keep)
 
 
 def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
@@ -586,10 +612,11 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     forms a commutative semigroup, plus distributivity of the product over
     gamma addition.  The mode is always explicit, never inferred.
 
-    The sum distributivity and product associativity scans hold positions
-    in bytes and compose maps with bytes.translate, a block of rows at a
-    time, so a carrier above MAX_SCAN_CARRIER elements is refused with
-    SizeLimitError before any scan runs.
+    The associativity and distributivity scans hold positions in bytes and
+    compose maps with bytes.translate, a block of rows at a time, so a
+    carrier above MAX_SCAN_CARRIER elements, and in strict mode a gamma set
+    above MAX_SCAN_CARRIER labels, is refused with SizeLimitError before any
+    scan runs.
     """
     if mode not in ("weak", "strict"):
         raise InputError(f"mode must be 'weak' or 'strict', got {mode!r}")
@@ -598,6 +625,10 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         raise InputError("strict mode requires a gamma addition table")
     if gs.size > MAX_SCAN_CARRIER:
         raise SizeLimitError(f"carrier has {gs.size} elements, above the scan bound {MAX_SCAN_CARRIER}")
+    if strict and len(gs.gamma_elements) > MAX_SCAN_CARRIER:
+        raise SizeLimitError(
+            f"gamma set has {len(gs.gamma_elements)} labels, above the scan bound {MAX_SCAN_CARRIER}"
+        )
 
     elems = gs.elements
     add = gs.s.add_table
@@ -645,16 +676,20 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         return None
 
     def gamma_distributivity():
-        # a (alpha+beta) b == a alpha b + a beta b, on pairs whose sum stays in gamma
+        # a (alpha+beta) b == a alpha b + a beta b, on pairs whose sum stays in
+        # gamma: every map gamma -> a gamma b is additive on those pairs; for
+        # each a the witness is the least over every failing b
+        sums = bytes(gpos.get(x, 0) for row in gadd for x in row)
+        keep = int.from_bytes(bytes(255 if x in gpos else 0 for row in gadd for x in row), "big")
         for a in range(n):
-            for i in range(ng):
-                for j in range(ng):
-                    ij = gpos.get(gadd[i][j])
-                    if ij is None:
-                        continue
-                    for b in range(n):
-                        if prod[a][ij][b] != add[prod[a][i][b]][prod[a][j][b]]:
-                            return (elems[a], gamma[i], gamma[j], elems[b])
+            found = []
+            for b, f in enumerate(zip(*rows[a])):
+                i = _additivity_failure(bytes(f), sums, add_maps, keep)
+                if i is not None:
+                    found.append((*divmod(i, ng), b))
+            if found:
+                i, j, b = min(found)
+                return (elems[a], gamma[i], gamma[j], elems[b])
         return None
 
     def product_associativity():

@@ -529,6 +529,10 @@ class Law:
     their own.  necessity pins the structure family on which fuzzing with
     the hypothesis dropped finds a counterexample, showing the hypothesis is
     needed; it is not a flag, because spec() hands every flag to InstanceSpec.
+    T4.3, like T4.5, has no necessity family, and it cannot have one: the
+    intersection of two subalgebras is a subalgebra, so its hypothesis is
+    exactly the condition under which its conclusion is defined, and
+    dropping it can only make trials vacuous.
     """
 
     def __init__(

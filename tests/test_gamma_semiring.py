@@ -138,15 +138,24 @@ class TestMatrixFamily:
         assert check_gamma_semiring(make_matrix_gamma(2, 2, 1), "strict").passed
 
     def test_product_table_matches_matrix_arithmetic(self):
-        gs = make_matrix_gamma(2, 1, 2)
-        for a in gs.elements:
-            for g in gs.gamma_elements:
-                for b in gs.elements:
-                    got = _mat(ternary_product(gs, a, g, b), 1, 2)
-                    expected = _matmul_oracle(
-                        _matmul_oracle(_mat(a, 1, 2), _mat(g, 2, 1), 2), _mat(b, 1, 2), 2
-                    )
-                    assert got == expected
+        # every shape make_matrix_gamma accepts, so each memoized product row
+        # is checked against every a·alpha that shares it
+        shapes = [
+            (p, rows, cols)
+            for p in (2, 3)
+            for rows in range(1, 5)
+            for cols in range(1, 5)
+            if p ** (rows * cols) <= 27
+        ]
+        assert len(shapes) == 13
+        for p, rows, cols in shapes:
+            gs = make_matrix_gamma(p, rows, cols)
+            for a in gs.elements:
+                for g in gs.gamma_elements:
+                    ag = _matmul_oracle(_mat(a, rows, cols), _mat(g, cols, rows), p)
+                    for b in gs.elements:
+                        got = _mat(ternary_product(gs, a, g, b), rows, cols)
+                        assert got == _matmul_oracle(ag, _mat(b, rows, cols), p), (p, rows, cols, a, g, b)
 
     def test_mismatched_matrix_shapes_are_a_constraint_error(self):
         with pytest.raises(ConstraintError):
@@ -202,6 +211,20 @@ def above_scan_bound():
     return make_zn_gamma(MAX_SCAN_CARRIER + 1, (1,), strict=True)
 
 
+@pytest.fixture(scope="module")
+def gamma_above_scan_bound():
+    # one element, and a gamma set one label above the bound whose sums all
+    # fall on its first label, so every weak and strict axiom holds
+    gamma = tuple(f"g{i}" for i in range(MAX_SCAN_CARRIER + 1))
+    return GammaSemiring(
+        FiniteCommutativeSemigroup(("0",), [[0]]),
+        gamma,
+        [[gamma[0]] * len(gamma)] * len(gamma),
+        [[[0]] * len(gamma)],
+        zero="0",
+    )
+
+
 class TestScanBound:
     @pytest.mark.parametrize("mode", ["weak", "strict"])
     def test_a_carrier_above_the_bound_is_refused_before_any_scan(self, above_scan_bound, mode, monkeypatch):
@@ -217,6 +240,25 @@ class TestScanBound:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: carrier has 257 elements, above the scan bound 256\n"
+
+    def test_a_gamma_set_above_the_bound_is_refused_in_strict_mode_before_any_scan(
+        self, gamma_above_scan_bound, monkeypatch
+    ):
+        monkeypatch.setattr(algebra, "_report", lambda *args: pytest.fail("a scan ran"))
+        with pytest.raises(SizeLimitError, match="^gamma set has 257 labels, above the scan bound 256$"):
+            check_gamma_semiring(gamma_above_scan_bound, "strict")
+
+    def test_validate_exits_2_on_a_gamma_set_above_the_bound_in_strict_mode_only(
+        self, gamma_above_scan_bound, tmp_path, capsys
+    ):
+        path = tmp_path / "gamma257.structure.json"
+        path.write_text(files.dumps(files.structure_to_doc(gamma_above_scan_bound, name="gamma257")), encoding="utf-8")
+        code = main(["validate", str(path), "--mode", "strict"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: gamma set has 257 labels, above the scan bound 256\n"
+        assert main(["validate", str(path), "--mode", "weak"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_the_semigroup_check_has_no_bound(self):
         # every sum is 0 but 0 + 0 = 1 and 1 + 0 = 2, so both axioms fail early
@@ -356,6 +398,22 @@ def _two_failing_columns():
     )
 
 
+def _least_gamma_pair_at_a_later_b():
+    """Z_3 with the max semilattice on gamma = {g, h}, where f(gamma) = 0·gamma·b
+    is additive only when it is 0 everywhere.  Every product is 0 except
+    0·h·0 = 1 and 0·g·1 = 1: at b = 0 the map first fails at (h, h), at the
+    later b = 1 already at (g, g), so the distributive-gamma witness is
+    (0, g, g, 1), the least (alpha, beta, b) over both failing b."""
+    zeros = (0, 0, 0)
+    return GammaSemiring(
+        FiniteCommutativeSemigroup(("0", "1", "2"), [[(i + j) % 3 for j in range(3)] for i in range(3)]),
+        ("g", "h"),
+        [["g", "h"], ["h", "h"]],
+        [[(0, 1, 0), (1, 0, 0)], [zeros, zeros], [zeros, zeros]],
+        zero="0",
+    )
+
+
 REFERENCE_BASES = {
     "z4-full": make_zn_gamma(4, (0, 1, 2, 3), strict=True),
     "z8-even": make_zn_gamma(8, (2, 4, 6), strict=True),
@@ -369,7 +427,14 @@ REFERENCE_BASES = {
     "minmax9": make_minmax_gamma(9, (1, 3, 5, 7)),
     "matrix312": make_matrix_gamma(3, 1, 2),
     "two-failing-columns": _two_failing_columns(),
+    # n = |gamma| = 16: shared product rows, and scan blocks of n·|gamma| = 256 rows
+    "matrix222": make_matrix_gamma(2, 2, 2),
+    "least-gamma-pair-at-a-later-b": _least_gamma_pair_at_a_later_b(),
 }
+
+# a weak and a strict reference pass over the 16**5 product-associativity
+# terms of matrix222 take about 2 s, so it runs the base and one mutant only
+REFERENCE_TRIALS = {"matrix222": 2}
 
 
 @pytest.mark.parametrize("name", REFERENCE_BASES)
@@ -378,7 +443,7 @@ def test_reports_match_an_independent_reference_scan_on_mutants(name):
     # seeded mutants; the unmutated structure comes first
     base = REFERENCE_BASES[name]
     rng = random.Random(name)
-    for trial in range(60):
+    for trial in range(REFERENCE_TRIALS.get(name, 60)):
         gs = base if trial == 0 else mutant(base, rng)
         modes = ("weak", "strict") if gs.gamma_add is not None else ("weak",)
         for mode in modes:
