@@ -303,21 +303,23 @@ class GammaSemiring:
         return tuple(self.s.elements[i] for i in iter_bits(mask))
 
     @cached_property
+    def _ops(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        # the square position tables of the operations a subalgebra is closed
+        # under and a homomorphism preserves: +, then (a, b) -> a·alpha·b per alpha
+        return (self.s.add_table, *zip(*self.product))
+
+    @cached_property
     def _closure_need(self) -> tuple[tuple[int, ...], ...]:
         # need[i][j] = bits forced into any subset containing i and j
         n = self.size
-        add = self.s.add_table
-        prod = self.product
-        gammas = range(len(self.gamma_elements))
         need = []
         for i in range(n):
-            prod_i = prod[i]
-            add_i = add[i]
+            rows = [op[i] for op in self._ops]
             row = []
             for j in range(n):
-                m = 1 << add_i[j]
-                for g in gammas:
-                    m |= 1 << prod_i[g][j]
+                m = 0
+                for r in rows:
+                    m |= 1 << r[j]
                 row.append(m)
             need.append(tuple(row))
         return tuple(need)
@@ -509,8 +511,7 @@ def _product_closure_witness(gs: GammaSemiring, k: int, mask: int) -> Witness:
     if mask == 0:
         return Witness(False, kind="empty-subset")
     n = gs.size
-    # the addition table, then one table per gamma label
-    tables = [gs.s.add_table, *([layer[g] for layer in gs.product] for g in range(len(gs.gamma_elements)))]
+    tables = gs._ops
     memos = [{} for _ in tables]
     inv = ~mask
     if not any(_fold_image(t, n, k, mask, mask, memo) & inv for t, memo in zip(tables, memos)):
@@ -810,23 +811,11 @@ def _hom_positions(mapping, source: GammaSemiring, target: GammaSemiring) -> tup
         raise InputError("source and target must share an identically ordered gamma set")
     positions = _map_positions(mapping, source.elements, target.s._pos, "mapping", "the target carrier")
 
-    s_add = source.s.add_table
-    t_add = target.s.add_table
-    n = source.size
-    for i in range(n):
-        fi = positions[i]
-        for j in range(n):
-            if positions[s_add[i][j]] != t_add[fi][positions[j]]:
-                return None
-    s_prod = source.product
-    t_prod = target.product
-    for i in range(n):
-        fi = positions[i]
-        for g in range(len(source.gamma_elements)):
-            row = s_prod[i][g]
-            t_row = t_prod[fi][g]
-            for j in range(n):
-                if positions[row[j]] != t_row[positions[j]]:
+    for s_op, t_op in zip(source._ops, target._ops):
+        for row, fi in zip(s_op, positions):
+            t_row = t_op[fi]
+            for k, fj in zip(row, positions):
+                if positions[k] != t_row[fj]:
                     return None
     return positions
 

@@ -24,12 +24,12 @@ from .generators import make_matrix_gamma, make_minmax_gamma, make_zn_gamma
 from .soft_gamma import is_soft_gamma_semiring
 from .soft_sets import (
     TernaryRelation,
-    and_intersect,
+    and_intersect_family,
     cartesian_product,
     extended_intersect,
     extended_union,
     make_soft_function,
-    or_union,
+    or_union_family,
     restricted_intersect,
     restricted_union,
     soft_image,
@@ -41,9 +41,17 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-_FAMILY_KINDS = ("rint", "eint", "runion", "eunion", "prod")
-_PAIR_KINDS = ("and", "or")
-_OP_KINDS = _FAMILY_KINDS + _PAIR_KINDS + ("image", "preimage")
+# the operations on a family of soft sets; "and" and "or" take exactly two
+_FAMILY_OPS = {
+    "rint": restricted_intersect,
+    "eint": extended_intersect,
+    "runion": restricted_union,
+    "eunion": extended_union,
+    "prod": cartesian_product,
+    "and": and_intersect_family,
+    "or": or_union_family,
+}
+_OP_KINDS = (*_FAMILY_OPS, "image", "preimage")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -76,23 +84,10 @@ def cmd_validate(args) -> int:
 
 def cmd_op(args) -> int:
     kind = args.kind
-    if kind in _FAMILY_KINDS:
-        members = _soft_sets(args.files)
-        if not members:
-            raise InputError("at least one soft-set file is required")
-        op = {
-            "rint": restricted_intersect,
-            "eint": extended_intersect,
-            "runion": restricted_union,
-            "eunion": extended_union,
-            "prod": cartesian_product,
-        }[kind]
-        result = op(members)
-    elif kind in _PAIR_KINDS:
-        if len(args.files) != 2:
+    if kind in _FAMILY_OPS:
+        if kind in ("and", "or") and len(args.files) != 2:
             raise InputError(f"op {kind} takes exactly two soft-set files")
-        a, b = _soft_sets(args.files)
-        result = and_intersect(a, b) if kind == "and" else or_union(a, b)
+        result = _FAMILY_OPS[kind](_soft_sets(args.files))
     elif kind == "image":
         if len(args.files) != 3:
             raise InputError("op image takes a map file, a source file, and a target file")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import MAX_PRODUCT_SIZE  # noqa: F401  (the bound product_gamma enforces)
 from .algebra import FiniteCommutativeSemigroup, GammaSemiring, _collection, _count, _entries, _product_labels
 from .errors import ConstraintError, InputError, SizeLimitError
 
@@ -138,21 +137,17 @@ def product_gamma(gs: GammaSemiring, k: int) -> GammaSemiring:
     elements = _product_labels(gs, k)
     n = gs.size
     # position i*n + x of the (j+1)-fold carrier pairs position i of the
-    # j-fold carrier with base position x, so its row pairs row i with base
-    # row x: column j*n + y holds T[i][j]*n + base[x][y]
-    base_add = gs.s.add_table
-    base_prod = gs.product
-    add, product = base_add, base_prod
+    # j-fold carrier with base position x, so in each operation its row
+    # pairs row i with base row x: column j*n + y holds T[i][j]*n + base[x][y]
+    base = gs._ops
+    ops = base
     for _ in range(k - 1):
-        add = tuple(tuple(t * n + b for t in row for b in base_row) for row in add for base_row in base_add)
-        product = tuple(
-            tuple(
-                tuple(t * n + b for t in row for b in base_row)
-                for row, base_row in zip(layer, base_layer)
-            )
-            for layer in product
-            for base_layer in base_prod
+        ops = tuple(
+            tuple(tuple(t * n + b for t in row for b in base_row) for row in op for base_row in base_op)
+            for op, base_op in zip(ops, base)
         )
+    add, *layers = ops
+    product = tuple(zip(*layers))
     zero = None
     if gs.zero is not None:
         zero = tuple(gs.zero for _ in range(k))

@@ -576,7 +576,8 @@ class Law:
         if self.conclusion == "hom-transport":
             return _check_hom_transport(inst)
         if self.conclusion == "trivial-whole":
-            return _check_trivial_whole(self.theorem_id.removeprefix("T3.17"), inst, enforce)
+            case = self.theorem_id.removeprefix("T3.17")
+            return _check_trivial_whole(case, self.flags["value_policy"], inst, enforce)
         members = inst.soft_sets if self.reads is None else inst.soft_sets[: self.reads]
         if enforce and self.flags.get("disjoint") and not _pairwise_disjoint(members):
             return _VACUOUS
@@ -651,17 +652,16 @@ def _check_hom_transport(inst: Instance) -> Outcome:
     return _PASS if applicable else _VACUOUS
 
 
-# per T3.17 case, the value policy that states its hypothesis value and the
-# conclusion that an enforced failure names
-_TRIVIAL_WHOLE_CASES = {
-    "i": ("kernel", "image_not_trivial"),
-    "ii": ("whole", "image_not_whole"),
-    "iii": ("carrier-image", "preimage_not_whole"),
-    "iv": ("trivial", "preimage_not_trivial"),
+# per T3.17 case, the conclusion that an enforced failure names
+_TRIVIAL_WHOLE_CONCLUSIONS = {
+    "i": "image_not_trivial",
+    "ii": "image_not_whole",
+    "iii": "preimage_not_whole",
+    "iv": "preimage_not_trivial",
 }
 
 
-def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
+def _check_trivial_whole(case: str, policy: str, inst: Instance, enforce: bool) -> Outcome:
     """T3.17 case on the first member, a soft set over the homomorphism's
     source in cases i and ii and over its target in cases iii and iv:
 
@@ -671,12 +671,13 @@ def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
     case iv:  f injective, input trivial   -> preimage is trivial.
 
     Each hypothesis also asks the member, and each conclusion the result, to
-    be a soft gamma-semiring.  Vacuous when the member is null, when in case
-    iv a side has no zero, or, enforced, when the hypothesis does not hold.
-    A member off the case's carrier is an InputError.
+    be a soft gamma-semiring.  policy, the law row's value policy, names
+    the hypothesis value.  Vacuous when the member is null, when in case iv
+    a side has no zero, or, enforced, when the hypothesis does not hold.  A
+    member off the case's carrier is an InputError.
     """
     hom, member = inst.hom, inst.soft_sets[0]
-    policy, flag = _TRIVIAL_WHOLE_CASES[case]
+    flag = _TRIVIAL_WHOLE_CONCLUSIONS[case]
     forward = case in ("i", "ii")
     side, other = (hom.source, hom.target) if forward else (hom.target, hom.source)
     _require_carrier(side, member)

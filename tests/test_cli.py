@@ -7,6 +7,7 @@ import pytest
 from softgamma import InstanceSpec, files, fuzz_theorem, make_zn_gamma
 from softgamma.cli import main
 from softgamma.harness import ALL_THEOREMS, NECESSITY_TEMPLATES
+from softgamma.soft_sets import and_intersect, or_union
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,6 +166,20 @@ class TestOp:
         code, _, _ = run(capsys, "op", "and", str(pair[0]))
         assert code == 2
 
+    @pytest.mark.parametrize("kind, op", [("and", and_intersect), ("or", or_union)])
+    def test_and_or_write_the_pair_result(self, capsys, pair, kind, op):
+        a, b = (files.soft_set_from_doc(files.load(p)) for p in pair)
+        code, out, err = run(capsys, "op", kind, str(pair[0]), str(pair[1]))
+        assert (code, err) == (0, "")
+        assert out == files.dumps(files.soft_set_to_doc(op(a, b)))
+
+    @pytest.mark.parametrize("kind", ["and", "or"])
+    def test_and_or_refuse_three_files(self, capsys, pair, kind):
+        code, out, err = run(capsys, "op", kind, str(pair[0]), str(pair[1]), str(pair[0]))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: op {kind} takes exactly two soft-set files\n"
+
 
 class TestSoftCheck:
     def test_z8_example_passes(self, capsys, z8_files):
@@ -237,6 +252,15 @@ class TestSubsemirings:
         monkeypatch.setenv("SOFTGAMMA_MAX_CARRIER", "16")
         code, out, _ = run(capsys, "subsemirings", str(path))
         assert code == 0
+
+    def test_non_integer_env_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SOFTGAMMA_MAX_CARRIER", "1.5")
+        path = tmp_path / "z4.json"
+        path.write_text(files.dumps(files.structure_to_doc(make_zn_gamma(4, (1,)), name="z4")), encoding="utf-8")
+        code, out, err = run(capsys, "subsemirings", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: SOFTGAMMA_MAX_CARRIER must be an integer, got '1.5'\n"
 
 
 class TestTheorem:

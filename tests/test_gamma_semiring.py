@@ -73,6 +73,11 @@ class TestZnFamily:
         with pytest.raises(InputError):
             make_zn_gamma(8, ())
 
+    def test_empty_gamma_rejected_by_the_constructor(self):
+        s = FiniteCommutativeSemigroup(("0",), ((0,),))
+        with pytest.raises(InputError, match="gamma set must be nonempty"):
+            GammaSemiring(s, (), None, ((),))
+
     @given(
         n=st.integers(min_value=1, max_value=16),
         picks=st.sets(st.integers(min_value=0, max_value=15), min_size=1),

@@ -47,6 +47,16 @@ def test_shifted_map_is_rejected():
         gamma_hom(gs, gs, shifted)
 
 
+def test_additive_map_that_breaks_the_product_is_rejected():
+    gs = make_zn_gamma(8, (1,))
+    times_three = {str(i): str(3 * i % 8) for i in range(8)}
+    # x -> 3x preserves +, but f(1·1·1) = 3 while f(1)·1·f(1) = 9 mod 8 = 1
+    assert all(3 * (a + b) % 8 == (3 * a + 3 * b) % 8 for a in range(8) for b in range(8))
+    assert not is_gamma_homomorphism(times_three, gs, gs)
+    with pytest.raises(ConstraintError):
+        gamma_hom(gs, gs, times_three)
+
+
 def test_partial_map_is_an_input_error(z8):
     partial = {e: e for e in z8.elements[:-1]}
     with pytest.raises(InputError):

@@ -271,6 +271,11 @@ class TestEnumeration:
         with pytest.raises(SizeLimitError):
             enumerate_sub_gamma_semirings(gs)
 
+    def test_non_integer_bound_in_the_environment_is_an_input_error(self, monkeypatch):
+        monkeypatch.setenv("SOFTGAMMA_MAX_CARRIER", "twelve")
+        with pytest.raises(InputError, match="SOFTGAMMA_MAX_CARRIER must be an integer, got 'twelve'"):
+            enumerate_sub_gamma_semirings(make_zn_gamma(4, (1,)))
+
     def test_bound_overridable_by_argument_and_env(self, monkeypatch):
         gs = make_zn_gamma(13, (1,))
         assert enumerate_sub_gamma_semirings(gs, max_carrier=13)
