@@ -309,8 +309,9 @@ class GammaSemiring:
         return (self.s.add_table, *zip(*self.product))
 
     @cached_property
-    def _closure_need(self) -> tuple[tuple[int, ...], ...]:
-        # need[i][j] = bits forced into any subset containing i and j
+    def _pair(self) -> tuple[tuple[int, ...], ...]:
+        # pair[i][j] = bits forced into any subset holding i and j: every
+        # operation's value at (i, j) and at (j, i)
         n = self.size
         need = []
         for i in range(n):
@@ -321,8 +322,8 @@ class GammaSemiring:
                 for r in rows:
                     m |= 1 << r[j]
                 row.append(m)
-            need.append(tuple(row))
-        return tuple(need)
+            need.append(row)
+        return tuple(tuple(map(int.__or__, row, col)) for row, col in zip(need, zip(*need)))
 
     @cached_property
     def _closed_memo(self) -> dict[int | tuple[int, int], Witness]:
@@ -347,10 +348,8 @@ class GammaSemiring:
         closed set, and every leaf is a distinct closed set.  The empty set
         is the first leaf and is not listed.
         """
-        need = self._closure_need
+        pair = self._pair
         n = self.size
-        # pair[i][j]: the bits forced by i and j together, in either order
-        pair = [tuple(need[i][j] | need[j][i] for j in range(n)) for i in range(n)]
         found = []
         stack = [(n - 1, 0, 0, ())]  # next position, closed set, left out, its members
         while stack:
@@ -389,12 +388,14 @@ def ternary_product(gs: GammaSemiring, a: Label, alpha: str, b: Label) -> Label:
 def sub_gamma_witness_mask(gs: GammaSemiring, mask: int, arity: int | None = None) -> Witness:
     """Closure verdict for a subset given as a bitmask, with a witness on failure.
 
-    Scan order: additive pairs first, then product triples (i, alpha, j), both
-    lexicographic by position, so witnesses are deterministic.  With arity k
-    the subset is one of the k-fold product of gs, in the positions and labels
-    of product_gamma(gs, k), and is judged from the base tables without
-    building that product.  The verdict is memoized on gs per mask, or per
-    (k, mask) for a product.
+    With arity k the subset is one of the k-fold product of gs, in the
+    positions and labels of product_gamma(gs, k), and is judged from the base
+    tables without building that product.  Plain and product masks go through
+    one judge (_closure_witness): the verdict first, then, for an unclosed
+    mask only, one witness scan in the report order, additive pairs first,
+    then product triples (i, alpha, j), both lexicographic by position, so
+    witnesses are deterministic.  The verdict is memoized on gs per mask, or
+    per (k, mask) for a product.
     """
     full = gs.full_mask if arity is None else (1 << _product_size(gs, arity)) - 1
     if mask & ~full:
@@ -403,45 +404,8 @@ def sub_gamma_witness_mask(gs: GammaSemiring, mask: int, arity: int | None = Non
     memo = gs._closed_memo
     w = memo.get(key)
     if w is None:
-        w = memo[key] = _closure_witness(gs, mask) if arity is None else _product_closure_witness(gs, arity, mask)
+        w = memo[key] = _closure_witness(gs, mask, arity)
     return w
-
-
-def _first_escaping_row(need, members: list[int], inv: int) -> int | None:
-    """Index into members of the first i with some need[i][j] outside the mask."""
-    for start, i in enumerate(members):
-        need_i = need[i]
-        for j in members:
-            if need_i[j] & inv:
-                return start
-    return None
-
-
-def _closure_witness(gs: GammaSemiring, mask: int) -> Witness:
-    if mask == 0:
-        return Witness(False, kind="empty-subset")
-    inv = ~mask
-    members = list(iter_bits(mask))
-    start = _first_escaping_row(gs._closure_need, members, inv)
-    if start is None:
-        return PASSED
-    # rows before start hold no witness of either kind
-    rows = members[start:]
-    elems = gs.elements
-    for i in rows:
-        row = gs.s.add_table[i]
-        for j in members:
-            k = row[j]
-            if inv >> k & 1:
-                return Witness(False, kind="add-closure", elements=(elems[i], elems[j], elems[k]))
-    # with + closed, the first escaping row escapes through a product
-    i = rows[0]
-    for g, glabel in enumerate(gs.gamma_elements):
-        row = gs.product[i][g]
-        for j in members:
-            k = row[j]
-            if inv >> k & 1:
-                return Witness(False, kind="product-closure", elements=(elems[i], glabel, elems[j], elems[k]))
 
 
 # the largest k-fold product carrier that is built (product_gamma) or judged
@@ -499,49 +463,67 @@ def _fold_image(table, n: int, j: int, a: int, b: int, memo: dict) -> int:
     return out
 
 
-def _product_closure_witness(gs: GammaSemiring, k: int, mask: int) -> Witness:
-    """_closure_witness(product_gamma(gs, k), mask), read off the base tables,
-    for a mask of the product's carrier.
+def _closure_witness(gs: GammaSemiring, mask: int, arity: int | None = None) -> Witness:
+    """The closure verdict of mask, a subset of gs or, with arity k, of the
+    k-fold product of gs in the positions and labels of product_gamma(gs, k),
+    judged from the base tables.
 
-    A mask is closed under a coordinatewise operation exactly when its image
-    under it stays inside, which _fold_image decides from the fibres.  Only
-    an unclosed mask is scanned row by row, each row's image being that of
-    the row's one bit, in _closure_witness's order.
+    The verdict comes first: on one coordinate from the pair table, for
+    k >= 2 from each operation's _fold_image of the whole mask.  Only an
+    unclosed mask is scanned for its witness, additive pairs (p, q) first,
+    then product triples (p, alpha, q), both lexicographic by position; for
+    k >= 2 each p o q is built digit by digit.
     """
     if mask == 0:
         return Witness(False, kind="empty-subset")
     n = gs.size
-    tables = gs._ops
-    memos = [{} for _ in tables]
+    k = arity or 1
+    ops = gs._ops
     inv = ~mask
-    if not any(_fold_image(t, n, k, mask, mask, memo) & inv for t, memo in zip(tables, memos)):
-        return PASSED
     members = list(iter_bits(mask))
+    if k == 1:
+        if not _meets(gs._pair, members, inv):
+            return PASSED
+    elif not any(_fold_image(t, n, k, mask, mask, {}) & inv for t in ops):
+        return PASSED
 
-    def row_escapes(op: int, p: int) -> bool:
-        return bool(_fold_image(tables[op], n, k, 1 << p, mask, memos[op]) & inv)
+    def digits(p: int) -> tuple:
+        return tuple(p // n**c % n for c in reversed(range(k)))
 
-    def label(p: int) -> tuple:
-        return tuple(gs.elements[p // n**c % n] for c in reversed(range(k)))
+    elems = gs.elements
+    label = elems.__getitem__ if arity is None else lambda p: tuple(elems[d] for d in digits(p))
+    member_digits = [digits(q) for q in members] if k > 1 else None
+    for kind, span in (("add-closure", range(1)), ("product-closure", range(1, len(ops)))):
+        for s, p in enumerate(members):
+            for o in span:
+                if k == 1:
+                    row = ops[o][p]
+                else:
+                    rows = [ops[o][x] for x in member_digits[s]]
+                    row = {q: _compose(rows, n, dq) for q, dq in zip(members, member_digits)}
+                for q in members:
+                    r = row[q]
+                    if inv >> r & 1:
+                        tag = (gs.gamma_elements[o - 1],) if o else ()
+                        return Witness(False, kind=kind, elements=(label(p), *tag, label(q), label(r)))
 
-    def first_escape(op: int, p: int) -> tuple:
-        # the labels of the first member q with p o q outside the mask, and of p o q
+
+def _meets(pair, members: list[int], inv: int) -> bool:
+    """Whether some pair[p][q], p and q in members, has a bit in inv."""
+    for p in members:
+        row = pair[p]
         for q in members:
-            r = _fold_image(tables[op], n, k, 1 << p, 1 << q, memos[op]).bit_length() - 1
-            if inv >> r & 1:
-                return label(q), label(r)
+            if row[q] & inv:
+                return True
+    return False
 
-    start = next(s for s, p in enumerate(members) if any(row_escapes(op, p) for op in range(len(tables))))
-    # rows before start hold no witness of either kind
-    for p in members[start:]:
-        if row_escapes(0, p):
-            return Witness(False, kind="add-closure", elements=(label(p), *first_escape(0, p)))
-    # with + closed, the first escaping row escapes through a product
-    p = members[start]
-    for g, glabel in enumerate(gs.gamma_elements):
-        if row_escapes(g + 1, p):
-            q, r = first_escape(g + 1, p)
-            return Witness(False, kind="product-closure", elements=(label(p), glabel, q, r))
+
+def _compose(rows, n: int, ys) -> int:
+    """The product position whose digit c is rows[c][ys[c]]."""
+    r = 0
+    for row, y in zip(rows, ys):
+        r = r * n + row[y]
+    return r
 
 
 def sub_gamma_witness(gs: GammaSemiring, subset: Iterable[Label]) -> Witness:

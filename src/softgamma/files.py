@@ -168,10 +168,10 @@ _RELATION_FIELDS = {"n_params", "gamma", "triples"}
 
 
 def relation_to_doc(rel: TernaryRelation) -> dict:
-    triples = sorted(
-        ([label_to_jsonable(p), g, label_to_jsonable(s)] for (p, g, s) in rel.triples),
-        key=lambda t: (param_key(label_from_jsonable(t[0])), t[1], param_key(label_from_jsonable(t[2]))),
-    )
+    triples = [
+        [label_to_jsonable(p), g, label_to_jsonable(s)]
+        for p, g, s in sorted(rel.triples, key=lambda t: (param_key(t[0]), t[1], param_key(t[2])))
+    ]
     return {
         "n_params": [label_to_jsonable(p) for p in rel.parameters],
         "gamma": list(rel.gamma),

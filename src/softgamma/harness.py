@@ -256,13 +256,6 @@ def base_structure(descriptor: tuple) -> GammaSemiring:
     raise InputError(f"unknown descriptor {descriptor!r}")
 
 
-def _smallest_prime_factor(n: int) -> int:
-    for p in range(2, n + 1):
-        if n % p == 0:
-            return p
-    return n
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def canonical_hom(descriptor: tuple) -> GammaHom:
     """The family's deterministic surjective homomorphism.
@@ -275,7 +268,7 @@ def canonical_hom(descriptor: tuple) -> GammaHom:
         return identity_hom(source)
     kind, n, gamma = descriptor
     if kind == "zn":
-        m = n // _smallest_prime_factor(n)
+        m = max((d for d in range(1, n) if n % d == 0), default=1)
         images = [i % m for i in range(n)]
     else:
         m = (n + 1) // 2
@@ -336,8 +329,6 @@ def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
     if policy == "carrier-image":
         return hom.image_mask(hom.source.full_mask)
     if policy == "trivial":
-        if side.zero is None:
-            raise GenerationError("trivial value policy requires a designated zero")
         return 1 << side.s.pos(side.zero)
     return None
 
@@ -383,11 +374,8 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
     side = hom.target if spec.target_side else gs
 
     subs = side.sub_masks
-    chain_pool: list[int] | None = None
-    if spec.chain or spec.chain_outer:
-        chain_pool = _draw_chain(rng, subs)
-        if not chain_pool:
-            raise GenerationError("chain policy found no comparable subalgebras")
+    # the full carrier is closed and a chain keeps the first mask drawn, so a chain is never empty
+    chain_pool = _draw_chain(rng, subs) if spec.chain or spec.chain_outer else None
     forced = _forced_mask(spec.value_policy, side, hom)
     value_candidates = chain_pool if spec.chain else subs
     outer_candidates = chain_pool if spec.chain_outer else subs
@@ -444,13 +432,7 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
 
 
 def _descriptor_name(descriptor: tuple) -> str:
-    parts = []
-    for part in descriptor:
-        if isinstance(part, tuple):
-            parts.append(",".join(str(x) for x in part))
-        else:
-            parts.append(str(part))
-    return "-".join(parts)
+    return "-".join(",".join(map(str, part)) if isinstance(part, tuple) else str(part) for part in descriptor)
 
 
 def _dump(

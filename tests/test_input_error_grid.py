@@ -1,0 +1,71 @@
+"""Input errors of the file readers and of the CLI's op arity checks, one
+malformed input each: every one is refused with its own message, a
+ParseError from the reader and exit 2 with the message on stderr from the
+CLI."""
+
+import re
+
+import pytest
+
+from softgamma import ParseError, files, identity_hom, make_zn_gamma
+from softgamma.cli import main
+
+Z4 = make_zn_gamma(4, (1, 3))
+
+
+def _structure():
+    doc = files.structure_to_doc(Z4, name="z4")
+    doc["name"] = 4
+    return doc
+
+
+def _soft_set(values):
+    return {"universe": ["0", "1", "2"], "parameters": ["a"], "values": values}
+
+
+def _relation(gamma, triples):
+    return {"n_params": ["a"], "gamma": gamma, "triples": triples}
+
+
+def _hom():
+    doc = files.hom_to_doc(identity_hom(Z4))
+    doc["map"]["9"] = "0"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "read,doc,message",
+    [
+        (files.structure_from_doc, _structure(), "structure name must be a string"),
+        (files.soft_set_from_doc, _soft_set(["0"]), "values must be an object"),
+        (files.soft_set_from_doc, _soft_set({"a": "0"}), "value list for 'a' must be a list"),
+        (files.relation_from_doc, _relation(["g"], {"a": "g"}), "triples must be a list"),
+        (files.relation_from_doc, _relation(["g"], [["a", 1, "0"]]), "relation gamma component 1 must be a string"),
+        (files.hom_from_doc, _hom(), "homomorphism map mentions unknown element key '9'"),
+    ],
+    ids=[
+        "structure-name",
+        "values-not-an-object",
+        "value-list-not-a-list",
+        "triples-not-a-list",
+        "relation-gamma-not-a-string",
+        "hom-unknown-element-key",
+    ],
+)
+def test_a_malformed_document_is_a_parse_error(read, doc, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read(doc)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["op", "image", "f.json", "source.json"], "op image takes a map file, a source file, and a target file"),
+        (["op", "preimage", "f.json", "a.json", "b.json"], "op preimage takes a map file and a target file"),
+    ],
+    ids=["image", "preimage"],
+)
+def test_an_op_with_the_wrong_file_count_exits_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")

@@ -1,7 +1,8 @@
 """Each report record has one builder: only harness._verdict builds a
 TheoremVerdict, so each counterexample is the harness's replayable document,
 and only algebra._report builds an AxiomReport, so every axiom report comes
-from one ordered scan list.  The harness judges product laws from the base
+from one ordered scan list.  Only algebra._closure_witness builds a closure
+witness, so plain and product masks share one report order.  The harness judges product laws from the base
 tables: it names no product_gamma and caches nothing on a structure's value."""
 
 import ast
@@ -85,3 +86,30 @@ def test_no_harness_cache_is_keyed_on_a_structure():
         params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
         assert all(p.annotation is not None for p in params), func.name
         assert not any("GammaSemiring" in ast.unparse(p.annotation) for p in params), func.name
+
+
+CLOSURE_KINDS = {"add-closure", "product-closure"}
+
+
+def _closure_kind_sites() -> set:
+    """(module, innermost enclosing function) of every closure kind literal."""
+    sites = set()
+
+    def visit(node: ast.AST, module: str, function) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", function)
+        if isinstance(node, ast.Constant) and node.value in CLOSURE_KINDS:
+            sites.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in SOURCES:
+        visit(_tree(path), path.name, None)
+    return sites
+
+
+def test_one_function_builds_every_closure_witness():
+    assert _closure_kind_sites() == {("algebra.py", "_closure_witness")}
+    tree = _tree(next(path for path in SOURCES if path.name == "algebra.py"))
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_closure_witness")
+    assert any(_builds(node, "Witness") for node in ast.walk(body))

@@ -143,8 +143,10 @@ class TestProductScan:
             (make_zn_gamma(3, (1, 2)), 2),
             (make_minmax_gamma(3, (1, 2)), 2),
             (make_matrix_gamma(2, 1, 1), 3),
+            (make_zn_gamma(4, (1, 3)), 1),
+            (make_matrix_gamma(2, 1, 2), 1),
         ],
-        ids=["z2-cubed", "z3-squared", "minmax3-squared", "matrix211-cubed"],
+        ids=["z2-cubed", "z3-squared", "minmax3-squared", "matrix211-cubed", "z4-first-power", "matrix212-first-power"],
     )
     def test_every_mask_of_a_small_product(self, base, k):
         self.assert_agrees(base, k, range(1 << base.size**k))
