@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import os
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConstraintError, InputError, SizeLimitError
-from .reports import PASSED, AxiomReport, Violation, Witness
+from .reports import PASSED, AxiomReport, Record, Violation, Witness
 
 Label = Hashable
 
@@ -104,8 +103,7 @@ def _table(table, rows: int, cols: int, what: str, labels: bool = False) -> tupl
     return tuple(checked)
 
 
-@dataclass(frozen=True)
-class FiniteCommutativeSemigroup:
+class FiniteCommutativeSemigroup(Record):
     """Ordered carrier plus a square addition table of element positions.
 
     Construction validates shape and entry range only; the semigroup axioms
@@ -116,13 +114,12 @@ class FiniteCommutativeSemigroup:
     elements: tuple[Label, ...]
     add_table: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        elements = _labels(self.elements, "element")
+    def __init__(self, elements, add_table):
+        elements = _labels(elements, "element")
         if not elements:
             raise InputError("carrier must be nonempty")
         n = len(elements)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "add_table", _table(self.add_table, n, n, "addition table"))
+        self.__dict__.update(elements=elements, add_table=_table(add_table, n, n, "addition table"))
 
     @cached_property
     def _pos(self) -> dict:
@@ -236,8 +233,7 @@ def check_commutative_semigroup(elements, add_table) -> AxiomReport:
     return _report("semigroup", _semigroup_scans("", sg.add_table, sg.elements, rows))
 
 
-@dataclass(frozen=True)
-class GammaSemiring:
+class GammaSemiring(Record):
     """Additive carrier, gamma set, and a ternary product table [s][gamma][s].
 
     gamma_add is optional: absent means the gamma set carries no addition of
@@ -249,30 +245,27 @@ class GammaSemiring:
     gamma_elements: tuple[str, ...]
     gamma_add: tuple[tuple[str, ...], ...] | None
     product: tuple[tuple[tuple[int, ...], ...], ...]
-    zero: Label | None = None
+    zero: Label | None
 
-    def __post_init__(self):
-        gamma = _entries(_labels(self.gamma_elements, "gamma"), None, "gamma set")
+    def __init__(self, s, gamma_elements, gamma_add, product, zero=None):
+        gamma = _entries(_labels(gamma_elements, "gamma"), None, "gamma set")
         if not gamma:
             raise InputError("gamma set must be nonempty")
-        object.__setattr__(self, "gamma_elements", gamma)
 
-        n = len(self.s.elements)
+        n = len(s.elements)
         ng = len(gamma)
-        if not isinstance(self.product, (list, tuple)):
-            raise InputError(f"product table must be a table, got {type(self.product).__name__}")
-        prod = self.product
-        if len(prod) != n:
-            raise InputError(f"product table must have {n} outer rows, got {len(prod)}")
-        layers = tuple(_table(layer, ng, n, "product table layer") for layer in prod)
-        object.__setattr__(self, "product", layers)
+        if not isinstance(product, (list, tuple)):
+            raise InputError(f"product table must be a table, got {type(product).__name__}")
+        if len(product) != n:
+            raise InputError(f"product table must have {n} outer rows, got {len(product)}")
+        layers = tuple(_table(layer, ng, n, "product table layer") for layer in product)
 
-        if self.gamma_add is not None:
-            gamma_add = _table(self.gamma_add, ng, ng, "gamma addition table", labels=True)
-            object.__setattr__(self, "gamma_add", gamma_add)
+        if gamma_add is not None:
+            gamma_add = _table(gamma_add, ng, ng, "gamma addition table", labels=True)
 
-        if self.zero is not None:
-            self.s.pos(self.zero)
+        if zero is not None:
+            s.pos(zero)
+        self.__dict__.update(s=s, gamma_elements=gamma, gamma_add=gamma_add, product=layers, zero=zero)
 
     @property
     def elements(self) -> tuple[Label, ...]:
@@ -704,26 +697,24 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     return _report(mode, scans)
 
 
-@dataclass(frozen=True)
-class GammaHom:
+class GammaHom(Record):
     """A carrier map between gamma-semirings sharing an identically ordered gamma set.
 
     Build through gamma_hom, which verifies preservation of + and the ternary
-    product; the dataclass itself only checks shape.
+    product; the constructor itself only checks the mapping's shape.
     """
 
     source: GammaSemiring
     target: GammaSemiring
     mapping: tuple[int, ...]
 
-    def __post_init__(self):
-        mapping = self.mapping
+    def __init__(self, source, target, mapping):
         if not isinstance(mapping, (list, tuple)):
             raise InputError(f"homomorphism mapping must be a list, got {type(mapping).__name__}")
-        if len(mapping) != self.source.size:
+        if len(mapping) != source.size:
             raise InputError("homomorphism mapping must cover the whole source carrier")
-        targets = frozenset(range(self.target.size))
-        object.__setattr__(self, "mapping", _entries(mapping, targets, "homomorphism mapping"))
+        mapping = _entries(mapping, frozenset(range(target.size)), "homomorphism mapping")
+        self.__dict__.update(source=source, target=target, mapping=mapping)
 
     def apply(self, label: Label) -> Label:
         return self.target.elements[self.mapping[self.source.s.pos(label)]]

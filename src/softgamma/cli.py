@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import files
@@ -56,7 +55,10 @@ _OP_KINDS = (*_FAMILY_OPS, "image", "preimage")
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -148,6 +150,8 @@ def cmd_theorem(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from dataclasses import replace
+
     from .harness import ALL_THEOREMS, NECESSITY_TEMPLATES, InstanceSpec, fuzz_theorem
 
     if args.drop_hypothesis:
@@ -194,14 +198,17 @@ def cmd_example(args) -> int:
         doc = {"structure": files.structure_to_doc(gs, name="matrix2x1x2")}
     if args.output:
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{name}.structure.json").write_text(
-            files.dumps(doc["structure"]), encoding="utf-8"
-        )
-        if name == "z8":
-            (outdir / f"{name}.soft.json").write_text(
-                files.dumps(doc["soft_set"]), encoding="utf-8"
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / f"{name}.structure.json").write_text(
+                files.dumps(doc["structure"]), encoding="utf-8"
             )
+            if name == "z8":
+                (outdir / f"{name}.soft.json").write_text(
+                    files.dumps(doc["soft_set"]), encoding="utf-8"
+                )
+        except OSError as exc:
+            raise InputError(f"cannot write {outdir}: {exc}") from None
     else:
         sys.stdout.write(files.dumps(doc))
     return EXIT_OK

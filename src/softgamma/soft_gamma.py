@@ -8,11 +8,10 @@ parameters outside the support may be empty without penalty.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .algebra import GammaHom, GammaSemiring, _product_labels, gamma_hom, sub_gamma_witness_mask
 from .errors import ConstraintError, DomainError, InputError
-from .reports import PASSED, Witness
+from .reports import PASSED, Record, Witness
 from .soft_sets import SoftSet, _subset_witness
 
 
@@ -41,20 +40,20 @@ def is_soft_gamma_semiring(gs: GammaSemiring, ss: SoftSet, arity: int | None = N
     return PASSED
 
 
-@dataclass(frozen=True)
-class SoftGammaSemiring:
+class SoftGammaSemiring(Record):
     """A validated pairing of a structure with a soft set over its carrier."""
 
     base: GammaSemiring
     soft: SoftSet
 
-    def __post_init__(self):
-        w = is_soft_gamma_semiring(self.base, self.soft)
+    def __init__(self, base, soft):
+        w = is_soft_gamma_semiring(base, soft)
         if not w:
             raise DomainError(
                 f"soft set is not a soft gamma-semiring: {w.kind}"
                 + (f" at parameter {w.failing_parameter!r}" if w.failing_parameter is not None else "")
             )
+        self.__dict__.update(base=base, soft=soft)
 
 
 def is_trivial_soft(gs: GammaSemiring, ss: SoftSet) -> bool:

@@ -10,24 +10,20 @@ tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from functools import cached_property, reduce
 from itertools import product as iproduct
 from operator import and_, or_
-from typing import Mapping, Sequence
 
 from .algebra import (
     GammaSemiring, Label, _collection, _entries, _image_mask, _label_mask, _labels, _map_positions,
     _preimage_mask, _require_mapping, iter_bits,
 )
 from .errors import ConstraintError, DomainError, InputError
-from .reports import PASSED, Witness
+from .reports import PASSED, Record, Witness
 
 
-# init=False: __init__ checks each field and then sets it, once; a generated
-# __init__ would set every field before __post_init__ could check it
-@dataclass(frozen=True, init=False)
-class SoftSet:
+class SoftSet(Record):
     universe: tuple[Label, ...]
     parameters: tuple[Label, ...]
     masks: tuple[int, ...]
@@ -43,9 +39,7 @@ class SoftSet:
             # exactly int, as table entries are: a bool is no mask
             if type(m) is not int or not 0 <= m < limit:
                 raise InputError(f"value mask {m!r} does not fit the universe")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "masks", masks)
+        self.__dict__.update(universe=universe, parameters=parameters, masks=masks)
 
     @classmethod
     def _unchecked(cls, universe: tuple, parameters: tuple, masks: tuple) -> "SoftSet":
@@ -256,8 +250,7 @@ def _soft_positions(f, g, source: SoftSet, target: SoftSet) -> tuple[tuple[int, 
     )
 
 
-@dataclass(frozen=True)
-class SoftFunction:
+class SoftFunction(Record):
     """A carrier map and a parameter map with f(value(w)) == target value(g(w)).
 
     Injectivity/surjectivity/bijectivity are joint properties of f and g,
@@ -268,6 +261,9 @@ class SoftFunction:
     g: Mapping
     source: SoftSet
     target: SoftSet
+
+    def __init__(self, f, g, source, target):
+        self.__dict__.update(f=f, g=g, source=source, target=target)
 
     @cached_property
     def _positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -334,18 +330,17 @@ def soft_preimage(f: Mapping, g: Mapping, target: SoftSet, parameters) -> SoftSe
     return SoftSet(tuple(f), parameters, masks)
 
 
-@dataclass(frozen=True)
-class TernaryRelation:
+class TernaryRelation(Record):
     """A parameterized set of (parameter, gamma, element) triples."""
 
     parameters: tuple[Label, ...]
     gamma: tuple[str, ...]
     triples: frozenset
 
-    def __post_init__(self):
-        parameters = _labels(self.parameters, "relation parameter")
-        gamma = _entries(_labels(self.gamma, "relation gamma"), None, "relation gamma set")
-        rows = _collection(self.triples, "relation triples")
+    def __init__(self, parameters, gamma, triples):
+        parameters = _labels(parameters, "relation parameter")
+        gamma = _entries(_labels(gamma, "relation gamma"), None, "relation gamma set")
+        rows = _collection(triples, "relation triples")
         try:
             triples = frozenset(_collection(t, "relation triple") for t in rows)
         except TypeError:
@@ -358,9 +353,7 @@ class TernaryRelation:
                 raise InputError(f"relation triple mentions unknown parameter {t[0]!r}")
             if t[1] not in gset:
                 raise InputError(f"relation triple mentions unknown gamma label {t[1]!r}")
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "triples", triples)
+        self.__dict__.update(parameters=parameters, gamma=gamma, triples=triples)
 
 
 def soft_set_from_relation(rel: TernaryRelation, gs: GammaSemiring) -> SoftSet:

@@ -338,3 +338,36 @@ class TestExample:
         assert code == 2
         assert out == ""
         assert "invalid choice: 'nope'" in err
+
+
+class TestUnwritableOutput:
+    """An -o path that cannot be written is an input error: exit 2 and
+    nothing on stdout."""
+
+    # the arguments of each command that takes -o, before the -o
+    COMMANDS = {
+        "op": ["op", "rint", str(GOLDEN / "z8.soft.json"), str(GOLDEN / "z8.soft.json")],
+        "subsemirings": ["subsemirings", str(GOLDEN / "z8.structure.json")],
+        "theorem": ["theorem", "T3.8", "--trials", "1"],
+        "suite": ["suite", "--trials", "1"],
+        "example": ["example", "z8"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_path_below_a_regular_file_exits_2(self, capsys, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        target = blocker / "out.json"
+        code, out, err = run(capsys, *self.COMMANDS[command], "-o", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write ")
+
+    def test_example_into_an_existing_regular_file_exits_2(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code, out, err = run(capsys, "example", "z8", "-o", str(blocker))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {blocker}: ")
+        assert blocker.read_text(encoding="utf-8") == ""

@@ -1,10 +1,12 @@
 """The fuzzing harness loads only where it runs.
 
 `import softgamma` and every CLI command but theorem and suite leave
-softgamma.harness unloaded; the package still serves the harness names on
-first use, and no module imports the harness at module level.  The harness
-itself makes no stdlib bounded draw: it draws bounded integers through
-harness._below, so its draw order rests on getrandbits alone.
+softgamma.harness unloaded, and with it dataclasses, inspect and typing;
+the package still serves the harness names on first use, and no module
+imports the harness at module level, nor any module but the harness
+dataclasses.  The harness itself makes no stdlib bounded draw: it draws
+bounded integers through harness._below, so its draw order rests on
+getrandbits alone.
 """
 
 import ast
@@ -21,6 +23,7 @@ import softgamma
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 SOURCES = sorted((SRC / "softgamma").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden"
 
 HARNESS_NAMES = {
     "ACCEPTANCE_THEOREMS",
@@ -52,8 +55,13 @@ PUBLIC_NAMES = HARNESS_NAMES | {
     "soft_sets", "sub_gamma_witness", "support", "ternary_product",
 }
 
-# runs in a fresh interpreter: argv None only imports the package, else
-# cli.main(argv) runs with its stdout discarded
+# the modules a dataclass pulls in at start-up; only theorem and suite,
+# through the harness, may load them
+START_UP_MODULES = ("dataclasses", "inspect", "typing")
+
+# runs in a fresh interpreter without site, whose preloads could hide a
+# regression: argv None only imports the package, else cli.main(argv) runs
+# with its stdout discarded
 PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -64,7 +72,8 @@ else:
     from softgamma.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-print(json.dumps({"code": code, "harness": "softgamma.harness" in sys.modules}))
+loaded = [name for name in json.loads(sys.argv[2]) if name in sys.modules]
+print(json.dumps({"code": code, "harness": "softgamma.harness" in sys.modules, "loaded": loaded}))
 """
 
 
@@ -72,7 +81,7 @@ def _probe(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-S", "-c", PROBE, json.dumps(argv), json.dumps(START_UP_MODULES)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -80,14 +89,28 @@ def _probe(argv):
 
 class TestImportGraph:
     def test_importing_the_package_leaves_the_harness_unloaded(self):
-        assert _probe(None) == {"code": None, "harness": False}
+        assert _probe(None) == {"code": None, "harness": False, "loaded": []}
 
     def test_validate_leaves_the_harness_unloaded(self):
-        argv = ["validate", str(ROOT / "tests" / "golden" / "z8.structure.json")]
-        assert _probe(argv) == {"code": 0, "harness": False}
+        argv = ["validate", str(GOLDEN / "z8.structure.json")]
+        assert _probe(argv) == {"code": 0, "harness": False, "loaded": []}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subsemirings", str(GOLDEN / "z8.structure.json")],
+            ["soft-check", str(GOLDEN / "z8.structure.json"), str(GOLDEN / "z8.soft.json")],
+            ["op", "rint", str(GOLDEN / "z8.soft.json"), str(GOLDEN / "z8.soft.json")],
+            ["example", "z8"],
+        ],
+        ids=["subsemirings", "soft-check", "op rint", "example z8"],
+    )
+    def test_other_commands_leave_the_harness_and_dataclasses_unloaded(self, argv):
+        assert _probe(argv) == {"code": 0, "harness": False, "loaded": []}
 
     def test_theorem_loads_the_harness(self):
-        assert _probe(["theorem", "T3.8", "--trials", "3"]) == {"code": 0, "harness": True}
+        probe = _probe(["theorem", "T3.8", "--trials", "3"])
+        assert (probe["code"], probe["harness"]) == (0, True)
 
 
 class TestPublicNames:
@@ -120,9 +143,11 @@ class TestPublicNames:
             getattr(softgamma, name)
 
 
-def _module_level_harness_imports(tree):
-    """Line numbers of the imports of the harness that run when the module
-    loads: outside any function body (class bodies run at load)."""
+def _module_level_imports(tree, wanted):
+    """Line numbers of the imports that run when the module loads, outside
+    any function body (class bodies run at load), and for which
+    wanted(module, names) holds: "from m import a, b" asks it of m and
+    {a, b}, "import m" of m and no names."""
     found = []
 
     def visit(node):
@@ -132,16 +157,25 @@ def _module_level_harness_imports(tree):
             if isinstance(child, ast.ImportFrom):
                 # the package is flat, so a relative import is from softgamma
                 module = (("softgamma." if child.level else "") + (child.module or "")).rstrip(".")
-                names = {alias.name for alias in child.names}
-                if module == "softgamma.harness" or module == "softgamma" and "harness" in names:
+                if wanted(module, {alias.name for alias in child.names}):
                     found.append(child.lineno)
             elif isinstance(child, ast.Import):
-                if any(alias.name == "softgamma.harness" for alias in child.names):
+                if any(wanted(alias.name, set()) for alias in child.names):
                     found.append(child.lineno)
             visit(child)
 
     visit(tree)
     return found
+
+
+def _module_level_harness_imports(tree):
+    return _module_level_imports(
+        tree, lambda module, names: module == "softgamma.harness" or module == "softgamma" and "harness" in names
+    )
+
+
+def _module_level_dataclasses_imports(tree):
+    return _module_level_imports(tree, lambda module, names: module == "dataclasses")
 
 
 def test_sources_are_found():
@@ -173,6 +207,32 @@ def test_no_module_imports_the_harness_at_module_level():
         for lineno in _module_level_harness_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert found == [], "module-level harness imports in softgamma: " + ", ".join(found)
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("from dataclasses import dataclass", [1]),
+        ("import dataclasses", [1]),
+        ("import os, dataclasses", [1]),
+        ("class C:\n    from dataclasses import replace", [2]),
+        ("def f():\n    from dataclasses import replace", []),
+        ("from .dataclasses import x", []),
+        ("from functools import cached_property", []),
+    ],
+)
+def test_the_guard_tells_module_level_dataclasses_imports_from_function_ones(source, flagged):
+    assert _module_level_dataclasses_imports(ast.parse(source)) == flagged
+
+
+def test_only_the_harness_imports_dataclasses_at_module_level():
+    found = [
+        f"{path.name}:{lineno}"
+        for path in SOURCES
+        if path.name != "harness.py"
+        for lineno in _module_level_dataclasses_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert found == [], "module-level dataclasses imports in softgamma: " + ", ".join(found)
 
 
 # random.Random methods whose draws rest on stdlib algorithms, not on getrandbits alone
