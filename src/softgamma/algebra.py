@@ -709,11 +709,7 @@ class GammaHom(Record):
     mapping: tuple[int, ...]
 
     def __init__(self, source, target, mapping):
-        if not isinstance(mapping, (list, tuple)):
-            raise InputError(f"homomorphism mapping must be a list, got {type(mapping).__name__}")
-        if len(mapping) != source.size:
-            raise InputError("homomorphism mapping must cover the whole source carrier")
-        mapping = _entries(mapping, frozenset(range(target.size)), "homomorphism mapping")
+        mapping = _position_map(mapping, source.size, target.size, "homomorphism mapping", "source carrier")
         self.__dict__.update(source=source, target=target, mapping=mapping)
 
     def apply(self, label: Label) -> Label:
@@ -761,6 +757,16 @@ def _map_positions(mapping, domain, index: dict, what: str, outside: str) -> tup
         except (KeyError, TypeError):
             raise InputError(f"{what} sends {label!r} outside {outside}") from None
     return tuple(positions)
+
+
+def _position_map(positions, size: int, bound: int, what: str, domain: str) -> tuple[int, ...]:
+    """positions as a tuple once it is a list or tuple of size positions in
+    0..bound-1, one per label of the domain it maps."""
+    if not isinstance(positions, (list, tuple)):
+        raise InputError(f"{what} must be a list, got {type(positions).__name__}")
+    if len(positions) != size:
+        raise InputError(f"{what} must cover the whole {domain}")
+    return _entries(positions, frozenset(range(bound)), what)
 
 
 def _image_mask(positions, mask: int) -> int:

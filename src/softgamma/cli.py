@@ -150,12 +150,10 @@ def cmd_theorem(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    from dataclasses import replace
-
     from .harness import ALL_THEOREMS, NECESSITY_TEMPLATES, InstanceSpec, fuzz_theorem
 
     if args.drop_hypothesis:
-        runs = [(tid, replace(template, seed=args.seed)) for tid, template in NECESSITY_TEMPLATES.items()]
+        runs = [(tid, template.replace(seed=args.seed)) for tid, template in NECESSITY_TEMPLATES.items()]
     else:
         runs = [(tid, InstanceSpec(seed=args.seed)) for tid in ALL_THEOREMS]
     verdicts = [

@@ -41,9 +41,8 @@ stdlib draws as the oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from . import files
 from .algebra import (
@@ -57,7 +56,7 @@ from .algebra import (
 )
 from .errors import DomainError, GenerationError, InputError
 from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma
-from .reports import TheoremVerdict, Witness
+from .reports import Record, TheoremVerdict, Witness
 from .soft_gamma import (
     _require_carrier,
     is_soft_gamma_semiring,
@@ -79,8 +78,7 @@ from .soft_sets import (
 )
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(Record):
     """Seed-determined recipe for one fuzzing instance.
 
     generator "mix" rotates among the three structure families and takes no
@@ -103,35 +101,69 @@ class InstanceSpec:
     policy requires and the kernel policy refuses.
     """
 
-    generator: str = "mix"
-    size: tuple[int, ...] = ()
-    gamma: tuple[int, ...] = ()
-    family_size: int | None = None
-    value_policy: str = "subsemirings"
-    chain: bool = False
-    chain_outer: bool = False
-    disjoint: bool = False
-    same_parameters: bool = False
-    anchored: bool = False
-    nested: bool = False
-    nested_free: bool = False
-    with_hom: bool = False
-    hom_kind: str = "collapse"
-    target_side: bool = False
-    seed: int = 0
+    generator: str
+    size: tuple[int, ...]
+    gamma: tuple[int, ...]
+    family_size: int | None
+    value_policy: str
+    chain: bool
+    chain_outer: bool
+    disjoint: bool
+    same_parameters: bool
+    anchored: bool
+    nested: bool
+    nested_free: bool
+    with_hom: bool
+    hom_kind: str
+    target_side: bool
+    seed: int
+
+    def __init__(
+        self, generator="mix", size=(), gamma=(), family_size=None, value_policy="subsemirings", chain=False,
+        chain_outer=False, disjoint=False, same_parameters=False, anchored=False, nested=False,
+        nested_free=False, with_hom=False, hom_kind="collapse", target_side=False, seed=0,
+    ):
+        self.__dict__.update(
+            generator=generator, size=size, gamma=gamma, family_size=family_size, value_policy=value_policy,
+            chain=chain, chain_outer=chain_outer, disjoint=disjoint, same_parameters=same_parameters,
+            anchored=anchored, nested=nested, nested_free=nested_free, with_hom=with_hom, hom_kind=hom_kind,
+            target_side=target_side, seed=seed,
+        )
+
+    def replace(self, **changes) -> InstanceSpec:
+        """A copy with the named fields changed; TypeError for a name that is
+        no field.  __init__ checks nothing and a spec's __dict__ holds its
+        fields alone, so copying that __dict__ is the same as calling
+        __init__, and cheap enough for the trial loop to run per trial."""
+        spec = object.__new__(type(self))
+        fields = spec.__dict__
+        fields.update(self.__dict__, **changes)
+        if len(fields) != len(self._fields):
+            unknown = next(name for name in changes if name not in self._fields)
+            raise TypeError(f"{type(self).__name__} has no field {unknown!r}")
+        return spec
 
 
-@dataclass
-class Instance:
-    """A generated (or hand-built) instance: structure, soft sets, extras."""
+class Instance(Record):
+    """A generated (or hand-built) instance: structure, soft sets, extras.
+
+    spec None stands for InstanceSpec().  soft_sets is a list, so an
+    instance compares by value but has no hash.
+    """
 
     gs: GammaSemiring
     soft_sets: list[SoftSet]
-    outer: SoftSet | None = None
-    hom: GammaHom | None = None
-    aux_target: SoftSet | None = None
-    descriptor: tuple = ("custom",)
-    spec: InstanceSpec = field(default_factory=InstanceSpec)
+    outer: SoftSet | None
+    hom: GammaHom | None
+    aux_target: SoftSet | None
+    descriptor: tuple
+    spec: InstanceSpec
+
+    def __init__(self, gs, soft_sets, outer=None, hom=None, aux_target=None, descriptor=("custom",), spec=None):
+        self.__dict__.update(
+            gs=gs, soft_sets=soft_sets, outer=outer, hom=hom, aux_target=aux_target, descriptor=descriptor,
+            spec=InstanceSpec() if spec is None else spec,
+        )
 
     @property
     def side_gs(self) -> GammaSemiring:
@@ -350,14 +382,6 @@ def generate_instance(spec: InstanceSpec) -> Instance:
     return _draw_instance(spec, _check_spec(spec), random.Random(spec.seed))
 
 
-def _reseeded(base: InstanceSpec, seed) -> InstanceSpec:
-    """replace(base, seed=seed) without the dataclass machinery: a copy of
-    base's fields with seed set (InstanceSpec has no __post_init__ to run)."""
-    spec = object.__new__(type(base))
-    spec.__dict__.update(base.__dict__, seed=seed)
-    return spec
-
-
 def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Instance:
     """The instance of a spec that passed _check_spec, which returned pinned,
     from rng seeded with spec.seed.  Every random draw of an instance is made
@@ -547,7 +571,7 @@ class Law:
                 updates.update(value_policy="subsemirings", nested_free=True)
             else:
                 updates["value_policy"] = "arbitrary"
-        return replace(template, **updates)
+        return template.replace(**updates)
 
     def _apply(self, inst: Instance, family) -> SoftSet:
         if self.over in ("target", "source"):
@@ -801,7 +825,7 @@ def fuzz_theorem(
 
     The spec is checked once, before trial 0; per trial one random.Random is
     reseeded and only the draws are made.  Trial t evaluates exactly
-    generate_instance(replace(base, seed=template.seed + t)).
+    generate_instance(base.replace(seed=template.seed + t)).
     """
     _count(trials, "trials")
     law = _lookup(theorem_id)
@@ -816,7 +840,7 @@ def fuzz_theorem(
         for t in range(trials):
             seed = template.seed + t
             rng.seed(seed)  # the state random.Random(seed) starts in
-            spec = _reseeded(base, seed)
+            spec = base.replace(seed=seed)
             yield t, spec, law.evaluate(_draw_instance(spec, pinned, rng), enforce)
 
     return _verdict(theorem_id, outcomes())

@@ -1,5 +1,11 @@
 """Verdict and report records shared by the checking layers, and Record,
-the base of the library's frozen value classes.
+the base of the library's thirteen frozen value classes:
+
+  algebra     FiniteCommutativeSemigroup, GammaSemiring, GammaHom
+  reports     Violation, AxiomReport, Witness, TheoremVerdict
+  soft_sets   SoftSet, SoftFunction, TernaryRelation
+  soft_gamma  SoftGammaSemiring
+  harness     InstanceSpec, Instance
 
 Record stands in for a frozen dataclass without importing dataclasses (and
 with it inspect, ast and dis) at start-up.  A subclass declares its fields

@@ -14,10 +14,11 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property, reduce
 from itertools import product as iproduct
 from operator import and_, or_
+from types import MappingProxyType
 
 from .algebra import (
     GammaSemiring, Label, _collection, _entries, _image_mask, _label_mask, _labels, _map_positions,
-    _preimage_mask, _require_mapping, iter_bits,
+    _position_map, _preimage_mask, _require_mapping, iter_bits,
 )
 from .errors import ConstraintError, DomainError, InputError
 from .reports import PASSED, Record, Witness
@@ -242,41 +243,55 @@ def relative_whole(universe, parameters) -> SoftSet:
     return SoftSet(universe, parameters, tuple(full for _ in parameters))
 
 
-def _soft_positions(f, g, source: SoftSet, target: SoftSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Target positions of f on the source universe and of g on the source parameters."""
-    return (
-        _map_positions(f, source.universe, target._upos, "carrier map", "the target universe"),
-        _map_positions(g, source.parameters, target._ppos, "parameter map", "the target parameters"),
-    )
-
-
 class SoftFunction(Record):
-    """A carrier map and a parameter map with f(value(w)) == target value(g(w)).
+    """A carrier map f and a parameter map g with f(value(w)) == target value(g(w)).
 
-    Injectivity/surjectivity/bijectivity are joint properties of f and g,
-    computed from their positions, which are read once per instance.
+    Like GammaHom.mapping, the maps are stored as target positions: at each
+    source universe label (f_positions) and at each source parameter
+    (g_positions).  The constructor checks their shape and the
+    compatibility; f and g read them back as read-only label maps, and
+    injectivity/surjectivity/bijectivity are joint properties of the two.
+    Build from label maps through make_soft_function.
     """
 
-    f: Mapping
-    g: Mapping
     source: SoftSet
     target: SoftSet
+    f_positions: tuple[int, ...]
+    g_positions: tuple[int, ...]
 
-    def __init__(self, f, g, source, target):
-        self.__dict__.update(f=f, g=g, source=source, target=target)
+    def __init__(self, source, target, f_positions, g_positions):
+        f_positions = _position_map(
+            f_positions, len(source.universe), len(target.universe), "carrier map positions", "source universe"
+        )
+        g_positions = _position_map(
+            g_positions, len(source.parameters), len(target.parameters), "parameter map positions",
+            "source parameters",
+        )
+        for w, m, y in zip(source.parameters, source.masks, g_positions):
+            if _image_mask(f_positions, m) != target.masks[y]:
+                raise ConstraintError(f"soft-function compatibility fails at parameter {w!r}", witness=w)
+        self.__dict__.update(source=source, target=target, f_positions=f_positions, g_positions=g_positions)
 
-    @cached_property
-    def _positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return _soft_positions(self.f, self.g, self.source, self.target)
+    @property
+    def f(self) -> Mapping:
+        labels = self.target.universe
+        return MappingProxyType({v: labels[p] for v, p in zip(self.source.universe, self.f_positions)})
+
+    @property
+    def g(self) -> Mapping:
+        labels = self.target.parameters
+        return MappingProxyType({w: labels[p] for w, p in zip(self.source.parameters, self.g_positions)})
 
     @property
     def injective(self) -> bool:
-        return all(len(set(pos)) == len(pos) for pos in self._positions)
+        return all(len(set(pos)) == len(pos) for pos in (self.f_positions, self.g_positions))
 
     @property
     def surjective(self) -> bool:
-        fpos, gpos = self._positions
-        return len(set(fpos)) == len(self.target.universe) and len(set(gpos)) == len(self.target.parameters)
+        return (
+            len(set(self.f_positions)) == len(self.target.universe)
+            and len(set(self.g_positions)) == len(self.target.parameters)
+        )
 
     @property
     def bijective(self) -> bool:
@@ -284,37 +299,35 @@ class SoftFunction(Record):
 
 
 def make_soft_function(f: Mapping, g: Mapping, source: SoftSet, target: SoftSet) -> SoftFunction:
-    """Validated constructor; ConstraintError names the first incompatible parameter."""
-    fpos, gpos = _soft_positions(f, g, source, target)
-    for w, m, y in zip(source.parameters, source.masks, gpos):
-        if _image_mask(fpos, m) != target.masks[y]:
-            raise ConstraintError(
-                f"soft-function compatibility fails at parameter {w!r}", witness=w
-            )
-    return SoftFunction(dict(f), dict(g), source, target)
+    """The soft function of label maps f and g; InputError where a map is
+    undefined or leaves the target, ConstraintError naming the first
+    incompatible parameter."""
+    return SoftFunction(
+        source,
+        target,
+        _map_positions(f, source.universe, target._upos, "carrier map", "the target universe"),
+        _map_positions(g, source.parameters, target._ppos, "parameter map", "the target parameters"),
+    )
 
 
 def compose_soft_functions(first: SoftFunction, second: SoftFunction) -> SoftFunction:
     """(f' o f, g' o g); the target of first must be exactly the source of second."""
-    mid, src2 = first.target, second.source
-    if (
-        mid.universe != src2.universe
-        or mid.parameters != src2.parameters
-        or mid.masks != src2.masks
-    ):
+    if first.target != second.source:
         raise InputError("target of the first soft function must equal the source of the second")
-    f = {v: second.f[first.f[v]] for v in first.source.universe}
-    g = {w: second.g[first.g[w]] for w in first.source.parameters}
-    return make_soft_function(f, g, first.source, second.target)
+    return SoftFunction(
+        first.source,
+        second.target,
+        tuple(second.f_positions[p] for p in first.f_positions),
+        tuple(second.g_positions[p] for p in first.g_positions),
+    )
 
 
 def soft_image(sf: SoftFunction) -> SoftSet:
     """Over the target parameters: at y, the union of f(value(w)) over the
     fiber g(w) == y; empty off the image of g."""
-    fpos, gpos = sf._positions
     masks = [0] * len(sf.target.parameters)
-    for m, y in zip(sf.source.masks, gpos):
-        masks[y] |= _image_mask(fpos, m)
+    for m, y in zip(sf.source.masks, sf.g_positions):
+        masks[y] |= _image_mask(sf.f_positions, m)
     return SoftSet(sf.target.universe, sf.target.parameters, tuple(masks))
 
 

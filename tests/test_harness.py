@@ -1,6 +1,5 @@
 import json
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -148,9 +147,27 @@ class TestGeneration:
                         run()
 
 
+class TestSpecReplace:
+    def test_replace_is_the_spec_built_with_the_changes(self):
+        spec = InstanceSpec(generator="zn", size=(8,), gamma=(2,), chain=True, seed=5)
+        copy = spec.replace(seed=6, disjoint=True)
+        assert copy == InstanceSpec(generator="zn", size=(8,), gamma=(2,), chain=True, disjoint=True, seed=6)
+        assert type(copy) is InstanceSpec and hash(copy) == hash(copy.replace())
+        assert spec.seed == 5 and not spec.disjoint
+        assert spec.replace() == spec and spec.replace() is not spec
+
+    def test_an_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="InstanceSpec has no field 'sed'"):
+            InstanceSpec().replace(seed=1, sed=2)
+
+    def test_a_subclass_copies_to_its_own_class(self):
+        sub = type("Sub", (InstanceSpec,), {})
+        assert type(sub(seed=1).replace(seed=2)) is sub
+
+
 # the templates the trial loop is checked on: the mix generator and one pinned
 # necessity family
-LOOP_TEMPLATES = {"mix": InstanceSpec(seed=9100), "zn8": replace(Z8_TEMPLATE, seed=9200)}
+LOOP_TEMPLATES = {"mix": InstanceSpec(seed=9100), "zn8": Z8_TEMPLATE.replace(seed=9200)}
 
 
 class TestTrialLoop:
@@ -174,7 +191,7 @@ class TestTrialLoop:
         fuzz_theorem(tid, trials, template, drop_hypothesis=drop)
         assert len(seen) == trials
         for t, (inst, enforce) in enumerate(seen):
-            spec = replace(law.spec(template, drop), seed=template.seed + t)
+            spec = law.spec(template, drop).replace(seed=template.seed + t)
             expected = generate_instance(spec)
             assert enforce is not drop
             assert type(inst.spec) is InstanceSpec and inst.spec == spec and hash(inst.spec) == hash(spec)
@@ -369,7 +386,7 @@ class TestStructureCaches:
         # every nonzero value of a non-null result is judged over the square
         checked = set()
         for seed in range(100):
-            inst = generate_instance(replace(law.spec(template, False), seed=seed))
+            inst = generate_instance(law.spec(template, False).replace(seed=seed))
             checked |= {(2, m) for m in cartesian_product(inst.soft_sets).masks if m}
         assert set(base_structure(("zn", 4, (1, 3)))._closed_memo) == checked
 

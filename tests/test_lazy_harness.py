@@ -1,12 +1,12 @@
-"""The fuzzing harness loads only where it runs.
+"""The fuzzing harness loads only where it runs, and nothing loads dataclasses.
 
 `import softgamma` and every CLI command but theorem and suite leave
-softgamma.harness unloaded, and with it dataclasses, inspect and typing;
-the package still serves the harness names on first use, and no module
-imports the harness at module level, nor any module but the harness
-dataclasses.  The harness itself makes no stdlib bounded draw: it draws
-bounded integers through harness._below, so its draw order rests on
-getrandbits alone.
+softgamma.harness unloaded; the package still serves the harness names on
+first use, and no module imports the harness at module level.  No command,
+theorem and suite included, loads dataclasses, inspect or typing, and no
+module imports dataclasses or typing anywhere, function bodies included.
+The harness itself makes no stdlib bounded draw: it draws bounded integers
+through harness._below, so its draw order rests on getrandbits alone.
 """
 
 import ast
@@ -55,8 +55,7 @@ PUBLIC_NAMES = HARNESS_NAMES | {
     "soft_sets", "sub_gamma_witness", "support", "ternary_product",
 }
 
-# the modules a dataclass pulls in at start-up; only theorem and suite,
-# through the harness, may load them
+# the modules a dataclass pulls in at start-up, which no command loads
 START_UP_MODULES = ("dataclasses", "inspect", "typing")
 
 # runs in a fresh interpreter without site, whose preloads could hide a
@@ -108,9 +107,11 @@ class TestImportGraph:
     def test_other_commands_leave_the_harness_and_dataclasses_unloaded(self, argv):
         assert _probe(argv) == {"code": 0, "harness": False, "loaded": []}
 
-    def test_theorem_loads_the_harness(self):
-        probe = _probe(["theorem", "T3.8", "--trials", "3"])
-        assert (probe["code"], probe["harness"]) == (0, True)
+    @pytest.mark.parametrize(
+        "argv", [["theorem", "T3.8", "--trials", "3"], ["suite", "--trials", "2"]], ids=["theorem", "suite"]
+    )
+    def test_the_fuzz_commands_load_the_harness_but_not_dataclasses(self, argv):
+        assert _probe(argv) == {"code": 0, "harness": True, "loaded": []}
 
 
 class TestPublicNames:
@@ -174,8 +175,19 @@ def _module_level_harness_imports(tree):
     )
 
 
-def _module_level_dataclasses_imports(tree):
-    return _module_level_imports(tree, lambda module, names: module == "dataclasses")
+# the stdlib modules no softgamma module imports, at any level
+BANNED_MODULES = {"dataclasses", "typing"}
+
+
+def _banned_imports(tree):
+    """Line numbers of the imports of a BANNED_MODULES module (or of one of
+    its submodules) anywhere in tree, function bodies included."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] in BANNED_MODULES for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] in BANNED_MODULES
+    ]
 
 
 def test_sources_are_found():
@@ -215,24 +227,28 @@ def test_no_module_imports_the_harness_at_module_level():
         ("from dataclasses import dataclass", [1]),
         ("import dataclasses", [1]),
         ("import os, dataclasses", [1]),
+        ("from typing import Callable", [1]),
+        ("import typing as t", [1]),
         ("class C:\n    from dataclasses import replace", [2]),
-        ("def f():\n    from dataclasses import replace", []),
+        ("def f():\n    from dataclasses import replace", [2]),
+        ("def f():\n    def g():\n        import typing", [3]),
         ("from .dataclasses import x", []),
+        ("from . import typing", []),
+        ("from collections.abc import Callable", []),
         ("from functools import cached_property", []),
     ],
 )
-def test_the_guard_tells_module_level_dataclasses_imports_from_function_ones(source, flagged):
-    assert _module_level_dataclasses_imports(ast.parse(source)) == flagged
+def test_the_guard_finds_dataclasses_and_typing_imports_at_any_level(source, flagged):
+    assert _banned_imports(ast.parse(source)) == flagged
 
 
-def test_only_the_harness_imports_dataclasses_at_module_level():
+def test_no_module_imports_dataclasses_or_typing():
     found = [
         f"{path.name}:{lineno}"
         for path in SOURCES
-        if path.name != "harness.py"
-        for lineno in _module_level_dataclasses_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for lineno in _banned_imports(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
-    assert found == [], "module-level dataclasses imports in softgamma: " + ", ".join(found)
+    assert found == [], "dataclasses or typing imports in softgamma: " + ", ".join(found)
 
 
 # random.Random methods whose draws rest on stdlib algorithms, not on getrandbits alone

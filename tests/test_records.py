@@ -1,8 +1,11 @@
-"""The eleven value classes keep the frozen-dataclass contract they were
-written against: the same constructor signatures and reprs, equality and
-hashing by the declared fields alone (cached properties aside), no equality
-across classes, subclasses that inherit the fields, no assignment or
-deletion, and copies and pickles that stay equal."""
+"""The thirteen value classes keep the dataclass contract they were written
+against: the same constructor signatures and reprs, equality and hashing by
+the declared fields alone (cached properties aside), no equality across
+classes, subclasses that inherit the fields, no assignment or deletion, and
+copies and pickles that stay equal.  Two records changed on purpose: an
+Instance (a plain dataclass once) can no longer be assigned to, and a
+SoftFunction holds its maps as target positions, which changed its fields,
+signature and repr and made it hashable."""
 
 import copy
 import inspect
@@ -16,6 +19,8 @@ from softgamma import (
     FiniteCommutativeSemigroup,
     GammaHom,
     GammaSemiring,
+    Instance,
+    InstanceSpec,
     SoftFunction,
     SoftGammaSemiring,
     SoftSet,
@@ -34,9 +39,15 @@ S2_REPR = "FiniteCommutativeSemigroup(elements=('0', '1'), add_table=((0, 1), (1
 G_REPR = f"GammaSemiring(s={S2_REPR}, gamma_elements=('1',), gamma_add=(('0',),), product=(((0, 0),), ((0, 1),)), zero=None)"
 SS_REPR = "SoftSet(universe=('0', '1'), parameters=('a', 'b'), masks=(1, 3))"
 VIOLATION_REPR = "Violation(axiom='s-commutativity', witness=('0', '1'))"
+SPEC_FIELDS = (
+    "generator='mix', size=(), gamma=(), family_size=None, value_policy='subsemirings', chain=False, "
+    "chain_outer=False, disjoint=False, same_parameters=False, anchored=False, nested=False, nested_free=False, "
+    "with_hom=False, hom_kind='collapse', target_side=False, seed=0"
+)
 
 # (class, positional arguments that leave every default out, the signature
-# without annotations and the repr, both as the frozen dataclasses printed them)
+# without annotations and the repr, both as the dataclasses printed them, but
+# for the SoftFunction fix and Instance's spec=None, which was spec=<factory>)
 CASES = [
     (
         FiniteCommutativeSemigroup,
@@ -79,9 +90,9 @@ CASES = [
     (SoftSet, (("0", "1"), ("a", "b"), (1, 3)), "(universe, parameters, masks)", SS_REPR),
     (
         SoftFunction,
-        ({"0": "0", "1": "1"}, {"a": "a", "b": "b"}, SS, SS),
-        "(f, g, source, target)",
-        f"SoftFunction(f={{'0': '0', '1': '1'}}, g={{'a': 'a', 'b': 'b'}}, source={SS_REPR}, target={SS_REPR})",
+        (SS, SS, (0, 1), (0, 1)),
+        "(source, target, f_positions, g_positions)",
+        f"SoftFunction(source={SS_REPR}, target={SS_REPR}, f_positions=(0, 1), g_positions=(0, 1))",
     ),
     (
         TernaryRelation,
@@ -89,12 +100,23 @@ CASES = [
         "(parameters, gamma, triples)",
         "TernaryRelation(parameters=('a',), gamma=('1',), triples=frozenset({('a', '1', '0')}))",
     ),
+    (InstanceSpec, (), f"({SPEC_FIELDS})", f"InstanceSpec({SPEC_FIELDS})"),
+    (
+        Instance,
+        (G, [SS]),
+        "(gs, soft_sets, outer=None, hom=None, aux_target=None, descriptor=('custom',), spec=None)",
+        f"Instance(gs={G_REPR}, soft_sets=[{SS_REPR}], outer=None, hom=None, aux_target=None, "
+        f"descriptor=('custom',), spec=InstanceSpec({SPEC_FIELDS}))",
+    ),
 ]
 IDS = [case[0].__name__ for case in CASES]
 
-# a soft function holds its maps as dicts, so, as a frozen dataclass did, it
+# an instance holds its soft sets in a list, so, as its dataclass did, it
 # compares by value but has no hash
-UNHASHABLE = {SoftFunction}
+UNHASHABLE = {Instance}
+
+# a None default that stands for a fresh value, as a dataclass default_factory did
+FRESH_DEFAULTS = {(Instance, "spec"): InstanceSpec()}
 
 
 def _values(record):
@@ -110,7 +132,7 @@ def _fill_cached_properties(record) -> list:
 
 def test_every_case_is_a_record():
     assert all(issubclass(cls, Record) for cls, *_ in CASES)
-    assert len({cls for cls, *_ in CASES}) == 11
+    assert len({cls for cls, *_ in CASES}) == 13
 
 
 @pytest.mark.parametrize("cls, args, signature, text", CASES, ids=IDS)
@@ -127,7 +149,7 @@ class TestRecordContract:
         record = cls(*args)
         assert cls(**dict(zip(cls._fields, args))) == record
         for param in list(inspect.signature(cls).parameters.values())[len(args):]:
-            assert getattr(record, param.name) == param.default
+            assert getattr(record, param.name) == FRESH_DEFAULTS.get((cls, param.name), param.default)
 
     def test_equal_records_stay_equal_with_their_caches_filled_on_one_side(self, cls, args, signature, text):
         a, b = cls(*args), cls(*args)

@@ -244,17 +244,56 @@ class TestSoftFunctions:
         ],
         ids=["identity", "collapsing-f", "collapsing-g"],
     )
-    def test_direct_construction_reports_the_validated_flags(self, f, g):
+    def test_direct_construction_from_positions_is_the_made_function(self, f, g):
         source = ss(("a", "b"), {})
         target = ss(("a", "b"), {})
-        direct = SoftFunction(f, g, source, target)
+        direct = SoftFunction(
+            source, target, tuple(U.index(f[v]) for v in U), tuple(("a", "b").index(g[w]) for w in ("a", "b"))
+        )
         made = make_soft_function(f, g, source, target)
+        assert direct == made and hash(direct) == hash(made)
         assert (direct.injective, direct.surjective, direct.bijective) == (
             made.injective,
             made.surjective,
             made.bijective,
         )
         assert direct.bijective == (f == {v: v for v in U} and g == {"a": "a", "b": "b"})
+        assert direct.f == f and direct.g == g
+
+    def test_direct_construction_checks_compatibility(self):
+        source = ss(("w",), {"w": ["0", "1"]})
+        target = ss(("y",), {"y": ["0", "1", "2"]})
+        with pytest.raises(ConstraintError) as exc:
+            SoftFunction(source, target, (0, 1, 2), (0,))
+        assert exc.value.witness == "w"
+
+    @pytest.mark.parametrize(
+        "f_positions, g_positions, message",
+        [
+            ({"0": 0}, (0,), "carrier map positions must be a list, got dict"),
+            ((0, 1), (0,), "carrier map positions must cover the whole source universe"),
+            ((0, 1, 3), (0,), "carrier map positions entry 3 is not a position in 0..2"),
+            ((0, 1, 2), (True,), "parameter map positions entry True is not a position in 0..0"),
+            ((0, 1, 2), (), "parameter map positions must cover the whole source parameters"),
+        ],
+        ids=["dict", "short", "out-of-range", "bool", "no-parameter"],
+    )
+    def test_direct_construction_refuses_malformed_positions(self, f_positions, g_positions, message):
+        a = ss(("w",), {"w": ["0"]})
+        with pytest.raises(InputError, match=message):
+            SoftFunction(a, a, f_positions, g_positions)
+
+    def test_the_maps_are_read_only(self):
+        a = SoftSet(("0", "1"), ("a",), (3,))
+        sf = make_soft_function({"0": "0", "1": "1"}, {"a": "a"}, a, a)
+        assert sf.injective
+        with pytest.raises(TypeError):
+            sf.f["1"] = "0"
+        with pytest.raises(TypeError):
+            sf.g["a"] = "b"
+        assert sf.injective
+        assert sf.f == {"0": "0", "1": "1"} and sf.g == {"a": "a"}
+        assert hash(sf) == hash(make_soft_function({"0": "0", "1": "1"}, {"a": "a"}, a, a))
 
     def test_missing_image_point_is_a_constraint_error(self):
         source = ss(("w",), {"w": ["0", "1"]})
