@@ -10,7 +10,6 @@ unconstructible.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from functools import cached_property
 
@@ -18,9 +17,6 @@ from .errors import ConstraintError, InputError, SizeLimitError
 from .reports import PASSED, AxiomReport, Record, Violation, Witness
 
 Label = Hashable
-
-DEFAULT_MAX_CARRIER = 12
-MAX_CARRIER_ENV = "SOFTGAMMA_MAX_CARRIER"
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -149,6 +145,9 @@ def _commutativity_witness(table) -> tuple[int, int] | None:
 
 # a position is one byte of the blocks that the axiom scans compare
 MAX_SCAN_CARRIER = 256
+
+# the most nonempty closed subsets that sub_masks lists
+MAX_SUBALGEBRAS = 4096
 
 
 def _translation(row) -> bytes:
@@ -339,7 +338,9 @@ class GammaSemiring(Record):
         branch.  Every node that stands has a leaf (its set, with every
         position still open left out), so the walk visits at most n nodes per
         closed set, and every leaf is a distinct closed set.  The empty set
-        is the first leaf and is not listed.
+        is the first leaf and is not listed.  The walk is bounded by its
+        output, not by the carrier: it stops with SizeLimitError at the
+        closed set after the first MAX_SUBALGEBRAS nonempty ones.
         """
         pair = self._pair
         n = self.size
@@ -350,6 +351,8 @@ class GammaSemiring(Record):
             while i >= 0 and closed >> i & 1:
                 i -= 1
             if i < 0:
+                if len(found) > MAX_SUBALGEBRAS:  # the empty set and MAX_SUBALGEBRAS more
+                    raise SizeLimitError(f"more than {MAX_SUBALGEBRAS} sub gamma-semirings, the enumeration bound")
                 found.append(closed)
                 continue
             bit = 1 << i
@@ -532,34 +535,17 @@ def is_sub_gamma_semiring(gs: GammaSemiring, subset: Iterable[Label]) -> bool:
     return bool(sub_gamma_witness(gs, subset))
 
 
-def carrier_bound(max_carrier: int | None = None) -> int:
-    """Enumeration bound: explicit argument, else the environment override, else 12."""
-    if max_carrier is not None:
-        return _count(max_carrier, "max_carrier")
-    raw = os.environ.get(MAX_CARRIER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_CARRIER
-    try:
-        bound = int(raw)
-    except ValueError:
-        raise InputError(f"{MAX_CARRIER_ENV} must be an integer, got {raw!r}") from None
-    return _count(bound, MAX_CARRIER_ENV)
-
-
 def enumerate_sub_gamma_semirings(
     gs: GammaSemiring, max_carrier: int | None = None
 ) -> list[tuple[Label, ...]]:
     """All nonempty closed subsets, canonically ordered by ascending bitmask.
 
-    Refuses carriers above the bound (argument, SOFTGAMMA_MAX_CARRIER, or 12).
-    The enumeration itself needs no such bound, but the number of subalgebras
-    can still grow exponentially with the carrier (2046 on the 20-element
-    min/max carrier with the even gamma labels), so a larger carrier is an
-    explicit choice.
+    Refuses, with SizeLimitError, a structure with more than MAX_SUBALGEBRAS
+    (4096) of them (see GammaSemiring.sub_masks), and a carrier above
+    max_carrier elements when that optional cap is given.
     """
-    bound = carrier_bound(max_carrier)
-    if gs.size > bound:
-        raise SizeLimitError(f"carrier has {gs.size} elements, above the enumeration bound {bound}")
+    if max_carrier is not None and gs.size > _count(max_carrier, "max_carrier"):
+        raise SizeLimitError(f"carrier has {gs.size} elements, above the enumeration bound {max_carrier}")
     return [gs.labels_of_mask(m) for m in gs.sub_masks]
 
 

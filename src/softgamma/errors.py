@@ -20,7 +20,11 @@ class ParseError(InputError):
 
 
 class SizeLimitError(InputError):
-    """A carrier exceeds the configured enumeration bound."""
+    """Input above one of the fixed scope bounds: a structure with more than
+    MAX_SUBALGEBRAS subalgebras to list (or a carrier above an explicit
+    max_carrier), a carrier or gamma set above MAX_SCAN_CARRIER for the
+    axiom scans, a product above MAX_PRODUCT_SIZE, a matrix carrier above
+    MAX_MATRIX_CARRIER."""
 
 
 class DomainError(SoftGammaError, ValueError):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from softgamma import InstanceSpec, files, fuzz_theorem, make_zn_gamma
+from softgamma import InstanceSpec, files, fuzz_theorem, make_minmax_gamma, make_zn_gamma
 from softgamma.cli import main
 from softgamma.harness import ALL_THEOREMS, NECESSITY_TEMPLATES
 from softgamma.soft_sets import and_intersect, or_union
@@ -239,27 +239,32 @@ class TestSubsemirings:
         assert doc["count"] == 3
         assert doc["subsemirings"] == [["0"], ["0", "2"], ["0", "1", "2", "3"]]
 
-    def test_oversize_carrier_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("SOFTGAMMA_MAX_CARRIER", raising=False)
+    def test_carrier_above_12_elements_is_listed(self, capsys, tmp_path):
         path = tmp_path / "z16.json"
         path.write_text(
             files.dumps(files.structure_to_doc(make_zn_gamma(16, (2,)), name="z16")),
             encoding="utf-8",
         )
-        code, _, _ = run(capsys, "subsemirings", str(path))
-        assert code == 2
-        monkeypatch.setenv("SOFTGAMMA_MAX_CARRIER", "16")
         code, out, _ = run(capsys, "subsemirings", str(path))
         assert code == 0
+        doc = json.loads(out)
+        assert (doc["carrier_size"], doc["count"]) == (16, 5)
+        assert doc["subsemirings"][0] == ["0"]
 
-    def test_non_integer_env_bound_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SOFTGAMMA_MAX_CARRIER", "1.5")
-        path = tmp_path / "z4.json"
-        path.write_text(files.dumps(files.structure_to_doc(make_zn_gamma(4, (1,)), name="z4")), encoding="utf-8")
+    def test_output_at_the_bound_is_listed(self, capsys, tmp_path):
+        path = tmp_path / "minmax13.json"
+        path.write_text(files.dumps(files.structure_to_doc(make_minmax_gamma(13, (0,)))), encoding="utf-8")
+        code, out, _ = run(capsys, "subsemirings", str(path))
+        assert code == 0
+        assert json.loads(out)["count"] == 4096
+
+    def test_oversize_carrier_exits_2(self, capsys, tmp_path):
+        # minmax 14 with gamma {0} has 8192 subalgebras, above the bound of 4096
+        path = tmp_path / "minmax14.json"
+        path.write_text(files.dumps(files.structure_to_doc(make_minmax_gamma(14, (0,)))), encoding="utf-8")
         code, out, err = run(capsys, "subsemirings", str(path))
-        assert code == 2
-        assert out == ""
-        assert err == "error: SOFTGAMMA_MAX_CARRIER must be an integer, got '1.5'\n"
+        assert (code, out) == (2, "")
+        assert err == "error: more than 4096 sub gamma-semirings, the enumeration bound\n"
 
 
 class TestTheorem:

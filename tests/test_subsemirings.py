@@ -20,7 +20,7 @@ from softgamma import (
     sub_gamma_witness,
     ternary_product,
 )
-from softgamma.algebra import _closure_witness, sub_gamma_witness_mask
+from softgamma.algebra import MAX_SUBALGEBRAS, _closure_witness, sub_gamma_witness_mask
 
 from conftest import mutant
 
@@ -267,25 +267,34 @@ class TestEnumeration:
         with pytest.raises(InputError, match="max_carrier"):
             enumerate_sub_gamma_semirings(make_zn_gamma(4, (1,)), max_carrier=bound)
 
-    def test_carrier_above_bound_is_refused(self, monkeypatch):
-        monkeypatch.delenv("SOFTGAMMA_MAX_CARRIER", raising=False)
+    def test_carrier_above_bound_is_refused(self):
+        # no carrier cap unless one is passed
         gs = make_zn_gamma(16, (2,))
-        with pytest.raises(SizeLimitError):
-            enumerate_sub_gamma_semirings(gs)
+        assert len(enumerate_sub_gamma_semirings(gs)) == 5
+        with pytest.raises(SizeLimitError, match="^carrier has 16 elements, above the enumeration bound 15$"):
+            enumerate_sub_gamma_semirings(gs, max_carrier=15)
 
-    def test_non_integer_bound_in_the_environment_is_an_input_error(self, monkeypatch):
-        monkeypatch.setenv("SOFTGAMMA_MAX_CARRIER", "twelve")
-        with pytest.raises(InputError, match="SOFTGAMMA_MAX_CARRIER must be an integer, got 'twelve'"):
-            enumerate_sub_gamma_semirings(make_zn_gamma(4, (1,)))
-
-    def test_bound_overridable_by_argument_and_env(self, monkeypatch):
+    def test_bound_overridable_by_argument(self):
         gs = make_zn_gamma(13, (1,))
         assert enumerate_sub_gamma_semirings(gs, max_carrier=13)
-        monkeypatch.setenv("SOFTGAMMA_MAX_CARRIER", "13")
-        assert enumerate_sub_gamma_semirings(gs)
-        monkeypatch.setenv("SOFTGAMMA_MAX_CARRIER", "5")
         with pytest.raises(SizeLimitError):
-            enumerate_sub_gamma_semirings(gs)
+            enumerate_sub_gamma_semirings(gs, max_carrier=5)
+
+    def test_output_at_the_bound_is_listed(self):
+        # minmax n with gamma {0}: X is closed iff it holds 0 once max(X) > 0,
+        # so there are 1 + 2**0 + ... + 2**(n-2) = 2**(n-1) subalgebras
+        gs = make_minmax_gamma(13, (0,))
+        subs = enumerate_sub_gamma_semirings(gs)
+        assert len(subs) == MAX_SUBALGEBRAS == 2**12
+        assert [gs.subset_mask(t) for t in subs] == sorted(gs.sub_masks)
+
+    @pytest.mark.parametrize("max_carrier", [None, 14])
+    def test_output_above_the_bound_is_refused(self, max_carrier):
+        gs = make_minmax_gamma(14, (0,))
+        with pytest.raises(SizeLimitError, match="^more than 4096 sub gamma-semirings, the enumeration bound$"):
+            enumerate_sub_gamma_semirings(gs, max_carrier=max_carrier)
+        with pytest.raises(SizeLimitError):
+            gs.sub_masks
 
 
 class TestStructuralProperties:
