@@ -24,7 +24,7 @@ def dumps(doc) -> str:
 def load(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return loads(text)
 
@@ -34,6 +34,8 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
     return doc
@@ -48,10 +50,17 @@ def label_to_jsonable(label):
 
 
 def label_from_jsonable(node):
+    try:
+        return _label(node)
+    except RecursionError:
+        raise ParseError("label entry is nested too deeply") from None
+
+
+def _label(node):
     if isinstance(node, str):
         return node
     if isinstance(node, list):
-        return tuple(label_from_jsonable(x) for x in node)
+        return tuple(_label(x) for x in node)
     raise ParseError(f"label entry {node!r} must be a string or nested list")
 
 

@@ -212,7 +212,8 @@ def _check_spec(spec: InstanceSpec) -> tuple:
     """Every check of a spec that reads no random draw, in generate_instance's
     order; returns what the spec pins of the descriptor for _draw_descriptor:
     ("mix",), (kind, n or None, gamma or ()) on zn and minmax, or the whole
-    matrix descriptor.  The seed is not read."""
+    matrix descriptor.  The seed is only checked: an exact int of at least 0,
+    since random.Random(-s) draws what random.Random(s) draws."""
     if spec.family_size is not None:
         _count(spec.family_size, "family_size")
     if spec.value_policy not in _VALUE_POLICIES:
@@ -254,6 +255,9 @@ def _check_spec(spec: InstanceSpec) -> tuple:
         raise InputError("the kernel value policy gives source values; it takes no target_side")
     if spec.value_policy == "carrier-image" and spec.with_hom and not spec.target_side:
         raise InputError("the carrier-image value policy gives target values; it requires target_side")
+    if spec.value_policy in ("kernel", "carrier-image") and not spec.with_hom:
+        raise GenerationError(f"{spec.value_policy} value policy requires a homomorphism")
+    _count(spec.seed, "seed", minimum=0)
     return pinned
 
 
@@ -351,9 +355,8 @@ def _draw_parameters(
 
 def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
     """The one value every member over side takes under a forced value
-    policy; None when values are drawn."""
-    if policy in ("kernel", "carrier-image") and hom is None:
-        raise GenerationError(f"{policy} value policy requires a homomorphism")
+    policy; None when values are drawn.  _check_spec has made sure that
+    the kernel and carrier-image policies come with a homomorphism."""
     if policy == "kernel":
         return hom.source.subset_mask(kernel(hom))
     if policy == "whole":

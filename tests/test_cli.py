@@ -282,6 +282,13 @@ class TestTheorem:
         assert code == 0
         assert json.loads(out)["counterexample"] is not None
 
+    def test_negative_seed_exits_2(self, capsys):
+        # random.Random(-1) draws what random.Random(1) draws: trials 0 and 2
+        # of --seed -1 would judge one instance
+        code, out, err = run(capsys, "theorem", "T4.7", "--seed", "-1", "--trials", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be an integer of at least 0, got -1\n"
+
     def test_unknown_id_exits_2(self, capsys):
         code, _, _ = run(capsys, "theorem", "T9.9")
         assert code == 2

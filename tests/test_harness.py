@@ -21,6 +21,7 @@ from softgamma.harness import (
     _LAWS,
     ALL_THEOREMS,
     NECESSITY_TEMPLATES,
+    _check_spec,
     _descriptor_name,
     base_structure,
     canonical_hom,
@@ -123,8 +124,20 @@ class TestGeneration:
 
     @pytest.mark.parametrize("policy", ["kernel", "carrier-image"])
     def test_hom_value_policies_without_a_hom_are_a_generation_error(self, policy):
-        with pytest.raises(GenerationError):
-            generate_instance(InstanceSpec(value_policy=policy, seed=3))
+        # a fault of the spec, found before any draw
+        spec = InstanceSpec(value_policy=policy, seed=3)
+        for run in (lambda: _check_spec(spec), lambda: generate_instance(spec), lambda: fuzz_theorem("T3.4", 3, spec)):
+            with pytest.raises(GenerationError, match=f"^{policy} value policy requires a homomorphism$"):
+                run()
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
+    def test_a_seed_that_is_not_an_int_of_at_least_0_is_refused(self, seed):
+        # random.Random(-s) draws what random.Random(s) draws, so a negative
+        # seed would judge one instance twice
+        spec = InstanceSpec(seed=seed)
+        for run in (lambda: generate_instance(spec), lambda: fuzz_theorem("T3.4", 3, spec)):
+            with pytest.raises(InputError, match="^seed must be an integer of at least 0"):
+                run()
 
     def test_target_side_without_a_hom_is_a_generation_error(self):
         with pytest.raises(GenerationError):

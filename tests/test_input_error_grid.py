@@ -3,7 +3,9 @@ malformed input each: every one is refused with its own message, a
 ParseError from the reader and exit 2 with the message on stderr from the
 CLI."""
 
+import json
 import re
+import sys
 
 import pytest
 
@@ -69,3 +71,53 @@ def test_an_op_with_the_wrong_file_count_exits_2(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+# recursion depths from the interpreter's limit: JSON nested far past it, and a
+# label that json.loads still reads but that is too deep for the label reader
+LIMIT = sys.getrecursionlimit()
+DEEP_LABEL = "[" * (LIMIT - 100) + '"x"' + "]" * (LIMIT - 100)
+
+
+def _soft_set_text(universe):
+    return '{"universe": %s, "parameters": ["a"], "values": {}}' % universe
+
+
+UNREADABLE = {
+    "not-utf-8": (b"\xff\xfe{}", ["validate", "DOC"], "cannot read "),
+    "json-nested-too-deep": (
+        _soft_set_text("[" * (100 * LIMIT) + "]" * (100 * LIMIT)).encode(),
+        ["op", "rint", "DOC", "DOC"],
+        "invalid JSON: nested too deeply",
+    ),
+    "label-nested-too-deep": (
+        _soft_set_text(f"[{DEEP_LABEL}]").encode(),
+        ["op", "rint", "DOC", "DOC"],
+        "label entry is nested too deeply",
+    ),
+}
+
+
+def test_the_deep_label_is_valid_json():
+    doc = json.loads(UNREADABLE["label-nested-too-deep"][0])
+    assert doc["parameters"] == ["a"]
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_an_unreadable_document_is_a_parse_error(tmp_path, case):
+    data, _, message = UNREADABLE[case]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+        files.soft_set_from_doc(files.load(path))
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_an_unreadable_document_exits_2(capsys, tmp_path, case):
+    data, argv, message = UNREADABLE[case]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code = main([str(path) if arg == "DOC" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {message}")
