@@ -139,6 +139,14 @@ class TestGeneration:
             with pytest.raises(InputError, match="^seed must be an integer of at least 0"):
                 run()
 
+    def test_draws_from_more_than_4096_subalgebras_are_refused(self):
+        # minmax 14 with gamma {0} has 8192; minmax 13 has 4096 and is drawn from
+        inst = generate_instance(InstanceSpec(generator="minmax", size=(13,), gamma=(0,), seed=1))
+        values = [m for member in inst.soft_sets for m in member.masks]
+        assert all(m == 0 or is_sub_gamma_semiring(inst.gs, inst.gs.labels_of_mask(m)) for m in values)
+        with pytest.raises(SizeLimitError, match="^more than 4096 sub gamma-semirings"):
+            generate_instance(InstanceSpec(generator="minmax", size=(14,), gamma=(0,), seed=1))
+
     def test_target_side_without_a_hom_is_a_generation_error(self):
         with pytest.raises(GenerationError):
             generate_instance(InstanceSpec(target_side=True, seed=3))
