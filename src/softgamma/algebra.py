@@ -214,9 +214,14 @@ def _semigroup_scans(prefix: str, table, labels, rows: dict) -> tuple:
     )
 
 
-def _report(mode: str, scans) -> AxiomReport:
-    """Run the ordered (axiom, scan) pairs; a scan returns its first witness or None."""
-    violations = tuple(Violation(axiom, w) for axiom, scan in scans if (w := scan()) is not None)
+def _report(mode: str, scans, record: dict) -> AxiomReport:
+    """Report the ordered (axiom, scan) pairs; a scan returns its first
+    witness or None, which record keeps under the axiom, so a scan runs only
+    when record does not yet hold its axiom."""
+    for axiom, scan in scans:
+        if axiom not in record:
+            record[axiom] = scan()
+    violations = tuple(Violation(axiom, w) for axiom, _ in scans if (w := record[axiom]) is not None)
     return AxiomReport(mode=mode, passed=not violations, violations=violations)
 
 
@@ -229,7 +234,7 @@ def check_commutative_semigroup(elements, add_table) -> AxiomReport:
     """
     sg = FiniteCommutativeSemigroup(tuple(elements), add_table)
     rows = {i: i for i in range(len(sg))}
-    return _report("semigroup", _semigroup_scans("", sg.add_table, sg.elements, rows))
+    return _report("semigroup", _semigroup_scans("", sg.add_table, sg.elements, rows), {})
 
 
 class GammaSemiring(Record):
@@ -320,6 +325,12 @@ class GammaSemiring(Record):
     @cached_property
     def _closed_memo(self) -> dict[int | tuple[int, int], Witness]:
         # a mask of this carrier, or (k, mask) for the k-fold product's carrier
+        return {}
+
+    @cached_property
+    def _axiom_witnesses(self) -> dict[str, tuple | None]:
+        # axiom name -> its first witness, or None when it holds, filled by
+        # check_gamma_semiring; a scan reads only the tables and the zero
         return {}
 
     @cached_property
@@ -579,6 +590,11 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     carrier above MAX_SCAN_CARRIER elements, and in strict mode a gamma set
     above MAX_SCAN_CARRIER labels, is refused with SizeLimitError before any
     scan runs.
+
+    Each axiom is scanned at most once per structure: a scan reads only the
+    tables and the zero, never the mode, so gs keeps every witness it has
+    found (or None) and a later call, in either mode, runs only the scans
+    its axioms still lack.  The mode and bound checks run on every call.
     """
     if mode not in ("weak", "strict"):
         raise InputError(f"mode must be 'weak' or 'strict', got {mode!r}")
@@ -680,7 +696,7 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     if strict:
         scans.append(("distributive-gamma", gamma_distributivity))
     scans.append(("product-associativity", product_associativity))
-    return _report(mode, scans)
+    return _report(mode, scans, gs._axiom_witnesses)
 
 
 class GammaHom(Record):

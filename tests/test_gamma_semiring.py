@@ -462,3 +462,110 @@ def test_reports_match_an_independent_reference_scan_on_mutants(name):
     if base.gamma_add is None:
         with pytest.raises(InputError, match="gamma addition table"):
             check_gamma_semiring(base, "strict")
+
+
+def _rebuilt(gs):
+    """A freshly built structure equal to gs, holding no witness yet."""
+    s = FiniteCommutativeSemigroup(gs.elements, gs.s.add_table)
+    return GammaSemiring(s, gs.gamma_elements, gs.gamma_add, gs.product, gs.zero)
+
+
+def _reference_cases():
+    """(name, trial, structure) over every base and its seeded mutants, as in
+    the reference-scan test; every structure is a fresh build."""
+    for name, base in REFERENCE_BASES.items():
+        rng = random.Random(name)
+        for trial in range(REFERENCE_TRIALS.get(name, 60)):
+            yield name, trial, _rebuilt(base if trial == 0 else mutant(base, rng))
+
+
+WEAK_AXIOMS = (
+    "s-commutativity", "s-associativity", "zero-identity",
+    "distributive-sum-left", "distributive-sum-right", "product-associativity",
+)
+
+
+def test_reports_on_a_reused_structure_match_fresh_builds_in_both_orders():
+    for name, trial, gs in _reference_cases():
+        orders = (("weak", "strict"), ("strict", "weak")) if gs.gamma_add is not None else (("weak", "weak"),)
+        for order in orders:
+            reused = _rebuilt(gs)
+            for mode in order:
+                assert check_gamma_semiring(reused, mode) == check_gamma_semiring(_rebuilt(gs), mode), (
+                    name, trial, order, mode,
+                )
+
+
+def test_no_scan_depends_on_the_mode():
+    # the record is keyed by axiom alone, so a weak report must be the strict
+    # report of an equal structure restricted to the weak axioms
+    for name, trial, gs in _reference_cases():
+        if gs.gamma_add is None:
+            continue
+        weak = check_gamma_semiring(gs, "weak")
+        strict = check_gamma_semiring(_rebuilt(gs), "strict")
+        restricted = tuple(v for v in strict.violations if v.axiom in WEAK_AXIOMS)
+        assert (weak.violations, weak.passed) == (restricted, not restricted), (name, trial)
+
+
+class TestEachScanRunsOnce:
+    # minmax 5 with gamma {1, 2, 3} passes strict: n = 5, |gamma| = 3, so a
+    # weak check makes 2 * 5 * 3 additivity calls (every column and row map)
+    # and the strict-only distributive-gamma scan 5 * 5 more
+    WEAK = {"commutativity": 1, "associativity": 1, "additivity": 30}
+    STRICT_ONLY = {"commutativity": 1, "associativity": 1, "additivity": 25}
+    NONE = {"commutativity": 0, "associativity": 0, "additivity": 0}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict(self.NONE)
+        for key, name in [
+            ("commutativity", "_commutativity_witness"),
+            ("associativity", "_associativity_witness"),
+            ("additivity", "_additivity_failure"),
+        ]:
+            def counted(*args, _key=key, _scan=getattr(algebra, name)):
+                counts[_key] += 1
+                return _scan(*args)
+
+            monkeypatch.setattr(algebra, name, counted)
+
+        def take():
+            taken = dict(counts)
+            counts.update(self.NONE)
+            return taken
+
+        return take
+
+    @pytest.mark.parametrize(
+        "first, second, missing",
+        [
+            ("weak", "strict", STRICT_ONLY),
+            ("strict", "weak", NONE),
+            ("weak", "weak", NONE),
+            ("strict", "strict", NONE),
+        ],
+    )
+    def test_a_second_check_runs_only_the_missing_scans(self, calls, first, second, missing):
+        gs = make_minmax_gamma(5, (1, 2, 3))
+        expected = {"weak": self.WEAK, "strict": {k: self.WEAK[k] + self.STRICT_ONLY[k] for k in self.WEAK}}
+        reports = [check_gamma_semiring(gs, first)]
+        assert calls() == expected[first]
+        reports.append(check_gamma_semiring(gs, second))
+        assert calls() == missing
+        assert len(gs._axiom_witnesses) == (6 if "strict" not in (first, second) else 10)
+        assert [r.mode for r in reports] == [first, second] and all(r.passed for r in reports)
+
+    def test_mode_and_bound_checks_run_on_every_call(self, calls, above_scan_bound):
+        gs = make_zn_gamma(6, (1, 3))
+        check_gamma_semiring(gs, "weak")
+        calls()
+        with pytest.raises(InputError, match="^mode must be"):
+            check_gamma_semiring(gs, "Weak")
+        with pytest.raises(InputError, match="strict mode requires a gamma addition table"):
+            check_gamma_semiring(gs, "strict")
+        for mode in ("weak", "strict"):
+            with pytest.raises(SizeLimitError, match="^carrier has 257 elements"):
+                check_gamma_semiring(above_scan_bound, mode)
+        assert calls() == self.NONE
+        assert "_axiom_witnesses" not in above_scan_bound.__dict__

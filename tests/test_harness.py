@@ -147,6 +147,18 @@ class TestGeneration:
         with pytest.raises(SizeLimitError, match="^more than 4096 sub gamma-semirings"):
             generate_instance(InstanceSpec(generator="minmax", size=(14,), gamma=(0,), seed=1))
 
+    @pytest.mark.parametrize("policy", ["arbitrary", "whole"])
+    def test_draws_that_read_no_subalgebra_list_are_not_bounded_by_it(self, policy):
+        # minmax 14 with gamma {0} has 8192 subalgebras, but an arbitrary value
+        # is any subset and a whole value the carrier, so neither list is read
+        inst = generate_instance(InstanceSpec(generator="minmax", size=(14,), gamma=(0,), value_policy=policy, seed=1))
+        assert "sub_masks" not in inst.gs.__dict__
+        if policy == "whole":
+            assert {m for member in inst.soft_sets for m in member.masks} == {inst.gs.full_mask}
+        # a chain is drawn from the list whatever the policy
+        with pytest.raises(SizeLimitError, match="^more than 4096 sub gamma-semirings"):
+            generate_instance(InstanceSpec(generator="minmax", size=(14,), gamma=(0,), value_policy=policy, chain=True))
+
     def test_target_side_without_a_hom_is_a_generation_error(self):
         with pytest.raises(GenerationError):
             generate_instance(InstanceSpec(target_side=True, seed=3))
