@@ -401,10 +401,10 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
     side = hom.target if spec.target_side else gs
 
     forced = _forced_mask(spec.value_policy, side, hom)
-    # only chains and the values drawn under a policy other than "arbitrary"
-    # read a subalgebra list, which may be too long to enumerate
-    drawn = spec.value_policy != "arbitrary"
-    subs = side.sub_masks if spec.chain or spec.chain_outer or drawn and forced is None else ()
+    # a subalgebra list may be too long to enumerate, so it is read only for
+    # a chain or for values picked from it: drawn under any policy but "arbitrary"
+    picked = spec.value_policy != "arbitrary"
+    subs = side.sub_masks if spec.chain or spec.chain_outer or picked and forced is None else ()
     # the full carrier is closed and a chain keeps the first mask drawn, so a chain is never empty
     chain_pool = _draw_chain(rng, subs) if spec.chain or spec.chain_outer else None
     value_candidates = chain_pool if spec.chain else subs
@@ -447,7 +447,7 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
     aux_target = None
     if hom is not None and not spec.target_side:
         params = _draw_parameters(rng, _PARAMETER_POOL, _MAX_PARAMETERS, spec.anchored)
-        masks = tuple(_draw_value(rng, spec, hom.target, hom.target.sub_masks if drawn else ()) for _ in params)
+        masks = tuple(_draw_value(rng, spec, hom.target, hom.target.sub_masks if picked else ()) for _ in params)
         aux_target = SoftSet._unchecked(hom.target.elements, params, masks)
 
     return Instance(
