@@ -10,6 +10,7 @@ unconstructible.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from functools import cached_property
 
@@ -134,15 +135,6 @@ class FiniteCommutativeSemigroup(Record):
         return len(self.elements)
 
 
-def _commutativity_witness(table) -> tuple[int, int] | None:
-    n = len(table)
-    for i in range(n):
-        for j in range(n):
-            if table[i][j] != table[j][i]:
-                return (i, j)
-    return None
-
-
 # a position is one byte of the blocks that the axiom scans compare
 MAX_SCAN_CARRIER = 256
 
@@ -162,56 +154,60 @@ def _first_difference(x: bytes, y: bytes, keep: int = -1) -> int | None:
     return len(x) - 1 - (diff.bit_length() - 1) // 8 if diff else None
 
 
-def _associativity_start(table, rows: dict) -> int:
-    """The row from which _associativity_witness scans entry by entry: the
-    first row i holding some (i+j)+k != i+(j+k), each row compared as one
-    block of bytes, or len(table) when there is none; 0, ruling out no row,
-    when the codes do not fit in a byte or a sum falls outside rows."""
-    n = len(table)
-    if n > MAX_SCAN_CARRIER:
-        return 0
-    try:
-        coded = [bytes(map(rows.__getitem__, row)) for row in table]
-    except KeyError:
-        return 0
-    flat = b"".join(coded)
-    for i, row in enumerate(coded):
-        # byte j * n + k: (i+j)+k on the left, i+(j+k) on the right
-        if b"".join([coded[x] for x in row]) != flat.translate(_translation(row)):
-            return i
-    return n
+def _inside(flat: bytes, n: int) -> int:
+    """The keep mask (see _first_difference) of the bytes of flat below n;
+    -1, keeping every byte, when all of them are."""
+    if max(flat) < n:
+        return -1
+    return int.from_bytes(flat.translate(bytes(255 if c < n else 0 for c in range(256))), "big")
 
 
-def _associativity_witness(table, rows: dict) -> tuple[int, int, int] | None:
-    """The first (i, j, k) with (i+j)+k != i+(j+k), each inner sum read as a
-    row through rows; triples with an inner sum outside rows are skipped."""
-    get = rows.get
-    n = len(table)
-    for i in range(_associativity_start(table, rows), n):
-        row_i = table[i]
-        for j in range(n):
-            ij = get(row_i[j])
-            if ij is None:
-                continue
-            row_ij, row_j = table[ij], table[j]
-            for k in range(n):
-                jk = get(row_j[k])
-                if jk is not None and row_ij[k] != row_i[jk]:
-                    return (i, j, k)
-    return None
+def _commutativity_failure(flat: bytes, n: int) -> int | None:
+    """The first flat index i * n + j with x(i, j) != x(j, i), for a square
+    table x of n rows held in flat row by row; None when x is commutative."""
+    return _first_difference(flat, b"".join([flat[j::n] for j in range(n)]))
 
 
-def _labelled(labels, witness) -> tuple | None:
-    return None if witness is None else tuple(labels[i] for i in witness)
+def _associativity_failure(f: bytes, flat: bytes, blocks: list, keep: int = -1) -> int | None:
+    """The first flat index x * m + y with f(x o y) != f(x) o y, for a map f
+    of the positions x into the codes of blocks; None when there is none.
+
+    flat holds x o y row by row, over every x and m right operands y, and
+    blocks[z] the row z o y over y, so f(x o y) over x, y is flat translated
+    by f and f(x) o y over y is blocks[f(x)].  Only the flat indices that
+    keep marks are judged (see _first_difference).
+    """
+    lhs = flat.translate(_translation(f))
+    rhs = b"".join([blocks[z] for z in f])
+    return None if lhs == rhs else _first_difference(lhs, rhs, keep)
 
 
-def _semigroup_scans(prefix: str, table, labels, rows: dict) -> tuple:
+def _semigroup_scans(prefix: str, flat: bytes, labels) -> tuple:
     """The commutativity and associativity (axiom, scan) pairs of a square
-    table over labels, its entries read as rows through rows."""
-    return (
-        (prefix + "commutativity", lambda: _labelled(labels, _commutativity_witness(table))),
-        (prefix + "associativity", lambda: _labelled(labels, _associativity_witness(table, rows))),
-    )
+    table over labels, held in flat one byte per entry, row by row: the
+    position of a label, or a code at or above len(labels) for a sum outside
+    the labels.  Associativity skips every (i, j, k) with i + j or j + k
+    outside."""
+    n = len(labels)
+
+    def commutativity():
+        i = _commutativity_failure(flat, n)
+        return None if i is None else (labels[i // n], labels[i % n])
+
+    def associativity():
+        # (i + j) + k == i + (j + k): the row of i commutes with +
+        rows = [flat[i:i + n] for i in range(0, n * n, n)]
+        inner = _inside(flat, n)
+        # the block of a code outside is never judged: keep drops its row
+        blocks = rows + [bytes(n)] * (max(flat) + 1 - n)
+        for i, row in enumerate(rows):
+            keep = inner if inner == -1 else inner & _inside(bytes(z for z in row for _ in range(n)), n)
+            x = _associativity_failure(row, flat, blocks, keep)
+            if x is not None:
+                return (labels[i], labels[x // n], labels[x % n])
+        return None
+
+    return ((prefix + "commutativity", commutativity), (prefix + "associativity", associativity))
 
 
 def _report(mode: str, scans, record: dict) -> AxiomReport:
@@ -230,11 +226,14 @@ def check_commutative_semigroup(elements, add_table) -> AxiomReport:
 
     Malformed tables (wrong dimensions, out-of-range entries) raise
     InputError; axiom failures are reported, one lexicographically-first
-    witness per axiom.
+    witness per axiom.  The scans hold positions in bytes, so a carrier
+    above MAX_SCAN_CARRIER elements is refused with SizeLimitError before
+    any scan runs.
     """
     sg = FiniteCommutativeSemigroup(tuple(elements), add_table)
-    rows = {i: i for i in range(len(sg))}
-    return _report("semigroup", _semigroup_scans("", sg.add_table, sg.elements, rows), {})
+    if len(sg) > MAX_SCAN_CARRIER:
+        raise SizeLimitError(f"carrier has {len(sg)} elements, above the scan bound {MAX_SCAN_CARRIER}")
+    return _report("semigroup", _semigroup_scans("", b"".join(map(bytes, sg.add_table)), sg.elements), {})
 
 
 class GammaSemiring(Record):
@@ -431,10 +430,7 @@ def _product_size(gs: GammaSemiring, k: int) -> int:
 def _product_labels(gs: GammaSemiring, k: int) -> tuple:
     """The k-fold product's carrier: k-tuples of base labels in row-major order."""
     _product_size(gs, k)
-    labels = [()]
-    for _ in range(k):
-        labels = [t + (e,) for t in labels for e in gs.elements]
-    return tuple(labels)
+    return tuple(itertools.product(gs.elements, repeat=k))
 
 
 def _fold_image(table, n: int, j: int, a: int, b: int, memo: dict) -> int:
@@ -568,7 +564,7 @@ def _additivity_failure(f: bytes, sums: bytes, add_maps: list, keep: int = -1) -
     translation of the carrier's row z, so f(x) + f(y) over y is f translated
     by add_maps[f(x)].  Only the flat indices that keep marks are judged (see
     _first_difference), so a sum outside the domain may sit in sums as any
-    position.
+    code.
     """
     lhs = sums.translate(_translation(f))
     rhs = b"".join([f.translate(add_maps[y]) for y in f])
@@ -585,11 +581,14 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     forms a commutative semigroup, plus distributivity of the product over
     gamma addition.  The mode is always explicit, never inferred.
 
-    The associativity and distributivity scans hold positions in bytes and
-    compose maps with bytes.translate, a block of rows at a time, so a
-    carrier above MAX_SCAN_CARRIER elements, and in strict mode a gamma set
-    above MAX_SCAN_CARRIER labels, is refused with SizeLimitError before any
-    scan runs.
+    Every scan compares whole blocks of rows, one byte per entry, and
+    composes maps with bytes.translate.  The gamma addition table is coded
+    by gamma position, then a fresh code for each label outside the gamma
+    set in first-seen order, and the gamma scans skip every term whose
+    inner sum has such a code.  So a carrier above MAX_SCAN_CARRIER
+    elements, and in strict mode a gamma addition table with more than
+    MAX_SCAN_CARRIER labels in and outside the gamma set, is refused with
+    SizeLimitError before any scan runs.
 
     Each axiom is scanned at most once per structure: a scan reads only the
     tables and the zero, never the mode, so gs keeps every witness it has
@@ -603,19 +602,21 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         raise InputError("strict mode requires a gamma addition table")
     if gs.size > MAX_SCAN_CARRIER:
         raise SizeLimitError(f"carrier has {gs.size} elements, above the scan bound {MAX_SCAN_CARRIER}")
-    if strict and len(gs.gamma_elements) > MAX_SCAN_CARRIER:
-        raise SizeLimitError(
-            f"gamma set has {len(gs.gamma_elements)} labels, above the scan bound {MAX_SCAN_CARRIER}"
-        )
+    gamma = gs.gamma_elements
+    gadd = gs.gamma_add
+    ng = len(gamma)
+    if strict:
+        codes = dict(gs._gpos)
+        coded = [codes.setdefault(x, len(codes)) for row in gadd for x in row]
+        if len(codes) > MAX_SCAN_CARRIER:
+            outside = f" and its sums {len(codes) - ng} labels outside it" if len(codes) > ng else ""
+            raise SizeLimitError(f"gamma set has {ng} labels{outside}, above the scan bound {MAX_SCAN_CARRIER}")
+        gflat = bytes(coded)
 
     elems = gs.elements
     add = gs.s.add_table
     prod = gs.product
-    gamma = gs.gamma_elements
-    gadd = gs.gamma_add
-    gpos = gs._gpos
     n = len(elems)
-    ng = len(gamma)
     add_flat = b"".join(map(bytes, add))
     add_maps = [_translation(row) for row in add]
     # rows[a][g] is the map b -> a g b
@@ -626,8 +627,8 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         return next(((elems[i],) for i in range(n) if row[i] != i), None)
 
     def gamma_closure():
-        return next(((gamma[i], gamma[j], gadd[i][j]) for i in range(ng) for j in range(ng)
-                     if gadd[i][j] not in gpos), None)
+        x = next((x for x, code in enumerate(gflat) if code >= ng), None)
+        return None if x is None else (gamma[x // ng], gamma[x % ng], gadd[x // ng][x % ng])
 
     def sum_left():
         # (a+b) alpha c == a alpha c + b alpha c: every column map x -> x alpha c
@@ -657,12 +658,11 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         # a (alpha+beta) b == a alpha b + a beta b, on pairs whose sum stays in
         # gamma: every map gamma -> a gamma b is additive on those pairs; for
         # each a the witness is the least over every failing b
-        sums = bytes(gpos.get(x, 0) for row in gadd for x in row)
-        keep = int.from_bytes(bytes(255 if x in gpos else 0 for row in gadd for x in row), "big")
+        keep = _inside(gflat, ng)
         for a in range(n):
             found = []
             for b, f in enumerate(zip(*rows[a])):
-                i = _additivity_failure(bytes(f), sums, add_maps, keep)
+                i = _additivity_failure(bytes(f), gflat, add_maps, keep)
                 if i is not None:
                     found.append((*divmod(i, ng), b))
             if found:
@@ -671,27 +671,23 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         return None
 
     def product_associativity():
-        # a alpha (b beta c) == (a alpha b) beta c.  blocks[x] holds x's rows
-        # in turn, so byte b * ng * n + beta * n + c of the (a, alpha) block is
-        # the left side in whole translated by the row of (a, alpha), and the
-        # right side in the blocks of every a alpha b joined
+        # a alpha (b beta c) == (a alpha b) beta c: the row of (a, alpha)
+        # commutes with (b, (beta, c)) -> b beta c, whose blocks[b] holds the
+        # rows of b in turn
         blocks = [b"".join(layer) for layer in rows]
         whole = b"".join(blocks)
         for a in range(n):
             for g in range(ng):
-                row = rows[a][g]
-                lhs = whole.translate(_translation(row))
-                rhs = b"".join([blocks[x] for x in row])
-                if lhs != rhs:
-                    i = _first_difference(lhs, rhs)
+                i = _associativity_failure(rows[a][g], whole, blocks)
+                if i is not None:
                     return (elems[a], gamma[g], elems[i // (ng * n)], gamma[i // n % ng], elems[i % n])
         return None
 
-    scans = list(_semigroup_scans("s-", add, elems, {i: i for i in range(n)}))
+    scans = list(_semigroup_scans("s-", add_flat, elems))
     if gs.zero is not None:
         scans.append(("zero-identity", zero_identity))
     if strict:
-        scans += [("gamma-closure", gamma_closure), *_semigroup_scans("gamma-", gadd, gamma, gpos)]
+        scans += [("gamma-closure", gamma_closure), *_semigroup_scans("gamma-", gflat, gamma)]
     scans += [("distributive-sum-left", sum_left), ("distributive-sum-right", sum_right)]
     if strict:
         scans.append(("distributive-gamma", gamma_distributivity))

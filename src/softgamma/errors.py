@@ -22,8 +22,9 @@ class ParseError(InputError):
 class SizeLimitError(InputError):
     """Input above one of the fixed scope bounds: a structure with more than
     MAX_SUBALGEBRAS subalgebras to list (or a carrier above an explicit
-    max_carrier), a carrier or gamma set above MAX_SCAN_CARRIER for the
-    axiom scans, a product above MAX_PRODUCT_SIZE, a matrix carrier above
+    max_carrier), a carrier above MAX_SCAN_CARRIER for the axiom scans (or
+    a strict check's gamma addition table with more labels, in and outside
+    the gamma set), a product above MAX_PRODUCT_SIZE, a matrix carrier above
     MAX_MATRIX_CARRIER."""
 
 

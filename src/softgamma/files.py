@@ -80,6 +80,8 @@ def param_key(label) -> str:
 
 
 def require_fields(doc: dict, fields: set[str], what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be an object")
     present = set(doc)
     missing = fields - present
     extra = present - fields

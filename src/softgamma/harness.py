@@ -763,7 +763,7 @@ ACCEPTANCE_THEOREMS = tuple(tid for tid in ALL_THEOREMS if tid != "T4.5")
 def _lookup(theorem_id: str) -> Law:
     try:
         return _LAWS[theorem_id]
-    except KeyError:
+    except (KeyError, TypeError):
         raise InputError(f"unknown theorem id {theorem_id!r}") from None
 
 

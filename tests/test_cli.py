@@ -24,7 +24,22 @@ def z8_files(tmp_path):
     return tmp_path / "z8.structure.json", tmp_path / "z8.soft.json"
 
 
+VALIDATE_GOLDEN = json.loads((GOLDEN / "validate.json").read_text(encoding="utf-8"))
+
+
 class TestValidate:
+    def test_every_golden_structure_has_golden_validate_output(self):
+        assert sorted(VALIDATE_GOLDEN) == sorted(p.name for p in GOLDEN.glob("*.structure.json"))
+
+    @pytest.mark.parametrize("mode", ["weak", "strict"])
+    @pytest.mark.parametrize("name", sorted(VALIDATE_GOLDEN))
+    def test_stdout_matches_the_golden_bytes(self, capsys, name, mode):
+        # broken.structure.json fails every axiom but zero-identity, with gamma
+        # sums outside the gamma set and late associativity witnesses
+        code, out, err = run(capsys, "validate", str(GOLDEN / name), "--mode", mode)
+        expected = VALIDATE_GOLDEN[name][mode]
+        assert (code, out.encode("utf-8"), err) == (expected["exit"], expected["stdout"].encode("utf-8"), "")
+
     def test_weak_passes(self, capsys, z8_files):
         code, out, _ = run(capsys, "validate", str(z8_files[0]), "--mode", "weak")
         assert code == 0

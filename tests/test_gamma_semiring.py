@@ -230,6 +230,20 @@ def gamma_above_scan_bound():
     )
 
 
+@pytest.fixture(scope="module")
+def gamma_sums_above_scan_bound():
+    # one element and 17 gamma labels whose 17 * 17 sums are distinct labels
+    # outside the gamma set: 306 codes, while every weak axiom holds
+    gamma = tuple(f"g{i}" for i in range(17))
+    return GammaSemiring(
+        FiniteCommutativeSemigroup(("0",), [[0]]),
+        gamma,
+        [[f"s{i}.{j}" for j in range(17)] for i in range(17)],
+        [[[0]] * len(gamma)],
+        zero="0",
+    )
+
+
 class TestScanBound:
     @pytest.mark.parametrize("mode", ["weak", "strict"])
     def test_a_carrier_above_the_bound_is_refused_before_any_scan(self, above_scan_bound, mode, monkeypatch):
@@ -265,16 +279,36 @@ class TestScanBound:
         assert main(["validate", str(path), "--mode", "weak"]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_the_semigroup_check_has_no_bound(self):
-        # every sum is 0 but 0 + 0 = 1 and 1 + 0 = 2, so both axioms fail early
+    def test_the_semigroup_check_refuses_a_carrier_above_the_bound_before_any_scan(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_report", lambda *args: pytest.fail("a scan ran"))
         n = MAX_SCAN_CARRIER + 1
-        table = [[0] * n for _ in range(n)]
-        table[0][0], table[1][0] = 1, 2
-        report = check_commutative_semigroup([str(i) for i in range(n)], table)
-        assert [(v.axiom, v.witness) for v in report.violations] == [
-            ("commutativity", ("0", "1")),
-            ("associativity", ("0", "0", "0")),
-        ]
+        with pytest.raises(SizeLimitError, match="^carrier has 257 elements, above the scan bound 256$"):
+            check_commutative_semigroup([str(i) for i in range(n)], [[0] * n for _ in range(n)])
+
+    def test_a_gamma_table_with_more_codes_than_the_bound_is_refused_in_strict_mode_only(
+        self, gamma_sums_above_scan_bound, monkeypatch
+    ):
+        message = "^gamma set has 17 labels and its sums 289 labels outside it, above the scan bound 256$"
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "_report", lambda *args: pytest.fail("a scan ran"))
+            with pytest.raises(SizeLimitError, match=message):
+                check_gamma_semiring(gamma_sums_above_scan_bound, "strict")
+        assert check_gamma_semiring(gamma_sums_above_scan_bound, "weak").passed
+
+    def test_validate_exits_2_on_a_gamma_table_above_the_bound_in_strict_mode_only(
+        self, gamma_sums_above_scan_bound, tmp_path, capsys
+    ):
+        path = tmp_path / "sums289.structure.json"
+        doc = files.structure_to_doc(gamma_sums_above_scan_bound, name="sums289")
+        path.write_text(files.dumps(doc), encoding="utf-8")
+        code = main(["validate", str(path), "--mode", "strict"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "error: gamma set has 17 labels and its sums 289 labels outside it, above the scan bound 256\n"
+        )
+        assert main(["validate", str(path), "--mode", "weak"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestTernaryProduct:
@@ -511,17 +545,19 @@ def test_no_scan_depends_on_the_mode():
 class TestEachScanRunsOnce:
     # minmax 5 with gamma {1, 2, 3} passes strict: n = 5, |gamma| = 3, so a
     # weak check makes 2 * 5 * 3 additivity calls (every column and row map)
-    # and the strict-only distributive-gamma scan 5 * 5 more
-    WEAK = {"commutativity": 1, "associativity": 1, "additivity": 30}
-    STRICT_ONLY = {"commutativity": 1, "associativity": 1, "additivity": 25}
+    # and 5 + 5 * 3 associativity calls (every row of + and every map
+    # b -> a alpha b), and the strict-only scans 5 * 5 more additivity calls
+    # (distributive-gamma) and 3 associativity calls (the rows of gamma +)
+    WEAK = {"commutativity": 1, "associativity": 20, "additivity": 30}
+    STRICT_ONLY = {"commutativity": 1, "associativity": 3, "additivity": 25}
     NONE = {"commutativity": 0, "associativity": 0, "additivity": 0}
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = dict(self.NONE)
         for key, name in [
-            ("commutativity", "_commutativity_witness"),
-            ("associativity", "_associativity_witness"),
+            ("commutativity", "_commutativity_failure"),
+            ("associativity", "_associativity_failure"),
             ("additivity", "_additivity_failure"),
         ]:
             def counted(*args, _key=key, _scan=getattr(algebra, name)):

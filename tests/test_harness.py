@@ -247,6 +247,13 @@ class TestCheckTheorem:
         with pytest.raises(InputError):
             check_theorem("T9.9", inst)
 
+    def test_an_unhashable_id_is_an_input_error(self):
+        inst = generate_instance(Z8_TEMPLATE)
+        with pytest.raises(InputError, match=r"^unknown theorem id \{'a'\}$"):
+            check_theorem({"a"}, inst)
+        with pytest.raises(InputError, match=r"^unknown theorem id \['T3\.7'\]$"):
+            fuzz_theorem(["T3.7"], 3)
+
     @pytest.mark.parametrize("tid", ALL_THEOREMS)
     def test_an_instance_without_members_is_an_input_error(self, tid, z8):
         outer = SoftSet.build(z8.elements, ("a",), {"a": ["0"]})

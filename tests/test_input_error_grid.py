@@ -35,6 +35,12 @@ def _hom():
     return doc
 
 
+def _hom_with_list_source():
+    doc = files.hom_to_doc(identity_hom(Z4))
+    doc["source"] = list(doc["source"])
+    return doc
+
+
 @pytest.mark.parametrize(
     "read,doc,message",
     [
@@ -44,6 +50,10 @@ def _hom():
         (files.relation_from_doc, _relation(["g"], {"a": "g"}), "triples must be a list"),
         (files.relation_from_doc, _relation(["g"], [["a", 1, "0"]]), "relation gamma component 1 must be a string"),
         (files.hom_from_doc, _hom(), "homomorphism map mentions unknown element key '9'"),
+        (files.hom_from_doc, {"source": 5, "target": 5, "map": {}}, "structure document must be an object"),
+        (files.hom_from_doc, _hom_with_list_source(), "structure document must be an object"),
+        (files.structure_from_doc, None, "structure document must be an object"),
+        (files.hom_from_doc, [], "homomorphism document must be an object"),
     ],
     ids=[
         "structure-name",
@@ -52,6 +62,10 @@ def _hom():
         "triples-not-a-list",
         "relation-gamma-not-a-string",
         "hom-unknown-element-key",
+        "hom-source-a-number",
+        "hom-source-a-list-of-the-field-names",
+        "structure-none",
+        "hom-a-list",
     ],
 )
 def test_a_malformed_document_is_a_parse_error(read, doc, message):
