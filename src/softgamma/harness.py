@@ -88,17 +88,17 @@ class InstanceSpec(Record):
     must be empty.  family_size None draws 1..3 members; the parameter pool,
     the per-member parameter cap and the empty-value rate are the module
     constants _PARAMETER_POOL, _MAX_PARAMETERS and _EMPTY_RATE.  Policies:
-    value_policy selects where values come from; chain forces all drawn
-    values into one containment chain (chain_outer extends that to the
-    enclosing soft set); disjoint gives members pairwise disjoint parameter
-    sets; same_parameters gives them all the first member's parameters;
-    anchored forces a common parameter; nested draws members inside an
-    enclosing soft set (nested_free keeps the parameter nesting but stops
-    constraining values to the enclosing ones); with_hom attaches the
-    family's canonical surjective homomorphism (hom_kind "identity" for the
-    identity, which is built per instance rather than cached); target_side
-    moves generation to the homomorphism target, which the carrier-image
-    policy requires and the kernel policy refuses.
+    value_policy selects where values come from; chain "members" forces all
+    drawn member values into one containment chain, "members-and-outer" the
+    enclosing soft set's values too; disjoint gives members pairwise
+    disjoint parameter sets; same_parameters gives them all the first
+    member's parameters; anchored forces a common parameter; nested draws
+    members inside an enclosing soft set, "confined" to its parameters and
+    values, "free" to its parameters alone; hom attaches the family's
+    canonical surjective homomorphism ("collapse") or the identity
+    ("identity", built per instance); target_side moves generation to the
+    homomorphism target, which the carrier-image policy requires and the
+    kernel policy refuses.  chain, nested and hom are None when off.
     """
 
     generator: str
@@ -106,28 +106,23 @@ class InstanceSpec(Record):
     gamma: tuple[int, ...]
     family_size: int | None
     value_policy: str
-    chain: bool
-    chain_outer: bool
+    chain: str | None
     disjoint: bool
     same_parameters: bool
     anchored: bool
-    nested: bool
-    nested_free: bool
-    with_hom: bool
-    hom_kind: str
+    nested: str | None
+    hom: str | None
     target_side: bool
     seed: int
 
     def __init__(
-        self, generator="mix", size=(), gamma=(), family_size=None, value_policy="subsemirings", chain=False,
-        chain_outer=False, disjoint=False, same_parameters=False, anchored=False, nested=False,
-        nested_free=False, with_hom=False, hom_kind="collapse", target_side=False, seed=0,
+        self, generator="mix", size=(), gamma=(), family_size=None, value_policy="subsemirings", chain=None,
+        disjoint=False, same_parameters=False, anchored=False, nested=None, hom=None, target_side=False, seed=0,
     ):
         self.__dict__.update(
             generator=generator, size=size, gamma=gamma, family_size=family_size, value_policy=value_policy,
-            chain=chain, chain_outer=chain_outer, disjoint=disjoint, same_parameters=same_parameters,
-            anchored=anchored, nested=nested, nested_free=nested_free, with_hom=with_hom, hom_kind=hom_kind,
-            target_side=target_side, seed=seed,
+            chain=chain, disjoint=disjoint, same_parameters=same_parameters, anchored=anchored, nested=nested,
+            hom=hom, target_side=target_side, seed=seed,
         )
 
     def replace(self, **changes) -> InstanceSpec:
@@ -173,6 +168,11 @@ class Instance(Record):
 
 
 _VALUE_POLICIES = ("subsemirings", "arbitrary", "kernel", "whole", "carrier-image", "trivial")
+_POLICIES = {
+    "chain": (None, "members", "members-and-outer"),
+    "nested": (None, "confined", "free"),
+    "hom": (None, "collapse", "identity"),
+}
 
 # members draw their parameters from _PARAMETER_POOL, at most _MAX_PARAMETERS
 # each (the enclosing soft set may take the whole pool), and a drawn value is
@@ -218,6 +218,9 @@ def _check_spec(spec: InstanceSpec) -> tuple:
         _count(spec.family_size, "family_size")
     if spec.value_policy not in _VALUE_POLICIES:
         raise InputError(f"unknown value policy {spec.value_policy!r}")
+    for name, values in _POLICIES.items():
+        if getattr(spec, name) not in values:
+            raise InputError(f"unknown {name} policy {getattr(spec, name)!r}")
     kind = spec.generator
     size = _collection(spec.size, "spec size")
     gamma = _collection(spec.gamma, "spec gamma")
@@ -246,16 +249,14 @@ def _check_spec(spec: InstanceSpec) -> tuple:
             raise InputError(f"spec size entries must be hashable, got {pinned!r}") from None
     else:
         raise InputError(f"unknown generator {spec.generator!r}")
-    if spec.with_hom and spec.hom_kind not in ("collapse", "identity"):
-        raise InputError(f"unknown homomorphism kind {spec.hom_kind!r}")
-    if spec.target_side and not spec.with_hom:
-        raise GenerationError("target_side generation requires with_hom")
+    if spec.target_side and not spec.hom:
+        raise GenerationError("target_side generation requires a homomorphism")
     # the kernel is a mask over the source, the carrier image one over the target
     if spec.value_policy == "kernel" and spec.target_side:
         raise InputError("the kernel value policy gives source values; it takes no target_side")
-    if spec.value_policy == "carrier-image" and spec.with_hom and not spec.target_side:
+    if spec.value_policy == "carrier-image" and spec.hom and not spec.target_side:
         raise InputError("the carrier-image value policy gives target values; it requires target_side")
-    if spec.value_policy in ("kernel", "carrier-image") and not spec.with_hom:
+    if spec.value_policy in ("kernel", "carrier-image") and not spec.hom:
         raise GenerationError(f"{spec.value_policy} value policy requires a homomorphism")
     _count(spec.seed, "seed", minimum=0)
     return pinned
@@ -395,20 +396,20 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
     descriptor = _draw_descriptor(pinned, rng)
     gs = base_structure(descriptor)
     hom = None
-    if spec.with_hom:
+    if spec.hom:
         # identity homomorphisms are cheap to build, so only the collapses are cached
-        hom = identity_hom(gs) if spec.hom_kind == "identity" else canonical_hom(descriptor)
+        hom = identity_hom(gs) if spec.hom == "identity" else canonical_hom(descriptor)
     side = hom.target if spec.target_side else gs
 
     forced = _forced_mask(spec.value_policy, side, hom)
     # a subalgebra list may be too long to enumerate, so it is read only for
     # a chain or for values picked from it: drawn under any policy but "arbitrary"
     picked = spec.value_policy != "arbitrary"
-    subs = side.sub_masks if spec.chain or spec.chain_outer or picked and forced is None else ()
+    subs = side.sub_masks if spec.chain or picked and forced is None else ()
     # the full carrier is closed and a chain keeps the first mask drawn, so a chain is never empty
-    chain_pool = _draw_chain(rng, subs) if spec.chain or spec.chain_outer else None
+    chain_pool = _draw_chain(rng, subs) if spec.chain else None
     value_candidates = chain_pool if spec.chain else subs
-    outer_candidates = chain_pool if spec.chain_outer else subs
+    outer_candidates = chain_pool if spec.chain == "members-and-outer" else subs
 
     outer = None
     if spec.nested:
@@ -421,7 +422,7 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
     k = spec.family_size if spec.family_size is not None else 1 + _below(rng.getrandbits, 3)
     members: list[SoftSet] = []
     shared_params: tuple | None = None
-    constrain = spec.nested and not spec.nested_free and spec.value_policy == "subsemirings"
+    constrain = spec.nested == "confined" and spec.value_policy == "subsemirings"
     for index in range(k):
         if spec.nested:
             pool = outer.parameters
@@ -568,13 +569,13 @@ class Law:
     def spec(self, template: InstanceSpec, drop: bool) -> InstanceSpec:
         updates = dict(self.flags)
         if drop:
-            updates.update(chain=False, chain_outer=False, disjoint=False, same_parameters=False)
+            updates.update(chain=None, disjoint=False, same_parameters=False)
             # the nested containment laws keep subalgebra values (so the
             # conclusion's preconditions stay evaluable) and instead stop
             # confining member values to the enclosing soft set; the plain
             # closure laws widen values to arbitrary subsets
             if self.flags.get("nested"):
-                updates.update(value_policy="subsemirings", nested_free=True)
+                updates.update(value_policy="subsemirings", nested="free")
             else:
                 updates["value_policy"] = "arbitrary"
         return template.replace(**updates)
@@ -719,34 +720,33 @@ _TABLE = (
     Law("T3.4", "closed", "restricted-intersection", 2, family_size=2, same_parameters=True),
     Law("T3.6", "closed", "restricted-intersection", anchored=True),
     Law("T3.7", "closed", "extended-intersection", necessity=_ZN8),
-    Law("T3.8", "closed", "restricted-union", necessity=_ZN8, anchored=True, chain=True),
+    Law("T3.8", "closed", "restricted-union", necessity=_ZN8, anchored=True, chain="members"),
     Law("T3.9", "closed", "extended-union",
         necessity=InstanceSpec(generator="zn", size=(6,), gamma=(1,)), disjoint=True),
     Law("T3.10", "closed", "and-intersection", 2, family_size=2),
     Law("T3.11", "closed", "and-intersection"),
     Law("T3.12", "closed", "or-union",
-        necessity=InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3)), chain=True),
+        necessity=InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3)), chain="members"),
     Law("T3.13", "closed", "cartesian-product", over="product", family_size=2),
-    Law("L3.16", "hom-transport", with_hom=True),
-    Law("T3.17i", "trivial-whole", necessity=_ZN8, with_hom=True, family_size=1, value_policy="kernel"),
-    Law("T3.17ii", "trivial-whole", with_hom=True, family_size=1, value_policy="whole"),
+    Law("L3.16", "hom-transport", hom="collapse"),
+    Law("T3.17i", "trivial-whole", necessity=_ZN8, hom="collapse", family_size=1, value_policy="kernel"),
+    Law("T3.17ii", "trivial-whole", hom="collapse", family_size=1, value_policy="whole"),
     Law("T3.17iii", "trivial-whole",
-        with_hom=True, target_side=True, family_size=1, value_policy="carrier-image"),
-    Law("T3.17iv", "trivial-whole",
-        with_hom=True, target_side=True, family_size=1, value_policy="trivial", hom_kind="identity"),
-    Law("T4.2", "outer", "soft-subsemiring-of", 1, necessity=_ZN8, nested=True, family_size=1),
+        hom="collapse", target_side=True, family_size=1, value_policy="carrier-image"),
+    Law("T3.17iv", "trivial-whole", hom="identity", target_side=True, family_size=1, value_policy="trivial"),
+    Law("T4.2", "outer", "soft-subsemiring-of", 1, necessity=_ZN8, nested="confined", family_size=1),
     Law("T4.3", "members", "restricted-intersection", 2, family_size=2, anchored=True),
-    Law("T4.4", "outer", "restricted-intersection", nested=True, anchored=True),
-    Law("T4.5", "outer", "restricted-intersection", nested=True, anchored=True, same_parameters=True),
-    Law("T4.6", "outer", "extended-intersection", nested=True),
+    Law("T4.4", "outer", "restricted-intersection", nested="confined", anchored=True),
+    Law("T4.5", "outer", "restricted-intersection", nested="confined", anchored=True, same_parameters=True),
+    Law("T4.6", "outer", "extended-intersection", nested="confined"),
     Law("T4.7", "outer", "restricted-union",
-        necessity=InstanceSpec(generator="matrix", size=(2, 1, 2)), nested=True, anchored=True, chain=True),
-    Law("T4.8", "outer-op", "or-union", nested=True, chain=True, chain_outer=True),
-    Law("T4.9", "outer-op", "and-intersection", nested=True),
-    Law("T4.10", "outer-op", "cartesian-product", over="product", nested=True, family_size=2),
-    Law("T4.11", "outer-op", "hom-image", 1, "target", nested=True, family_size=1, with_hom=True),
+        necessity=InstanceSpec(generator="matrix", size=(2, 1, 2)), nested="confined", anchored=True, chain="members"),
+    Law("T4.8", "outer-op", "or-union", nested="confined", chain="members-and-outer"),
+    Law("T4.9", "outer-op", "and-intersection", nested="confined"),
+    Law("T4.10", "outer-op", "cartesian-product", over="product", nested="confined", family_size=2),
+    Law("T4.11", "outer-op", "hom-image", 1, "target", nested="confined", family_size=1, hom="collapse"),
     Law("T4.12", "outer-op", "hom-preimage", 1, "source",
-        nested=True, family_size=1, with_hom=True, target_side=True),
+        nested="confined", family_size=1, hom="collapse", target_side=True),
 )
 
 _LAWS = {law.theorem_id: law for law in _TABLE}
@@ -797,7 +797,7 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
     member that the law reads is an InputError.
     """
     law = _lookup(theorem_id)
-    if law.flags.get("with_hom") and instance.hom is None:
+    if law.flags.get("hom") and instance.hom is None:
         raise InputError(f"{theorem_id} reads a homomorphism, and the instance has none")
     if law.conclusion in ("outer", "outer-op") and instance.outer is None:
         raise InputError(f"{theorem_id} reads an enclosing soft set, and the instance has none")

@@ -31,14 +31,14 @@ NECESSITY_TRIALS = 300
 # they were not written for: a missing outer or homomorphism, members on the
 # wrong side of the homomorphism, values that are arbitrary subsets
 RAW_SPECS = (
-    InstanceSpec(seed=3, nested=True, with_hom=True),
+    InstanceSpec(seed=3, nested="confined", hom="collapse"),
     InstanceSpec(
         generator="zn",
         size=(8,),
         gamma=(2, 4, 6),
         seed=5,
-        nested=True,
-        with_hom=True,
+        nested="confined",
+        hom="collapse",
         target_side=True,
         family_size=2,
     ),

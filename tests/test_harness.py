@@ -58,7 +58,7 @@ class TestGeneration:
 
     def test_chain_policy_orders_all_values(self):
         spec = InstanceSpec(
-            generator="zn", size=(8,), gamma=(2, 4, 6), seed=3, family_size=3, chain=True
+            generator="zn", size=(8,), gamma=(2, 4, 6), seed=3, family_size=3, chain="members"
         )
         inst = generate_instance(spec)
         values = [m for member in inst.soft_sets for m in member.masks]
@@ -76,7 +76,7 @@ class TestGeneration:
             seen |= params
 
     def test_nested_policy_keeps_members_inside_the_outer(self):
-        spec = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6), seed=9, family_size=2, nested=True)
+        spec = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6), seed=9, family_size=2, nested="confined")
         inst = generate_instance(spec)
         assert inst.outer is not None
         for member in inst.soft_sets:
@@ -157,7 +157,7 @@ class TestGeneration:
             assert {m for member in inst.soft_sets for m in member.masks} == {inst.gs.full_mask}
         # a chain is drawn from the list whatever the policy
         with pytest.raises(SizeLimitError, match="^more than 4096 sub gamma-semirings"):
-            generate_instance(InstanceSpec(generator="minmax", size=(14,), gamma=(0,), value_policy=policy, chain=True))
+            generate_instance(InstanceSpec(generator="minmax", size=(14,), gamma=(0,), value_policy=policy, chain="members"))
 
     def test_target_side_without_a_hom_is_a_generation_error(self):
         with pytest.raises(GenerationError):
@@ -174,7 +174,7 @@ class TestGeneration:
         families = [dict(generator="zn", size=(8,), gamma=(2,)), dict(generator="minmax", size=(5,), gamma=(1, 2, 3))]
         for family in families:
             for policy, message in cases:
-                spec = InstanceSpec(**family, **policy, with_hom=True)
+                spec = InstanceSpec(**family, **policy, hom="collapse")
                 for run in (lambda: generate_instance(spec), lambda: fuzz_theorem("T3.4", 3, spec)):
                     with pytest.raises(InputError, match=message):
                         run()
@@ -182,9 +182,9 @@ class TestGeneration:
 
 class TestSpecReplace:
     def test_replace_is_the_spec_built_with_the_changes(self):
-        spec = InstanceSpec(generator="zn", size=(8,), gamma=(2,), chain=True, seed=5)
+        spec = InstanceSpec(generator="zn", size=(8,), gamma=(2,), chain="members", seed=5)
         copy = spec.replace(seed=6, disjoint=True)
-        assert copy == InstanceSpec(generator="zn", size=(8,), gamma=(2,), chain=True, disjoint=True, seed=6)
+        assert copy == InstanceSpec(generator="zn", size=(8,), gamma=(2,), chain="members", disjoint=True, seed=6)
         assert type(copy) is InstanceSpec and hash(copy) == hash(copy.replace())
         assert spec.seed == 5 and not spec.disjoint
         assert spec.replace() == spec and spec.replace() is not spec
@@ -338,7 +338,7 @@ class TestCheckTheorem:
         member = SoftSet.build(z8.elements, ("a",), {"a": ["0", "4"]})
         inst = Instance(gs=z8, soft_sets=[member, member])
         law = _LAWS[law_id]
-        if law.flags.get("with_hom"):
+        if law.flags.get("hom"):
             missing = "a homomorphism"
         elif law.conclusion in ("outer", "outer-op"):
             missing = "an enclosing soft set"

@@ -347,7 +347,7 @@ BAD_SPECS = {
     "mix-size-on-minmax": InstanceSpec(generator="mix", size=(6,), seed=0),
     "mix-gamma-on-matrix": InstanceSpec(generator="mix", gamma=(1,), seed=5),
     "mix-gamma-on-minmax": InstanceSpec(generator="mix", gamma=(1,), seed=0),
-    "hom-kind-unknown": InstanceSpec(with_hom=True, hom_kind="nonsense"),
+    "hom-unknown": InstanceSpec(hom="nonsense"),
     "gamma-bool": InstanceSpec(generator="zn", size=(4,), gamma=(1, True)),
 }
 

@@ -40,9 +40,8 @@ G_REPR = f"GammaSemiring(s={S2_REPR}, gamma_elements=('1',), gamma_add=(('0',),)
 SS_REPR = "SoftSet(universe=('0', '1'), parameters=('a', 'b'), masks=(1, 3))"
 VIOLATION_REPR = "Violation(axiom='s-commutativity', witness=('0', '1'))"
 SPEC_FIELDS = (
-    "generator='mix', size=(), gamma=(), family_size=None, value_policy='subsemirings', chain=False, "
-    "chain_outer=False, disjoint=False, same_parameters=False, anchored=False, nested=False, nested_free=False, "
-    "with_hom=False, hom_kind='collapse', target_side=False, seed=0"
+    "generator='mix', size=(), gamma=(), family_size=None, value_policy='subsemirings', chain=None, "
+    "disjoint=False, same_parameters=False, anchored=False, nested=None, hom=None, target_side=False, seed=0"
 )
 
 # (class, positional arguments that leave every default out, the signature
