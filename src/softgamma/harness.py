@@ -2,9 +2,11 @@
 
 Each law is one row of a table (Law, _TABLE): the generation policy that
 realizes its hypotheses (values drawn from enumerated subalgebras, nested
-families, chains, disjoint parameter sets, canonical homomorphisms), the
-operation, the members it reads, the structure its conclusion is judged
-over, and the conclusion; Law.evaluate checks every row.  A trial verdict is:
+families, chains, disjoint parameter sets, canonical homomorphisms), each
+hypothesis one InstanceSpec field whose value names its policy, the
+operation, which fixes the structure its conclusion is judged over, the
+members it reads, and the conclusion; Law.evaluate checks every row.  A
+trial verdict is:
 
   pass     the conclusion held;
   vacuous  the operation or a predicate precondition was undefined on the
@@ -20,7 +22,7 @@ a hypothesis is necessary.  With drop_hypothesis, the hypothesis-enforcing
 policies are disabled: the plain closure laws then draw values as arbitrary
 subsets, while the nested containment laws keep subalgebra values (so their
 preconditions stay evaluable) and stop confining members to the enclosing
-soft set.
+soft set (nested "free" for "confined").
 
 Randomness comes from random.Random (MT19937) seeded per trial with
 template.seed + trial_index.  generate_instance is _check_spec, which
@@ -28,14 +30,15 @@ validates a spec without drawing, then _draw_instance, which holds the draw
 order that is part of the determinism contract: descriptor (family, n, gamma
 set; see _draw_descriptor), chain order (chain policies only), outer
 parameters and values, then per member its parameters and values, then the
-auxiliary target-side member.  fuzz_theorem checks its spec once and calls
-_draw_instance per trial.  Every bounded integer (a choice, a size, a sample
-index, a shuffle swap) is drawn by _below straight from getrandbits, so the
-draw order rests only on seeding and the MT19937 output words, not on the
-random.Random sample, choice, shuffle and randint algorithms, which the
-random docs do not promise to keep across versions.  _below reads the words
-those methods read in CPython 3.10 and 3.11; tests/test_draws.py holds the
-stdlib draws as the oracle.
+auxiliary target-side member.  fuzz_theorem checks its template's policy
+fields and its spec once and calls _draw_instance per trial.  Every bounded
+integer (a choice, a size, a sample index, a shuffle swap) is drawn by
+_below straight from getrandbits, so the draw order rests only on seeding
+and the MT19937 output words, not on the random.Random sample, choice,
+shuffle and randint algorithms, which the random docs do not promise to
+keep across versions.  _below reads the words those methods read in
+CPython 3.10 and 3.11; tests/test_draws.py holds the stdlib draws as the
+oracle.
 """
 
 from __future__ import annotations
@@ -208,12 +211,10 @@ def _random_gamma(rng: random.Random, n: int) -> tuple[int, ...]:
 _MATRIX_DEFAULT = ("matrix", 2, 1, 2)
 
 
-def _check_spec(spec: InstanceSpec) -> tuple:
-    """Every check of a spec that reads no random draw, in generate_instance's
-    order; returns what the spec pins of the descriptor for _draw_descriptor:
-    ("mix",), (kind, n or None, gamma or ()) on zn and minmax, or the whole
-    matrix descriptor.  The seed is only checked: an exact int of at least 0,
-    since random.Random(-s) draws what random.Random(s) draws."""
+def _check_policy_fields(spec: InstanceSpec) -> None:
+    """The checks of the fields a law row may set, each on its own value;
+    fuzz_theorem also runs them on its template, so a malformed value that
+    the law's policy replaces is refused all the same."""
     if spec.family_size is not None:
         _count(spec.family_size, "family_size")
     if spec.value_policy not in _VALUE_POLICIES:
@@ -221,6 +222,19 @@ def _check_spec(spec: InstanceSpec) -> tuple:
     for name, values in _POLICIES.items():
         if getattr(spec, name) not in values:
             raise InputError(f"unknown {name} policy {getattr(spec, name)!r}")
+    # an exact bool: a truthy string or number would switch the policy on
+    for name in ("disjoint", "same_parameters", "anchored", "target_side"):
+        if type(getattr(spec, name)) is not bool:
+            raise InputError(f"spec {name} must be True or False, got {getattr(spec, name)!r}")
+
+
+def _check_spec(spec: InstanceSpec) -> tuple:
+    """Every check of a spec that reads no random draw, in generate_instance's
+    order; returns what the spec pins of the descriptor for _draw_descriptor:
+    ("mix",), (kind, n or None, gamma or ()) on zn and minmax, or the whole
+    matrix descriptor.  The seed is only checked: an exact int of at least 0,
+    since random.Random(-s) draws what random.Random(s) draws."""
+    _check_policy_fields(spec)
     kind = spec.generator
     size = _collection(spec.size, "spec size")
     gamma = _collection(spec.gamma, "spec gamma")
@@ -513,17 +527,20 @@ def _pairwise_disjoint(members) -> bool:
     return True
 
 
-# the operations a law row names; hom-image and hom-preimage take (hom, soft set)
-_OPS: dict[str, Callable] = {
-    "restricted-intersection": restricted_intersect,
-    "extended-intersection": extended_intersect,
-    "restricted-union": restricted_union,
-    "extended-union": extended_union,
-    "and-intersection": and_intersect_family,
-    "or-union": or_union_family,
-    "cartesian-product": cartesian_product,
-    "hom-image": soft_image_under_hom,
-    "hom-preimage": soft_preimage_under_hom,
+# the operations a law row names, each with the structure its result is
+# judged over: the members' side, its k-fold product for k members (judged
+# from the side's tables, never built), or the homomorphism's target or
+# source; hom-image and hom-preimage take (hom, soft set)
+_OPS: dict[str, tuple[Callable, str]] = {
+    "restricted-intersection": (restricted_intersect, "side"),
+    "extended-intersection": (extended_intersect, "side"),
+    "restricted-union": (restricted_union, "side"),
+    "extended-union": (extended_union, "side"),
+    "and-intersection": (and_intersect_family, "side"),
+    "or-union": (or_union_family, "side"),
+    "cartesian-product": (cartesian_product, "product"),
+    "hom-image": (soft_image_under_hom, "target"),
+    "hom-preimage": (soft_preimage_under_hom, "source"),
 }
 
 
@@ -533,13 +550,12 @@ class Law:
     flags are the InstanceSpec fields that realize the law's hypotheses.  The
     operation (one of _OPS, else the first member itself) is applied to the
     first `reads` members, or all when None, and its result is judged over
-    `over`: the members' side, its k-fold product for k members (judged from
-    the side's tables, never built), or the homomorphism's "target" or
-    "source".  The conclusion is that the result is "closed", or
-    a soft sub-gamma-semiring of the "outer" soft set, of the operation
-    applied to copies of the outer ("outer-op"), or of each of the "members".
-    L3.16 ("hom-transport") and T3.17 ("trivial-whole") have checkers of
-    their own.  necessity pins the structure family on which fuzzing with
+    the structure _OPS pairs with the operation, else over the members'
+    side.  The conclusion is that the result is "closed", or a soft
+    sub-gamma-semiring of the "outer" soft set, of the operation applied to
+    copies of the outer ("outer-op"), or of each of the "members".  L3.16
+    ("hom-transport") and T3.17 ("trivial-whole") have checkers of their
+    own.  necessity pins the structure family on which fuzzing with
     the hypothesis dropped finds a counterexample, showing the hypothesis is
     needed; it is not a flag, because spec() hands every flag to InstanceSpec.
     T4.3, like T4.5, has no necessity family, and it cannot have one: the
@@ -554,7 +570,6 @@ class Law:
         conclusion: str,
         operation: str = "",
         reads: int | None = None,
-        over: str = "side",
         necessity: InstanceSpec | None = None,
         **flags,
     ):
@@ -562,7 +577,6 @@ class Law:
         self.conclusion = conclusion
         self.operation = operation
         self.reads = reads
-        self.over = over
         self.necessity = necessity
         self.flags = flags
 
@@ -581,9 +595,10 @@ class Law:
         return template.replace(**updates)
 
     def _apply(self, inst: Instance, family) -> SoftSet:
-        if self.over in ("target", "source"):
-            return _OPS[self.operation](inst.hom, family[0])
-        return _OPS[self.operation](family)
+        function, judged = _OPS[self.operation]
+        if judged in ("target", "source"):
+            return function(inst.hom, family[0])
+        return function(family)
 
     def evaluate(self, inst: Instance, enforce: bool) -> Outcome:
         if self.conclusion == "hom-transport":
@@ -597,7 +612,9 @@ class Law:
         gated = [inst.outer, *members] if self.conclusion in ("outer", "outer-op") else members
         if any(ss.is_null() for ss in gated):
             return _VACUOUS
-        if self.operation in _OPS:
+        # an operation outside _OPS is the first member itself, judged over the side
+        function, judged = _OPS.get(self.operation, (None, "side"))
+        if function is not None:
             try:
                 result = self._apply(inst, members)
             except DomainError:
@@ -608,11 +625,11 @@ class Law:
         else:
             result, shown = members[0], None
         k = len(members)
-        arity = k if self.over == "product" else None
-        if self.over in ("side", "product"):
+        arity = k if judged == "product" else None
+        if judged in ("side", "product"):
             over = inst.side_gs
         else:
-            over = getattr(inst.hom, self.over)  # the homomorphism's target or source
+            over = getattr(inst.hom, judged)  # the homomorphism's target or source
 
         if self.conclusion == "closed":
             w = is_soft_gamma_semiring(over, result, arity)
@@ -727,7 +744,7 @@ _TABLE = (
     Law("T3.11", "closed", "and-intersection"),
     Law("T3.12", "closed", "or-union",
         necessity=InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3)), chain="members"),
-    Law("T3.13", "closed", "cartesian-product", over="product", family_size=2),
+    Law("T3.13", "closed", "cartesian-product", family_size=2),
     Law("L3.16", "hom-transport", hom="collapse"),
     Law("T3.17i", "trivial-whole", necessity=_ZN8, hom="collapse", family_size=1, value_policy="kernel"),
     Law("T3.17ii", "trivial-whole", hom="collapse", family_size=1, value_policy="whole"),
@@ -743,10 +760,9 @@ _TABLE = (
         necessity=InstanceSpec(generator="matrix", size=(2, 1, 2)), nested="confined", anchored=True, chain="members"),
     Law("T4.8", "outer-op", "or-union", nested="confined", chain="members-and-outer"),
     Law("T4.9", "outer-op", "and-intersection", nested="confined"),
-    Law("T4.10", "outer-op", "cartesian-product", over="product", nested="confined", family_size=2),
-    Law("T4.11", "outer-op", "hom-image", 1, "target", nested="confined", family_size=1, hom="collapse"),
-    Law("T4.12", "outer-op", "hom-preimage", 1, "source",
-        nested="confined", family_size=1, hom="collapse", target_side=True),
+    Law("T4.10", "outer-op", "cartesian-product", nested="confined", family_size=2),
+    Law("T4.11", "outer-op", "hom-image", 1, nested="confined", family_size=1, hom="collapse"),
+    Law("T4.12", "outer-op", "hom-preimage", 1, nested="confined", family_size=1, hom="collapse", target_side=True),
 )
 
 _LAWS = {law.theorem_id: law for law in _TABLE}
@@ -797,6 +813,8 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
     member that the law reads is an InputError.
     """
     law = _lookup(theorem_id)
+    if not isinstance(instance, Instance):
+        raise InputError(f"an instance must be an Instance, got {type(instance).__name__}")
     if law.flags.get("hom") and instance.hom is None:
         raise InputError(f"{theorem_id} reads a homomorphism, and the instance has none")
     if law.conclusion in ("outer", "outer-op") and instance.outer is None:
@@ -829,13 +847,19 @@ def fuzz_theorem(
     conclusion failures; the recorded counterexample is the one from the
     lowest failing trial.
 
-    The spec is checked once, before trial 0; per trial one random.Random is
-    reseeded and only the draws are made.  Trial t evaluates exactly
+    The template's policy fields and the law's spec are checked once, before
+    trial 0, so a malformed field is refused even where the law's policy
+    replaces it; per trial one random.Random is reseeded and only the draws
+    are made.  Trial t evaluates exactly
     generate_instance(base.replace(seed=template.seed + t)).
     """
     _count(trials, "trials")
     law = _lookup(theorem_id)
-    template = template if template is not None else InstanceSpec()
+    if template is None:
+        template = InstanceSpec()
+    elif not isinstance(template, InstanceSpec):
+        raise InputError(f"a template must be an InstanceSpec, got {type(template).__name__}")
+    _check_policy_fields(template)
     # the law's policy never touches the seed, so it is applied and checked once
     base = law.spec(template, drop_hypothesis)
     pinned = _check_spec(base)

@@ -26,6 +26,7 @@ from softgamma import (
     SoftSet,
     TernaryRelation,
     Witness,
+    check_theorem,
     enumerate_sub_gamma_semirings,
     files,
     fuzz_theorem,
@@ -333,8 +334,12 @@ def test_count_raises_input_error(slot, bad):
         COUNT_SLOTS[slot](BAD_COUNTS[bad])
 
 
-# spec fields whose shape is wrong before any count or label is read
+# specs that each break one field, refused before any draw
 BAD_SPECS = {
+    "generator-unknown": InstanceSpec(generator="nonsense"),
+    "family-size-str": InstanceSpec(family_size="2"),
+    "value-policy-unknown": InstanceSpec(value_policy="nonsense"),
+    "seed-negative": InstanceSpec(seed=-1),
     "gamma-int": InstanceSpec(generator="zn", size=(4,), gamma=5),
     "gamma-unhashable": InstanceSpec(generator="zn", size=(4,), gamma=[[1]]),
     "size-int": InstanceSpec(generator="zn", size=5),
@@ -349,7 +354,35 @@ BAD_SPECS = {
     "mix-gamma-on-minmax": InstanceSpec(generator="mix", gamma=(1,), seed=0),
     "hom-unknown": InstanceSpec(hom="nonsense"),
     "gamma-bool": InstanceSpec(generator="zn", size=(4,), gamma=(1, True)),
+    # the old flag values and truthy stand-ins for a bool
+    "chain-bool": InstanceSpec(chain=True),
+    "nested-unknown": InstanceSpec(nested="nonsense"),
+    "disjoint-str": InstanceSpec(seed=1, disjoint="no"),
+    "same-parameters-int": InstanceSpec(same_parameters=1),
+    "anchored-none": InstanceSpec(anchored=None),
+    "target-side-str": InstanceSpec(hom="collapse", target_side="no"),
 }
+
+
+def _generates(spec):
+    try:
+        generate_instance(spec)
+    except InputError:
+        return False
+    return True
+
+
+def test_every_spec_field_has_a_refusing_row():
+    # a refused row covers each field whose default makes it generate
+    defaults = InstanceSpec()
+    covered = {
+        name
+        for spec in BAD_SPECS.values()
+        if not _generates(spec)
+        for name in InstanceSpec._fields
+        if _generates(spec.replace(**{name: getattr(defaults, name)}))
+    }
+    assert [name for name in InstanceSpec._fields if name not in covered] == []
 
 
 @pytest.mark.parametrize("name", BAD_SPECS)
@@ -370,8 +403,22 @@ def test_malformed_spec_is_refused_by_fuzz_theorem_before_any_trial(monkeypatch,
         raise AssertionError("a trial ran on a malformed spec")
 
     monkeypatch.setattr(harness.Law, "evaluate", no_trial)
-    # T3.4's flags leave generator, size, gamma and the homomorphism to the template
+    # T3.4's row replaces family_size and same_parameters, and its drop chain,
+    # disjoint and value_policy too, but fuzz_theorem checks the template's own
+    # values first; generator, size, gamma, the homomorphism and the seed are the template's
     with pytest.raises(InputError) as raised:
         fuzz_theorem("T3.4", 3, BAD_SPECS[name], drop_hypothesis=drop)
     assert type(raised.value) is type(expected.value)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("template", ["x", 3, {"seed": 0}])
+def test_a_template_that_is_not_a_spec_is_an_input_error(template):
+    with pytest.raises(InputError, match="^a template must be an InstanceSpec, got "):
+        fuzz_theorem("T3.7", 3, template)
+
+
+@pytest.mark.parametrize("instance", [None, "x", InstanceSpec()])
+def test_an_instance_that_is_not_an_instance_is_an_input_error(instance):
+    with pytest.raises(InputError, match="^an instance must be an Instance, got "):
+        check_theorem("T3.7", instance)
