@@ -1,28 +1,32 @@
 """Seeded instance generation and mechanical checking of the closure laws.
 
-Each law is one row of a table (Law, _TABLE): the generation policy that
-realizes its hypotheses (values drawn from enumerated subalgebras, nested
-families, chains, disjoint parameter sets, canonical homomorphisms), each
-hypothesis one InstanceSpec field whose value names its policy, the
-operation, which fixes the structure its conclusion is judged over, the
-members it reads, and the conclusion; Law.evaluate checks every row.  A
-trial verdict is:
+Each law is one row of a table (Law, _TABLE): the names of its hypotheses,
+the InstanceSpec fields it fixes outright (family_size, hom, target_side),
+the operation, which fixes the structure its conclusion is judged over, the
+members it reads, and the conclusion; Law.evaluate checks every row.  Each
+hypothesis is defined once, in _HYPOTHESES: a predicate on an instance
+(values that are subalgebras, value chains, disjoint or shared parameter
+sets, a common parameter, members nested in an enclosing soft set, an onto
+or injective homomorphism, the forced values of T3.17), the generation
+policy fields that realize it, and those that drop it.  A trial verdict is:
 
   pass     the conclusion held;
-  vacuous  the operation or a predicate precondition was undefined on the
-           instance, a required soft set was null, or a structural gate
-           (e.g. pairwise-disjoint parameter sets) failed;
+  vacuous  the instance missed a named hypothesis (check_theorem only), the
+           operation or a predicate precondition was undefined on it, or a
+           required soft set was null;
   fail     the conclusion was evaluated and did not hold; the lowest
            failing trial's replayable counterexample document is built.
 
-Value-level hypothesis violations are deliberately *not* gated: feeding a
-non-chain or non-subalgebra instance to a check evaluates the conclusion
-honestly, which is what drop-hypothesis fuzzing exploits to demonstrate that
-a hypothesis is necessary.  With drop_hypothesis, the hypothesis-enforcing
-policies are disabled: the plain closure laws then draw values as arbitrary
-subsets, while the nested containment laws keep subalgebra values (so their
-preconditions stay evaluable) and stop confining members to the enclosing
-soft set (nested "free" for "confined").
+check_theorem judges every named hypothesis before the conclusion, so a
+failure is a counterexample to the law, never a missed hypothesis.
+fuzz_theorem judges none per trial: its draws realize every hypothesis by
+construction, and a draw that missed one would be a generator bug.  With
+drop_hypothesis, each hypothesis's dropping fields replace its realizing
+ones: the plain closure laws then draw values as arbitrary subsets, while
+the nested containment laws keep subalgebra values (so their preconditions
+stay evaluable) and stop confining members to the enclosing soft set
+(nested "free" for "confined"); the conclusion is then evaluated honestly,
+which demonstrates that a hypothesis is necessary.
 
 Randomness comes from random.Random (MT19937) seeded per trial with
 template.seed + trial_index.  generate_instance is _check_spec, which
@@ -30,8 +34,8 @@ validates a spec without drawing, then _draw_instance, which holds the draw
 order that is part of the determinism contract: descriptor (family, n, gamma
 set; see _draw_descriptor), chain order (chain policies only), outer
 parameters and values, then per member its parameters and values, then the
-auxiliary target-side member.  fuzz_theorem checks its template's policy
-fields and its spec once and calls _draw_instance per trial.  Every bounded
+auxiliary target-side member.  fuzz_theorem checks its template and its
+spec once and calls _draw_instance per trial.  Every bounded
 integer (a choice, a size, a sample index, a shuffle swap) is drawn by
 _below straight from getrandbits, so the draw order rests only on seeding
 and the MT19937 output words, not on the random.Random sample, choice,
@@ -61,7 +65,6 @@ from .errors import DomainError, GenerationError, InputError
 from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma
 from .reports import Record, TheoremVerdict, Witness
 from .soft_gamma import (
-    _require_carrier,
     is_soft_gamma_semiring,
     is_trivial_soft,
     is_whole_soft,
@@ -211,10 +214,12 @@ def _random_gamma(rng: random.Random, n: int) -> tuple[int, ...]:
 _MATRIX_DEFAULT = ("matrix", 2, 1, 2)
 
 
-def _check_policy_fields(spec: InstanceSpec) -> None:
-    """The checks of the fields a law row may set, each on its own value;
-    fuzz_theorem also runs them on its template, so a malformed value that
-    the law's policy replaces is refused all the same."""
+def _check_spec(spec: InstanceSpec) -> tuple:
+    """Every check of a spec that reads no random draw, in generate_instance's
+    order; returns what the spec pins of the descriptor for _draw_descriptor:
+    ("mix",), (kind, n or None, gamma or ()) on zn and minmax, or the whole
+    matrix descriptor.  The seed is only checked: an exact int of at least 0,
+    since random.Random(-s) draws what random.Random(s) draws."""
     if spec.family_size is not None:
         _count(spec.family_size, "family_size")
     if spec.value_policy not in _VALUE_POLICIES:
@@ -226,15 +231,6 @@ def _check_policy_fields(spec: InstanceSpec) -> None:
     for name in ("disjoint", "same_parameters", "anchored", "target_side"):
         if type(getattr(spec, name)) is not bool:
             raise InputError(f"spec {name} must be True or False, got {getattr(spec, name)!r}")
-
-
-def _check_spec(spec: InstanceSpec) -> tuple:
-    """Every check of a spec that reads no random draw, in generate_instance's
-    order; returns what the spec pins of the descriptor for _draw_descriptor:
-    ("mix",), (kind, n or None, gamma or ()) on zn and minmax, or the whole
-    matrix descriptor.  The seed is only checked: an exact int of at least 0,
-    since random.Random(-s) draws what random.Random(s) draws."""
-    _check_policy_fields(spec)
     kind = spec.generator
     size = _collection(spec.size, "spec size")
     gamma = _collection(spec.gamma, "spec gamma")
@@ -517,16 +513,6 @@ _PASS: Outcome = ("pass", None)
 _VACUOUS: Outcome = ("vacuous", None)
 
 
-def _pairwise_disjoint(members) -> bool:
-    seen: set = set()
-    for m in members:
-        params = set(m.parameters)
-        if params & seen:
-            return False
-        seen |= params
-    return True
-
-
 # the operations a law row names, each with the structure its result is
 # judged over: the members' side, its k-fold product for k members (judged
 # from the side's tables, never built), or the homomorphism's target or
@@ -544,29 +530,98 @@ _OPS: dict[str, tuple[Callable, str]] = {
 }
 
 
+def _closed(side: GammaSemiring, ss: SoftSet) -> bool:
+    """Every nonempty value of ss is a subalgebra of side.  A null soft set
+    passes: Law.evaluate's null gates judge it."""
+    return ss.is_null() or bool(is_soft_gamma_semiring(side, ss))
+
+
+def _is_chain(masks) -> bool:
+    """The masks are pairwise comparable: ordered by size, each lies inside the next."""
+    ordered = sorted(set(masks), key=int.bit_count)
+    return all(a & ~b == 0 for a, b in zip(ordered, ordered[1:]))
+
+
+def _nested(inst: Instance, members) -> bool:
+    """The outer and every member are closed over the side, and every member
+    is a soft subset of the outer.  The outer is judged first, so an outer off
+    the side's carrier is an InputError whatever the members hold."""
+    side, outer = inst.side_gs, inst.outer
+    return _closed(side, outer) and all(_closed(side, m) and _subset_witness(m, outer) for m in members)
+
+
+def _forced_values(policy: str, over: str) -> Callable:
+    """A T3.17 case's value hypothesis: every member is a soft gamma-semiring
+    over the homomorphism's `over` side, the side its case fixes, and every
+    value is the mask the forced value policy gives (a trivial one needs a
+    zero).  A member off that side's carrier is an InputError."""
+
+    def holds(inst: Instance, members) -> bool:
+        side = getattr(inst.hom, over)
+        if not all(is_soft_gamma_semiring(side, m) for m in members) or policy == "trivial" and side.zero is None:
+            return False
+        mask = _forced_mask(policy, side, inst.hom)
+        return all(v == mask for m in members for v in m.masks)
+
+    return holds
+
+
+# The named hypotheses: name -> (holds, realize, drop).  holds(inst, members)
+# judges the hypothesis on an instance and the members its row reads; realize
+# are the InstanceSpec fields whose draws meet it by construction, drop the
+# fields a drop-hypothesis run sets instead, None when no drop removes it.
+# onto and injective are realized by the row's hom: collapses are onto, the
+# identity both.  The nested laws keep subalgebra values under drop, so their
+# conclusions stay defined, and draw members free of the outer's values.
+_HYPOTHESES: dict[str, tuple[Callable, dict, dict | None]] = {
+    "values": (lambda inst, ms: all(_closed(inst.side_gs, m) for m in ms), {"value_policy": "subsemirings"},
+               {"value_policy": "arbitrary"}),
+    "chain": (lambda inst, ms: _is_chain(v for m in ms for v in m.masks), {"chain": "members"}, {"chain": None}),
+    "chain-outer": (lambda inst, ms: _is_chain(v for m in (inst.outer, *ms) for v in m.masks),
+                    {"chain": "members-and-outer"}, {"chain": None}),
+    # a member's parameters are distinct, so disjoint sets leave their sizes' sum
+    "disjoint": (lambda inst, ms: len(set().union(*(m.parameters for m in ms))) == sum(len(m.parameters) for m in ms),
+                 {"disjoint": True}, {"disjoint": False}),
+    "same-parameters": (lambda inst, ms: len({frozenset(m.parameters) for m in ms}) == 1,
+                        {"same_parameters": True}, {"same_parameters": False}),
+    "anchored": (lambda inst, ms: bool(set(ms[0].parameters).intersection(*(m.parameters for m in ms))),
+                 {"anchored": True}, None),
+    "nested": (_nested, {"nested": "confined", "value_policy": "subsemirings"},
+               {"nested": "free", "value_policy": "subsemirings"}),
+    "onto": (lambda inst, ms: inst.hom.surjective, {}, None),
+    "injective": (lambda inst, ms: inst.hom.injective, {}, None),
+    **{
+        f"{policy}-values": (_forced_values(policy, over), {"value_policy": policy}, {"value_policy": "arbitrary"})
+        for policy, over in (("kernel", "source"), ("whole", "source"), ("carrier-image", "target"), ("trivial", "target"))
+    },
+}
+
+
 class Law:
     """One closure law as a row of data.
 
-    flags are the InstanceSpec fields that realize the law's hypotheses.  The
-    operation (one of _OPS, else the first member itself) is applied to the
-    first `reads` members, or all when None, and its result is judged over
-    the structure _OPS pairs with the operation, else over the members'
-    side.  The conclusion is that the result is "closed", or a soft
-    sub-gamma-semiring of the "outer" soft set, of the operation applied to
-    copies of the outer ("outer-op"), or of each of the "members".  L3.16
-    ("hom-transport") and T3.17 ("trivial-whole") have checkers of their
-    own.  necessity pins the structure family on which fuzzing with
-    the hypothesis dropped finds a counterexample, showing the hypothesis is
-    needed; it is not a flag, because spec() hands every flag to InstanceSpec.
-    T4.3, like T4.5, has no necessity family, and it cannot have one: the
-    intersection of two subalgebras is a subalgebra, so its hypothesis is
-    exactly the condition under which its conclusion is defined, and
-    dropping it can only make trials vacuous.
+    hypotheses names the law's hypotheses, entries of _HYPOTHESES: spec()
+    realizes them in the draw, missed() judges them on an instance.  flags
+    fix the InstanceSpec fields family_size, hom and target_side outright, in
+    both modes.  The operation (one of _OPS, else the
+    first member itself) is applied to the first `reads` members, or all
+    when None, and its result is judged over the structure _OPS pairs with
+    the operation, else over the members' side.  The conclusion is that the
+    result is "closed", or a soft sub-gamma-semiring of the "outer" soft set,
+    of the operation applied to copies of the outer ("outer-op"), or of each
+    of the "members".  L3.16 ("hom-transport") and T3.17 ("trivial-whole")
+    have checkers of their own.  necessity pins the structure family on
+    which fuzzing with the hypotheses dropped finds a counterexample, showing
+    they are needed.  T4.3, like T4.5, has no necessity family, and it cannot
+    have one: the intersection of two subalgebras is a subalgebra, so its
+    hypothesis is exactly the condition under which its conclusion is
+    defined, and dropping it can only make trials vacuous.
     """
 
     def __init__(
         self,
         theorem_id: str,
+        hypotheses: tuple[str, ...],
         conclusion: str,
         operation: str = "",
         reads: int | None = None,
@@ -574,6 +629,7 @@ class Law:
         **flags,
     ):
         self.theorem_id = theorem_id
+        self.hypotheses = hypotheses
         self.conclusion = conclusion
         self.operation = operation
         self.reads = reads
@@ -581,18 +637,22 @@ class Law:
         self.flags = flags
 
     def spec(self, template: InstanceSpec, drop: bool) -> InstanceSpec:
+        """template with the row's flags and, per hypothesis, its realizing
+        fields, or its dropping fields when drop and it has some."""
         updates = dict(self.flags)
-        if drop:
-            updates.update(chain=None, disjoint=False, same_parameters=False)
-            # the nested containment laws keep subalgebra values (so the
-            # conclusion's preconditions stay evaluable) and instead stop
-            # confining member values to the enclosing soft set; the plain
-            # closure laws widen values to arbitrary subsets
-            if self.flags.get("nested"):
-                updates.update(value_policy="subsemirings", nested="free")
-            else:
-                updates["value_policy"] = "arbitrary"
+        for name in self.hypotheses:
+            _, realize, dropped = _HYPOTHESES[name]
+            updates.update(dropped if drop and dropped is not None else realize)
         return template.replace(**updates)
+
+    def _members(self, inst: Instance) -> list[SoftSet]:
+        return inst.soft_sets if self.reads is None else inst.soft_sets[: self.reads]
+
+    def missed(self, inst: Instance) -> str | None:
+        """The first of the row's hypotheses that inst misses, None when it
+        meets them all."""
+        members = self._members(inst)
+        return next((name for name in self.hypotheses if not _HYPOTHESES[name][0](inst, members)), None)
 
     def _apply(self, inst: Instance, family) -> SoftSet:
         function, judged = _OPS[self.operation]
@@ -605,10 +665,8 @@ class Law:
             return _check_hom_transport(inst)
         if self.conclusion == "trivial-whole":
             case = self.theorem_id.removeprefix("T3.17")
-            return _check_trivial_whole(case, self.flags["value_policy"], inst, enforce)
-        members = inst.soft_sets if self.reads is None else inst.soft_sets[: self.reads]
-        if enforce and self.flags.get("disjoint") and not _pairwise_disjoint(members):
-            return _VACUOUS
+            return _check_trivial_whole(case, inst, enforce)
+        members = self._members(inst)
         gated = [inst.outer, *members] if self.conclusion in ("outer", "outer-op") else members
         if any(ss.is_null() for ss in gated):
             return _VACUOUS
@@ -691,7 +749,7 @@ _TRIVIAL_WHOLE_CONCLUSIONS = {
 }
 
 
-def _check_trivial_whole(case: str, policy: str, inst: Instance, enforce: bool) -> Outcome:
+def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
     """T3.17 case on the first member, a soft set over the homomorphism's
     source in cases i and ii and over its target in cases iii and iv:
 
@@ -701,24 +759,16 @@ def _check_trivial_whole(case: str, policy: str, inst: Instance, enforce: bool) 
     case iv:  f injective, input trivial   -> preimage is trivial.
 
     Each hypothesis also asks the member, and each conclusion the result, to
-    be a soft gamma-semiring.  policy, the law row's value policy, names
-    the hypothesis value.  Vacuous when the member is null, when in case iv
-    a side has no zero, or, enforced, when the hypothesis does not hold.  A
-    member off the case's carrier is an InputError.
+    be a soft gamma-semiring; the hypotheses are the row's _HYPOTHESES
+    entries, which check_theorem judges first.  Vacuous when the member is
+    null or when in case iv a side has no zero.
     """
     hom, member = inst.hom, inst.soft_sets[0]
     flag = _TRIVIAL_WHOLE_CONCLUSIONS[case]
     forward = case in ("i", "ii")
     side, other = (hom.source, hom.target) if forward else (hom.target, hom.source)
-    _require_carrier(side, member)
     if member.is_null() or case == "iv" and (side.zero is None or other.zero is None):
         return _VACUOUS
-    if enforce:
-        mask = _forced_mask(policy, side, hom)
-        held = mask != 0 and all(m == mask for m in member.masks)
-        held = held and (case != "ii" or hom.surjective) and (case != "iv" or hom.injective)
-        if not held or not is_soft_gamma_semiring(side, member):
-            return _VACUOUS
     result = soft_image_under_hom(hom, member) if forward else soft_preimage_under_hom(hom, member)
     shape = is_trivial_soft if case in ("i", "iv") else is_whole_soft
     if shape(other, result) and is_soft_gamma_semiring(other, result):
@@ -734,35 +784,36 @@ def _check_trivial_whole(case: str, policy: str, inst: Instance, enforce: bool) 
 _ZN8 = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))
 
 _TABLE = (
-    Law("T3.4", "closed", "restricted-intersection", 2, family_size=2, same_parameters=True),
-    Law("T3.6", "closed", "restricted-intersection", anchored=True),
-    Law("T3.7", "closed", "extended-intersection", necessity=_ZN8),
-    Law("T3.8", "closed", "restricted-union", necessity=_ZN8, anchored=True, chain="members"),
-    Law("T3.9", "closed", "extended-union",
-        necessity=InstanceSpec(generator="zn", size=(6,), gamma=(1,)), disjoint=True),
-    Law("T3.10", "closed", "and-intersection", 2, family_size=2),
-    Law("T3.11", "closed", "and-intersection"),
-    Law("T3.12", "closed", "or-union",
-        necessity=InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3)), chain="members"),
-    Law("T3.13", "closed", "cartesian-product", family_size=2),
-    Law("L3.16", "hom-transport", hom="collapse"),
-    Law("T3.17i", "trivial-whole", necessity=_ZN8, hom="collapse", family_size=1, value_policy="kernel"),
-    Law("T3.17ii", "trivial-whole", hom="collapse", family_size=1, value_policy="whole"),
-    Law("T3.17iii", "trivial-whole",
-        hom="collapse", target_side=True, family_size=1, value_policy="carrier-image"),
-    Law("T3.17iv", "trivial-whole", hom="identity", target_side=True, family_size=1, value_policy="trivial"),
-    Law("T4.2", "outer", "soft-subsemiring-of", 1, necessity=_ZN8, nested="confined", family_size=1),
-    Law("T4.3", "members", "restricted-intersection", 2, family_size=2, anchored=True),
-    Law("T4.4", "outer", "restricted-intersection", nested="confined", anchored=True),
-    Law("T4.5", "outer", "restricted-intersection", nested="confined", anchored=True, same_parameters=True),
-    Law("T4.6", "outer", "extended-intersection", nested="confined"),
-    Law("T4.7", "outer", "restricted-union",
-        necessity=InstanceSpec(generator="matrix", size=(2, 1, 2)), nested="confined", anchored=True, chain="members"),
-    Law("T4.8", "outer-op", "or-union", nested="confined", chain="members-and-outer"),
-    Law("T4.9", "outer-op", "and-intersection", nested="confined"),
-    Law("T4.10", "outer-op", "cartesian-product", nested="confined", family_size=2),
-    Law("T4.11", "outer-op", "hom-image", 1, nested="confined", family_size=1, hom="collapse"),
-    Law("T4.12", "outer-op", "hom-preimage", 1, nested="confined", family_size=1, hom="collapse", target_side=True),
+    Law("T3.4", ("values", "same-parameters"), "closed", "restricted-intersection", 2, family_size=2),
+    Law("T3.6", ("values", "anchored"), "closed", "restricted-intersection"),
+    Law("T3.7", ("values",), "closed", "extended-intersection", necessity=_ZN8),
+    Law("T3.8", ("values", "chain", "anchored"), "closed", "restricted-union", necessity=_ZN8),
+    Law("T3.9", ("values", "disjoint"), "closed", "extended-union",
+        necessity=InstanceSpec(generator="zn", size=(6,), gamma=(1,))),
+    Law("T3.10", ("values",), "closed", "and-intersection", 2, family_size=2),
+    Law("T3.11", ("values",), "closed", "and-intersection"),
+    Law("T3.12", ("values", "chain"), "closed", "or-union",
+        necessity=InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3))),
+    Law("T3.13", ("values",), "closed", "cartesian-product", family_size=2),
+    Law("L3.16", ("values",), "hom-transport", reads=1, hom="collapse"),
+    Law("T3.17i", ("kernel-values",), "trivial-whole", reads=1, necessity=_ZN8, hom="collapse", family_size=1),
+    Law("T3.17ii", ("whole-values", "onto"), "trivial-whole", reads=1, hom="collapse", family_size=1),
+    Law("T3.17iii", ("carrier-image-values",), "trivial-whole", reads=1,
+        hom="collapse", target_side=True, family_size=1),
+    Law("T3.17iv", ("trivial-values", "injective"), "trivial-whole", reads=1,
+        hom="identity", target_side=True, family_size=1),
+    Law("T4.2", ("nested",), "outer", "soft-subsemiring-of", 1, necessity=_ZN8, family_size=1),
+    Law("T4.3", ("values", "anchored"), "members", "restricted-intersection", 2, family_size=2),
+    Law("T4.4", ("nested", "anchored"), "outer", "restricted-intersection"),
+    Law("T4.5", ("nested", "anchored", "same-parameters"), "outer", "restricted-intersection"),
+    Law("T4.6", ("nested",), "outer", "extended-intersection"),
+    Law("T4.7", ("nested", "anchored", "chain"), "outer", "restricted-union",
+        necessity=InstanceSpec(generator="matrix", size=(2, 1, 2))),
+    Law("T4.8", ("nested", "chain-outer"), "outer-op", "or-union"),
+    Law("T4.9", ("nested",), "outer-op", "and-intersection"),
+    Law("T4.10", ("nested",), "outer-op", "cartesian-product", family_size=2),
+    Law("T4.11", ("nested",), "outer-op", "hom-image", 1, family_size=1, hom="collapse"),
+    Law("T4.12", ("nested",), "outer-op", "hom-preimage", 1, family_size=1, hom="collapse", target_side=True),
 )
 
 _LAWS = {law.theorem_id: law for law in _TABLE}
@@ -806,23 +857,35 @@ def _verdict(theorem_id: str, outcomes) -> TheoremVerdict:
 def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
     """Evaluate one law's conclusion on one instance.
 
-    Structural gates (undefined operations, null soft sets, parameter-shape
-    hypotheses) yield a vacuous verdict; value-level hypothesis violations
-    evaluate the conclusion honestly, so a non-hypothesis instance can fail.
-    An instance without the homomorphism, the enclosing soft set or the
-    member that the law reads is an InputError.
+    An instance that misses one of the law's named hypotheses (see
+    _HYPOTHESES) is vacuous, and so is one where the operation is undefined
+    or a soft set the law reads is null; otherwise the conclusion is judged,
+    so a failure is a counterexample to the law.  An instance whose fields
+    have the wrong types, or without the homomorphism, the enclosing soft set
+    or the member that the law reads, is an InputError, raised before any
+    hypothesis is judged; so is a soft set off the carrier it is judged over.
     """
     law = _lookup(theorem_id)
     if not isinstance(instance, Instance):
         raise InputError(f"an instance must be an Instance, got {type(instance).__name__}")
+    for name, kind, optional in (
+        ("spec", InstanceSpec, False), ("gs", GammaSemiring, False), ("outer", SoftSet, True),
+        ("hom", GammaHom, True), ("aux_target", SoftSet, True), ("descriptor", tuple, False),
+    ):
+        value = getattr(instance, name)
+        if not (isinstance(value, kind) or optional and value is None):
+            raise InputError(f"an instance's {name} must be of type {kind.__name__}, got {type(value).__name__}")
+    members = instance.soft_sets
+    if not isinstance(members, (list, tuple)) or not all(isinstance(m, SoftSet) for m in members):
+        raise InputError("an instance's soft_sets must be a list of SoftSets")
     if law.flags.get("hom") and instance.hom is None:
         raise InputError(f"{theorem_id} reads a homomorphism, and the instance has none")
     if law.conclusion in ("outer", "outer-op") and instance.outer is None:
         raise InputError(f"{theorem_id} reads an enclosing soft set, and the instance has none")
-    # the single-member rows and the two laws with checkers of their own index the first member
-    if not instance.soft_sets and (law.reads == 1 or law.conclusion in ("hom-transport", "trivial-whole")):
+    if not members:
         raise InputError(f"{theorem_id} reads a member, and the instance has none")
-    return _verdict(theorem_id, [(0, instance.spec, law.evaluate(instance, True))])
+    outcome = _VACUOUS if law.missed(instance) else law.evaluate(instance, True)
+    return _verdict(theorem_id, [(0, instance.spec, outcome)])
 
 
 def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> TheoremVerdict:
@@ -840,18 +903,19 @@ def fuzz_theorem(
 ) -> TheoremVerdict:
     """Run seeded trials template.seed .. template.seed+trials-1.
 
-    With drop_hypothesis the hypothesis-enforcing policies are disabled (see
-    Law.spec): the plain closure laws draw arbitrary subsets as values, the
-    nested containment laws keep subalgebra values but no longer confine
-    members to the enclosing soft set.  The checks then report honest
-    conclusion failures; the recorded counterexample is the one from the
-    lowest failing trial.
+    Each trial's draw realizes the law's hypotheses by construction (see
+    Law.spec), so no hypothesis is judged per trial; a draw that missed one
+    would be a generator bug.  With drop_hypothesis each hypothesis's
+    dropping fields replace its realizing ones: the plain closure laws draw
+    arbitrary subsets as values, the nested containment laws keep subalgebra
+    values but no longer confine members to the enclosing soft set.  The
+    checks then report honest conclusion failures; the recorded
+    counterexample is the one from the lowest failing trial.
 
-    The template's policy fields and the law's spec are checked once, before
-    trial 0, so a malformed field is refused even where the law's policy
-    replaces it; per trial one random.Random is reseeded and only the draws
-    are made.  Trial t evaluates exactly
-    generate_instance(base.replace(seed=template.seed + t)).
+    The template and the law's spec are checked once, before trial 0, so a
+    malformed field is refused even where the law's spec replaces it; per
+    trial one random.Random is reseeded and only the draws are made.  Trial
+    t evaluates exactly generate_instance(base.replace(seed=template.seed + t)).
     """
     _count(trials, "trials")
     law = _lookup(theorem_id)
@@ -859,8 +923,8 @@ def fuzz_theorem(
         template = InstanceSpec()
     elif not isinstance(template, InstanceSpec):
         raise InputError(f"a template must be an InstanceSpec, got {type(template).__name__}")
-    _check_policy_fields(template)
-    # the law's policy never touches the seed, so it is applied and checked once
+    _check_spec(template)
+    # the law's spec never touches the seed, so it is applied and checked once
     base = law.spec(template, drop_hypothesis)
     pinned = _check_spec(base)
     rng = random.Random()

@@ -1,7 +1,8 @@
-"""Input errors of the file readers and of the CLI's op arity checks, one
-malformed input each: every one is refused with its own message, a
-ParseError from the reader and exit 2 with the message on stderr from the
-CLI."""
+"""Input errors of the file readers, of the CLI's op arity checks and of
+check_theorem's instance fields, one malformed input each: every one is
+refused with its own message, a ParseError from the reader, exit 2 with the
+message on stderr from the CLI, and an InputError from check_theorem before
+any hypothesis is judged."""
 
 import json
 import re
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from softgamma import ParseError, files, identity_hom, make_zn_gamma
+from softgamma import InputError, Instance, ParseError, SoftSet, check_theorem, files, identity_hom, make_zn_gamma
+from softgamma.harness import ALL_THEOREMS
 from softgamma.cli import main
 
 Z4 = make_zn_gamma(4, (1, 3))
@@ -135,3 +137,37 @@ def test_an_unreadable_document_exits_2(capsys, tmp_path, case):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith(f"error: {message}")
+
+
+MEMBER = SoftSet(Z4.elements, ("a",), (1,))
+
+
+def _instance(**fields):
+    """A well-formed instance for every law, with the given fields replaced."""
+    parts = dict(gs=Z4, soft_sets=[MEMBER, MEMBER], outer=MEMBER, hom=identity_hom(Z4))
+    return Instance(**{**parts, **fields})
+
+
+@pytest.mark.parametrize(
+    "law,fields,message",
+    [
+        ("T3.7", dict(spec="x"), "an instance's spec must be of type InstanceSpec, got str"),
+        ("T3.7", dict(gs=5), "an instance's gs must be of type GammaSemiring, got int"),
+        ("T3.7", dict(soft_sets=5), "an instance's soft_sets must be a list of SoftSets"),
+        ("T3.7", dict(soft_sets=[MEMBER, 5]), "an instance's soft_sets must be a list of SoftSets"),
+        ("T4.4", dict(outer=5), "an instance's outer must be of type SoftSet, got int"),
+        ("L3.16", dict(hom=5), "an instance's hom must be of type GammaHom, got int"),
+        ("L3.16", dict(aux_target=5), "an instance's aux_target must be of type SoftSet, got int"),
+        ("T3.7", dict(descriptor=5), "an instance's descriptor must be of type tuple, got int"),
+    ],
+    ids=["spec-str", "gs-int", "soft-sets-int", "soft-sets-entry-int", "outer-int", "hom-int", "aux-target-int", "descriptor-int"],
+)
+def test_a_malformed_instance_field_is_an_input_error(law, fields, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        check_theorem(law, _instance(**fields))
+
+
+@pytest.mark.parametrize("law", ALL_THEOREMS)
+def test_an_instance_without_members_is_refused_by_every_law(law):
+    with pytest.raises(InputError, match=f"^{re.escape(law)} reads a member, and the instance has none$"):
+        check_theorem(law, _instance(soft_sets=[]))
