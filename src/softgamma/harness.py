@@ -570,7 +570,9 @@ def _forced_values(policy: str, over: str) -> Callable:
 # judges the hypothesis on an instance and the members its row reads; realize
 # are the InstanceSpec fields whose draws meet it by construction, drop the
 # fields a drop-hypothesis run sets instead, None when no drop removes it.
-# onto and injective are realized by the row's hom: collapses are onto, the
+# Realizing fields also switch off a template's policy that would break the
+# hypothesis (nested or shared parameters break disjointness, disjoint pools
+# a common parameter).  onto and injective are realized by the row's hom: collapses are onto, the
 # identity both.  The nested laws keep subalgebra values under drop, so their
 # conclusions stay defined, and draw members free of the outer's values.
 _HYPOTHESES: dict[str, tuple[Callable, dict, dict | None]] = {
@@ -581,11 +583,11 @@ _HYPOTHESES: dict[str, tuple[Callable, dict, dict | None]] = {
                     {"chain": "members-and-outer"}, {"chain": None}),
     # a member's parameters are distinct, so disjoint sets leave their sizes' sum
     "disjoint": (lambda inst, ms: len(set().union(*(m.parameters for m in ms))) == sum(len(m.parameters) for m in ms),
-                 {"disjoint": True}, {"disjoint": False}),
+                 {"disjoint": True, "nested": None, "same_parameters": False}, {"disjoint": False}),
     "same-parameters": (lambda inst, ms: len({frozenset(m.parameters) for m in ms}) == 1,
                         {"same_parameters": True}, {"same_parameters": False}),
     "anchored": (lambda inst, ms: bool(set(ms[0].parameters).intersection(*(m.parameters for m in ms))),
-                 {"anchored": True}, None),
+                 {"anchored": True, "disjoint": False}, None),
     "nested": (_nested, {"nested": "confined", "value_policy": "subsemirings"},
                {"nested": "free", "value_policy": "subsemirings"}),
     "onto": (lambda inst, ms: inst.hom.surjective, {}, None),
