@@ -531,8 +531,7 @@ _OPS: dict[str, tuple[Callable, str]] = {
 
 
 def _closed(side: GammaSemiring, ss: SoftSet) -> bool:
-    """Every nonempty value of ss is a subalgebra of side.  A null soft set
-    passes: Law.evaluate's null gates judge it."""
+    """Every nonempty value of ss is a subalgebra of side; a null ss passes (evaluate's null gates judge it)."""
     return ss.is_null() or bool(is_soft_gamma_semiring(side, ss))
 
 
@@ -572,16 +571,17 @@ def _forced_values(policy: str, over: str) -> Callable:
 # fields a drop-hypothesis run sets instead, None when no drop removes it.
 # Realizing fields also switch off a template's policy that would break the
 # hypothesis (nested or shared parameters break disjointness, disjoint pools
-# a common parameter).  onto and injective are realized by the row's hom: collapses are onto, the
-# identity both.  The nested laws keep subalgebra values under drop, so their
-# conclusions stay defined, and draw members free of the outer's values.
+# a common parameter).  onto and injective are realized by the row's hom:
+# collapses are onto, the identity both.  The nested laws keep subalgebra
+# values under drop, so their conclusions stay defined, and draw members
+# free of the outer's values.
 _HYPOTHESES: dict[str, tuple[Callable, dict, dict | None]] = {
     "values": (lambda inst, ms: all(_closed(inst.side_gs, m) for m in ms), {"value_policy": "subsemirings"},
                {"value_policy": "arbitrary"}),
     "chain": (lambda inst, ms: _is_chain(v for m in ms for v in m.masks), {"chain": "members"}, {"chain": None}),
     "chain-outer": (lambda inst, ms: _is_chain(v for m in (inst.outer, *ms) for v in m.masks),
                     {"chain": "members-and-outer"}, {"chain": None}),
-    # a member's parameters are distinct, so disjoint sets leave their sizes' sum
+    # a member's parameters are distinct, so the sets are disjoint when their sizes sum to their union's
     "disjoint": (lambda inst, ms: len(set().union(*(m.parameters for m in ms))) == sum(len(m.parameters) for m in ms),
                  {"disjoint": True, "nested": None, "same_parameters": False}, {"disjoint": False}),
     "same-parameters": (lambda inst, ms: len({frozenset(m.parameters) for m in ms}) == 1,
@@ -594,7 +594,8 @@ _HYPOTHESES: dict[str, tuple[Callable, dict, dict | None]] = {
     "injective": (lambda inst, ms: inst.hom.injective, {}, None),
     **{
         f"{policy}-values": (_forced_values(policy, over), {"value_policy": policy}, {"value_policy": "arbitrary"})
-        for policy, over in (("kernel", "source"), ("whole", "source"), ("carrier-image", "target"), ("trivial", "target"))
+        for policy, over in (("kernel", "source"), ("whole", "source"),
+                             ("carrier-image", "target"), ("trivial", "target"))
     },
 }
 
@@ -605,10 +606,10 @@ class Law:
     hypotheses names the law's hypotheses, entries of _HYPOTHESES: spec()
     realizes them in the draw, missed() judges them on an instance.  flags
     fix the InstanceSpec fields family_size, hom and target_side outright, in
-    both modes.  The operation (one of _OPS, else the
-    first member itself) is applied to the first `reads` members, or all
-    when None, and its result is judged over the structure _OPS pairs with
-    the operation, else over the members' side.  The conclusion is that the
+    both modes.  The operation (one of _OPS, else the first member itself) is
+    applied to the first `reads` members, or all when None, and its result is
+    judged over the structure _OPS pairs with the operation, else over the
+    members' side.  The conclusion is that the
     result is "closed", or a soft sub-gamma-semiring of the "outer" soft set,
     of the operation applied to copies of the outer ("outer-op"), or of each
     of the "members".  L3.16 ("hom-transport") and T3.17 ("trivial-whole")
@@ -639,8 +640,7 @@ class Law:
         self.flags = flags
 
     def spec(self, template: InstanceSpec, drop: bool) -> InstanceSpec:
-        """template with the row's flags and, per hypothesis, its realizing
-        fields, or its dropping fields when drop and it has some."""
+        """template with the row's flags and each hypothesis's realizing fields, or dropping ones under drop."""
         updates = dict(self.flags)
         for name in self.hypotheses:
             _, realize, dropped = _HYPOTHESES[name]
