@@ -7,15 +7,19 @@ members it reads, and the conclusion; Law.evaluate checks every row.  Each
 hypothesis is defined once, in _HYPOTHESES: a predicate on an instance
 (values that are subalgebras, value chains, disjoint or shared parameter
 sets, a common parameter, members nested in an enclosing soft set, an onto
-or injective homomorphism, the forced values of T3.17), the generation
-policy fields that realize it, and those that drop it.  A trial verdict is:
+or injective homomorphism, the forced values of T3.17, an auxiliary target
+member of subalgebra values), the generation policy fields that realize it,
+and those that drop it.  A trial verdict is:
 
   pass     the conclusion held;
   vacuous  the instance missed a named hypothesis (check_theorem only), the
-           operation or a predicate precondition was undefined on it, or a
-           required soft set was null;
-  fail     the conclusion was evaluated and did not hold; the lowest
-           failing trial's replayable counterexample document is built.
+           operation or a predicate precondition was undefined on it, a
+           required soft set was null, a closure conclusion's result was
+           null, or a "trivial" conclusion's structure has no zero;
+  fail     the conclusion was evaluated and did not hold (a shape
+           conclusion judges a null result: it is neither trivial nor
+           whole); the lowest failing trial's replayable counterexample
+           document, which names the row's operation, is built.
 
 check_theorem judges every named hypothesis before the conclusion, so a
 failure is a counterexample to the law, never a missed hypothesis.
@@ -513,6 +517,10 @@ _PASS: Outcome = ("pass", None)
 _VACUOUS: Outcome = ("vacuous", None)
 
 
+# the shape conclusions: every value of the result is {zero}, or the whole carrier
+_SHAPES: dict[str, Callable] = {"trivial": is_trivial_soft, "whole": is_whole_soft}
+
+
 # the operations a law row names, each with the structure its result is
 # judged over: the members' side, its k-fold product for k members (judged
 # from the side's tables, never built), or the homomorphism's target or
@@ -590,6 +598,9 @@ _HYPOTHESES: dict[str, tuple[Callable, dict, dict | None]] = {
                  {"anchored": True, "disjoint": False}, None),
     "nested": (_nested, {"nested": "confined", "value_policy": "subsemirings"},
                {"nested": "free", "value_policy": "subsemirings"}),
+    # the auxiliary target member whose preimage L3.16 reads
+    "target-values": (lambda inst, ms: inst.aux_target is None or _closed(inst.hom.target, inst.aux_target),
+                      {"value_policy": "subsemirings"}, {"value_policy": "arbitrary"}),
     "onto": (lambda inst, ms: inst.hom.surjective, {}, None),
     "injective": (lambda inst, ms: inst.hom.injective, {}, None),
     **{
@@ -609,16 +620,18 @@ class Law:
     both modes.  The operation (one of _OPS, else the first member itself) is
     applied to the first `reads` members, or all when None, and its result is
     judged over the structure _OPS pairs with the operation, else over the
-    members' side.  The conclusion is that the
-    result is "closed", or a soft sub-gamma-semiring of the "outer" soft set,
-    of the operation applied to copies of the outer ("outer-op"), or of each
-    of the "members".  L3.16 ("hom-transport") and T3.17 ("trivial-whole")
-    have checkers of their own.  necessity pins the structure family on
-    which fuzzing with the hypotheses dropped finds a counterexample, showing
-    they are needed.  T4.3, like T4.5, has no necessity family, and it cannot
-    have one: the intersection of two subalgebras is a subalgebra, so its
-    hypothesis is exactly the condition under which its conclusion is
-    defined, and dropping it can only make trials vacuous.
+    members' side.  The conclusion is that the result is "closed", or a soft
+    sub-gamma-semiring of the "outer" soft set, of the operation applied to
+    copies of the outer ("outer-op"), or of each of the "members"; or that
+    it has a shape, "trivial" (every value is {zero}) or "whole" (every
+    value is the carrier), and is a soft gamma-semiring.  Only L3.16
+    ("hom-transport") has a checker of its own.  necessity pins the
+    structure family on which fuzzing with the hypotheses dropped finds a
+    counterexample, showing they are needed.  T4.3, like T4.5, has no
+    necessity family, and it cannot have one: the intersection of two
+    subalgebras is a subalgebra, so its hypothesis is exactly the condition
+    under which its conclusion is defined, and dropping it can only make
+    trials vacuous.
     """
 
     def __init__(
@@ -662,12 +675,9 @@ class Law:
             return function(inst.hom, family[0])
         return function(family)
 
-    def evaluate(self, inst: Instance, enforce: bool) -> Outcome:
+    def evaluate(self, inst: Instance) -> Outcome:
         if self.conclusion == "hom-transport":
             return _check_hom_transport(inst)
-        if self.conclusion == "trivial-whole":
-            case = self.theorem_id.removeprefix("T3.17")
-            return _check_trivial_whole(case, inst, enforce)
         members = self._members(inst)
         gated = [inst.outer, *members] if self.conclusion in ("outer", "outer-op") else members
         if any(ss.is_null() for ss in gated):
@@ -679,7 +689,8 @@ class Law:
                 result = self._apply(inst, members)
             except DomainError:
                 return _VACUOUS
-            if result.is_null():
+            # a null result leaves a closure conclusion vacuous; a shape judges it
+            if result.is_null() and self.conclusion not in _SHAPES:
                 return _VACUOUS
             shown = result
         else:
@@ -690,6 +701,14 @@ class Law:
             over = inst.side_gs
         else:
             over = getattr(inst.hom, judged)  # the homomorphism's target or source
+
+        if self.conclusion in _SHAPES:
+            # a trivial soft set is defined by the zero, so without one the shape is undefined
+            if self.conclusion == "trivial" and over.zero is None:
+                return _VACUOUS
+            if _SHAPES[self.conclusion](over, result) and is_soft_gamma_semiring(over, result):
+                return _PASS
+            return "fail", lambda: _dump(inst, self.operation, members, result)
 
         if self.conclusion == "closed":
             w = is_soft_gamma_semiring(over, result, arity)
@@ -742,46 +761,6 @@ def _check_hom_transport(inst: Instance) -> Outcome:
     return _PASS if applicable else _VACUOUS
 
 
-# per T3.17 case, the conclusion that an enforced failure names
-_TRIVIAL_WHOLE_CONCLUSIONS = {
-    "i": "image_not_trivial",
-    "ii": "image_not_whole",
-    "iii": "preimage_not_whole",
-    "iv": "preimage_not_trivial",
-}
-
-
-def _check_trivial_whole(case: str, inst: Instance, enforce: bool) -> Outcome:
-    """T3.17 case on the first member, a soft set over the homomorphism's
-    source in cases i and ii and over its target in cases iii and iv:
-
-    case i:   all values equal ker(f)      -> image is the trivial soft set.
-    case ii:  f onto, input whole          -> image is whole.
-    case iii: all values equal f(carrier)  -> preimage is whole.
-    case iv:  f injective, input trivial   -> preimage is trivial.
-
-    Each hypothesis also asks the member, and each conclusion the result, to
-    be a soft gamma-semiring; the hypotheses are the row's _HYPOTHESES
-    entries, which check_theorem judges first.  Vacuous when the member is
-    null or when in case iv a side has no zero.
-    """
-    hom, member = inst.hom, inst.soft_sets[0]
-    flag = _TRIVIAL_WHOLE_CONCLUSIONS[case]
-    forward = case in ("i", "ii")
-    side, other = (hom.source, hom.target) if forward else (hom.target, hom.source)
-    if member.is_null() or case == "iv" and (side.zero is None or other.zero is None):
-        return _VACUOUS
-    result = soft_image_under_hom(hom, member) if forward else soft_preimage_under_hom(hom, member)
-    shape = is_trivial_soft if case in ("i", "iv") else is_whole_soft
-    if shape(other, result) and is_soft_gamma_semiring(other, result):
-        return _PASS
-    # an enforced failure names the broken conclusion; a dropped one shows the result
-    extra = {flag: True} if enforce else None
-    return "fail", lambda: _dump(
-        inst, f"trivial-whole-{case}", [member], None if enforce else result, extra=extra
-    )
-
-
 # the drop-hypothesis family that four rows of the necessity column share
 _ZN8 = InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6))
 
@@ -797,12 +776,12 @@ _TABLE = (
     Law("T3.12", ("values", "chain"), "closed", "or-union",
         necessity=InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3))),
     Law("T3.13", ("values",), "closed", "cartesian-product", family_size=2),
-    Law("L3.16", ("values",), "hom-transport", reads=1, hom="collapse"),
-    Law("T3.17i", ("kernel-values",), "trivial-whole", reads=1, necessity=_ZN8, hom="collapse", family_size=1),
-    Law("T3.17ii", ("whole-values", "onto"), "trivial-whole", reads=1, hom="collapse", family_size=1),
-    Law("T3.17iii", ("carrier-image-values",), "trivial-whole", reads=1,
+    Law("L3.16", ("values", "target-values"), "hom-transport", reads=1, hom="collapse"),
+    Law("T3.17i", ("kernel-values",), "trivial", "hom-image", 1, necessity=_ZN8, hom="collapse", family_size=1),
+    Law("T3.17ii", ("whole-values", "onto"), "whole", "hom-image", 1, hom="collapse", family_size=1),
+    Law("T3.17iii", ("carrier-image-values",), "whole", "hom-preimage", 1,
         hom="collapse", target_side=True, family_size=1),
-    Law("T3.17iv", ("trivial-values", "injective"), "trivial-whole", reads=1,
+    Law("T3.17iv", ("trivial-values", "injective"), "trivial", "hom-preimage", 1,
         hom="identity", target_side=True, family_size=1),
     Law("T4.2", ("nested",), "outer", "soft-subsemiring-of", 1, necessity=_ZN8, family_size=1),
     Law("T4.3", ("values", "anchored"), "members", "restricted-intersection", 2, family_size=2),
@@ -886,13 +865,22 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
         raise InputError(f"{theorem_id} reads an enclosing soft set, and the instance has none")
     if not members:
         raise InputError(f"{theorem_id} reads a member, and the instance has none")
-    outcome = _VACUOUS if law.missed(instance) else law.evaluate(instance, True)
+    outcome = _VACUOUS if law.missed(instance) else law.evaluate(instance)
     return _verdict(theorem_id, [(0, instance.spec, outcome)])
 
 
 def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> TheoremVerdict:
-    """check_theorem for T3.17 case (i, ii, iii or iv; see _check_trivial_whole)
-    on ss, a soft set over the source of hom in cases i and ii, its target in iii and iv."""
+    """check_theorem for T3.17 case i, ii, iii or iv on ss, a soft set over
+    the source of hom in cases i and ii, its target in iii and iv:
+
+    case i:   all values equal ker(f)      -> the image is trivial;
+    case ii:  f onto, input whole          -> the image is whole;
+    case iii: all values equal f(carrier)  -> the preimage is whole;
+    case iv:  f injective, input trivial   -> the preimage is trivial.
+
+    Each hypothesis also asks the member, and each conclusion the result, to
+    be a soft gamma-semiring.
+    """
     spec = InstanceSpec(target_side=case in ("iii", "iv"))
     return check_theorem(f"T3.17{case}", Instance(hom.source, [ss], hom=hom, spec=spec))
 
@@ -930,13 +918,12 @@ def fuzz_theorem(
     base = law.spec(template, drop_hypothesis)
     pinned = _check_spec(base)
     rng = random.Random()
-    enforce = not drop_hypothesis
 
     def outcomes():
         for t in range(trials):
             seed = template.seed + t
             rng.seed(seed)  # the state random.Random(seed) starts in
             spec = base.replace(seed=seed)
-            yield t, spec, law.evaluate(_draw_instance(spec, pinned, rng), enforce)
+            yield t, spec, law.evaluate(_draw_instance(spec, pinned, rng))
 
     return _verdict(theorem_id, outcomes())

@@ -19,6 +19,7 @@ from softgamma import SizeLimitError, files, generators, make_matrix_gamma, make
 from softgamma.algebra import is_sub_gamma_semiring
 from softgamma.harness import (
     _LAWS,
+    _OPS,
     ALL_THEOREMS,
     NECESSITY_TEMPLATES,
     _check_spec,
@@ -215,18 +216,17 @@ class TestTrialLoop:
         seen = []
         evaluate = type(law).evaluate
 
-        def recording(self, inst, enforce):
-            seen.append((inst, enforce))
-            return evaluate(self, inst, enforce)
+        def recording(self, inst):
+            seen.append(inst)
+            return evaluate(self, inst)
 
         monkeypatch.setattr(type(law), "evaluate", recording)
         trials = 12
         fuzz_theorem(tid, trials, template, drop_hypothesis=drop)
         assert len(seen) == trials
-        for t, (inst, enforce) in enumerate(seen):
+        for t, inst in enumerate(seen):
             spec = law.spec(template, drop).replace(seed=template.seed + t)
             expected = generate_instance(spec)
-            assert enforce is not drop
             assert type(inst.spec) is InstanceSpec and inst.spec == spec and hash(inst.spec) == hash(spec)
             assert inst.descriptor == expected.descriptor
             assert inst.gs is expected.gs
@@ -484,6 +484,33 @@ class TestCounterexampleReplay:
         gs = files.structure_from_doc(doc["structure"])
         result = files.soft_set_from_doc(doc["result"])
         assert not is_soft_gamma_semiring(gs, result)
+
+    @pytest.mark.parametrize("tid", ALL_THEOREMS)
+    def test_every_dropped_counterexample_names_an_operation_that_reruns(self, tid):
+        # a counterexample names an operation of _OPS, else its row's own
+        # (the first member itself); an _OPS one, re-run on the dumped
+        # members, gives the dumped result
+        law = _LAWS[tid]
+        docs = [
+            fuzz_theorem(tid, 50, template, drop_hypothesis=True).counterexample
+            for template in (InstanceSpec(seed=3), law.necessity)
+            if template is not None
+        ]
+        docs = [doc for doc in docs if doc is not None]
+        # T4.3's hypothesis is the one under which its conclusion is defined
+        assert bool(docs) is (tid != "T4.3")
+        for doc in docs:
+            operation = doc["operation"]
+            assert operation in _OPS or operation == law.operation
+            if operation not in _OPS or "result" not in doc:
+                continue
+            function, judged = _OPS[operation]
+            members = [files.soft_set_from_doc(m) for m in doc["members"]]
+            if judged in ("target", "source"):
+                result = function(files.hom_from_doc(doc["hom"]), members[0])
+            else:
+                result = function(members)
+            assert result == files.soft_set_from_doc(doc["result"])
 
 
 class TestHypothesisNecessity:

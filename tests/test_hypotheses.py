@@ -10,7 +10,7 @@ import pytest
 
 from softgamma import FiniteCommutativeSemigroup, GammaSemiring, Instance, InstanceSpec, SoftSet, check_theorem
 from softgamma import check_gamma_semiring, fuzz_theorem, gamma_hom, identity_hom, make_zn_gamma
-from softgamma.harness import _HYPOTHESES, _LAWS, _TABLE, _check_spec, _draw_instance
+from softgamma.harness import _HYPOTHESES, _LAWS, _TABLE, _check_spec, _draw_instance, canonical_hom
 
 # the five families of the necessity and drop-hypothesis profiles
 TEMPLATES = {
@@ -118,6 +118,15 @@ def _hand_built(name):
     if name == "nested":
         a = _soft(z8, closed)
         return "T4.4", Instance(z8, [a, a], outer=_soft(z8, {"a": ["0"]})), Instance(z8, [a, a], outer=a)
+    if name == "target-values":
+        # L3.16 over the zn 8 collapse onto Z4: {0,1} is not closed in Z4 (1+1 = 2), {0,2} is
+        collapse = canonical_hom(("zn", 8, (2, 4, 6)))
+        source, member = collapse.source, [_soft(collapse.source, closed)]
+
+        def l316(values):
+            return Instance(source, member, hom=collapse, aux_target=_soft(collapse.target, {"y": values}))
+
+        return "L3.16", l316(["0", "1"]), l316(["0", "2"])
     whole = list(z8.elements)
     if name == "onto":
         return "T3.17ii", t317(zero_map, whole), t317(identity_hom(z8), whole)
@@ -161,7 +170,7 @@ def _function(tree: ast.Module, dotted: str) -> ast.FunctionDef:
     return node
 
 
-@pytest.mark.parametrize("dotted", ["Law.evaluate", "_check_trivial_whole", "_check_hom_transport"])
+@pytest.mark.parametrize("dotted", ["Law.evaluate", "_check_hom_transport"])
 def test_the_checkers_read_no_policy_field(dotted):
     body = _function(ast.parse(HARNESS.read_text(encoding="utf-8")), dotted)
     read = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(body) if isinstance(n, (ast.Name, ast.Attribute))}

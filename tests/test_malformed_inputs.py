@@ -305,6 +305,20 @@ def test_label_set_raises_input_error(slot, bad):
         LABEL_SET_SLOTS[slot](copy.deepcopy(BAD_LABEL_SETS[bad]))
 
 
+# a value mask is an exact int with one bit per universe element
+BAD_MASKS = {"beyond-universe": 4, "negative": -1, "bool": True, "float": 1.0, "str": "1"}
+
+
+def test_valid_masks_build():
+    assert SoftSet(("0", "1"), ("a",), (3,)).masks == (3,)
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS)
+def test_value_mask_off_the_universe_raises_input_error(bad):
+    with pytest.raises(InputError, match="does not fit the universe"):
+        SoftSet(("0", "1"), ("a",), (BAD_MASKS[bad],))
+
+
 COUNT_SLOTS = {
     "max_carrier": lambda v: enumerate_sub_gamma_semirings(make_zn_gamma(1, (0,)), max_carrier=v),
     "zn-n": lambda v: make_zn_gamma(v, (0,)),
@@ -399,7 +413,7 @@ def test_malformed_spec_is_refused_by_fuzz_theorem_before_any_trial(monkeypatch,
     with pytest.raises(InputError) as expected:
         generate_instance(BAD_SPECS[name])
 
-    def no_trial(self, inst, enforce):
+    def no_trial(self, inst):
         raise AssertionError("a trial ran on a malformed spec")
 
     monkeypatch.setattr(harness.Law, "evaluate", no_trial)

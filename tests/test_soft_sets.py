@@ -236,28 +236,28 @@ class TestSoftFunctions:
         assert not sf.injective
 
     @pytest.mark.parametrize(
-        "f,g",
+        "f,g,expected",
         [
-            ({v: v for v in U}, {"a": "a", "b": "b"}),
-            ({"0": "0", "1": "0", "2": "2"}, {"a": "a", "b": "b"}),
-            ({v: v for v in U}, {"a": "a", "b": "a"}),
+            ({v: v for v in U}, {"a": "a", "b": "b"}, (True, True, True)),
+            ({"0": "0", "1": "0", "2": "2"}, {"a": "a", "b": "b"}, (False, False, False)),
+            # onto in f but not in g: not surjective
+            ({v: v for v in U}, {"a": "a", "b": "a"}, (False, False, False)),
+            # injective but onto in neither map: not bijective
+            ({"0": "0", "1": "1"}, {"a": "a"}, (True, False, False)),
         ],
-        ids=["identity", "collapsing-f", "collapsing-g"],
+        ids=["identity", "collapsing-f", "collapsing-g", "inclusion"],
     )
-    def test_direct_construction_from_positions_is_the_made_function(self, f, g):
-        source = ss(("a", "b"), {})
+    def test_direct_construction_from_positions_is_the_made_function(self, f, g, expected):
+        # (injective, surjective, bijective) from the definitions; the source is f's and g's domain
+        source = ss(tuple(g), {}, universe=tuple(f))
         target = ss(("a", "b"), {})
         direct = SoftFunction(
-            source, target, tuple(U.index(f[v]) for v in U), tuple(("a", "b").index(g[w]) for w in ("a", "b"))
+            source, target, tuple(U.index(f[v]) for v in f), tuple(("a", "b").index(g[w]) for w in g)
         )
         made = make_soft_function(f, g, source, target)
         assert direct == made and hash(direct) == hash(made)
-        assert (direct.injective, direct.surjective, direct.bijective) == (
-            made.injective,
-            made.surjective,
-            made.bijective,
-        )
-        assert direct.bijective == (f == {v: v for v in U} and g == {"a": "a", "b": "b"})
+        assert (direct.injective, direct.surjective, direct.bijective) == expected
+        assert (made.injective, made.surjective, made.bijective) == expected
         assert direct.f == f and direct.g == g
 
     def test_direct_construction_checks_compatibility(self):
