@@ -211,7 +211,7 @@ def _random_gamma(rng: random.Random, n: int) -> tuple[int, ...]:
     bits = rng.getrandbits(n)
     if bits == 0:
         bits = 1 << _below(rng.getrandbits, n)
-    return tuple(i for i in range(n) if bits >> i & 1)
+    return tuple([i for i in range(n) if bits >> i & 1])
 
 
 # the descriptor a mix draw of matrix, or an unpinned matrix spec, resolves to
@@ -365,7 +365,8 @@ def _draw_parameters(
         left[j] = left[n - i - 1]
     if anchored and 0 not in idxs:
         idxs[0] = 0
-    return tuple(pool[i] for i in sorted(idxs))
+    idxs.sort()
+    return tuple([pool[i] for i in idxs])
 
 
 def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
@@ -409,71 +410,61 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
     that carrier."""
     descriptor = _draw_descriptor(pinned, rng)
     gs = base_structure(descriptor)
+    policy, chain, nested, anchored = spec.value_policy, spec.chain, spec.nested, spec.anchored
     hom = None
     if spec.hom:
         # identity homomorphisms are cheap to build, so only the collapses are cached
         hom = identity_hom(gs) if spec.hom == "identity" else canonical_hom(descriptor)
     side = hom.target if spec.target_side else gs
 
-    forced = _forced_mask(spec.value_policy, side, hom)
+    forced = _forced_mask(policy, side, hom)
     # a subalgebra list may be too long to enumerate, so it is read only for
     # a chain or for values picked from it: drawn under any policy but "arbitrary"
-    picked = spec.value_policy != "arbitrary"
-    subs = side.sub_masks if spec.chain or picked and forced is None else ()
+    picked = policy != "arbitrary"
+    subs = side.sub_masks if chain or picked and forced is None else ()
     # the full carrier is closed and a chain keeps the first mask drawn, so a chain is never empty
-    chain_pool = _draw_chain(rng, subs) if spec.chain else None
-    value_candidates = chain_pool if spec.chain else subs
-    outer_candidates = chain_pool if spec.chain == "members-and-outer" else subs
+    chain_pool = _draw_chain(rng, subs) if chain else None
+    value_candidates = chain_pool if chain else subs
+    outer_candidates = chain_pool if chain == "members-and-outer" else subs
 
     outer = None
-    if spec.nested:
-        oparams = _draw_parameters(rng, _PARAMETER_POOL, len(_PARAMETER_POOL), spec.anchored)
-        omasks = tuple(
-            _draw_value(rng, spec, side, outer_candidates) if forced is None else forced for _ in oparams
-        )
+    if nested:
+        oparams = _draw_parameters(rng, _PARAMETER_POOL, len(_PARAMETER_POOL), anchored)
+        omasks = tuple([_draw_value(rng, spec, side, outer_candidates) if forced is None else forced for _ in oparams])
         outer = SoftSet._unchecked(side.elements, oparams, omasks)
 
     k = spec.family_size if spec.family_size is not None else 1 + _below(rng.getrandbits, 3)
     members: list[SoftSet] = []
-    shared_params: tuple | None = None
-    constrain = spec.nested == "confined" and spec.value_policy == "subsemirings"
+    params: tuple | None = None
+    # a confined member's value at w is a candidate inside the outer's value at w
+    confined = dict(zip(oparams, omasks)) if nested == "confined" and policy == "subsemirings" else None
     for index in range(k):
-        if spec.nested:
-            pool = outer.parameters
+        if nested:
+            pool = oparams
         elif spec.disjoint:
-            pool = tuple(f"{name}{index}" for name in _PARAMETER_POOL)
+            pool = tuple([f"{name}{index}" for name in _PARAMETER_POOL])
         else:
             pool = _PARAMETER_POOL
-        if spec.same_parameters:
-            if shared_params is None:
-                shared_params = _draw_parameters(rng, pool, _MAX_PARAMETERS, spec.anchored)
-            params = shared_params
+        if params is None or not spec.same_parameters:
+            params = _draw_parameters(rng, pool, _MAX_PARAMETERS, anchored)
+        if forced is not None:
+            masks = (forced,) * len(params)
+        elif confined is None:
+            masks = tuple([_draw_value(rng, spec, side, value_candidates) for _ in params])
         else:
-            params = _draw_parameters(rng, pool, _MAX_PARAMETERS, spec.anchored)
-        masks = []
-        for w in params:
-            candidates = value_candidates
-            if constrain:
-                outside = ~outer.mask(w)
-                candidates = [m for m in value_candidates if m & outside == 0]
-            masks.append(_draw_value(rng, spec, side, candidates) if forced is None else forced)
-        members.append(SoftSet._unchecked(side.elements, params, tuple(masks)))
+            masks = tuple([
+                _draw_value(rng, spec, side, [m for m in value_candidates if m & ~confined[w] == 0]) for w in params
+            ])
+        members.append(SoftSet._unchecked(side.elements, params, masks))
 
     aux_target = None
     if hom is not None and not spec.target_side:
-        params = _draw_parameters(rng, _PARAMETER_POOL, _MAX_PARAMETERS, spec.anchored)
-        masks = tuple(_draw_value(rng, spec, hom.target, hom.target.sub_masks if picked else ()) for _ in params)
-        aux_target = SoftSet._unchecked(hom.target.elements, params, masks)
+        target = hom.target
+        params = _draw_parameters(rng, _PARAMETER_POOL, _MAX_PARAMETERS, anchored)
+        masks = tuple([_draw_value(rng, spec, target, target.sub_masks if picked else ()) for _ in params])
+        aux_target = SoftSet._unchecked(target.elements, params, masks)
 
-    return Instance(
-        gs=gs,
-        soft_sets=members,
-        outer=outer,
-        hom=hom,
-        aux_target=aux_target,
-        descriptor=descriptor,
-        spec=spec,
-    )
+    return Instance(gs, members, outer, hom, aux_target, descriptor, spec)
 
 
 def _descriptor_name(descriptor: tuple) -> str:
@@ -651,6 +642,8 @@ class Law:
         self.reads = reads
         self.necessity = necessity
         self.flags = flags
+        # an operation outside _OPS is the first member itself, judged over the side
+        self._op = _OPS.get(operation, (None, "side"))
 
     def spec(self, template: InstanceSpec, drop: bool) -> InstanceSpec:
         """template with the row's flags and each hypothesis's realizing fields, or dropping ones under drop."""
@@ -670,7 +663,7 @@ class Law:
         return next((name for name in self.hypotheses if not _HYPOTHESES[name][0](inst, members)), None)
 
     def _apply(self, inst: Instance, family) -> SoftSet:
-        function, judged = _OPS[self.operation]
+        function, judged = self._op
         if judged in ("target", "source"):
             return function(inst.hom, family[0])
         return function(family)
@@ -679,18 +672,17 @@ class Law:
         if self.conclusion == "hom-transport":
             return _check_hom_transport(inst)
         members = self._members(inst)
-        gated = [inst.outer, *members] if self.conclusion in ("outer", "outer-op") else members
-        if any(ss.is_null() for ss in gated):
-            return _VACUOUS
-        # an operation outside _OPS is the first member itself, judged over the side
-        function, judged = _OPS.get(self.operation, (None, "side"))
+        for ss in (inst.outer, *members) if self.conclusion in ("outer", "outer-op") else members:
+            if not any(ss.masks):  # a null soft set
+                return _VACUOUS
+        function, judged = self._op
         if function is not None:
             try:
                 result = self._apply(inst, members)
             except DomainError:
                 return _VACUOUS
             # a null result leaves a closure conclusion vacuous; a shape judges it
-            if result.is_null() and self.conclusion not in _SHAPES:
+            if not any(result.masks) and self.conclusion not in _SHAPES:
                 return _VACUOUS
             shown = result
         else:
@@ -918,12 +910,12 @@ def fuzz_theorem(
     base = law.spec(template, drop_hypothesis)
     pinned = _check_spec(base)
     rng = random.Random()
+    reseed, replace, draw, evaluate, first = rng.seed, base.replace, _draw_instance, law.evaluate, template.seed
 
     def outcomes():
         for t in range(trials):
-            seed = template.seed + t
-            rng.seed(seed)  # the state random.Random(seed) starts in
-            spec = base.replace(seed=seed)
-            yield t, spec, law.evaluate(_draw_instance(spec, pinned, rng))
+            reseed(first + t)  # the state random.Random(first + t) starts in
+            spec = replace(seed=first + t)
+            yield t, spec, evaluate(draw(spec, pinned, rng))
 
     return _verdict(theorem_id, outcomes())

@@ -121,11 +121,12 @@ def _subset_witness(a: SoftSet, b: SoftSet) -> Witness:
     of a lies inside b's value there.  The first failure is witnessed; a value
     failure names its first escaping element by universe position."""
     _same_universe(a, b)
+    bound = dict(zip(b.parameters, b.masks))
     for w in a.parameters:
-        if not b.has_param(w):
+        if w not in bound:
             return Witness(False, kind="parameter-not-contained", failing_parameter=w)
     for w, m in zip(a.parameters, a.masks):
-        escaped = m & ~b.mask(w)
+        escaped = m & ~bound[w]
         if escaped:
             elem = a.universe[next(iter_bits(escaped))]
             return Witness(False, kind="value-not-contained", failing_parameter=w, elements=(elem,))
@@ -141,30 +142,34 @@ def soft_equal(a: SoftSet, b: SoftSet) -> bool:
     return is_soft_subset(a, b) and is_soft_subset(b, a)
 
 
-# the three operation shapes, each folding the members' masks with the
-# pointwise combiner operator.and_ (intersection) or operator.or_ (union);
-# folds of in-range masks stay in range, and a subset, dict-ordered union or
-# product of distinct parameter tuples stays distinct, so results are unchecked
+# the three operation shapes, each folding the members' masks in member order
+# with the pointwise combiner operator.and_ (intersection) or operator.or_
+# (union); folds of in-range masks stay in range, and a subset, dict-ordered
+# union or product of distinct parameter tuples stays distinct, so results are unchecked
 def _restricted(family: Sequence[SoftSet], combine) -> SoftSet:
-    fam = _family(family)
-    common = tuple(w for w in fam[0].parameters if all(m.has_param(w) for m in fam[1:]))
-    if not common:
+    first, *rest = _family(family)
+    folded = dict(zip(first.parameters, first.masks))  # the first member's parameter order
+    for m in rest:
+        values = dict(zip(m.parameters, m.masks))
+        folded = {w: combine(v, values[w]) for w, v in folded.items() if w in values}
+    if not folded:
         raise DomainError("restricted operation needs a nonempty parameter intersection")
-    masks = tuple(reduce(combine, [m.mask(w) for m in fam]) for w in common)
-    return SoftSet._unchecked(fam[0].universe, common, masks)
+    return SoftSet._unchecked(first.universe, tuple(folded), tuple(folded.values()))
 
 
 def _extended(family: Sequence[SoftSet], combine) -> SoftSet:
     fam = _family(family)
-    params = tuple(dict.fromkeys(w for m in fam for w in m.parameters))
-    masks = tuple(reduce(combine, [m.mask(w) for m in fam if m.has_param(w)]) for w in params)
-    return SoftSet._unchecked(fam[0].universe, params, masks)
+    folded = {}  # first-seen parameter order
+    for m in fam:
+        for w, v in zip(m.parameters, m.masks):
+            folded[w] = combine(folded[w], v) if w in folded else v
+    return SoftSet._unchecked(fam[0].universe, tuple(folded), tuple(folded.values()))
 
 
 def _tabular(family: Sequence[SoftSet], combine) -> SoftSet:
     fam = _family(family)
     params = tuple(iproduct(*[m.parameters for m in fam]))
-    masks = tuple(reduce(combine, [m.mask(y) for m, y in zip(fam, combo)]) for combo in params)
+    masks = tuple([reduce(combine, combo) for combo in iproduct(*[m.masks for m in fam])])
     return SoftSet._unchecked(fam[0].universe, params, masks)
 
 
@@ -217,12 +222,12 @@ def cartesian_product(family: Sequence[SoftSet]) -> SoftSet:
         raise InputError("family of soft sets must be nonempty")
     universe = tuple(iproduct(*[m.universe for m in fam]))
     params = tuple(iproduct(*[m.parameters for m in fam]))
+    widths = [len(m.universe) for m in fam]
     masks = []
-    for combo in params:
+    for combo in iproduct(*[m.masks for m in fam]):
         # row-major: point t of the product so far owns block t of the next one
         prev = 1
-        for m, y in zip(fam, combo):
-            mask, width = m.mask(y), len(m.universe)
+        for mask, width in zip(combo, widths):
             box = 0
             for t in iter_bits(prev):
                 box |= mask << t * width

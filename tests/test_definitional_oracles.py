@@ -17,6 +17,7 @@ from softgamma import (
     TernaryRelation,
     Witness,
     and_intersect,
+    and_intersect_family,
     cartesian_product,
     extended_intersect,
     extended_union,
@@ -25,6 +26,7 @@ from softgamma import (
     make_minmax_gamma,
     make_zn_gamma,
     or_union,
+    or_union_family,
     restricted_intersect,
     restricted_union,
     soft_set_from_relation,
@@ -93,6 +95,44 @@ def test_binary_operations_match_plain_set_semantics(ab):
         for w in a.parameters
         for y in b.parameters
     }
+
+
+@st.composite
+def unsorted_soft_sets(draw):
+    """A soft set over UNIVERSE whose parameters come in drawn order, not sorted."""
+    params = tuple(draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=len(POOL), unique=True)))
+    masks = tuple(draw(st.integers(min_value=0, max_value=2 ** len(UNIVERSE) - 1)) for _ in params)
+    return SoftSet(UNIVERSE, params, masks)
+
+
+@given(family=st.lists(unsorted_soft_sets(), min_size=1, max_size=3))
+def test_family_operations_keep_their_parameter_orders_and_fold_every_member(family):
+    values = [as_dict(m) for m in family]
+
+    # restricted: the first member's parameters that every member carries, in its order
+    common = tuple(w for w in family[0].parameters if all(w in v for v in values))
+    for operation, combine in ((restricted_intersect, set.intersection), (restricted_union, set.union)):
+        if not common:
+            with pytest.raises(DomainError):
+                operation(family)
+            continue
+        out = operation(family)
+        assert out.parameters == common
+        assert as_dict(out) == {w: combine(*[v[w] for v in values]) for w in common}
+
+    # extended: every parameter in first-seen order, folded over the members that carry it
+    seen = tuple(dict.fromkeys(w for m in family for w in m.parameters))
+    for operation, combine in ((extended_intersect, set.intersection), (extended_union, set.union)):
+        out = operation(family)
+        assert out.parameters == seen
+        assert as_dict(out) == {w: combine(*[v[w] for v in values if w in v]) for w in seen}
+
+    # tabular: one parameter per combination, in product order
+    combos = tuple(itertools.product(*[m.parameters for m in family]))
+    for operation, combine in ((and_intersect_family, set.intersection), (or_union_family, set.union)):
+        out = operation(family)
+        assert out.parameters == combos
+        assert as_dict(out) == {c: combine(*[v[y] for v, y in zip(values, c)]) for c in combos}
 
 
 @given(

@@ -199,9 +199,15 @@ class TestSpecReplace:
         assert type(sub(seed=1).replace(seed=2)) is sub
 
 
-# the templates the trial loop is checked on: the mix generator and one pinned
-# necessity family
-LOOP_TEMPLATES = {"mix": InstanceSpec(seed=9100), "zn8": Z8_TEMPLATE.replace(seed=9200)}
+# the templates the trial loop is checked on: the mix generator and the four
+# pinned necessity families
+LOOP_TEMPLATES = {
+    "mix": InstanceSpec(seed=9100),
+    "zn8": Z8_TEMPLATE.replace(seed=9200),
+    "zn6": InstanceSpec(generator="zn", size=(6,), gamma=(1,), seed=9300),
+    "minmax5": InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3), seed=9400),
+    "matrix": InstanceSpec(generator="matrix", size=(2, 1, 2), seed=9500),
+}
 
 
 class TestTrialLoop:
