@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Hashable, Iterable, Iterator, Mapping
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import ConstraintError, InputError, SizeLimitError
 from .reports import PASSED, AxiomReport, Record, Violation, Witness
@@ -296,6 +296,8 @@ class GammaSemiring(Record):
         return _label_mask(self.s._pos, labels, "element")
 
     def labels_of_mask(self, mask: int) -> tuple[Label, ...]:
+        if mask & ~self.full_mask:
+            raise InputError(f"mask {mask!r} is not a subset of the {self.size}-element carrier")
         return tuple(self.s.elements[i] for i in iter_bits(mask))
 
     @cached_property
@@ -384,6 +386,11 @@ class GammaSemiring(Record):
                 stack.append((i - 1, mask, out, grown))
             stack.append((i - 1, closed, out | bit, members))
         return tuple(found[1:])
+
+
+def _require_structure(gs) -> None:
+    if not isinstance(gs, GammaSemiring):
+        raise InputError(f"a structure must be of type GammaSemiring, got {type(gs).__name__}")
 
 
 def ternary_product(gs: GammaSemiring, a: Label, alpha: str, b: Label) -> Label:
@@ -549,11 +556,15 @@ def enumerate_sub_gamma_semirings(
 
     Refuses, with SizeLimitError, a structure with more than MAX_SUBALGEBRAS
     (4096) of them (see GammaSemiring.sub_masks), and a carrier above
-    max_carrier elements when that optional cap is given.
+    max_carrier elements when that optional cap is given; InputError when
+    gs is not a GammaSemiring.
     """
+    _require_structure(gs)
     if max_carrier is not None and gs.size > _count(max_carrier, "max_carrier"):
         raise SizeLimitError(f"carrier has {gs.size} elements, above the enumeration bound {max_carrier}")
-    return [gs.labels_of_mask(m) for m in gs.sub_masks]
+    # every mask of sub_masks lies on the carrier, so none pays labels_of_mask's check
+    label = gs.elements.__getitem__
+    return [tuple(map(label, iter_bits(m))) for m in gs.sub_masks]
 
 
 def _additivity_failure(f: bytes, sums: bytes, add_maps: list, keep: int = -1) -> int | None:
@@ -588,13 +599,19 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     inner sum has such a code.  So a carrier above MAX_SCAN_CARRIER
     elements, and in strict mode a gamma addition table with more than
     MAX_SCAN_CARRIER labels in and outside the gamma set, is refused with
-    SizeLimitError before any scan runs.
+    SizeLimitError before any scan runs, and a gs that is not a
+    GammaSemiring with InputError.
 
-    Each axiom is scanned at most once per structure: a scan reads only the
-    tables and the zero, never the mode, so gs keeps every witness it has
-    found (or None) and a later call, in either mode, runs only the scans
-    its axioms still lack.  The mode and bound checks run on every call.
+    The distributivity and product-associativity scans judge each distinct
+    map once per call: a map met again, at a later (a, alpha) or column,
+    reuses the first failure found for it, so every witness is the one a
+    scan of every map finds.  Each axiom is scanned at most once per
+    structure: a scan reads only the tables and the zero, never the mode,
+    so gs keeps every witness it has found (or None) and a later call, in
+    either mode, runs only the scans its axioms still lack.  The mode and
+    bound checks run on every call.
     """
+    _require_structure(gs)
     if mode not in ("weak", "strict"):
         raise InputError(f"mode must be 'weak' or 'strict', got {mode!r}")
     strict = mode == "strict"
@@ -621,6 +638,9 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     add_maps = [_translation(row) for row in add]
     # rows[a][g] is the map b -> a g b
     rows = [[bytes(row) for row in layer] for layer in prod]
+    # each scan judges a distinct map once per call; both sum scans judge
+    # additivity over the carrier's +, so they share one cache
+    additive = cache(lambda f: _additivity_failure(f, add_flat, add_maps))
 
     def zero_identity():
         row = add[gs.s.pos(gs.zero)]
@@ -636,7 +656,7 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         found = []
         for g in range(ng):
             for c, column in enumerate(zip(*(layer[g] for layer in rows))):
-                i = _additivity_failure(bytes(column), add_flat, add_maps)
+                i = additive(bytes(column))
                 if i is not None:
                     found.append((*divmod(i, n), g, c))
         if not found:
@@ -648,7 +668,7 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         # a alpha (b+c) == a alpha b + a alpha c: every row map is additive
         for a in range(n):
             for g in range(ng):
-                i = _additivity_failure(rows[a][g], add_flat, add_maps)
+                i = additive(rows[a][g])
                 if i is not None:
                     b, c = divmod(i, n)
                     return (elems[a], gamma[g], elems[b], elems[c])
@@ -659,10 +679,11 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         # gamma: every map gamma -> a gamma b is additive on those pairs; for
         # each a the witness is the least over every failing b
         keep = _inside(gflat, ng)
+        additive_on_gamma = cache(lambda f: _additivity_failure(f, gflat, add_maps, keep))
         for a in range(n):
             found = []
             for b, f in enumerate(zip(*rows[a])):
-                i = _additivity_failure(bytes(f), gflat, add_maps, keep)
+                i = additive_on_gamma(bytes(f))
                 if i is not None:
                     found.append((*divmod(i, ng), b))
             if found:
@@ -676,9 +697,10 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         # rows of b in turn
         blocks = [b"".join(layer) for layer in rows]
         whole = b"".join(blocks)
+        associative = cache(lambda f: _associativity_failure(f, whole, blocks))
         for a in range(n):
             for g in range(ng):
-                i = _associativity_failure(rows[a][g], whole, blocks)
+                i = associative(rows[a][g])
                 if i is not None:
                     return (elems[a], gamma[g], elems[i // (ng * n)], gamma[i // n % ng], elems[i % n])
         return None

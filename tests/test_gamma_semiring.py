@@ -542,14 +542,79 @@ def test_no_scan_depends_on_the_mode():
         assert (weak.violations, weak.passed) == (restricted, not restricted), (name, trial)
 
 
+def _shared_failing_maps():
+    """z4-full, whose every map b -> a·alpha·b depends on a alpha mod 4 only,
+    with 1·1·3 and 3·3·3 both changed from 3 to 1.  The failing row map
+    0, 1, 2, 1 then belongs to (1, 1) and (3, 3), and is also the column map
+    x -> x·alpha·3 at alpha = 1 and 3 and the map alpha -> a·alpha·3 at a = 1
+    and 3.  The gamma sum 1 + 1 is changed from 2 to 1, so the map
+    0, 1, 2, 3 holds over the carrier's + and fails over gamma +."""
+    base = make_zn_gamma(4, (0, 1, 2, 3), strict=True)
+    prod = [[list(row) for row in layer] for layer in base.product]
+    for a in (1, 3):
+        prod[a][a][3] = 1
+    gamma_add = [list(row) for row in base.gamma_add]
+    gamma_add[1][1] = "1"
+    return GammaSemiring(base.s, base.gamma_elements, gamma_add, prod, base.zero)
+
+
+def test_repeated_failing_maps_keep_their_witnesses():
+    gs = _shared_failing_maps()
+    E, G = gs.elements, gs.gamma_elements
+    prod = gs.product
+    expected = _reference_violations(gs, "strict")
+    found = dict(expected)
+    row_maps = [bytes(prod[a][g]) for a in range(len(E)) for g in range(len(G))]
+
+    def column(g, c):
+        return bytes(layer[g][c] for layer in prod)
+
+    def gamma_map(a, b):
+        return bytes(row[b] for row in prod[a])
+
+    # the row and column witnesses lie on maps that their scans meet more
+    # than once; the distributive-gamma witness lies on the map 0, 1, 2, 3,
+    # which the sum scans judge too, as a column map
+    a, g, _, _ = found["distributive-sum-right"]
+    assert row_maps.count(bytes(prod[E.index(a)][G.index(g)])) >= 2
+    _, _, g, c = found["distributive-sum-left"]
+    columns = [column(h, d) for h in range(len(G)) for d in range(len(E))]
+    assert columns.count(column(G.index(g), E.index(c))) >= 2
+    a, _, _, b = found["distributive-gamma"]
+    assert gamma_map(E.index(a), E.index(b)) == bytes(range(4)) in columns
+    a, g, *_ = found["product-associativity"]
+    assert row_maps.count(bytes(prod[E.index(a)][G.index(g)])) >= 2
+
+    report = check_gamma_semiring(gs, "strict")
+    assert [(v.axiom, v.witness) for v in report.violations] == expected
+    weak = check_gamma_semiring(_rebuilt(gs), "weak")
+    assert [(v.axiom, v.witness) for v in weak.violations] == _reference_violations(gs, "weak")
+
+
+def test_no_judgement_outlives_its_call():
+    # the same product maps over + mod 3, where they are additive, and over
+    # max, where b -> 2b mod 3 is not: each verdict is right in either order
+    passing = make_zn_gamma(3, (1, 2))
+    maximum = FiniteCommutativeSemigroup(passing.elements, [[max(i, j) for j in range(3)] for i in range(3)])
+    failing = GammaSemiring(maximum, passing.gamma_elements, None, passing.product, passing.zero)
+    assert not _reference_violations(passing, "weak") and _reference_violations(failing, "weak")
+    for order in ((passing, failing), (failing, passing)):
+        for gs in map(_rebuilt, order):
+            report = check_gamma_semiring(gs, "weak")
+            assert [(v.axiom, v.witness) for v in report.violations] == _reference_violations(gs, "weak")
+
+
 class TestEachScanRunsOnce:
-    # minmax 5 with gamma {1, 2, 3} passes strict: n = 5, |gamma| = 3, so a
-    # weak check makes 2 * 5 * 3 additivity calls (every column and row map)
-    # and 5 + 5 * 3 associativity calls (every row of + and every map
-    # b -> a alpha b), and the strict-only scans 5 * 5 more additivity calls
-    # (distributive-gamma) and 3 associativity calls (the rows of gamma +)
-    WEAK = {"commutativity": 1, "associativity": 20, "additivity": 30}
-    STRICT_ONLY = {"commutativity": 1, "associativity": 3, "additivity": 25}
+    # minmax 5 with gamma {1, 2, 3} passes strict, and a scan judges each
+    # distinct map once per call.  Every row map b -> min(a, alpha, b) and
+    # every column map a -> min(a, alpha, c) is x -> min(m, x) for some m in
+    # 0..3, so a weak check makes 4 additivity calls (the two sum scans
+    # share their judgements) and 5 + 4 associativity calls (every row of +,
+    # then the 4 distinct row maps).  The strict-only scans make 4 more
+    # additivity calls, one per map alpha -> min(a, alpha, b), which depends
+    # only on min(a, b, 3), and 3 associativity calls (every row of gamma +)
+    WEAK = {"commutativity": 1, "associativity": 9, "additivity": 4}
+    STRICT_ONLY = {"commutativity": 1, "associativity": 3, "additivity": 4}
     NONE = {"commutativity": 0, "associativity": 0, "additivity": 0}
 
     @pytest.fixture

@@ -1,8 +1,9 @@
-"""Input errors of the file readers, of the CLI's op arity checks and of
-check_theorem's instance fields, one malformed input each: every one is
-refused with its own message, a ParseError from the reader, exit 2 with the
-message on stderr from the CLI, and an InputError from check_theorem before
-any hypothesis is judged."""
+"""Input errors of the file readers, of the CLI's op arity checks, of
+check_theorem's instance fields and of the structure that the axiom scan and
+the enumeration take, one malformed input each: every one is refused with its
+own message, a ParseError from the reader, exit 2 with the message on stderr
+from the CLI, and an InputError from check_theorem before any hypothesis is
+judged and from the scan and the enumeration before any table is read."""
 
 import json
 import re
@@ -10,7 +11,18 @@ import sys
 
 import pytest
 
-from softgamma import InputError, Instance, ParseError, SoftSet, check_theorem, files, identity_hom, make_zn_gamma
+from softgamma import (
+    InputError,
+    Instance,
+    ParseError,
+    SoftSet,
+    check_gamma_semiring,
+    check_theorem,
+    enumerate_sub_gamma_semirings,
+    files,
+    identity_hom,
+    make_zn_gamma,
+)
 from softgamma.harness import ALL_THEOREMS
 from softgamma.cli import main
 
@@ -165,6 +177,14 @@ def _instance(**fields):
 def test_a_malformed_instance_field_is_an_input_error(law, fields, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         check_theorem(law, _instance(**fields))
+
+
+@pytest.mark.parametrize(
+    "judge", [check_gamma_semiring, enumerate_sub_gamma_semirings], ids=["check-gamma-semiring", "enumerate"]
+)
+def test_a_structure_that_is_not_a_gamma_semiring_is_an_input_error(judge):
+    with pytest.raises(InputError, match="^a structure must be of type GammaSemiring, got int$"):
+        judge(5)
 
 
 @pytest.mark.parametrize("law", ALL_THEOREMS)

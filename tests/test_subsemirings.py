@@ -294,6 +294,13 @@ class TestEnumeration:
         with pytest.raises(SizeLimitError, match="^more than 4096 sub gamma-semirings, the enumeration bound$"):
             enumerate_sub_gamma_semirings(gs, max_carrier=max_carrier)
 
+    @pytest.mark.parametrize("mask", [1 << 2, -1])
+    def test_labels_of_a_mask_off_the_carrier_is_an_input_error(self, mask):
+        gs = make_zn_gamma(2, (1,))
+        with pytest.raises(InputError, match="^mask -?[0-9]+ is not a subset of the 2-element carrier$"):
+            gs.labels_of_mask(mask)
+        assert [gs.labels_of_mask(m) for m in range(4)] == [(), ("0",), ("1",), ("0", "1")]
+
 
 class TestStructuralProperties:
     def test_pairwise_intersections_stay_closed(self, z8):
