@@ -78,25 +78,33 @@ def _count(value, what: str, minimum: int = 1) -> int:
     return value
 
 
-def _table(table, rows: int, cols: int, what: str, labels: bool = False) -> tuple[tuple, ...]:
+def _table(table, rows: int, cols: int, what: str, labels: bool = False, seen: dict | None = None) -> tuple[tuple, ...]:
     """table as a tuple of row tuples, after one check of its shape and entries.
 
     A table is a list or tuple of `rows` list-or-tuple rows of length `cols`,
     whose entries are positions in 0..cols-1 or, with labels, label strings.
-    Faults are raised row by row, shape before entries.
+    Faults are raised row by row, shape before entries.  Each distinct row
+    object is checked once: seen maps its id to the row and its checked
+    tuple, for this table or, when the caller passes one dict, for several
+    tables of one shape; holding the row keeps its id from being reused.
     """
     if not isinstance(table, (list, tuple)):
         raise InputError(f"{what} must be a table, got {type(table).__name__}")
     if len(table) != rows:
         raise InputError(f"{what} must have {rows} rows, got {len(table)}")
     valid = None if labels else frozenset(range(cols))
+    if seen is None:
+        seen = {}
     checked = []
     for row in table:
-        if not isinstance(row, (list, tuple)):
-            raise InputError(f"{what} row {row!r} must be a list")
-        if len(row) != cols:
-            raise InputError(f"{what} is ragged: row of length {len(row)}, expected {cols}")
-        checked.append(_entries(row, valid, what))
+        hit = seen.get(id(row))
+        if hit is None:
+            if not isinstance(row, (list, tuple)):
+                raise InputError(f"{what} row {row!r} must be a list")
+            if len(row) != cols:
+                raise InputError(f"{what} is ragged: row of length {len(row)}, expected {cols}")
+            hit = seen[id(row)] = (row, _entries(row, valid, what))
+        checked.append(hit[1])
     return tuple(checked)
 
 
@@ -261,7 +269,9 @@ class GammaSemiring(Record):
             raise InputError(f"product table must be a table, got {type(product).__name__}")
         if len(product) != n:
             raise InputError(f"product table must have {n} outer rows, got {len(product)}")
-        layers = tuple(_table(layer, ng, n, "product table layer") for layer in product)
+        # generators share one row object among the (a, alpha) with equal rows
+        seen = {}
+        layers = tuple(_table(layer, ng, n, "product table layer", seen=seen) for layer in product)
 
         if gamma_add is not None:
             gamma_add = _table(gamma_add, ng, ng, "gamma addition table", labels=True)
@@ -296,7 +306,8 @@ class GammaSemiring(Record):
         return _label_mask(self.s._pos, labels, "element")
 
     def labels_of_mask(self, mask: int) -> tuple[Label, ...]:
-        if mask & ~self.full_mask:
+        # exactly int, as SoftSet's masks are: a bool is no mask
+        if type(mask) is not int or mask & ~self.full_mask:
             raise InputError(f"mask {mask!r} is not a subset of the {self.size}-element carrier")
         return tuple(self.s.elements[i] for i in iter_bits(mask))
 
@@ -408,10 +419,11 @@ def sub_gamma_witness_mask(gs: GammaSemiring, mask: int, arity: int | None = Non
     mask only, one witness scan in the report order, additive pairs first,
     then product triples (i, alpha, j), both lexicographic by position, so
     witnesses are deterministic.  The verdict is memoized on gs per mask, or
-    per (k, mask) for a product.
+    per (k, mask) for a product.  A mask that is not an exact int (a bool
+    included) or not a subset of the carrier is an InputError.
     """
     full = gs.full_mask if arity is None else (1 << _product_size(gs, arity)) - 1
-    if mask & ~full:
+    if type(mask) is not int or mask & ~full:
         raise InputError(f"mask {mask!r} is not a subset of the {full.bit_length()}-element carrier")
     key = mask if arity is None else (arity, mask)
     memo = gs._closed_memo
@@ -562,9 +574,22 @@ def enumerate_sub_gamma_semirings(
     _require_structure(gs)
     if max_carrier is not None and gs.size > _count(max_carrier, "max_carrier"):
         raise SizeLimitError(f"carrier has {gs.size} elements, above the enumeration bound {max_carrier}")
-    # every mask of sub_masks lies on the carrier, so none pays labels_of_mask's check
-    label = gs.elements.__getitem__
-    return [tuple(map(label, iter_bits(m))) for m in gs.sub_masks]
+    # every mask of sub_masks lies on the carrier, so none pays labels_of_mask's
+    # check; a mask is read byte by byte, and the labels of each (offset, byte)
+    # are listed once per call
+    elems = gs.elements
+    parts = [(k, [None] * 256) for k in range(0, gs.size, 8)]
+    out = []
+    for m in gs.sub_masks:
+        labels = ()
+        for k, memo in parts:
+            byte = m >> k & 255
+            part = memo[byte]
+            if part is None:
+                part = memo[byte] = tuple(elems[k + i] for i in iter_bits(byte))
+            labels += part
+        out.append(labels)
+    return out
 
 
 def _additivity_failure(f: bytes, sums: bytes, add_maps: list, keep: int = -1) -> int | None:
@@ -636,8 +661,21 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     n = len(elems)
     add_flat = b"".join(map(bytes, add))
     add_maps = [_translation(row) for row in add]
-    # rows[a][g] is the map b -> a g b
-    rows = [[bytes(row) for row in layer] for layer in prod]
+    # rows[a][g] is the map b -> a g b, converted once per distinct row
+    # object (generators share one among the (a, g) with equal rows);
+    # blocks[a] holds the rows of a in turn, and whole every block
+    as_bytes = {}
+    rows = []
+    for layer in prod:
+        maps = []
+        for row in layer:
+            f = as_bytes.get(id(row))
+            if f is None:
+                f = as_bytes[id(row)] = bytes(row)
+            maps.append(f)
+        rows.append(maps)
+    blocks = [b"".join(layer) for layer in rows]
+    whole = b"".join(blocks)
     # each scan judges a distinct map once per call; both sum scans judge
     # additivity over the carrier's +, so they share one cache
     additive = cache(lambda f: _additivity_failure(f, add_flat, add_maps))
@@ -655,8 +693,9 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         # is additive; the witness is the least over every failing column
         found = []
         for g in range(ng):
-            for c, column in enumerate(zip(*(layer[g] for layer in rows))):
-                i = additive(bytes(column))
+            for c in range(n):
+                # the map a -> a alpha c is every (ng * n)-th byte of whole
+                i = additive(whole[g * n + c :: ng * n])
                 if i is not None:
                     found.append((*divmod(i, n), g, c))
         if not found:
@@ -682,8 +721,9 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         additive_on_gamma = cache(lambda f: _additivity_failure(f, gflat, add_maps, keep))
         for a in range(n):
             found = []
-            for b, f in enumerate(zip(*rows[a])):
-                i = additive_on_gamma(bytes(f))
+            for b in range(n):
+                # the map alpha -> a alpha b is every n-th byte of blocks[a]
+                i = additive_on_gamma(blocks[a][b::n])
                 if i is not None:
                     found.append((*divmod(i, ng), b))
             if found:
@@ -695,8 +735,6 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
         # a alpha (b beta c) == (a alpha b) beta c: the row of (a, alpha)
         # commutes with (b, (beta, c)) -> b beta c, whose blocks[b] holds the
         # rows of b in turn
-        blocks = [b"".join(layer) for layer in rows]
-        whole = b"".join(blocks)
         associative = cache(lambda f: _associativity_failure(f, whole, blocks))
         for a in range(n):
             for g in range(ng):

@@ -21,12 +21,16 @@ def _integer_gamma(kind: str, n: int, gamma: tuple[int, ...], with_gamma_add: bo
     exceed n - 1; with_gamma_add attaches their sums as a label table."""
     if kind == "zn":
         add = lambda a, b: (a + b) % n
-        mul = lambda a, g, b: a * g * b % n
+        mul = lambda a, b: a * b % n
     else:
         add, mul = max, min
     elements = tuple(str(i) for i in range(n))
     add_table = tuple(tuple(add(i, j) for j in range(n)) for i in range(n))
-    product = tuple(tuple(tuple(mul(i, g, j) for j in range(n)) for g in gamma) for i in range(n))
+    # a·alpha·b is mul(mul(a, alpha), b), so the row b -> a·alpha·b is the
+    # row of mul(a, alpha) < n in mul's table, one tuple shared by every
+    # (a, alpha) with that value
+    rows = tuple(tuple(mul(k, j) for j in range(n)) for k in range(n))
+    product = tuple(tuple(rows[mul(i, g)] for g in gamma) for i in range(n))
     gamma_add = tuple(tuple(str(add(g, h)) for h in gamma) for g in gamma) if with_gamma_add else None
     return GammaSemiring(
         FiniteCommutativeSemigroup(elements, add_table),

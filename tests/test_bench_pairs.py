@@ -1,0 +1,62 @@
+"""The summary math of tools/bench_pairs.py on canned runs: medians,
+quartiles, the parent's IQR, the pairs won and the gain rule."""
+
+import importlib.util
+import statistics
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+BETTER = {"wall_s": "lower", "throughput_per_s": "higher"}
+
+
+def _runs(seed, parent, change, name="wall_s", unit="s"):
+    return [
+        {"pair": pair, "seed": seed, "side": side, "result": {"metrics": {name: {"unit": unit, "value": value}}}}
+        for pair, values in enumerate(zip(parent, change))
+        for side, value in zip(("parent", "change"), values)
+    ]
+
+
+PARENT = [0.034, 0.033, 0.035, 0.036, 0.034, 0.033, 0.037, 0.034, 0.035, 0.034]
+CHANGE = [0.028, 0.027, 0.029, 0.028, 0.034, 0.027, 0.028, 0.029, 0.028, 0.027]
+
+
+def test_medians_quartiles_iqr_and_wins():
+    row = bench_pairs.summarize(_runs(1001, PARENT, CHANGE), BETTER)["1001"]["wall_s"]
+    # pair 4 is a tie, won by neither side
+    assert row["change_wins"] == 9
+    assert row["pairs"] == 10
+    assert (row["better"], row["unit"]) == ("lower", "s")
+    assert row["parent_median"] == 0.034 and row["change_median"] == 0.028
+    q1, _, q3 = statistics.quantiles(PARENT, n=4)
+    assert (row["parent_q1"], row["parent_q3"]) == (round(q1, 6), round(q3, 6))
+    assert row["parent_iqr"] == round(round(q3, 6) - round(q1, 6), 6) == 0.0015
+    assert bench_pairs.gain_shown(row)
+
+
+def test_higher_is_better_counts_the_other_way():
+    up = [v * 1000 for v in PARENT]
+    row = bench_pairs.summarize(_runs(7, up, [v + 1 for v in up], "throughput_per_s", "1/s"), BETTER)["7"]
+    assert row["throughput_per_s"]["change_wins"] == 10
+    # every pair won, but by 1/s, well inside the parent's IQR of 1.5/s
+    assert not bench_pairs.gain_shown(row["throughput_per_s"])
+
+
+@pytest.mark.parametrize("wins,shown", [(9, True), (8, False)])
+def test_a_gain_needs_nine_tenths_of_the_pairs(wins, shown):
+    change = [p - 0.005 if i < wins else p + 0.001 for i, p in enumerate(PARENT)]
+    row = bench_pairs.summarize(_runs(1, PARENT, change), BETTER)["1"]["wall_s"]
+    assert row["change_wins"] == wins
+    assert bench_pairs.gain_shown(row) is shown
+
+
+def test_seeds_are_summarized_apart():
+    summary = bench_pairs.summarize(_runs(1001, PARENT, CHANGE) + _runs(2718, CHANGE, PARENT), BETTER)
+    assert sorted(summary) == ["1001", "2718"]
+    assert summary["2718"]["wall_s"]["change_wins"] == 0

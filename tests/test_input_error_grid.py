@@ -3,7 +3,9 @@ check_theorem's instance fields and of the structure that the axiom scan and
 the enumeration take, one malformed input each: every one is refused with its
 own message, a ParseError from the reader, exit 2 with the message on stderr
 from the CLI, and an InputError from check_theorem before any hypothesis is
-judged and from the scan and the enumeration before any table is read."""
+judged and from the scan and the enumeration before any table is read; a
+mask that is not an exact int is an InputError from the closure judge and
+from labels_of_mask."""
 
 import json
 import re
@@ -23,6 +25,7 @@ from softgamma import (
     identity_hom,
     make_zn_gamma,
 )
+from softgamma.algebra import sub_gamma_witness_mask
 from softgamma.harness import ALL_THEOREMS
 from softgamma.cli import main
 
@@ -191,3 +194,19 @@ def test_a_structure_that_is_not_a_gamma_semiring_is_an_input_error(judge):
 def test_an_instance_without_members_is_refused_by_every_law(law):
     with pytest.raises(InputError, match=f"^{re.escape(law)} reads a member, and the instance has none$"):
         check_theorem(law, _instance(soft_sets=[]))
+
+
+@pytest.mark.parametrize("mask", [1.0, "1", None, True], ids=["float", "str", "none", "bool"])
+@pytest.mark.parametrize(
+    "judge,size",
+    [
+        (Z4.labels_of_mask, 4),
+        (lambda mask: sub_gamma_witness_mask(Z4, mask), 4),
+        (lambda mask: sub_gamma_witness_mask(Z4, mask, 2), 16),
+    ],
+    ids=["labels-of-mask", "witness-mask", "product-witness-mask"],
+)
+def test_a_mask_that_is_not_an_int_is_an_input_error(judge, size, mask):
+    # a bool is no mask, as in SoftSet
+    with pytest.raises(InputError, match=f"^mask {re.escape(repr(mask))} is not a subset of the {size}-element carrier$"):
+        judge(mask)

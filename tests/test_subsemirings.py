@@ -335,3 +335,23 @@ class TestStructuralProperties:
                         )
                         broken = not check_gamma_semiring(mutant, "strict").passed
                         assert broken or enumerate_sub_gamma_semirings(mutant) != baseline
+
+
+@pytest.mark.parametrize(
+    "gs",
+    [
+        make_zn_gamma(9, (3,)),
+        make_zn_gamma(17, (1, 2)),
+        make_zn_gamma(25, (5, 10)),
+        make_matrix_gamma(3, 1, 3),
+        make_minmax_gamma(9, (0,)),
+        make_minmax_gamma(12, (1, 9)),
+    ],
+    ids=["z9", "z17", "z25", "matrix313", "minmax9", "minmax12"],
+)
+def test_labels_listed_across_byte_boundaries_match_their_masks(gs):
+    # the enumeration reads each mask a byte at a time; these carriers have 9 to 27 elements
+    listed = enumerate_sub_gamma_semirings(gs)
+    assert len(listed) == len(gs.sub_masks) > 1
+    for labels, m in zip(listed, gs.sub_masks):
+        assert labels == gs.labels_of_mask(m) == tuple(e for i, e in enumerate(gs.elements) if m >> i & 1)
