@@ -269,7 +269,8 @@ class GammaSemiring(Record):
             raise InputError(f"product table must be a table, got {type(product).__name__}")
         if len(product) != n:
             raise InputError(f"product table must have {n} outer rows, got {len(product)}")
-        # generators share one row object among the (a, alpha) with equal rows
+        # one dict for every layer: the generators share one row object among
+        # all (a, alpha) with equal rows, across layers
         seen = {}
         layers = tuple(_table(layer, ng, n, "product table layer", seen=seen) for layer in product)
 

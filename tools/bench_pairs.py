@@ -3,8 +3,8 @@ BENCH_<workload>.json at the repository root.
 
     python3 tools/bench_pairs.py PARENT_REV --workload structures --seeds 1001 2718 --pairs 10
 
-Each side runs from its own `git archive` checkout of its revision (the
-change defaults to HEAD), so only files git tracks take part.  For every
+The change is HEAD.  Each side runs from its own `git archive` checkout of
+its revision, so only files git tracks take part.  For every
 pair and seed both sides run `perfbench/run.py` once, the parent first on
 even pairs and the change first on odd ones.  The first seed is taken as the
 one the change was sized on, the others as held out.  Per seed and metric
@@ -96,7 +96,6 @@ def host() -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
     parser.add_argument("parent", help="the parent revision")
-    parser.add_argument("--change", default="HEAD", help="the change's revision (default HEAD)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True, help="the first is the seed the change was sized on")
     parser.add_argument("--pairs", type=int, default=10)
@@ -105,12 +104,12 @@ def main(argv: list[str] | None = None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
-    subject = subprocess.run(["git", "log", "-1", "--format=%s", args.change], cwd=ROOT, check=True,
+    subject = subprocess.run(["git", "log", "-1", "--format=%s", "HEAD"], cwd=ROOT, check=True,
                              capture_output=True, text=True).stdout.strip()
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
-        revs = {side: checkout(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
+        revs = {side: checkout(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, "HEAD"))}
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for seed in args.seeds:
