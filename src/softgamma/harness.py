@@ -32,28 +32,36 @@ stay evaluable) and stop confining members to the enclosing soft set
 (nested "free" for "confined"); the conclusion is then evaluated honestly,
 which demonstrates that a hypothesis is necessary.
 
-Randomness comes from random.Random (MT19937) seeded per trial with
-template.seed + trial_index.  generate_instance is _check_spec, which
-validates a spec without drawing, then _draw_instance, which holds the draw
-order that is part of the determinism contract: descriptor (family, n, gamma
-set; see _draw_descriptor), chain order (chain policies only), outer
-parameters and values, then per member its parameters and values, then the
-auxiliary target-side member.  fuzz_theorem checks its template and its
-spec once and calls _draw_instance per trial.  Every bounded
-integer (a choice, a size, a sample index, a shuffle swap) is drawn by
-_below straight from getrandbits, so the draw order rests only on seeding
-and the MT19937 output words, not on the random.Random sample, choice,
-shuffle and randint algorithms, which the random docs do not promise to
-keep across versions.  _below reads the words those methods read in
-CPython 3.10 and 3.11; tests/test_draws.py holds the stdlib draws as the
-oracle.
+Randomness is the MT19937 output words of random.Random(template.seed +
+trial_index), read in order from _stream, one stream per trial.
+generate_instance is _check_spec, which validates a spec without drawing,
+then _draw_instance, which holds the draw order that is part of the
+determinism contract: descriptor (family, n, gamma set; see
+_draw_descriptor), chain order (chain policies only), outer parameters and
+values, then per member its parameters and values, then the auxiliary
+target-side member.  fuzz_theorem checks its template and its spec once and
+calls _draw_instance per trial.  Every draw reads the stream's words as the
+random.Random method it stands for reads them: _bits as getrandbits, the
+empty-value test as random() < _EMPTY_RATE, and every bounded integer (a
+choice, a size, a sample index, a shuffle swap) _below as the
+_randbelow_with_getrandbits of CPython 3.10 and 3.11, which the sample,
+choice, shuffle and randint algorithms call; those algorithms are not read,
+since the random docs do not promise to keep them across versions.
+tests/test_draws.py holds the stdlib draws as the oracle.  The laws of a
+run reuse the same trial seeds, so _head keeps the first _HEAD words of the
+last _SEEDS seeds: a seed's MT19937 state is built once per run, not once
+per law, and the words read are the same.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections.abc import Callable
+import sys
+from array import array
+from collections.abc import Callable, Iterator
 from functools import lru_cache
+from math import ceil
 
 from . import files
 from .algebra import (
@@ -190,27 +198,84 @@ _POLICIES = {
 _PARAMETER_POOL = ("a", "b", "c", "d")
 _MAX_PARAMETERS = 3
 _EMPTY_RATE = 0.2
+# random() is ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53 for its two words w1, w2,
+# so random() < _EMPTY_RATE holds exactly when that integer is below _EMPTY_BOUND
+_EMPTY_BOUND = ceil(_EMPTY_RATE * 2**53)
 
 # entries kept by each of the structure and homomorphism caches; a 200-trial
 # pass over every law on the mix generator needs under 100 structures
 _CACHE_SIZE = 256
 
+# _head keeps the first _HEAD words of each of the last _SEEDS trial seeds: a
+# trial reads fewer than _HEAD words as a rule, and a 1000-trial run's seeds fit
+_HEAD = 64
+_SEEDS = 1024
 
-def _below(getrandbits, n: int) -> int:
+
+@lru_cache(maxsize=_SEEDS)
+def _head(seed: int) -> array:
+    """The first _HEAD words of random.Random(seed) as 32-bit unsigned array
+    entries, from one getrandbits, whose int holds word i at bits 32*i ..
+    32*i + 31.  Each call seeds a generator of its own, so no two threads
+    share a generator's state."""
+    words = array("I", random.Random(seed).getrandbits(32 * _HEAD).to_bytes(4 * _HEAD, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _tail(seed: int) -> Iterator[int]:
+    """The words of random.Random(seed) after its first _HEAD.  The body,
+    which seeds a generator of its own, runs only when a trial reads past
+    the head."""
+    rng = random.Random(seed)
+    rng.getrandbits(32 * _HEAD)
+    bits = rng.getrandbits
+    while True:
+        yield bits(32)
+
+
+def _stream(seed: int) -> Iterator[int]:
+    """The MT19937 output words of random.Random(seed) in order: what its
+    getrandbits(32) returns call after call."""
+    return itertools.chain(_head(seed), _tail(seed))
+
+
+def _bits(word: Callable[[], int], k: int) -> int:
+    """getrandbits(k) read from the words that word() returns: 0 for k = 0,
+    which reads none, else ceil(k / 32) words, the first the least
+    significant, the last cut to its top k - 32 * (words - 1) bits."""
+    if k <= 32:
+        return word() >> (32 - k) if k else 0
+    r = shift = 0
+    while k > 32:
+        r |= word() << shift
+        shift += 32
+        k -= 32
+    return r | word() >> (32 - k) << shift
+
+
+def _below(word: Callable[[], int], n: int) -> int:
     """A uniform integer in 0..n-1, for n >= 1 only (n = 0 never ends):
-    getrandbits(n.bit_length()) redrawn until it is below n, the words that
+    _bits(word, n.bit_length()) redrawn until it is below n, the words that
     random.Random's bounded draws read (CPython's _randbelow_with_getrandbits)."""
     k = n.bit_length()
-    r = getrandbits(k)
+    if k > 32:
+        r = _bits(word, k)
+        while r >= n:
+            r = _bits(word, k)
+        return r
+    shift = 32 - k
+    r = word() >> shift
     while r >= n:
-        r = getrandbits(k)
+        r = word() >> shift
     return r
 
 
-def _random_gamma(rng: random.Random, n: int) -> tuple[int, ...]:
-    bits = rng.getrandbits(n)
+def _random_gamma(word: Callable[[], int], n: int) -> tuple[int, ...]:
+    bits = _bits(word, n)
     if bits == 0:
-        bits = 1 << _below(rng.getrandbits, n)
+        bits = 1 << _below(word, n)
     return tuple([i for i in range(n) if bits >> i & 1])
 
 
@@ -276,13 +341,13 @@ def _check_spec(spec: InstanceSpec) -> tuple:
     return pinned
 
 
-def _draw_descriptor(pinned: tuple, rng: random.Random) -> tuple:
+def _draw_descriptor(pinned: tuple, word: Callable[[], int]) -> tuple:
     """The structure descriptor: pinned (from _check_spec) completed by the
     draws of the family (mix), n and the gamma set, in that order."""
     kind = pinned[0]
     if kind == "mix":
         kinds = ("zn", "minmax", "matrix")
-        kind = kinds[_below(rng.getrandbits, len(kinds))]
+        kind = kinds[_below(word, len(kinds))]
         if kind == "matrix":
             return _MATRIX_DEFAULT
         pinned = (kind, None, ())
@@ -291,8 +356,8 @@ def _draw_descriptor(pinned: tuple, rng: random.Random) -> tuple:
     n, gamma = pinned[1], pinned[2]
     if n is None:
         sizes = (4, 6, 8) if kind == "zn" else (3, 4, 5)
-        n = sizes[_below(rng.getrandbits, len(sizes))]
-    return (kind, n, gamma or _random_gamma(rng, n))
+        n = sizes[_below(word, len(sizes))]
+    return (kind, n, gamma or _random_gamma(word, n))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -329,12 +394,11 @@ def canonical_hom(descriptor: tuple) -> GammaHom:
     return gamma_hom(source, target, {str(i): str(j) for i, j in enumerate(images)})
 
 
-def _draw_chain(rng: random.Random, subs: tuple[int, ...]) -> list[int]:
+def _draw_chain(word: Callable[[], int], subs: tuple[int, ...]) -> list[int]:
     # random.shuffle's Fisher-Yates swaps
     order = list(subs)
-    bits = rng.getrandbits
     for i in reversed(range(1, len(order))):
-        j = _below(bits, i + 1)
+        j = _below(word, i + 1)
         order[i], order[j] = order[j], order[i]
     chain: list[int] = []
     for m in order:
@@ -343,30 +407,43 @@ def _draw_chain(rng: random.Random, subs: tuple[int, ...]) -> list[int]:
     return chain
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _parameter_sets(pool: tuple, anchored: bool) -> dict[tuple[int, ...], tuple]:
+    """Every parameter set _draw_parameters gives from pool, keyed by its
+    swap draws.  Those are the draws of random.sample's pool-swap loop on
+    range(n), its path for populations of at most 21 (the pools hold at most
+    four): swap draw j of step i takes left[j], where left[:n-i] holds the
+    indices not yet drawn.  Anchored puts index 0 in place of the first index
+    drawn when it is missing; the indices are then sorted."""
+    n = len(pool)
+    table = {}
+    for size in range(1, n + 1):
+        for swaps in itertools.product(*[range(n - i) for i in range(size)]):
+            left = list(range(n))
+            idxs = []
+            for i, j in enumerate(swaps):
+                idxs.append(left[j])
+                left[j] = left[n - i - 1]
+            if anchored and 0 not in idxs:
+                idxs[0] = 0
+            table[swaps] = tuple([pool[i] for i in sorted(idxs)])
+    return table
+
+
 def _draw_parameters(
-    rng: random.Random,
+    word: Callable[[], int],
     pool: tuple,
     max_size: int,
     anchored: bool,
 ) -> tuple:
-    bits = rng.getrandbits
     n = len(pool)
-    size = 1 + _below(bits, max(1, min(max_size, n)))
+    size = 1 + _below(word, max(1, min(max_size, n)))
     if size > n:
         raise GenerationError("cannot draw parameters from an empty pool")
-    # random.sample's pool-swap loop on range(n), its path for populations of
-    # at most 21 (the pools hold at most four); left[:n-i] holds the indices
-    # not yet drawn
-    left = list(range(n))
-    idxs = []
+    swaps = ()
     for i in range(size):
-        j = _below(bits, n - i)
-        idxs.append(left[j])
-        left[j] = left[n - i - 1]
-    if anchored and 0 not in idxs:
-        idxs[0] = 0
-    idxs.sort()
-    return tuple([pool[i] for i in idxs])
+        swaps += (_below(word, n - i),)
+    return _parameter_sets(pool, anchored)[swaps]
 
 
 def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
@@ -384,31 +461,31 @@ def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
     return None
 
 
-def _draw_value(rng: random.Random, spec: InstanceSpec, side: GammaSemiring, candidates) -> int:
+def _draw_value(word: Callable[[], int], spec: InstanceSpec, side: GammaSemiring, candidates) -> int:
     """A drawn value over side: empty with probability _EMPTY_RATE, else an
     arbitrary subset under the "arbitrary" policy, else one of candidates
     (empty when there are none)."""
-    if rng.random() < _EMPTY_RATE:
+    if (word() >> 5 << 26) + (word() >> 6) < _EMPTY_BOUND:  # random() < _EMPTY_RATE
         return 0
     if spec.value_policy == "arbitrary":
-        return rng.getrandbits(side.size)
-    return candidates[_below(rng.getrandbits, len(candidates))] if candidates else 0
+        return _bits(word, side.size)
+    return candidates[_below(word, len(candidates))] if candidates else 0
 
 
 def generate_instance(spec: InstanceSpec) -> Instance:
     """Build the seed-determined instance for a spec.  Identical specs give
     identical instances."""
-    return _draw_instance(spec, _check_spec(spec), random.Random(spec.seed))
+    return _draw_instance(spec, _check_spec(spec), _stream(spec.seed).__next__)
 
 
-def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Instance:
+def _draw_instance(spec: InstanceSpec, pinned: tuple, word: Callable[[], int]) -> Instance:
     """The instance of a spec that passed _check_spec, which returned pinned,
-    from rng seeded with spec.seed.  Every random draw of an instance is made
-    here, in the order the determinism contract fixes.  The soft sets are
-    built unchecked: their universe is a structure's carrier, their
-    parameters distinct labels of the pool, and every value a subset mask of
-    that carrier."""
-    descriptor = _draw_descriptor(pinned, rng)
+    drawn from word, which returns the next word of _stream(spec.seed).
+    Every random draw of an instance is made here, in the order the
+    determinism contract fixes.  The soft sets are built unchecked: their
+    universe is a structure's carrier, their parameters distinct labels of
+    the pool, and every value a subset mask of that carrier."""
+    descriptor = _draw_descriptor(pinned, word)
     gs = base_structure(descriptor)
     policy, chain, nested, anchored = spec.value_policy, spec.chain, spec.nested, spec.anchored
     hom = None
@@ -423,45 +500,43 @@ def _draw_instance(spec: InstanceSpec, pinned: tuple, rng: random.Random) -> Ins
     picked = policy != "arbitrary"
     subs = side.sub_masks if chain or picked and forced is None else ()
     # the full carrier is closed and a chain keeps the first mask drawn, so a chain is never empty
-    chain_pool = _draw_chain(rng, subs) if chain else None
+    chain_pool = _draw_chain(word, subs) if chain else None
     value_candidates = chain_pool if chain else subs
     outer_candidates = chain_pool if chain == "members-and-outer" else subs
 
     outer = None
     if nested:
-        oparams = _draw_parameters(rng, _PARAMETER_POOL, len(_PARAMETER_POOL), anchored)
-        omasks = tuple([_draw_value(rng, spec, side, outer_candidates) if forced is None else forced for _ in oparams])
+        oparams = _draw_parameters(word, _PARAMETER_POOL, len(_PARAMETER_POOL), anchored)
+        omasks = tuple([_draw_value(word, spec, side, outer_candidates) if forced is None else forced for _ in oparams])
         outer = SoftSet._unchecked(side.elements, oparams, omasks)
 
-    k = spec.family_size if spec.family_size is not None else 1 + _below(rng.getrandbits, 3)
+    k = spec.family_size if spec.family_size is not None else 1 + _below(word, 3)
     members: list[SoftSet] = []
     params: tuple | None = None
     # a confined member's value at w is a candidate inside the outer's value at w
     confined = dict(zip(oparams, omasks)) if nested == "confined" and policy == "subsemirings" else None
     for index in range(k):
-        if nested:
-            pool = oparams
-        elif spec.disjoint:
-            pool = tuple([f"{name}{index}" for name in _PARAMETER_POOL])
-        else:
-            pool = _PARAMETER_POOL
         if params is None or not spec.same_parameters:
-            params = _draw_parameters(rng, pool, _MAX_PARAMETERS, anchored)
+            params = _draw_parameters(word, oparams if nested else _PARAMETER_POOL, _MAX_PARAMETERS, anchored)
+            if spec.disjoint and not nested:
+                # member index draws from the pool a<index>..d<index>: the same
+                # draw from _PARAMETER_POOL, each name suffixed with the index
+                params = tuple([f"{name}{index}" for name in params])
         if forced is not None:
             masks = (forced,) * len(params)
         elif confined is None:
-            masks = tuple([_draw_value(rng, spec, side, value_candidates) for _ in params])
+            masks = tuple([_draw_value(word, spec, side, value_candidates) for _ in params])
         else:
             masks = tuple([
-                _draw_value(rng, spec, side, [m for m in value_candidates if m & ~confined[w] == 0]) for w in params
+                _draw_value(word, spec, side, [m for m in value_candidates if m & ~confined[w] == 0]) for w in params
             ])
         members.append(SoftSet._unchecked(side.elements, params, masks))
 
     aux_target = None
     if hom is not None and not spec.target_side:
         target = hom.target
-        params = _draw_parameters(rng, _PARAMETER_POOL, _MAX_PARAMETERS, anchored)
-        masks = tuple([_draw_value(rng, spec, target, target.sub_masks if picked else ()) for _ in params])
+        params = _draw_parameters(word, _PARAMETER_POOL, _MAX_PARAMETERS, anchored)
+        masks = tuple([_draw_value(word, spec, target, target.sub_masks if picked else ()) for _ in params])
         aux_target = SoftSet._unchecked(target.elements, params, masks)
 
     return Instance(gs, members, outer, hom, aux_target, descriptor, spec)
@@ -896,7 +971,8 @@ def fuzz_theorem(
 
     The template and the law's spec are checked once, before trial 0, so a
     malformed field is refused even where the law's spec replaces it; per
-    trial one random.Random is reseeded and only the draws are made.  Trial
+    trial only the draws are made, from the trial seed's _stream, which
+    builds no MT19937 state for a seed whose first words _head keeps.  Trial
     t evaluates exactly generate_instance(base.replace(seed=template.seed + t)).
     """
     _count(trials, "trials")
@@ -909,13 +985,11 @@ def fuzz_theorem(
     # the law's spec never touches the seed, so it is applied and checked once
     base = law.spec(template, drop_hypothesis)
     pinned = _check_spec(base)
-    rng = random.Random()
-    reseed, replace, draw, evaluate, first = rng.seed, base.replace, _draw_instance, law.evaluate, template.seed
+    stream, replace, draw, evaluate, first = _stream, base.replace, _draw_instance, law.evaluate, template.seed
 
     def outcomes():
         for t in range(trials):
-            reseed(first + t)  # the state random.Random(first + t) starts in
             spec = replace(seed=first + t)
-            yield t, spec, evaluate(draw(spec, pinned, rng))
+            yield t, spec, evaluate(draw(spec, pinned, stream(first + t).__next__))
 
     return _verdict(theorem_id, outcomes())

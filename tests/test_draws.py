@@ -1,39 +1,52 @@
 """The harness draws read the same MT19937 words as the stdlib draws they replace.
 
 Each oracle below is the random.Random method code the harness used before
-its bounded draws went through harness._below.  Per seed 0..1999, one
-generator makes a drawer's new draws for every case in turn and a second
-random.Random(seed) the oracle's; each draw must return what the oracle
-returns, and the two generators must end in the same state, so both read
-the same words.
+its draws went through harness._stream.  Per seed 0..1999, a drawer reads
+the words of harness._stream(seed) for every case in turn and a
+random.Random(seed) makes the oracle's draws; each draw must return what the
+oracle returns, and the next two words of the stream must be the oracle's
+next two getrandbits(32), so both sides read the same words.  The stream
+itself is checked against random.Random(seed), across the end of its
+memoized head, on a memo miss and on a hit.
 """
 
+import math
 import random
 
 import pytest
 
 from softgamma import GenerationError
 from softgamma.harness import (
+    _EMPTY_BOUND,
+    _EMPTY_RATE,
+    _HEAD,
+    _SEEDS,
     InstanceSpec,
     _below,
+    _bits,
     _draw_chain,
     _draw_descriptor,
     _draw_parameters,
     _draw_value,
+    _head,
+    _parameter_sets,
     _random_gamma,
+    _stream,
     base_structure,
+    fuzz_theorem,
 )
 
 SEEDS = range(2000)
 
 
 def _agree(cases, draw, oracle, seeds=SEEDS):
-    """draw(rng, case) == oracle(ref, case) for every case in turn, per seed."""
+    """draw(word, case) == oracle(ref, case) for every case in turn, per
+    seed, word reading the seed's stream; then both read the same next words."""
     for seed in seeds:
-        rng, ref = random.Random(seed), random.Random(seed)
+        word, ref = _stream(seed).__next__, random.Random(seed)
         for case in cases:
-            assert draw(rng, case) == oracle(ref, case), (seed, case)
-        assert rng.getstate() == ref.getstate(), seed
+            assert draw(word, case) == oracle(ref, case), (seed, case)
+        assert [word(), word()] == [ref.getrandbits(32), ref.getrandbits(32)], seed
 
 
 # the stdlib draws, as the harness made them
@@ -90,7 +103,7 @@ BELOW_BOUNDS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256, 257, 2**32 - 1, 2*
 
 
 def test_below_reads_the_words_randrange_reads():
-    _agree(BELOW_BOUNDS, lambda rng, n: _below(rng.getrandbits, n), lambda ref, n: ref.randrange(n))
+    _agree(BELOW_BOUNDS, _below, lambda ref, n: ref.randrange(n))
 
 
 def test_random_gamma():
@@ -101,13 +114,13 @@ def test_draw_descriptor():
     pinned = [
         ("mix",), ("zn", None, ()), ("minmax", None, ()), ("zn", 8, ()), ("minmax", None, (1, 2)), ("matrix", 2, 1, 2),
     ]
-    _agree(pinned, lambda rng, p: _draw_descriptor(p, rng), lambda ref, p: _oracle_descriptor(p, ref))
+    _agree(pinned, lambda word, p: _draw_descriptor(p, word), lambda ref, p: _oracle_descriptor(p, ref))
 
 
 def test_draw_value():
     spec, gs = InstanceSpec(), base_structure(("zn", 4, (1,)))
     candidates = [tuple(range(1, size + 1)) for size in range(6)]
-    _agree(candidates, lambda rng, c: _draw_value(rng, spec, gs, c), _oracle_value)
+    _agree(candidates, lambda word, c: _draw_value(word, spec, gs, c), _oracle_value)
 
 
 def test_draw_parameters():
@@ -116,7 +129,7 @@ def test_draw_parameters():
     pools = {n: ("a", "b", "c", "d")[:n] for n in range(1, 5)}
     _agree(
         cases,
-        lambda rng, c: _draw_parameters(rng, pools[c[0]], c[1], c[2]),
+        lambda word, c: _draw_parameters(word, pools[c[0]], c[1], c[2]),
         lambda ref, c: _oracle_parameters(ref, pools[c[0]], c[1], c[2]),
     )
 
@@ -137,4 +150,70 @@ def test_draw_chain_on_a_long_tuple():
 @pytest.mark.parametrize("anchored", [False, True])
 def test_draw_parameters_refuses_an_empty_pool(anchored):
     with pytest.raises(GenerationError, match="empty pool"):
-        _draw_parameters(random.Random(0), (), 3, anchored)
+        _draw_parameters(_stream(0).__next__, (), 3, anchored)
+
+
+def _words(rng, count):
+    return [rng.getrandbits(32) for _ in range(count)]
+
+
+def test_the_stream_is_the_generators_words_on_a_miss_and_on_a_hit():
+    # 3 * _HEAD words cross the end of the memoized head
+    _head.cache_clear()
+    for seed in SEEDS:
+        expected = _words(random.Random(seed), 3 * _HEAD)
+        for _ in ("miss", "hit"):
+            words = _stream(seed)
+            assert [next(words) for _ in range(3 * _HEAD)] == expected, seed
+    info = _head.cache_info()
+    assert (info.misses, info.hits) == (len(SEEDS), len(SEEDS))
+
+
+@pytest.mark.parametrize("k", range(101))
+def test_bits_is_getrandbits(k):
+    # k = 0 reads no word, k above 32 several, the last one cut
+    for seed in range(50):
+        word, ref = _stream(seed).__next__, random.Random(seed)
+        assert [_bits(word, k) for _ in range(3)] == [ref.getrandbits(k) for _ in range(3)], seed
+        assert word() == ref.getrandbits(32), seed
+
+
+def _random_of(w1, w2):
+    """random.Random.random() of the two words it reads."""
+    return ((w1 >> 5) * 67108864.0 + (w2 >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def test_the_empty_bound_is_the_empty_rate_times_two_to_the_53():
+    assert _EMPTY_BOUND == math.ceil(_EMPTY_RATE * 2**53)
+
+
+@pytest.mark.parametrize("offset", [-3, -2, -1, 0, 1, 2])
+def test_the_integer_empty_test_agrees_with_random_at_the_threshold(offset):
+    # words whose (w1 >> 5) * 2**26 + (w2 >> 6) is _EMPTY_BOUND + offset, with
+    # every low bit that random() drops set and clear
+    spec, gs = InstanceSpec(), base_structure(("zn", 4, (1,)))
+    x = _EMPTY_BOUND + offset
+    for low1, low2 in ((0, 0), (31, 63)):
+        w1, w2 = (x >> 26) << 5 | low1, (x & (2**26 - 1)) << 6 | low2
+        empty = _draw_value(iter([w1, w2, 0]).__next__, spec, gs, (5,)) == 0
+        assert empty == (_random_of(w1, w2) < _EMPTY_RATE) == (offset < 0)
+
+
+def test_the_word_memo_stays_bounded():
+    # 1200 distinct trial seeds, more than the memo holds
+    _head.cache_clear()
+    fuzz_theorem("T3.7", _SEEDS + 176, InstanceSpec(seed=5_000_000))
+    info = _head.cache_info()
+    assert info.maxsize == _SEEDS and info.misses == _SEEDS + 176
+    assert 0 < info.currsize <= _SEEDS
+
+
+def test_parameter_tables_are_built_for_the_shared_pool_and_its_subsets_only():
+    # disjoint members suffix a draw from the shared pool with their index, so
+    # 300 members build no table of their own; nested members draw from the
+    # outer's parameters, a nonempty subset of the pool: 15 pools, anchored or not
+    _parameter_sets.cache_clear()
+    fuzz_theorem("T3.9", 5, InstanceSpec(family_size=300))
+    fuzz_theorem("T4.4", 200)
+    fuzz_theorem("T4.6", 200)
+    assert 0 < _parameter_sets.cache_info().currsize <= 2 * 15

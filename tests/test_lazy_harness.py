@@ -6,7 +6,9 @@ first use, and no module imports the harness at module level.  No command,
 theorem and suite included, loads dataclasses, inspect or typing, and no
 module imports dataclasses or typing anywhere, function bodies included.
 The harness itself makes no stdlib bounded draw: it draws bounded integers
-through harness._below, so its draw order rests on getrandbits alone.
+through harness._below, so its draw order rests on getrandbits alone.  And
+it makes and reads a random.Random only in the word memo's helpers, so every
+draw reads the words of harness._stream.
 """
 
 import ast
@@ -287,3 +289,61 @@ def test_the_harness_makes_no_stdlib_bounded_draw():
     path = SRC / "softgamma" / "harness.py"
     found = _stdlib_bounded_draws(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     assert found == [], f"stdlib bounded draws in harness.py (draw through _below): lines {found}"
+
+
+# the module-level functions of harness.py that hold the word memo: the only
+# code there that makes a random.Random or reads its words
+STREAM_HELPERS = {"_head", "_tail"}
+
+
+def _rng_uses(tree):
+    """Sorted line numbers, outside the module-level functions named in
+    STREAM_HELPERS, of a use of the random module or of a generator's words:
+    the name random, an attribute Random, getrandbits or random, a call of an
+    attribute seed (a spec's seed is read, never called), or an import from
+    random."""
+    lines = set()
+    for statement in tree.body:
+        if isinstance(statement, ast.FunctionDef) and statement.name in STREAM_HELPERS:
+            continue
+        for node in ast.walk(statement):
+            if (
+                isinstance(node, ast.Name) and node.id == "random"
+                or isinstance(node, ast.Attribute) and node.attr in ("Random", "getrandbits", "random")
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "seed"
+                or isinstance(node, ast.ImportFrom) and node.module == "random"
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("rng = random.Random(0)", [1]),
+        ("x = 1\nrng.getrandbits(4)", [2]),
+        ("empty = rng.random() < 0.2", [1]),
+        ("rng.seed(3)", [1]),
+        ("reseed = rng.seed\nreseed(3)", []),
+        ("from random import Random", [1]),
+        ("import random", []),
+        ("def f(seed):\n    return random.Random(seed)", [2]),
+        ("@lru_cache(maxsize=8)\ndef _head(seed):\n    return random.Random(seed).getrandbits(64)", []),
+        ("def _tail(seed):\n    rng = random.Random(seed)\n    while True:\n        yield rng.getrandbits(32)", []),
+        ("def f():\n    def _head(seed):\n        return random.Random(seed)", [3]),
+        ("class C:\n    def _tail(self):\n        return self.rng.random()", [3]),
+        ("seed = spec.seed + 1; spec.replace(seed=seed)", []),
+        ("empty = (word() >> 5 << 26) + (word() >> 6) < bound", []),
+    ],
+)
+def test_the_guard_finds_random_uses_outside_the_stream_helpers(source, flagged):
+    assert _rng_uses(ast.parse(source)) == flagged
+
+
+def test_the_harness_reads_random_only_through_the_stream():
+    path = SRC / "softgamma" / "harness.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    helpers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} & STREAM_HELPERS
+    assert helpers == STREAM_HELPERS
+    found = _rng_uses(tree)
+    assert found == [], f"random uses outside {sorted(STREAM_HELPERS)} in harness.py (draw from _stream): lines {found}"
