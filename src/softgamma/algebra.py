@@ -238,7 +238,7 @@ def check_commutative_semigroup(elements, add_table) -> AxiomReport:
     above MAX_SCAN_CARRIER elements is refused with SizeLimitError before
     any scan runs.
     """
-    sg = FiniteCommutativeSemigroup(tuple(elements), add_table)
+    sg = FiniteCommutativeSemigroup(elements, add_table)
     if len(sg) > MAX_SCAN_CARRIER:
         raise SizeLimitError(f"carrier has {len(sg)} elements, above the scan bound {MAX_SCAN_CARRIER}")
     return _report("semigroup", _semigroup_scans("", b"".join(map(bytes, sg.add_table)), sg.elements), {})

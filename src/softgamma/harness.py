@@ -2,7 +2,7 @@
 
 Each law is one row of a table (Law, _TABLE): the names of its hypotheses,
 the InstanceSpec fields it fixes outright (family_size, hom, target_side),
-the operation, which fixes the structure its conclusion is judged over, the
+its operations, each fixing the structure its result is judged over, the
 members it reads, and the conclusion; Law.evaluate checks every row.  Each
 hypothesis is defined once, in _HYPOTHESES: a predicate on an instance
 (values that are subalgebras, value chains, disjoint or shared parameter
@@ -11,11 +11,13 @@ or injective homomorphism, the forced values of T3.17, an auxiliary target
 member of subalgebra values), the generation policy fields that realize it,
 and those that drop it.  A trial verdict is:
 
-  pass     the conclusion held;
+  pass     the conclusion held (in L3.16's row of two operations: for one
+           at least, and failed for none);
   vacuous  the instance missed a named hypothesis (check_theorem only), the
            operation or a predicate precondition was undefined on it, a
-           required soft set was null, a closure conclusion's result was
-           null, or a "trivial" conclusion's structure has no zero;
+           required soft set was null or, for L3.16's auxiliary target
+           member, absent, a closure conclusion's result was null, or a
+           "trivial" conclusion's structure has no zero;
   fail     the conclusion was evaluated and did not hold (a shape
            conclusion judges a null result: it is neither trivial nor
            whole); the lowest failing trial's replayable counterexample
@@ -683,21 +685,23 @@ class Law:
     hypotheses names the law's hypotheses, entries of _HYPOTHESES: spec()
     realizes them in the draw, missed() judges them on an instance.  flags
     fix the InstanceSpec fields family_size, hom and target_side outright, in
-    both modes.  The operation (one of _OPS, else the first member itself) is
-    applied to the first `reads` members, or all when None, and its result is
-    judged over the structure _OPS pairs with the operation, else over the
+    both modes.  operation is one name, or a tuple judged in turn: one of
+    _OPS, else the first member itself.  It is applied to the first `reads`
+    members, or all when None (in a row without target_side, one judged over
+    the homomorphism's source to the auxiliary target member), and its
+    result is judged over the structure _OPS pairs with it, else over the
     members' side.  The conclusion is that the result is "closed", or a soft
     sub-gamma-semiring of the "outer" soft set, of the operation applied to
     copies of the outer ("outer-op"), or of each of the "members"; or that
     it has a shape, "trivial" (every value is {zero}) or "whole" (every
-    value is the carrier), and is a soft gamma-semiring.  Only L3.16
-    ("hom-transport") has a checker of its own.  necessity pins the
-    structure family on which fuzzing with the hypotheses dropped finds a
-    counterexample, showing they are needed.  T4.3, like T4.5, has no
-    necessity family, and it cannot have one: the intersection of two
-    subalgebras is a subalgebra, so its hypothesis is exactly the condition
-    under which its conclusion is defined, and dropping it can only make
-    trials vacuous.
+    value is the carrier), and is a soft gamma-semiring.  The outcome is the
+    first failure, else pass when an operation passed, else vacuous.
+    necessity pins the structure family on which fuzzing with the hypotheses
+    dropped finds a counterexample, showing they are needed.  T4.3, like
+    T4.5, has no necessity family, and it cannot have one: the intersection
+    of two subalgebras is a subalgebra, so its hypothesis is exactly the
+    condition under which its conclusion is defined, and dropping it can
+    only make trials vacuous.
     """
 
     def __init__(
@@ -705,7 +709,7 @@ class Law:
         theorem_id: str,
         hypotheses: tuple[str, ...],
         conclusion: str,
-        operation: str = "",
+        operation: str | tuple[str, ...] = "",
         reads: int | None = None,
         necessity: InstanceSpec | None = None,
         **flags,
@@ -717,8 +721,11 @@ class Law:
         self.reads = reads
         self.necessity = necessity
         self.flags = flags
-        # an operation outside _OPS is the first member itself, judged over the side
-        self._op = _OPS.get(operation, (None, "side"))
+        # per operation: its name, _OPS entry and whether it reads the auxiliary target member
+        self._ops = []
+        for name in (operation,) if isinstance(operation, str) else operation:
+            function, judged = _OPS.get(name, (None, "side"))
+            self._ops.append((name, function, judged, judged == "source" and not flags.get("target_side")))
 
     def spec(self, template: InstanceSpec, drop: bool) -> InstanceSpec:
         """template with the row's flags and each hypothesis's realizing fields, or dropping ones under drop."""
@@ -737,23 +744,31 @@ class Law:
         members = self._members(inst)
         return next((name for name in self.hypotheses if not _HYPOTHESES[name][0](inst, members)), None)
 
-    def _apply(self, inst: Instance, family) -> SoftSet:
-        function, judged = self._op
-        if judged in ("target", "source"):
-            return function(inst.hom, family[0])
-        return function(family)
-
     def evaluate(self, inst: Instance) -> Outcome:
-        if self.conclusion == "hom-transport":
-            return _check_hom_transport(inst)
-        members = self._members(inst)
+        found = _VACUOUS
+        for op in self._ops:
+            outcome = self._judge(inst, op)
+            if outcome is _PASS:
+                found = _PASS
+            elif outcome is not _VACUOUS:  # a failure
+                return outcome
+        return found
+
+    def _judge(self, inst: Instance, op: tuple) -> Outcome:
+        """The conclusion judged on the result of op, an entry of _ops."""
+        operation, function, judged, aux = op
+        if aux:
+            if inst.aux_target is None:
+                return _VACUOUS
+            members = [inst.aux_target]
+        else:
+            members = self._members(inst)
         for ss in (inst.outer, *members) if self.conclusion in ("outer", "outer-op") else members:
             if not any(ss.masks):  # a null soft set
                 return _VACUOUS
-        function, judged = self._op
         if function is not None:
             try:
-                result = self._apply(inst, members)
+                result = _apply(function, judged, inst, members)
             except DomainError:
                 return _VACUOUS
             # a null result leaves a closure conclusion vacuous; a shape judges it
@@ -775,21 +790,21 @@ class Law:
                 return _VACUOUS
             if _SHAPES[self.conclusion](over, result) and is_soft_gamma_semiring(over, result):
                 return _PASS
-            return "fail", lambda: _dump(inst, self.operation, members, result)
+            return "fail", lambda: _dump(inst, operation, members, result)
 
         if self.conclusion == "closed":
             w = is_soft_gamma_semiring(over, result, arity)
             if w:
                 return _PASS
             extra = None if arity is None else {"product_arity": arity}
-            return "fail", lambda: _dump(inst, self.operation, members, shown, w, extra)
+            return "fail", lambda: _dump(inst, operation, members, shown, w, extra)
 
         if self.conclusion == "members":
             bounds = members
         elif self.conclusion == "outer":
             bounds = [inst.outer]
         else:
-            bounds = [self._apply(inst, [inst.outer] * k)]
+            bounds = [_apply(function, judged, inst, [inst.outer] * k)]
         # a soft sub-gamma-semiring relates two soft gamma-semirings: a result
         # or a bound that is not one leaves the conclusion undefined
         if not is_soft_gamma_semiring(over, result, arity):
@@ -801,31 +816,15 @@ class Law:
             if not w:
                 outer_result = bound if self.conclusion == "outer-op" else None
                 return "fail", lambda: _dump(
-                    inst, self.operation, members, shown, w, outer_result=outer_result
+                    inst, operation, members, shown, w, outer_result=outer_result
                 )
         return _PASS
 
 
-def _check_hom_transport(inst: Instance) -> Outcome:
-    # images of source members and preimages of the auxiliary target member
-    hom = inst.hom
-    applicable = False
-    source_member = inst.soft_sets[0]
-    if not source_member.is_null():
-        applicable = True
-        image = soft_image_under_hom(hom, source_member)
-        w = is_soft_gamma_semiring(hom.target, image)
-        if not w:
-            return "fail", lambda: _dump(inst, "hom-image", [source_member], image, w)
-    target_member = inst.aux_target
-    if target_member is not None and not target_member.is_null():
-        applicable = True
-        pre = soft_preimage_under_hom(hom, target_member)
-        if not pre.is_null():
-            w = is_soft_gamma_semiring(hom.source, pre)
-            if not w:
-                return "fail", lambda: _dump(inst, "hom-preimage", [target_member], pre, w)
-    return _PASS if applicable else _VACUOUS
+def _apply(function: Callable, judged: str, inst: Instance, family) -> SoftSet:
+    if judged in ("target", "source"):
+        return function(inst.hom, family[0])
+    return function(family)
 
 
 # the drop-hypothesis family that four rows of the necessity column share
@@ -843,7 +842,7 @@ _TABLE = (
     Law("T3.12", ("values", "chain"), "closed", "or-union",
         necessity=InstanceSpec(generator="minmax", size=(5,), gamma=(1, 2, 3))),
     Law("T3.13", ("values",), "closed", "cartesian-product", family_size=2),
-    Law("L3.16", ("values", "target-values"), "hom-transport", reads=1, hom="collapse"),
+    Law("L3.16", ("values", "target-values"), "closed", ("hom-image", "hom-preimage"), 1, hom="collapse"),
     Law("T3.17i", ("kernel-values",), "trivial", "hom-image", 1, necessity=_ZN8, hom="collapse", family_size=1),
     Law("T3.17ii", ("whole-values", "onto"), "whole", "hom-image", 1, hom="collapse", family_size=1),
     Law("T3.17iii", ("carrier-image-values",), "whole", "hom-preimage", 1,

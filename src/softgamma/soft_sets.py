@@ -100,13 +100,16 @@ def support(ss: SoftSet) -> tuple[Label, ...]:
     return tuple(w for w, m in zip(ss.parameters, ss.masks) if m)
 
 
-def _family(family: Sequence[SoftSet]) -> list[SoftSet]:
-    fam = list(family)
+def _family(family: Sequence[SoftSet], shared: bool = True) -> tuple[SoftSet, ...]:
+    """family as a tuple once it is a nonempty collection of SoftSets, all
+    over one identically ordered universe when shared."""
+    fam = _collection(family, "family of soft sets")
     if not fam:
         raise InputError("family of soft sets must be nonempty")
-    universe = fam[0].universe
-    for m in fam[1:]:
-        if m.universe != universe:
+    for m in fam:
+        if not isinstance(m, SoftSet):
+            raise InputError(f"family members must be SoftSets, got {type(m).__name__}")
+        if shared and m.universe != fam[0].universe:
             raise InputError("family members must share an identically ordered universe")
     return fam
 
@@ -217,9 +220,7 @@ def or_union(a: SoftSet, b: SoftSet) -> SoftSet:
 def cartesian_product(family: Sequence[SoftSet]) -> SoftSet:
     """Tuple-universe product: parameters and universe are ordered products,
     the value at a parameter tuple is the product of the coordinate values."""
-    fam = list(family)
-    if not fam:
-        raise InputError("family of soft sets must be nonempty")
+    fam = _family(family, shared=False)
     universe = tuple(iproduct(*[m.universe for m in fam]))
     params = tuple(iproduct(*[m.parameters for m in fam]))
     widths = [len(m.universe) for m in fam]

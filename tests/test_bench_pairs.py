@@ -1,7 +1,9 @@
 """The summary math of tools/bench_pairs.py on canned runs: medians,
-quartiles, the parent's IQR, the pairs won and the gain rule."""
+quartiles, the parent's IQR, the pairs won, the gain rule and the bound
+rule."""
 
 import importlib.util
+import json
 import statistics
 from pathlib import Path
 
@@ -60,3 +62,45 @@ def test_seeds_are_summarized_apart():
     summary = bench_pairs.summarize(_runs(1001, PARENT, CHANGE) + _runs(2718, CHANGE, PARENT), BETTER)
     assert sorted(summary) == ["1001", "2718"]
     assert summary["2718"]["wall_s"]["change_wins"] == 0
+
+
+# the parent's IQR, 0.0015, is 4.4 % of its median 0.034: inside a 25 % bound
+@pytest.mark.parametrize(
+    "change,bound,status",
+    [
+        (CHANGE, 0.25, "within bound"),
+        ([v * 1.2 for v in PARENT], 0.25, "within bound"),
+        ([v * 1.3 for v in PARENT], 0.25, "worse than bound"),
+        ([v * 1.06 for v in PARENT], 0.05, "worse than bound"),
+        ([v * 1.02 for v in PARENT], 0.04, "unresolved"),
+        (CHANGE, 0.04, "unresolved"),
+    ],
+    ids=["better", "worse-inside", "worse-outside", "worse-outside-tight", "spread-wider", "spread-wider-better"],
+)
+def test_the_change_median_is_held_to_the_bound(change, bound, status):
+    row = bench_pairs.summarize(_runs(1001, PARENT, change), BETTER)["1001"]["wall_s"]
+    assert bench_pairs.against_bound(row, bound) == status
+
+
+def test_a_change_better_in_every_run_is_resolved_however_wide_the_spread():
+    change = [v - 0.004 for v in PARENT]
+    change[PARENT.index(max(PARENT))] = min(PARENT) - 0.001
+    row = bench_pairs.summarize(_runs(1001, PARENT, change), BETTER)["1001"]["wall_s"]
+    assert row["change_better_every_run"]
+    assert bench_pairs.against_bound(row, 0.04) == "within bound"
+    assert not bench_pairs.summarize(_runs(1001, PARENT, CHANGE), BETTER)["1001"]["wall_s"]["change_better_every_run"]
+
+
+def test_a_higher_is_better_metric_is_worse_when_it_falls():
+    up = [v * 1000 for v in PARENT]
+    rows = [
+        bench_pairs.summarize(_runs(7, up, [v * factor for v in up], "throughput_per_s", "1/s"), BETTER)["7"]
+        ["throughput_per_s"]
+        for factor in (0.7, 0.8, 1.5)
+    ]
+    assert [bench_pairs.against_bound(row, 0.25) for row in rows] == ["worse than bound", "within bound", "within bound"]
+
+
+def test_every_end_to_end_metric_has_a_bound():
+    benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert all(metric["bound"] > 0 for metric in benchmark["end_to_end"])

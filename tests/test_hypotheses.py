@@ -9,7 +9,7 @@ import pytest
 
 from softgamma import FiniteCommutativeSemigroup, GammaSemiring, Instance, InstanceSpec, SoftSet, check_theorem
 from softgamma import check_gamma_semiring, fuzz_theorem, gamma_hom, identity_hom, make_zn_gamma
-from softgamma.harness import _HYPOTHESES, _LAWS, _TABLE, _check_spec, _draw_instance, _stream, canonical_hom
+from softgamma.harness import _HYPOTHESES, _LAWS, _SHAPES, _TABLE, _check_spec, _draw_instance, _stream, canonical_hom
 
 # the five families of the necessity and drop-hypothesis profiles
 TEMPLATES = {
@@ -167,12 +167,19 @@ def _function(tree: ast.Module, dotted: str) -> ast.FunctionDef:
     return node
 
 
-@pytest.mark.parametrize("dotted", ["Law.evaluate", "_check_hom_transport"])
+@pytest.mark.parametrize("dotted", ["Law.evaluate", "Law._judge"])
 def test_the_checkers_read_no_policy_field(dotted):
     body = _function(ast.parse(HARNESS.read_text(encoding="utf-8")), dotted)
     read = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(body) if isinstance(n, (ast.Name, ast.Attribute))}
     strings = {n.value for n in ast.walk(body) if isinstance(n, ast.Constant)}
     assert (read | strings) & POLICY_FIELDS == set()
+
+
+def test_every_conclusion_is_one_the_judge_names():
+    # Law._judge reads a conclusion it does not name as "outer-op"
+    named = {n.value for n in ast.walk(_function(ast.parse(HARNESS.read_text(encoding="utf-8")), "Law._judge"))
+             if isinstance(n, ast.Constant)}
+    assert {law.conclusion for law in _TABLE} <= named | _SHAPES.keys()
 
 
 def test_every_row_names_table_entries_only():

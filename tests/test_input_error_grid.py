@@ -1,11 +1,13 @@
 """Input errors of the file readers, of the CLI's op arity checks, of
-check_theorem's instance fields and of the structure that the axiom scan and
-the enumeration take, one malformed input each: every one is refused with its
-own message, a ParseError from the reader, exit 2 with the message on stderr
-from the CLI, and an InputError from check_theorem before any hypothesis is
-judged and from the scan and the enumeration before any table is read; a
-mask that is not an exact int is an InputError from the closure judge and
-from labels_of_mask."""
+check_theorem's instance fields, of the structure that the axiom scan and
+the enumeration take, of the carrier that the semigroup scan takes and of
+the family that the soft-set family operations take, one malformed input
+each: every one is refused with its own message, a ParseError from the
+reader, exit 2 with the message on stderr from the CLI, and an InputError
+from check_theorem before any hypothesis is judged, from the scans and the
+enumeration before any table is read, and from the family operations before
+any member is read; a mask that is not an exact int is an InputError from
+the closure judge and from labels_of_mask."""
 
 import json
 import re
@@ -18,12 +20,20 @@ from softgamma import (
     Instance,
     ParseError,
     SoftSet,
+    and_intersect_family,
+    cartesian_product,
+    check_commutative_semigroup,
     check_gamma_semiring,
     check_theorem,
     enumerate_sub_gamma_semirings,
+    extended_intersect,
+    extended_union,
     files,
     identity_hom,
     make_zn_gamma,
+    or_union_family,
+    restricted_intersect,
+    restricted_union,
 )
 from softgamma.algebra import sub_gamma_witness_mask
 from softgamma.harness import ALL_THEOREMS
@@ -188,6 +198,38 @@ def test_a_malformed_instance_field_is_an_input_error(law, fields, message):
 def test_a_structure_that_is_not_a_gamma_semiring_is_an_input_error(judge):
     with pytest.raises(InputError, match="^a structure must be of type GammaSemiring, got int$"):
         judge(5)
+
+
+@pytest.mark.parametrize(
+    "elements,table,message",
+    [("ab", [[0, 1], [1, 0]], "got str"), (5, [[0]], "got int")],
+    ids=["str", "int"],
+)
+def test_a_carrier_that_is_no_collection_is_an_input_error(elements, table, message):
+    # a str is refused, not read as its characters
+    with pytest.raises(InputError, match=f"^element labels must be a collection, {message}$"):
+        check_commutative_semigroup(elements, table)
+
+
+@pytest.mark.parametrize(
+    "family,message",
+    [
+        (5, "family of soft sets must be a collection, got int"),
+        (MEMBER, "family of soft sets must be a collection, got SoftSet"),
+        ("ab", "family of soft sets must be a collection, got str"),
+        ([MEMBER, 5], "family members must be SoftSets, got int"),
+    ],
+    ids=["int", "bare-soft-set", "str", "entry-int"],
+)
+@pytest.mark.parametrize(
+    "operation",
+    [restricted_intersect, restricted_union, extended_intersect, extended_union, and_intersect_family,
+     or_union_family, cartesian_product],
+    ids=lambda operation: operation.__name__,
+)
+def test_a_family_that_is_no_collection_of_soft_sets_is_an_input_error(operation, family, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        operation(family)
 
 
 @pytest.mark.parametrize("law", ALL_THEOREMS)

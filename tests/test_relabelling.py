@@ -5,7 +5,10 @@ slices of its product rows, rows shared by object, gamma sums coded in
 first-seen order, masks read a byte at a time.  A relabelled copy moves
 every carrier element and every gamma label to a new position and renames
 it, and must still give the same weak and strict `passed`, the same set of
-violated axioms, and the same closed subsets once its masks are mapped back.
+violated axioms, and the same closed subsets once its masks, or its listed
+label tuples, are mapped back.  Its k-fold product is the relabelled
+product: renaming each coordinate is an isomorphism onto the product of the
+original.
 A witness depends on scan order, so it is not compared; each one, mapped
 back, must be a real violation of the original structure, judged here from
 the definitions, label by label.  This is a metamorphic test (Chen, Cheung &
@@ -21,9 +24,11 @@ from softgamma import (
     FiniteCommutativeSemigroup,
     GammaSemiring,
     check_gamma_semiring,
+    enumerate_sub_gamma_semirings,
     make_matrix_gamma,
     make_minmax_gamma,
     make_zn_gamma,
+    product_gamma,
 )
 
 BASES = {
@@ -155,6 +160,9 @@ def _assert_invariant(gs, rng):
             assert _violated(gs, v.axiom, tuple(back.get(x, x) for x in v.witness)), (mode, v)
     mapped = {sum(1 << p[i] for i in range(gs.size) if mask >> i & 1) for mask in copy.sub_masks}
     assert mapped == set(gs.sub_masks)
+    listed, moved_listed = enumerate_sub_gamma_semirings(gs), enumerate_sub_gamma_semirings(copy)
+    assert len(moved_listed) == len(listed)
+    assert {frozenset(back[x] for x in labels) for labels in moved_listed} == set(map(frozenset, listed))
 
 
 @pytest.mark.parametrize("name", BASES)
@@ -175,6 +183,33 @@ def test_relabelled_mutants_keep_their_verdicts_and_subalgebras(make):
             _assert_invariant(gs, rng)
     # the mutants reach failing scans, whose witnesses are mapped back
     assert {"distributive-sum-left", "distributive-sum-right", "product-associativity"} <= failed
+
+
+# every base squared but matrix-2x2x2, whose 256-element square with 16 gamma
+# labels takes a second to walk, and two cubes
+PRODUCTS = [*((name, 2) for name in BASES if name != "matrix-2x2x2"), ("zn6-weak", 3), ("matrix-2x1x2", 3)]
+
+
+@pytest.mark.parametrize("name,k", PRODUCTS)
+def test_the_product_of_a_relabelled_base_is_the_relabelled_product(name, k):
+    gs = BASES[name]
+    copy, back, _ = relabel(gs, random.Random(name))
+    big, moved = product_gamma(gs, k), product_gamma(copy, k)
+    # phi renames each coordinate; on positions, moved position i is big position at[i]
+    at = [big.s.pos(tuple(back[x] for x in label)) for label in moved.elements]
+    gat = [big.gamma_pos(back[alpha]) for alpha in moved.gamma_elements]
+    assert sorted(at) == list(range(big.size))
+    for i in range(moved.size):
+        for j in range(moved.size):
+            assert at[moved.s.add_table[i][j]] == big.s.add_table[at[i]][at[j]]
+            for g in range(len(gat)):
+                assert at[moved.product[i][g][j]] == big.product[at[i]][gat[g]][at[j]]
+    assert (moved.zero is None) is (big.zero is None)
+    if moved.zero is not None:
+        assert big.elements[at[moved.s.pos(moved.zero)]] == big.zero
+    if moved.gamma_add is not None:
+        assert all(back.get(moved.gamma_add[g][h], moved.gamma_add[g][h]) == big.gamma_add[gat[g]][gat[h]]
+                   for g in range(len(gat)) for h in range(len(gat)))
 
 
 # the kinds of label in each axiom's witness, in order: e carrier, g gamma

@@ -26,8 +26,8 @@ from softgamma import (
     support,
 )
 from softgamma import files
-from softgamma.algebra import GammaSemiring
-from softgamma.harness import _LAWS, Instance, InstanceSpec, check_theorem, generate_instance
+from softgamma.algebra import FiniteCommutativeSemigroup, GammaSemiring
+from softgamma.harness import _LAWS, Instance, InstanceSpec, check_theorem, fuzz_theorem, generate_instance
 
 
 def soft_over(gs, params, values):
@@ -131,6 +131,32 @@ class TestHomImagePreimage:
         assert verdict.failures == 1
         assert verdict.counterexample["operation"] == "hom-image"
         assert verdict.counterexample["violation"]["failing_parameter"] == "a"
+
+    def test_a_dropped_preimage_counterexample_names_the_auxiliary_target_member(self):
+        # trial seed 11000's image passes, and the preimage of its auxiliary
+        # target member, drawn with arbitrary values, is not closed
+        template = InstanceSpec(seed=11000)
+        doc = fuzz_theorem("L3.16", 1, template, drop_hypothesis=True).counterexample
+        inst = generate_instance(_LAWS["L3.16"].spec(template, drop=True))
+        assert doc["operation"] == "hom-preimage"
+        assert doc["members"] == [files.soft_set_to_doc(inst.aux_target)]
+        assert doc["members_over"] == "source"
+        assert files.soft_set_from_doc(doc["result"]) == soft_preimage_under_hom(inst.hom, inst.aux_target)
+
+    def test_a_null_member_and_a_null_preimage_leave_l316_vacuous(self):
+        # S = {0,1,2} with 1+1 = 1, 2+2 = 2, every other sum 0 and the product
+        # equal to +; f fixes 0 and 1 and sends 2 to 0, so it is not onto and
+        # the closed target member {2} lies off its image: neither operation
+        # has a non-null result to judge
+        s = FiniteCommutativeSemigroup(("0", "1", "2"), ((0, 0, 0), (0, 1, 0), (0, 0, 2)))
+        gs = GammaSemiring(s, ("g",), None, tuple((row,) for row in s.add_table), zero="0")
+        f = gamma_hom(gs, gs, {"0": "0", "1": "1", "2": "0"})
+        member = relative_null(gs.elements, ("a",))
+        target_member = soft_over(gs, ("y",), {"y": ["2"]})
+        inst = Instance(gs, [member], hom=f, aux_target=target_member)
+        assert _LAWS["L3.16"].missed(inst) is None
+        verdict = check_theorem("L3.16", inst)
+        assert (verdict.passes, verdict.vacuous, verdict.failures) == (0, 1, 0)
 
     def test_identity_preimage_is_a_copy(self, z8, z8_soft):
         assert soft_equal(soft_preimage_under_hom(identity_hom(z8), z8_soft), z8_soft)

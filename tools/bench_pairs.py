@@ -12,8 +12,12 @@ the summary gives each side's median and quartiles
 (`statistics.quantiles(values, n=4)`), the parent's interquartile range, and
 how many pairs the change won (ties win for neither).  A gain is shown when
 the change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range.  Needs git, tar and the
-standard library only.
+more than the parent's interquartile range.  Each metric is also held to
+its `bound` in BENCHMARK.json, a fraction of the parent's median: the
+change's median is within the bound or worse than it, and the metric is
+unresolved when the parent's interquartile range is wider than the bound,
+unless every change run is better than every parent run.  Needs git, tar
+and the standard library only.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             sign = 1 if better[name] == "lower" else -1
             row = {"better": better[name], "pairs": len(pairs), "unit": entry["unit"]}
             row["change_wins"] = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+            row["change_better_every_run"] = all(sign * (p - c) > 0 for p in parent for c in change)
             for side, side_values in (("parent", parent), ("change", change)):
                 q1, median, q3 = statistics.quantiles(side_values, n=4)
                 row.update({f"{side}_q1": round(q1, 6), f"{side}_median": round(median, 6), f"{side}_q3": round(q3, 6)})
@@ -86,6 +91,19 @@ def gain_shown(row: dict) -> bool:
     sign = 1 if row["better"] == "lower" else -1
     moved = sign * (row["parent_median"] - row["change_median"])
     return 10 * row["change_wins"] >= 9 * row["pairs"] and moved > row["parent_iqr"]
+
+
+def against_bound(row: dict, bound: float) -> str:
+    """"unresolved" when the parent's IQR is wider than bound, a fraction of
+    the parent's median, and some change run is not better than every parent
+    run; else whether the change's median is worse than the parent's by more
+    than bound."""
+    allowed = bound * abs(row["parent_median"])
+    if row["parent_iqr"] > allowed and not row["change_better_every_run"]:
+        return "unresolved"
+    sign = 1 if row["better"] == "lower" else -1
+    worse = sign * (row["change_median"] - row["parent_median"])
+    return "within bound" if worse <= allowed else "worse than bound"
 
 
 def host() -> str:
@@ -104,6 +122,7 @@ def main(argv: list[str] | None = None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     subject = subprocess.run(["git", "log", "-1", "--format=%s", "HEAD"], cwd=ROOT, check=True,
                              capture_output=True, text=True).stdout.strip()
     runs = []
@@ -138,9 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for seed, metrics in summary.items():
         for name, row in metrics.items():
+            status = against_bound(row, bounds[name]) + (", gain shown" if gain_shown(row) else "")
             print(f"{seed} {name}: parent {row['parent_median']:g} change {row['change_median']:g} "
-                  f"wins {row['change_wins']}/{row['pairs']} parent IQR {row['parent_iqr']:g}"
-                  f"{' gain shown' if gain_shown(row) else ''}")
+                  f"wins {row['change_wins']}/{row['pairs']} parent IQR {row['parent_iqr']:g} "
+                  f"bound {bounds[name]:g}: {status}")
     bad = [r for r in runs if not r["result"]["correct"] or r["result"]["failed"]]
     if bad:
         print(f"{len(bad)} runs were not correct or had failed requests", file=sys.stderr)
