@@ -14,14 +14,18 @@ and those that drop it.  A trial verdict is:
   pass     the conclusion held (in L3.16's row of two operations: for one
            at least, and failed for none);
   vacuous  the instance missed a named hypothesis (check_theorem only), the
-           operation or a predicate precondition was undefined on it, a
-           required soft set was null or, for L3.16's auxiliary target
-           member, absent, a closure conclusion's result was null, or a
-           "trivial" conclusion's structure has no zero;
+           operation was undefined on it, a required soft set was null or,
+           for L3.16's auxiliary target member, absent, a closure
+           conclusion's result was null, a containment conclusion's bound
+           was not a soft gamma-semiring, or a "trivial" conclusion's
+           structure has no zero;
   fail     the conclusion was evaluated and did not hold (a shape
            conclusion judges a null result: it is neither trivial nor
-           whole); the lowest failing trial's replayable counterexample
-           document, which names the row's operation, is built.
+           whole; a containment conclusion whose bounds are all soft
+           gamma-semirings fails on a result that is not one, with its
+           closure witness); the lowest failing trial's replayable
+           counterexample document, which names the row's operation and
+           the side its members lie over, is built.
 
 check_theorem judges every named hypothesis before the conclusion, so a
 failure is a counterexample to the law, never a missed hypothesis.
@@ -551,6 +555,7 @@ def _descriptor_name(descriptor: tuple) -> str:
 def _dump(
     inst: Instance,
     operation: str,
+    members_over: str,
     members=(),
     result: SoftSet | None = None,
     witness: Witness | None = None,
@@ -561,7 +566,7 @@ def _dump(
         "structure": files.structure_to_doc(inst.gs, name=_descriptor_name(inst.descriptor)),
         "operation": operation,
         "members": [files.soft_set_to_doc(m) for m in members],
-        "members_over": "target" if inst.spec.target_side else "source",
+        "members_over": members_over,
     }
     if inst.hom is not None:
         doc["hom"] = files.hom_to_doc(inst.hom)
@@ -779,10 +784,11 @@ class Law:
             result, shown = members[0], None
         k = len(members)
         arity = k if judged == "product" else None
+        # the members lie over the side, or over the other end of the homomorphism from the result
         if judged in ("side", "product"):
-            over = inst.side_gs
+            over, members_over = inst.side_gs, "target" if inst.spec.target_side else "source"
         else:
-            over = getattr(inst.hom, judged)  # the homomorphism's target or source
+            over, members_over = getattr(inst.hom, judged), "source" if judged == "target" else "target"
 
         if self.conclusion in _SHAPES:
             # a trivial soft set is defined by the zero, so without one the shape is undefined
@@ -790,33 +796,32 @@ class Law:
                 return _VACUOUS
             if _SHAPES[self.conclusion](over, result) and is_soft_gamma_semiring(over, result):
                 return _PASS
-            return "fail", lambda: _dump(inst, operation, members, result)
+            return "fail", lambda: _dump(inst, operation, members_over, members, result)
 
         if self.conclusion == "closed":
-            w = is_soft_gamma_semiring(over, result, arity)
-            if w:
-                return _PASS
-            extra = None if arity is None else {"product_arity": arity}
-            return "fail", lambda: _dump(inst, operation, members, shown, w, extra)
-
-        if self.conclusion == "members":
+            bounds = []
+        elif self.conclusion == "members":
             bounds = members
         elif self.conclusion == "outer":
             bounds = [inst.outer]
         else:
             bounds = [_apply(function, judged, inst, [inst.outer] * k)]
-        # a soft sub-gamma-semiring relates two soft gamma-semirings: a result
-        # or a bound that is not one leaves the conclusion undefined
-        if not is_soft_gamma_semiring(over, result, arity):
-            return _VACUOUS
+        # a soft sub-gamma-semiring relates two soft gamma-semirings: a bound
+        # that is not one leaves the conclusion undefined, and then a result
+        # that is not one fails it
         for bound in bounds:
             if not is_soft_gamma_semiring(over, bound, arity):
                 return _VACUOUS
+        w = is_soft_gamma_semiring(over, result, arity)
+        if not w:
+            extra = None if arity is None else {"product_arity": arity}
+            return "fail", lambda: _dump(inst, operation, members_over, members, result, w, extra)
+        for bound in bounds:
             w = _subset_witness(result, bound)
             if not w:
                 outer_result = bound if self.conclusion == "outer-op" else None
                 return "fail", lambda: _dump(
-                    inst, operation, members, shown, w, outer_result=outer_result
+                    inst, operation, members_over, members, shown, w, outer_result=outer_result
                 )
         return _PASS
 

@@ -299,7 +299,7 @@ class TestCheckTheorem:
     @pytest.mark.parametrize(
         "values, outer, outcome",
         [
-            # the intersection {0,3} is not closed: the conclusion is undefined
+            # the members {0,3} are not closed: the instance misses values
             ((["0", "3"], ["0", "3"]), None, "vacuous"),
             # the result {0,4} is closed, the member bound {0,3,4} is not
             ((["0", "4"], ["0", "3", "4"]), None, "vacuous"),
@@ -322,6 +322,27 @@ class TestCheckTheorem:
         )
         if outer is not None:
             assert _LAWS["T4.4"].missed(Instance(gs=z8, soft_sets=[a, b], outer=bound)) == "nested"
+
+    @pytest.mark.parametrize("law_id", ["T4.7", "T4.8"])
+    def test_an_unclosed_result_under_closed_bounds_fails_with_its_closure_witness(self, law_id):
+        # on Z6 the closed values {0,3} and {0,2,4} unite to {0,2,3,4}, where
+        # 2 + 3 = 5 is missing; the whole outer, and its union with itself, are closed
+        z6 = make_zn_gamma(6, (1,))
+        members = [SoftSet.build(z6.elements, ("a",), {"a": v}) for v in (["0", "3"], ["0", "2", "4"])]
+        outer = SoftSet.build(z6.elements, ("a",), {"a": z6.elements})
+        outcome, deferred = _LAWS[law_id].evaluate(Instance(gs=z6, soft_sets=members, outer=outer))
+        assert outcome == "fail"
+        doc = deferred()
+        assert doc["operation"] == _LAWS[law_id].operation
+        result = files.soft_set_from_doc(doc["result"])
+        assert [set(result.value(w)) for w in result.parameters] == [{"0", "2", "3", "4"}]
+        assert (doc["violation"]["kind"], doc["violation"]["elements"]) == ("add-closure", ["2", "3", "5"])
+
+    def test_an_unclosed_bound_is_vacuous_before_the_result_is_judged(self):
+        z6 = make_zn_gamma(6, (1,))
+        members = [SoftSet.build(z6.elements, ("a",), {"a": v}) for v in (["0", "3"], ["0", "2", "4"])]
+        outer = SoftSet.build(z6.elements, ("a",), {"a": ["0", "2", "3", "4"]})
+        assert _LAWS["T4.7"].evaluate(Instance(gs=z6, soft_sets=members, outer=outer)) == ("vacuous", None)
 
     def test_an_outer_off_the_operation_side_is_an_input_error_before_closure_is_judged(self):
         # T4.11 images the outer through the homomorphism before judging the

@@ -140,8 +140,8 @@ class TestHomImagePreimage:
         inst = generate_instance(_LAWS["L3.16"].spec(template, drop=True))
         assert doc["operation"] == "hom-preimage"
         assert doc["members"] == [files.soft_set_to_doc(inst.aux_target)]
-        # members_over follows the row's target_side, which L3.16 does not set
-        assert doc["members_over"] == "source"
+        # the preimage's member lies over the homomorphism's target
+        assert doc["members_over"] == "target"
         assert files.soft_set_from_doc(doc["result"]) == soft_preimage_under_hom(inst.hom, inst.aux_target)
 
     def test_a_null_member_and_a_null_preimage_leave_l316_vacuous(self):
