@@ -662,19 +662,9 @@ def check_gamma_semiring(gs: GammaSemiring, mode: str = "weak") -> AxiomReport:
     n = len(elems)
     add_flat = b"".join(map(bytes, add))
     add_maps = [_translation(row) for row in add]
-    # rows[a][g] is the map b -> a g b, converted once per distinct row
-    # object (generators share one among the (a, g) with equal rows);
-    # blocks[a] holds the rows of a in turn, and whole every block
-    as_bytes = {}
-    rows = []
-    for layer in prod:
-        maps = []
-        for row in layer:
-            f = as_bytes.get(id(row))
-            if f is None:
-                f = as_bytes[id(row)] = bytes(row)
-            maps.append(f)
-        rows.append(maps)
+    # rows[a][g] is the map b -> a g b; blocks[a] holds the rows of a in
+    # turn, and whole every block
+    rows = [[bytes(row) for row in layer] for layer in prod]
     blocks = [b"".join(layer) for layer in rows]
     whole = b"".join(blocks)
     # each scan judges a distinct map once per call; both sum scans judge

@@ -43,20 +43,18 @@ trial_index), read in order from _stream, one stream per trial.
 generate_instance is _check_spec, which validates a spec without drawing,
 then _draw_instance, which holds the draw order that is part of the
 determinism contract: descriptor (family, n, gamma set; see
-_draw_descriptor), chain order (chain policies only), outer parameters and
+_draw_descriptor), chain (chain policies only), outer parameters and
 values, then per member its parameters and values, then the auxiliary
 target-side member.  fuzz_theorem checks its template and its spec once and
-calls _draw_instance per trial.  Every draw reads the stream's words as the
-random.Random method it stands for reads them: _bits as getrandbits, the
-empty-value test as random() < _EMPTY_RATE, and every bounded integer (a
-choice, a size, a sample index, a shuffle swap) _below as the
-_randbelow_with_getrandbits of CPython 3.10 and 3.11, which the sample,
-choice, shuffle and randint algorithms call; those algorithms are not read,
-since the random docs do not promise to keep them across versions.
-tests/test_draws.py holds the stdlib draws as the oracle.  The laws of a
-run reuse the same trial seeds, so _head keeps the first _HEAD words of the
-last _SEEDS seeds: a seed's MT19937 state is built once per run, not once
-per law, and the words read are the same.
+calls _draw_instance per trial.  Only _bits and _below read words, _bits
+as getrandbits does and _below (a uniform integer below n) as randrange does
+in CPython 3.10 and 3.11; every draw is made of the two, so none rests on a
+stdlib sampling algorithm.  tests/test_draws.py holds randrange oracles of
+the draws, and checks that the parameter and chain draws keep the exact
+distributions of the random.sample and random.shuffle draws they replaced.
+The laws of a run reuse the same trial seeds, so _head keeps the first
+_HEAD words of the last _SEEDS seeds: a seed's MT19937 state is built once
+per run, not once per law, and the words read are the same.
 """
 
 from __future__ import annotations
@@ -67,7 +65,6 @@ import sys
 from array import array
 from collections.abc import Callable, Iterator
 from functools import lru_cache
-from math import ceil
 
 from . import files
 from .algebra import (
@@ -111,7 +108,7 @@ class InstanceSpec(Record):
     random nonempty subset), on matrix size pins (p, rows, cols) and gamma
     must be empty.  family_size None draws 1..3 members; the parameter pool,
     the per-member parameter cap and the empty-value rate are the module
-    constants _PARAMETER_POOL, _MAX_PARAMETERS and _EMPTY_RATE.  Policies:
+    constants _PARAMETER_POOL, _MAX_PARAMETERS and _EMPTY_ONE_IN.  Policies:
     value_policy selects where values come from; chain "members" forces all
     drawn member values into one containment chain, "members-and-outer" the
     enclosing soft set's values too; disjoint gives members pairwise
@@ -200,13 +197,10 @@ _POLICIES = {
 
 # members draw their parameters from _PARAMETER_POOL, at most _MAX_PARAMETERS
 # each (the enclosing soft set may take the whole pool), and a drawn value is
-# empty with probability _EMPTY_RATE
+# empty one time in _EMPTY_ONE_IN
 _PARAMETER_POOL = ("a", "b", "c", "d")
 _MAX_PARAMETERS = 3
-_EMPTY_RATE = 0.2
-# random() is ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53 for its two words w1, w2,
-# so random() < _EMPTY_RATE holds exactly when that integer is below _EMPTY_BOUND
-_EMPTY_BOUND = ceil(_EMPTY_RATE * 2**53)
+_EMPTY_ONE_IN = 5
 
 # entries kept by each of the structure and homomorphism caches; a 200-trial
 # pass over every law on the mix generator needs under 100 structures
@@ -401,39 +395,26 @@ def canonical_hom(descriptor: tuple) -> GammaHom:
 
 
 def _draw_chain(word: Callable[[], int], subs: tuple[int, ...]) -> list[int]:
-    # random.shuffle's Fisher-Yates swaps
-    order = list(subs)
-    for i in reversed(range(1, len(order))):
-        j = _below(word, i + 1)
-        order[i], order[j] = order[j], order[i]
+    """A maximal chain of the distinct masks subs, in the order picked: each
+    pick is uniform among the masks comparable to every mask picked before."""
     chain: list[int] = []
-    for m in order:
-        if all(m & ~c == 0 or c & ~m == 0 for c in chain):
-            chain.append(m)
+    left = subs
+    while left:
+        m = left[_below(word, len(left))]
+        chain.append(m)
+        left = [c for c in left if c != m and (c & ~m == 0 or m & ~c == 0)]
     return chain
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _parameter_sets(pool: tuple, anchored: bool) -> dict[tuple[int, ...], tuple]:
-    """Every parameter set _draw_parameters gives from pool, keyed by its
-    swap draws.  Those are the draws of random.sample's pool-swap loop on
-    range(n), its path for populations of at most 21 (the pools hold at most
-    four): swap draw j of step i takes left[j], where left[:n-i] holds the
-    indices not yet drawn.  Anchored puts index 0 in place of the first index
-    drawn when it is missing; the indices are then sorted."""
-    n = len(pool)
-    table = {}
-    for size in range(1, n + 1):
-        for swaps in itertools.product(*[range(n - i) for i in range(size)]):
-            left = list(range(n))
-            idxs = []
-            for i, j in enumerate(swaps):
-                idxs.append(left[j])
-                left[j] = left[n - i - 1]
-            if anchored and 0 not in idxs:
-                idxs[0] = 0
-            table[swaps] = tuple([pool[i] for i in sorted(idxs)])
-    return table
+def _parameter_sets(pool: tuple, anchored: bool) -> tuple[tuple[tuple, ...], ...]:
+    """Entry size - 1 lists the parameter sets of that size from pool, in
+    pool order (under anchored only those that hold pool[0]), in the order
+    itertools.combinations gives them."""
+    return tuple(
+        tuple([c for c in itertools.combinations(pool, size) if not anchored or c[0] == pool[0]])
+        for size in range(1, len(pool) + 1)
+    )
 
 
 def _draw_parameters(
@@ -442,14 +423,14 @@ def _draw_parameters(
     max_size: int,
     anchored: bool,
 ) -> tuple:
+    """A uniform size in 1..max_size (at most len(pool)), then a uniform set
+    of that size from _parameter_sets."""
     n = len(pool)
     size = 1 + _below(word, max(1, min(max_size, n)))
     if size > n:
         raise GenerationError("cannot draw parameters from an empty pool")
-    swaps = ()
-    for i in range(size):
-        swaps += (_below(word, n - i),)
-    return _parameter_sets(pool, anchored)[swaps]
+    sets = _parameter_sets(pool, anchored)[size - 1]
+    return sets[_below(word, len(sets))]
 
 
 def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
@@ -468,10 +449,10 @@ def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
 
 
 def _draw_value(word: Callable[[], int], spec: InstanceSpec, side: GammaSemiring, candidates) -> int:
-    """A drawn value over side: empty with probability _EMPTY_RATE, else an
+    """A drawn value over side: empty one time in _EMPTY_ONE_IN, else an
     arbitrary subset under the "arbitrary" policy, else one of candidates
     (empty when there are none)."""
-    if (word() >> 5 << 26) + (word() >> 6) < _EMPTY_BOUND:  # random() < _EMPTY_RATE
+    if _below(word, _EMPTY_ONE_IN) == 0:
         return 0
     if spec.value_policy == "arbitrary":
         return _bits(word, side.size)

@@ -327,12 +327,12 @@ class TestSuite:
         assert fuzz_theorem(tid, 5, template, drop_hypothesis=True).counterexample is not None
 
     def test_dropped_suite_exits_1_when_a_pinned_law_finds_none(self, capsys):
-        # at seed 0 T4.2 first fails at trial 1 (tests/golden/verdicts.json)
+        # at seed 0 T3.8 and T3.12 first fail after trial 0 (tests/golden/verdicts.json)
         code, out, _ = run(capsys, "suite", "--drop-hypothesis", "--trials", "1", "--seed", "0")
         assert code == 1
         docs = json.loads(out)
         assert [doc["theorem"] for doc in docs] == list(NECESSITY_TEMPLATES)
-        assert [doc["theorem"] for doc in docs if doc["counterexample"] is None] == ["T4.2"]
+        assert [doc["theorem"] for doc in docs if doc["counterexample"] is None] == ["T3.8", "T3.12"]
 
 
 class TestExample:

@@ -1,24 +1,32 @@
-"""The harness draws read the same MT19937 words as the stdlib draws they replace.
+"""The harness draws read the MT19937 words that randrange and getrandbits read.
 
-Each oracle below is the random.Random method code the harness used before
-its draws went through harness._stream.  Per seed 0..1999, a drawer reads
-the words of harness._stream(seed) for every case in turn and a
-random.Random(seed) makes the oracle's draws; each draw must return what the
-oracle returns, and the next two words of the stream must be the oracle's
-next two getrandbits(32), so both sides read the same words.  The stream
-itself is checked against random.Random(seed), across the end of its
-memoized head, on a memo miss and on a hit.
+Each oracle below makes a harness draw from random.Random methods, every
+bounded integer through randrange (or choice, which draws the same).  Per
+seed 0..1999, a drawer reads the words of harness._stream(seed) for every
+case in turn and a random.Random(seed) makes the oracle's draws; each draw
+must return what the oracle returns, and the next two words of the stream
+must be the oracle's next two getrandbits(32), so both sides read the same
+words.  The stream itself is checked against random.Random(seed), across the
+end of its memoized head, on a memo miss and on a hit.
+
+The parameter and chain draws replaced draws through random.sample and
+random.shuffle; their exact distributions, over every outcome of the
+bounded integers they read, are checked equal to those stdlib draws'.  Only
+_below and _bits read words, which an AST guard checks.
 """
 
-import math
+import ast
 import random
+from collections import defaultdict
+from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from softgamma import GenerationError
+from softgamma import GenerationError, harness
 from softgamma.harness import (
-    _EMPTY_BOUND,
-    _EMPTY_RATE,
+    _EMPTY_ONE_IN,
     _HEAD,
     _SEEDS,
     InstanceSpec,
@@ -49,7 +57,7 @@ def _agree(cases, draw, oracle, seeds=SEEDS):
         assert [word(), word()] == [ref.getrandbits(32), ref.getrandbits(32)], seed
 
 
-# the stdlib draws, as the harness made them
+# the harness draws, made from random.Random methods
 
 
 def _oracle_random_gamma(rng, n):
@@ -74,28 +82,50 @@ def _oracle_descriptor(pinned, rng):
     return (kind, n, gamma or _oracle_random_gamma(rng, n))
 
 
+def _comparable(a, b):
+    return a & ~b == 0 or b & ~a == 0
+
+
 def _oracle_chain(rng, subs):
-    order = list(subs)
-    rng.shuffle(order)
-    chain = []
-    for m in order:
-        if all(m & ~c == 0 or c & ~m == 0 for c in chain):
-            chain.append(m)
+    # left holds the masks comparable to every mask picked so far
+    chain, left = [], list(subs)
+    while left:
+        chain.append(left[rng.randrange(len(left))])
+        left = [m for m in left if m != chain[-1] and _comparable(m, chain[-1])]
     return chain
 
 
 def _oracle_parameters(rng, pool, max_size, anchored):
+    size = 1 + rng.randrange(max(1, min(max_size, len(pool))))
+    sets = [c for c in combinations(pool, size) if not anchored or pool[0] in c]
+    return sets[rng.randrange(len(sets))]
+
+
+def _oracle_value(rng, candidates):
+    if rng.randrange(5) == 0:
+        return 0
+    return candidates[rng.randrange(len(candidates))] if candidates else 0
+
+
+# the stdlib draws the parameter and chain draws replaced
+
+
+def _stdlib_chain(rng, subs):
+    order = list(subs)
+    rng.shuffle(order)
+    chain = []
+    for m in order:
+        if all(_comparable(m, c) for c in chain):
+            chain.append(m)
+    return chain
+
+
+def _stdlib_parameters(rng, pool, max_size, anchored):
     size = rng.randint(1, max(1, min(max_size, len(pool))))
     idxs = rng.sample(range(len(pool)), size)
     if anchored and 0 not in idxs:
         idxs[0] = 0
-    return tuple(pool[i] for i in sorted(set(idxs)))
-
-
-def _oracle_value(rng, candidates):
-    if rng.random() < 0.2:
-        return 0
-    return rng.choice(candidates) if candidates else 0
+    return tuple(pool[i] for i in sorted(idxs))
 
 
 # n = 1 reads one bit per try; n above 2**32 reads several words per try
@@ -118,19 +148,17 @@ def test_draw_descriptor():
 
 
 def test_draw_value():
+    assert _EMPTY_ONE_IN == 5
     spec, gs = InstanceSpec(), base_structure(("zn", 4, (1,)))
     candidates = [tuple(range(1, size + 1)) for size in range(6)]
     _agree(candidates, lambda word, c: _draw_value(word, spec, gs, c), _oracle_value)
 
 
 def test_draw_parameters():
-    # pool lengths 1-4, every max_size 1-4, anchored off and on
-    cases = [(size, cap, anchored) for size in range(1, 5) for cap in range(1, 5) for anchored in (False, True)]
-    pools = {n: ("a", "b", "c", "d")[:n] for n in range(1, 5)}
     _agree(
-        cases,
-        lambda word, c: _draw_parameters(word, pools[c[0]], c[1], c[2]),
-        lambda ref, c: _oracle_parameters(ref, pools[c[0]], c[1], c[2]),
+        PARAMETER_CASES,
+        lambda word, c: _draw_parameters(word, *c),
+        lambda ref, c: _oracle_parameters(ref, *c),
     )
 
 
@@ -141,10 +169,90 @@ def test_draw_chain_on_subalgebra_lattices():
     _agree(lattices, _draw_chain, _oracle_chain)
 
 
-def test_draw_chain_on_a_long_tuple():
-    # 2046 masks, so swap bounds of up to 11 bits; a seed costs both sides
-    # about 8 ms on a 2-core x86_64 VM, so the first 200 seeds stand for the range
-    _agree([tuple(range(1, 2047))], _draw_chain, _oracle_chain, seeds=range(200))
+class _Scripted(random.Random):
+    """A random.Random whose bounded integers are below(n): randint, sample,
+    shuffle and randrange make theirs through _randbelow."""
+
+    def __init__(self, below):
+        super().__init__(0)
+        self._below = below
+
+    def _randbelow(self, n):
+        return self._below(n)
+
+
+class _Branch(Exception):
+    pass
+
+
+def _exact(draw):
+    """The exact distribution of draw(below), below(n) a uniform integer in
+    0..n-1: every sequence of below outcomes is followed to its result, which
+    weighs the product of 1/n over the sequence's draws."""
+    dist = defaultdict(Fraction)
+    pending = [()]
+    while pending:
+        script = pending.pop()
+        bounds = []
+
+        def below(n):
+            bounds.append(n)
+            if len(bounds) > len(script):
+                raise _Branch(n)
+            return script[len(bounds) - 1]
+
+        try:
+            outcome = tuple(draw(below))
+        except _Branch as branch:
+            pending.extend(script + (v,) for v in range(branch.args[0]))
+            continue
+        weight = Fraction(1)
+        for n in bounds:
+            weight /= n
+        dist[outcome] += weight
+    return dict(dist)
+
+
+def _harness_exact(monkeypatch, draw):
+    """_exact of a harness draw, each of its _below calls a branch."""
+    current = []
+    monkeypatch.setattr(harness, "_below", lambda word, n: current[-1](n))
+
+    def run(below):
+        current.append(below)
+        return draw(None)
+
+    return _exact(run)
+
+
+# pool lengths 1-4, every max_size 1-4, anchored off and on
+PARAMETER_CASES = [
+    (("a", "b", "c", "d")[:size], cap, anchored)
+    for size in range(1, 5)
+    for cap in range(1, 5)
+    for anchored in (False, True)
+]
+
+
+@pytest.mark.parametrize("case", PARAMETER_CASES)
+def test_parameter_draws_keep_the_sample_distribution(monkeypatch, case):
+    expected = _exact(lambda below: _stdlib_parameters(_Scripted(below), *case))
+    assert sum(expected.values()) == 1
+    assert _harness_exact(monkeypatch, lambda word: _draw_parameters(word, *case)) == expected
+
+
+# subalgebra lattices of 4-7 masks, and the subsets of {0, 1, 2} of one or
+# two elements, which have no top under inclusion
+CHAIN_CASES = [
+    base_structure(d).sub_masks for d in (("zn", 6, (1,)), ("minmax", 3, (1,)), ("matrix", 2, 1, 2), ("minmax", 4, (1, 2, 3)))
+] + [(1, 2, 4, 3, 5, 6)]
+
+
+@pytest.mark.parametrize("subs", CHAIN_CASES)
+def test_chain_draws_keep_the_shuffle_distribution(monkeypatch, subs):
+    expected = _exact(lambda below: _stdlib_chain(_Scripted(below), subs))
+    assert sum(expected.values()) == 1
+    assert _harness_exact(monkeypatch, lambda word: _draw_chain(word, subs)) == expected
 
 
 @pytest.mark.parametrize("anchored", [False, True])
@@ -178,27 +286,6 @@ def test_bits_is_getrandbits(k):
         assert word() == ref.getrandbits(32), seed
 
 
-def _random_of(w1, w2):
-    """random.Random.random() of the two words it reads."""
-    return ((w1 >> 5) * 67108864.0 + (w2 >> 6)) * (1.0 / 9007199254740992.0)
-
-
-def test_the_empty_bound_is_the_empty_rate_times_two_to_the_53():
-    assert _EMPTY_BOUND == math.ceil(_EMPTY_RATE * 2**53)
-
-
-@pytest.mark.parametrize("offset", [-3, -2, -1, 0, 1, 2])
-def test_the_integer_empty_test_agrees_with_random_at_the_threshold(offset):
-    # words whose (w1 >> 5) * 2**26 + (w2 >> 6) is _EMPTY_BOUND + offset, with
-    # every low bit that random() drops set and clear
-    spec, gs = InstanceSpec(), base_structure(("zn", 4, (1,)))
-    x = _EMPTY_BOUND + offset
-    for low1, low2 in ((0, 0), (31, 63)):
-        w1, w2 = (x >> 26) << 5 | low1, (x & (2**26 - 1)) << 6 | low2
-        empty = _draw_value(iter([w1, w2, 0]).__next__, spec, gs, (5,)) == 0
-        assert empty == (_random_of(w1, w2) < _EMPTY_RATE) == (offset < 0)
-
-
 def test_the_word_memo_stays_bounded():
     # 1200 distinct trial seeds, more than the memo holds
     _head.cache_clear()
@@ -217,3 +304,46 @@ def test_parameter_tables_are_built_for_the_shared_pool_and_its_subsets_only():
     fuzz_theorem("T4.4", 200)
     fuzz_theorem("T4.6", 200)
     assert 0 < _parameter_sets.cache_info().currsize <= 2 * 15
+
+
+# the module-level functions of harness.py that read the stream's words
+WORD_READERS = {"_below", "_bits"}
+
+
+def _word_reads(tree):
+    """Sorted line numbers, outside the module-level functions named in
+    WORD_READERS, of a call that reads a word: word(...) or x.__next__()."""
+    lines = set()
+    for statement in tree.body:
+        if isinstance(statement, ast.FunctionDef) and statement.name in WORD_READERS:
+            continue
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "word"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "__next__"
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("x = word()", [1]),
+        ("def f(word):\n    return word() >> 5 << 26", [2]),
+        ("def _below(word, n):\n    return word() >> 3", []),
+        ("def _bits(word, k):\n    return word() << 32 | word()", []),
+        ("w = _stream(0).__next__\n_below(w, 3)", []),
+        ("x = 1\n_stream(0).__next__()", [2]),
+        ("def f():\n    def _below(word):\n        return word()", [3]),
+        ("class C:\n    def _bits(self, word):\n        return word()", [3]),
+    ],
+)
+def test_the_guard_finds_word_reads_outside_below_and_bits(source, flagged):
+    assert _word_reads(ast.parse(source)) == flagged
+
+
+def test_only_below_and_bits_read_words():
+    path = Path(harness.__file__)
+    found = _word_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert found == [], f"words read outside _below and _bits in harness.py: lines {found}"
