@@ -42,6 +42,15 @@ def test_medians_quartiles_iqr_and_wins():
     assert bench_pairs.gain_shown(row)
 
 
+def test_one_pair_is_summarized_with_its_values_as_quartiles():
+    row = bench_pairs.summarize(_runs(1001, PARENT[:1], CHANGE[:1]), BETTER)["1001"]["wall_s"]
+    assert (row["pairs"], row["change_wins"]) == (1, 1)
+    assert (row["parent_q1"], row["parent_median"], row["parent_q3"], row["parent_iqr"]) == (0.034, 0.034, 0.034, 0)
+    assert (row["change_q1"], row["change_median"], row["change_q3"]) == (0.028, 0.028, 0.028)
+    # a gain needs ten pairs
+    assert not bench_pairs.gain_shown(row)
+
+
 def test_higher_is_better_counts_the_other_way():
     up = [v * 1000 for v in PARENT]
     row = bench_pairs.summarize(_runs(7, up, [v + 1 for v in up], "throughput_per_s", "1/s"), BETTER)["7"]

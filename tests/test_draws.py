@@ -170,8 +170,8 @@ def test_draw_chain_on_subalgebra_lattices():
 
 
 class _Scripted(random.Random):
-    """A random.Random whose bounded integers are below(n): randint, sample,
-    shuffle and randrange make theirs through _randbelow."""
+    """A random.Random whose bounded integers are below(n): CPython's
+    randint, sample, shuffle and randrange make theirs through _randbelow."""
 
     def __init__(self, below):
         super().__init__(0)
@@ -244,7 +244,8 @@ def test_parameter_draws_keep_the_sample_distribution(monkeypatch, case):
 # subalgebra lattices of 4-7 masks, and the subsets of {0, 1, 2} of one or
 # two elements, which have no top under inclusion
 CHAIN_CASES = [
-    base_structure(d).sub_masks for d in (("zn", 6, (1,)), ("minmax", 3, (1,)), ("matrix", 2, 1, 2), ("minmax", 4, (1, 2, 3)))
+    base_structure(d).sub_masks
+    for d in (("zn", 6, (1,)), ("minmax", 3, (1,)), ("matrix", 2, 1, 2), ("minmax", 4, (1, 2, 3)))
 ] + [(1, 2, 4, 3, 5, 6)]
 
 

@@ -9,10 +9,11 @@ pair and seed both sides run `perfbench/run.py` once, the parent first on
 even pairs and the change first on odd ones.  The first seed is taken as the
 one the change was sized on, the others as held out.  Per seed and metric
 the summary gives each side's median and quartiles
-(`statistics.quantiles(values, n=4)`), the parent's interquartile range, and
-how many pairs the change won (ties win for neither).  A gain is shown when
-the change wins at least nine tenths of the pairs and the medians differ by
-more than the parent's interquartile range.  Each metric is also held to
+(`statistics.quantiles(values, n=4)`; one pair's value stands for all
+three), the parent's interquartile range, and how many pairs the change won
+(ties win for neither).  A gain is shown when, over at least ten pairs, the
+change wins at least nine tenths of them and the medians differ by more
+than the parent's interquartile range.  Each metric is also held to
 its `bound` in BENCHMARK.json, a fraction of the parent's median: the
 change's median is within the bound or worse than it, and the metric is
 unresolved when the parent's interquartile range is wider than the bound,
@@ -78,7 +79,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             row["change_wins"] = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
             row["change_better_every_run"] = all(sign * (p - c) > 0 for p in parent for c in change)
             for side, side_values in (("parent", parent), ("change", change)):
-                q1, median, q3 = statistics.quantiles(side_values, n=4)
+                # quantiles needs two values; one pair's value is its own quartiles
+                q1, median, q3 = statistics.quantiles(side_values, n=4) if len(pairs) > 1 else side_values * 3
                 row.update({f"{side}_q1": round(q1, 6), f"{side}_median": round(median, 6), f"{side}_q3": round(q3, 6)})
             row["parent_iqr"] = round(row["parent_q3"] - row["parent_q1"], 6)
             summary.setdefault(seed, {})[name] = dict(sorted(row.items()))
@@ -86,11 +88,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 
 def gain_shown(row: dict) -> bool:
-    """Whether the change wins at least nine tenths of the pairs and the
-    medians differ, in its favour, by more than the parent's IQR."""
+    """Whether, over at least ten pairs, the change wins at least nine
+    tenths of them and the medians differ, in its favour, by more than the
+    parent's IQR."""
     sign = 1 if row["better"] == "lower" else -1
     moved = sign * (row["parent_median"] - row["change_median"])
-    return 10 * row["change_wins"] >= 9 * row["pairs"] and moved > row["parent_iqr"]
+    return row["pairs"] >= 10 and 10 * row["change_wins"] >= 9 * row["pairs"] and moved > row["parent_iqr"]
 
 
 def against_bound(row: dict, bound: float) -> str:
