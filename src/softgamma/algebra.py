@@ -259,6 +259,8 @@ class GammaSemiring(Record):
     zero: Label | None
 
     def __init__(self, s, gamma_elements, gamma_add, product, zero=None):
+        if not isinstance(s, FiniteCommutativeSemigroup):
+            raise InputError(f"a carrier must be of type FiniteCommutativeSemigroup, got {type(s).__name__}")
         gamma = _entries(_labels(gamma_elements, "gamma"), None, "gamma set")
         if not gamma:
             raise InputError("gamma set must be nonempty")
@@ -405,6 +407,11 @@ def _require_structure(gs) -> None:
         raise InputError(f"a structure must be of type GammaSemiring, got {type(gs).__name__}")
 
 
+def _require_hom(hom) -> None:
+    if not isinstance(hom, GammaHom):
+        raise InputError(f"a homomorphism must be of type GammaHom, got {type(hom).__name__}")
+
+
 def ternary_product(gs: GammaSemiring, a: Label, alpha: str, b: Label) -> Label:
     """Table lookup a·alpha·b; total on valid labels, InputError otherwise."""
     return gs.elements[gs.product[gs.s.pos(a)][gs.gamma_pos(alpha)][gs.s.pos(b)]]
@@ -426,6 +433,12 @@ def sub_gamma_witness_mask(gs: GammaSemiring, mask: int, arity: int | None = Non
     full = gs.full_mask if arity is None else (1 << _product_size(gs, arity)) - 1
     if type(mask) is not int or mask & ~full:
         raise InputError(f"mask {mask!r} is not a subset of the {full.bit_length()}-element carrier")
+    return _closure_verdict(gs, mask, arity)
+
+
+def _closure_verdict(gs: GammaSemiring, mask: int, arity: int | None = None) -> Witness:
+    """_closure_witness of mask, an exact int inside the carrier of gs (or,
+    with arity k, of its k-fold product), read from and kept in the memo."""
     key = mask if arity is None else (arity, mask)
     memo = gs._closed_memo
     w = memo.get(key)
@@ -758,6 +771,8 @@ class GammaHom(Record):
     mapping: tuple[int, ...]
 
     def __init__(self, source, target, mapping):
+        _require_structure(source)
+        _require_structure(target)
         mapping = _position_map(mapping, source.size, target.size, "homomorphism mapping", "source carrier")
         self.__dict__.update(source=source, target=target, mapping=mapping)
 
@@ -835,6 +850,8 @@ def _preimage_mask(positions, target_mask: int) -> int:
 
 def _hom_positions(mapping, source: GammaSemiring, target: GammaSemiring) -> tuple[int, ...] | None:
     """The positions of mapping when it preserves + and the product, else None."""
+    _require_structure(source)
+    _require_structure(target)
     if source.gamma_elements != target.gamma_elements:
         raise InputError("source and target must share an identically ordered gamma set")
     positions = _map_positions(mapping, source.elements, target.s._pos, "mapping", "the target carrier")
@@ -867,6 +884,7 @@ def gamma_hom(source: GammaSemiring, target: GammaSemiring, mapping: Mapping) ->
 
 
 def identity_hom(gs: GammaSemiring) -> GammaHom:
+    _require_structure(gs)
     return GammaHom(gs, gs, tuple(range(gs.size)))
 
 
@@ -875,6 +893,7 @@ def kernel(hom: GammaHom) -> tuple[Label, ...]:
 
     InputError when the target has no designated zero.
     """
+    _require_hom(hom)
     if hom.target.zero is None:
         raise InputError("kernel requires a designated zero in the target")
     zp = hom.target.s.pos(hom.target.zero)

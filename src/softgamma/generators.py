@@ -4,7 +4,15 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .algebra import FiniteCommutativeSemigroup, GammaSemiring, _collection, _count, _entries, _product_labels
+from .algebra import (
+    FiniteCommutativeSemigroup,
+    GammaSemiring,
+    _collection,
+    _count,
+    _entries,
+    _product_labels,
+    _require_structure,
+)
 from .errors import ConstraintError, InputError, SizeLimitError
 
 
@@ -138,6 +146,7 @@ def product_gamma(gs: GammaSemiring, k: int) -> GammaSemiring:
     universe produced by the soft-set cartesian product.  SizeLimitError when
     the carrier would exceed MAX_PRODUCT_SIZE elements.
     """
+    _require_structure(gs)
     elements = _product_labels(gs, k)
     n = gs.size
     # position i*n + x of the (j+1)-fold carrier pairs position i of the

@@ -27,39 +27,34 @@ and those that drop it.  A trial verdict is:
            counterexample document, which names the row's operation and
            the side its members lie over, is built.
 
-check_theorem judges every named hypothesis before the conclusion, so a
-failure is a counterexample to the law, never a missed hypothesis.
-fuzz_theorem judges none per trial: its draws realize every hypothesis by
-construction, and a draw that missed one would be a generator bug.  With
-drop_hypothesis, each hypothesis's dropping fields replace its realizing
-ones: the plain closure laws then draw values as arbitrary subsets, while
-the nested containment laws keep subalgebra values (so their preconditions
-stay evaluable) and stop confining members to the enclosing soft set
-(nested "free" for "confined"); the conclusion is then evaluated honestly,
-which demonstrates that a hypothesis is necessary.
+check_theorem judges every named hypothesis before the conclusion;
+fuzz_theorem judges none per trial (see each).
 
 Randomness is the MT19937 output words of random.Random(template.seed +
-trial_index), read in order from _stream, one stream per trial.
-generate_instance is _check_spec, which validates a spec without drawing,
-then _draw_instance, which holds the draw order that is part of the
+trial_index), read in order from _stream, one stream per trial.  A _Plan
+checks a spec once (_check_spec, which draws nothing) and resolves it for
+drawing; _draw_instance holds the draw order that is part of the
 determinism contract: descriptor (family, n, gamma set; see
 _draw_descriptor), chain (chain policies only), outer parameters and
 values, then per member its parameters and values, then the auxiliary
-target-side member.  fuzz_theorem checks its template and its spec once and
-calls _draw_instance per trial.  Only _bits and _below read words, _bits
-as getrandbits does and _below (a uniform integer below n) as randrange does
-in CPython 3.10 and 3.11; every draw is made of the two, so none rests on a
-stdlib sampling algorithm.  tests/test_draws.py holds randrange oracles of
-the draws, and checks that the parameter and chain draws keep the exact
-distributions of the random.sample and random.shuffle draws they replaced.
-The laws of a run reuse the same trial seeds, so _head keeps the first
-_HEAD words of the last _SEEDS seeds: a seed's MT19937 state is built once
-per run, not once per law, and the words read are the same.
+target-side member.  Only _bits and _below read words, _bits as getrandbits
+does and _below (a uniform integer below n) as randrange does in CPython
+3.10 and 3.11, so no draw rests on a stdlib sampling algorithm;
+tests/test_draws.py holds randrange oracles of the draws, and checks that
+the parameter and chain draws keep the exact distributions of the
+random.sample and random.shuffle draws they replaced.  The laws of a run
+reuse the trial seeds: _head keeps the first _HEAD words of each of the
+last _SEEDS seeds, so a seed's MT19937 state is built once per run, and
+_opening keeps the descriptor each of the last _SEEDS (pinned, seed) pairs
+drew, its structure and the words it read, so the laws of a suite draw
+each seed's descriptor once and read on from there.  A descriptor pinned
+whole reads no word, so its plan holds it and it takes no entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import sys
 from array import array
@@ -235,10 +230,10 @@ def _tail(seed: int) -> Iterator[int]:
         yield bits(32)
 
 
-def _stream(seed: int) -> Iterator[int]:
-    """The MT19937 output words of random.Random(seed) in order: what its
-    getrandbits(32) returns call after call."""
-    return itertools.chain(_head(seed), _tail(seed))
+def _stream(seed: int, start: int = 0) -> Iterator[int]:
+    """The MT19937 output words of random.Random(seed) in order, what its
+    getrandbits(32) returns call after call, from word start (at most _HEAD) on."""
+    return itertools.chain(_head(seed)[start:], _tail(seed))
 
 
 def _bits(word: Callable[[], int], k: int) -> int:
@@ -372,6 +367,17 @@ def base_structure(descriptor: tuple) -> GammaSemiring:
     raise InputError(f"unknown descriptor {descriptor!r}")
 
 
+@lru_cache(maxsize=_SEEDS)
+def _opening(pinned: tuple, seed: int) -> tuple[tuple, GammaSemiring, int]:
+    """The descriptor that pinned (from _check_spec) completes from seed's
+    words, its structure and how many words it read, drawn from a list
+    iterator over _head(seed), whose length hint is the words left; one that
+    reads past the head raises StopIteration, which leaves no entry."""
+    words = iter(_head(seed).tolist())
+    descriptor = _draw_descriptor(pinned, words.__next__)
+    return descriptor, base_structure(descriptor), _HEAD - operator.length_hint(words)
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def canonical_hom(descriptor: tuple) -> GammaHom:
     """The family's deterministic surjective homomorphism.
@@ -417,20 +423,15 @@ def _parameter_sets(pool: tuple, anchored: bool) -> tuple[tuple[tuple, ...], ...
     )
 
 
-def _draw_parameters(
-    word: Callable[[], int],
-    pool: tuple,
-    max_size: int,
-    anchored: bool,
-) -> tuple:
-    """A uniform size in 1..max_size (at most len(pool)), then a uniform set
-    of that size from _parameter_sets."""
-    n = len(pool)
+def _draw_parameters(word: Callable[[], int], sets: tuple, max_size: int) -> tuple:
+    """A uniform size in 1..max_size (at most the pool's size), then a
+    uniform set of that size from sets, the pool's _parameter_sets table."""
+    n = len(sets)
     size = 1 + _below(word, max(1, min(max_size, n)))
     if size > n:
         raise GenerationError("cannot draw parameters from an empty pool")
-    sets = _parameter_sets(pool, anchored)[size - 1]
-    return sets[_below(word, len(sets))]
+    choices = sets[size - 1]
+    return choices[_below(word, len(choices))]
 
 
 def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
@@ -448,82 +449,102 @@ def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
     return None
 
 
-def _draw_value(word: Callable[[], int], spec: InstanceSpec, side: GammaSemiring, candidates) -> int:
-    """A drawn value over side: empty one time in _EMPTY_ONE_IN, else an
-    arbitrary subset under the "arbitrary" policy, else one of candidates
-    (empty when there are none)."""
-    if _below(word, _EMPTY_ONE_IN) == 0:
-        return 0
-    if spec.value_policy == "arbitrary":
-        return _bits(word, side.size)
-    return candidates[_below(word, len(candidates))] if candidates else 0
+def _draw_values(word: Callable[[], int], pools, size: int) -> tuple[int, ...]:
+    """One value per entry of pools: empty one time in _EMPTY_ONE_IN, else an
+    arbitrary subset of a size-element carrier for a None entry, else one of
+    the entry's candidates (empty when there are none)."""
+    values = []
+    for candidates in pools:
+        if _below(word, _EMPTY_ONE_IN) == 0:
+            values.append(0)
+        elif candidates is None:
+            values.append(_bits(word, size))
+        else:
+            values.append(candidates[_below(word, len(candidates))] if candidates else 0)
+    return tuple(values)
+
+
+class _Plan:
+    """A spec checked by _check_spec and resolved once for all its seeds:
+    the descriptor it pins (fixed, with its structure and the 0 words read,
+    when it pins all of it), the value and member-count rules, the policy
+    switches and the shared pool's _parameter_sets table."""
+
+    def __init__(self, spec: InstanceSpec):
+        self.pinned = _check_spec(spec)
+        try:
+            descriptor = _draw_descriptor(self.pinned, iter(()).__next__)
+            self.fixed = (descriptor, base_structure(descriptor), 0)
+        except StopIteration:  # the descriptor reads a word
+            self.fixed = None
+        policy = self.policy = spec.value_policy
+        self.arbitrary = policy == "arbitrary"
+        # a subalgebra list may be too long to enumerate: read only for a chain or values picked from it
+        self.subs = bool(spec.chain) or policy == "subsemirings"
+        self.count, self.chain, self.nested, self.hom = spec.family_size, spec.chain, spec.nested, spec.hom
+        self.target_side, self.same, self.anchored = spec.target_side, spec.same_parameters, spec.anchored
+        self.suffixed = spec.disjoint and not spec.nested
+        self.confined = spec.nested == "confined" and policy == "subsemirings"
+        self.sets = _parameter_sets(_PARAMETER_POOL, spec.anchored)
 
 
 def generate_instance(spec: InstanceSpec) -> Instance:
-    """Build the seed-determined instance for a spec.  Identical specs give
-    identical instances."""
-    return _draw_instance(spec, _check_spec(spec), _stream(spec.seed).__next__)
+    """Build the seed-determined instance for a spec; identical specs give identical instances."""
+    return _draw_instance(_Plan(spec), spec)
 
 
-def _draw_instance(spec: InstanceSpec, pinned: tuple, word: Callable[[], int]) -> Instance:
-    """The instance of a spec that passed _check_spec, which returned pinned,
-    drawn from word, which returns the next word of _stream(spec.seed).
-    Every random draw of an instance is made here, in the order the
-    determinism contract fixes.  The soft sets are built unchecked: their
-    universe is a structure's carrier, their parameters distinct labels of
-    the pool, and every value a subset mask of that carrier."""
-    descriptor = _draw_descriptor(pinned, word)
-    gs = base_structure(descriptor)
-    policy, chain, nested, anchored = spec.value_policy, spec.chain, spec.nested, spec.anchored
-    hom = None
-    if spec.hom:
-        # identity homomorphisms are cheap to build, so only the collapses are cached
-        hom = identity_hom(gs) if spec.hom == "identity" else canonical_hom(descriptor)
-    side = hom.target if spec.target_side else gs
+def _draw_instance(plan: _Plan, spec: InstanceSpec) -> Instance:
+    """The instance of spec, resolved into plan, drawn from _stream(spec.seed)
+    in the order the determinism contract fixes; the descriptor comes from
+    the plan or _opening, and the draws after it read on from there.  The
+    soft sets are built unchecked: their universe is a structure's carrier,
+    their parameters distinct labels of the pool, their values subset masks."""
+    seed = spec.seed
+    try:
+        descriptor, gs, start = plan.fixed or _opening(plan.pinned, seed)
+        word = _stream(seed, start).__next__
+    except StopIteration:  # the descriptor read past the head
+        word = _stream(seed).__next__
+        descriptor = _draw_descriptor(plan.pinned, word)
+        gs = base_structure(descriptor)
+    # identity homomorphisms are cheap to build, so only the collapses are cached
+    hom = plan.hom and (identity_hom(gs) if plan.hom == "identity" else canonical_hom(descriptor))
+    side = hom.target if plan.target_side else gs
+    forced = _forced_mask(plan.policy, side, hom)
+    subs = side.sub_masks if plan.subs else ()
+    # values come from pool, None for arbitrary subsets; a drawn chain holds at least the full carrier's mask
+    chain = _draw_chain(word, subs) if plan.chain else None
+    pool = None if plan.arbitrary else chain or subs
+    outer_pool = pool if plan.arbitrary or plan.chain == "members-and-outer" else subs
 
-    forced = _forced_mask(policy, side, hom)
-    # a subalgebra list may be too long to enumerate, so it is read only for
-    # a chain or for values picked from it: drawn under any policy but "arbitrary"
-    picked = policy != "arbitrary"
-    subs = side.sub_masks if chain or picked and forced is None else ()
-    # the full carrier is closed and a chain keeps the first mask drawn, so a chain is never empty
-    chain_pool = _draw_chain(word, subs) if chain else None
-    value_candidates = chain_pool if chain else subs
-    outer_candidates = chain_pool if chain == "members-and-outer" else subs
-
-    outer = None
-    if nested:
-        oparams = _draw_parameters(word, _PARAMETER_POOL, len(_PARAMETER_POOL), anchored)
-        omasks = tuple([_draw_value(word, spec, side, outer_candidates) if forced is None else forced for _ in oparams])
+    outer, member_sets = None, plan.sets
+    if plan.nested:
+        oparams = _draw_parameters(word, plan.sets, len(_PARAMETER_POOL))
+        pools = (outer_pool,) * len(oparams)
+        omasks = (forced,) * len(oparams) if forced is not None else _draw_values(word, pools, side.size)
         outer = SoftSet._unchecked(side.elements, oparams, omasks)
+        member_sets = _parameter_sets(oparams, plan.anchored)
+        if plan.confined:
+            # a confined member's value at w is a candidate inside the outer's value at w
+            inside = {w: [m for m in pool if m & ~v == 0] for w, v in zip(oparams, omasks)}
 
-    k = spec.family_size if spec.family_size is not None else 1 + _below(word, 3)
-    members: list[SoftSet] = []
-    params: tuple | None = None
-    # a confined member's value at w is a candidate inside the outer's value at w
-    confined = dict(zip(oparams, omasks)) if nested == "confined" and policy == "subsemirings" else None
-    for index in range(k):
-        if params is None or not spec.same_parameters:
-            params = _draw_parameters(word, oparams if nested else _PARAMETER_POOL, _MAX_PARAMETERS, anchored)
-            if spec.disjoint and not nested:
+    members, params = [], None
+    for index in range(plan.count or 1 + _below(word, 3)):
+        if params is None or not plan.same:
+            params = _draw_parameters(word, member_sets, _MAX_PARAMETERS)
+            if plan.suffixed:
                 # member index draws from the pool a<index>..d<index>: the same
                 # draw from _PARAMETER_POOL, each name suffixed with the index
                 params = tuple([f"{name}{index}" for name in params])
-        if forced is not None:
-            masks = (forced,) * len(params)
-        elif confined is None:
-            masks = tuple([_draw_value(word, spec, side, value_candidates) for _ in params])
-        else:
-            masks = tuple([
-                _draw_value(word, spec, side, [m for m in value_candidates if m & ~confined[w] == 0]) for w in params
-            ])
+        pools = [inside[w] for w in params] if plan.confined else (pool,) * len(params)
+        masks = (forced,) * len(params) if forced is not None else _draw_values(word, pools, side.size)
         members.append(SoftSet._unchecked(side.elements, params, masks))
 
     aux_target = None
-    if hom is not None and not spec.target_side:
+    if hom is not None and not plan.target_side:
         target = hom.target
-        params = _draw_parameters(word, _PARAMETER_POOL, _MAX_PARAMETERS, anchored)
-        masks = tuple([_draw_value(word, spec, target, target.sub_masks if picked else ()) for _ in params])
+        params = _draw_parameters(word, plan.sets, _MAX_PARAMETERS)
+        masks = _draw_values(word, (None if plan.arbitrary else target.sub_masks,) * len(params), target.size)
         aux_target = SoftSet._unchecked(target.elements, params, masks)
 
     return Instance(gs, members, outer, hom, aux_target, descriptor, spec)
@@ -534,14 +555,8 @@ def _descriptor_name(descriptor: tuple) -> str:
 
 
 def _dump(
-    inst: Instance,
-    operation: str,
-    members_over: str,
-    members=(),
-    result: SoftSet | None = None,
-    witness: Witness | None = None,
-    extra: dict | None = None,
-    outer_result: SoftSet | None = None,
+    inst: Instance, operation: str, members_over: str, members=(), result: SoftSet | None = None,
+    witness: Witness | None = None, extra: dict | None = None, outer_result: SoftSet | None = None,
 ) -> dict:
     doc = {
         "structure": files.structure_to_doc(inst.gs, name=_descriptor_name(inst.descriptor)),
@@ -691,21 +706,11 @@ class Law:
     """
 
     def __init__(
-        self,
-        theorem_id: str,
-        hypotheses: tuple[str, ...],
-        conclusion: str,
-        operation: str | tuple[str, ...] = "",
-        reads: int | None = None,
-        necessity: InstanceSpec | None = None,
-        **flags,
+        self, theorem_id: str, hypotheses: tuple[str, ...], conclusion: str, operation: str | tuple[str, ...] = "",
+        reads: int | None = None, necessity: InstanceSpec | None = None, **flags,
     ):
-        self.theorem_id = theorem_id
-        self.hypotheses = hypotheses
-        self.conclusion = conclusion
-        self.operation = operation
-        self.reads = reads
-        self.necessity = necessity
+        self.theorem_id, self.hypotheses, self.conclusion = theorem_id, hypotheses, conclusion
+        self.operation, self.reads, self.necessity = operation, reads, necessity
         self.flags = flags
         # per operation: its name, _OPS entry and whether it reads the auxiliary target member
         self._ops = []
@@ -878,12 +883,8 @@ def _verdict(theorem_id: str, outcomes) -> TheoremVerdict:
             counterexample = {"theorem": theorem_id, "trial": trial, "seed": spec.seed}
             counterexample.update(deferred())
     return TheoremVerdict(
-        theorem=theorem_id,
-        trials=sum(counts.values()),
-        passes=counts["pass"],
-        vacuous=counts["vacuous"],
-        failures=counts["fail"],
-        counterexample=counterexample,
+        theorem=theorem_id, trials=sum(counts.values()), passes=counts["pass"], vacuous=counts["vacuous"],
+        failures=counts["fail"], counterexample=counterexample,
     )
 
 
@@ -938,10 +939,7 @@ def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> Theore
 
 
 def fuzz_theorem(
-    theorem_id: str,
-    trials: int,
-    template: InstanceSpec | None = None,
-    drop_hypothesis: bool = False,
+    theorem_id: str, trials: int, template: InstanceSpec | None = None, drop_hypothesis: bool = False
 ) -> TheoremVerdict:
     """Run seeded trials template.seed .. template.seed+trials-1.
 
@@ -950,15 +948,16 @@ def fuzz_theorem(
     would be a generator bug.  With drop_hypothesis each hypothesis's
     dropping fields replace its realizing ones: the plain closure laws draw
     arbitrary subsets as values, the nested containment laws keep subalgebra
-    values but no longer confine members to the enclosing soft set.  The
-    checks then report honest conclusion failures; the recorded
-    counterexample is the one from the lowest failing trial.
+    values, so their preconditions stay evaluable, but no longer confine
+    members to the enclosing soft set (nested "free" for "confined").  The
+    checks then report honest conclusion failures, which show a hypothesis
+    necessary; the recorded counterexample is the lowest failing trial's.
 
     The template and the law's spec are checked once, before trial 0, so a
-    malformed field is refused even where the law's spec replaces it; per
-    trial only the draws are made, from the trial seed's _stream, which
-    builds no MT19937 state for a seed whose first words _head keeps.  Trial
-    t evaluates exactly generate_instance(base.replace(seed=template.seed + t)).
+    malformed field is refused even where the law's spec replaces it, and
+    the spec is resolved once into a _Plan; per trial only the draws are
+    made.  Trial t evaluates exactly
+    generate_instance(base.replace(seed=template.seed + t)).
     """
     _count(trials, "trials")
     law = _lookup(theorem_id)
@@ -967,14 +966,14 @@ def fuzz_theorem(
     elif not isinstance(template, InstanceSpec):
         raise InputError(f"a template must be an InstanceSpec, got {type(template).__name__}")
     _check_spec(template)
-    # the law's spec never touches the seed, so it is applied and checked once
+    # the law's spec never touches the seed, so it is applied, checked and resolved once
     base = law.spec(template, drop_hypothesis)
-    pinned = _check_spec(base)
-    stream, replace, draw, evaluate, first = _stream, base.replace, _draw_instance, law.evaluate, template.seed
+    plan = _Plan(base)
+    replace, draw, evaluate, first = base.replace, _draw_instance, law.evaluate, template.seed
 
     def outcomes():
         for t in range(trials):
             spec = replace(seed=first + t)
-            yield t, spec, evaluate(draw(spec, pinned, stream(first + t).__next__))
+            yield t, spec, evaluate(draw(plan, spec))
 
     return _verdict(theorem_id, outcomes())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .algebra import GammaHom, GammaSemiring, _product_labels, gamma_hom, sub_gamma_witness_mask
+from .algebra import GammaHom, GammaSemiring, _closure_verdict, _product_labels, _require_hom, gamma_hom
 from .errors import ConstraintError, DomainError, InputError
 from .reports import PASSED, Record, Witness
 from .soft_sets import SoftSet, _subset_witness
@@ -31,12 +31,12 @@ def is_soft_gamma_semiring(gs: GammaSemiring, ss: SoftSet, arity: int | None = N
     _require_carrier(gs, ss, arity)
     if ss.is_null():
         return Witness(False, kind="null-soft-set")
+    # a SoftSet's masks are exact ints inside its universe, the carrier checked above
     for w, m in zip(ss.parameters, ss.masks):
-        if m == 0:
-            continue
-        sw = sub_gamma_witness_mask(gs, m, arity)
-        if not sw:
-            return Witness(False, kind=sw.kind, failing_parameter=w, elements=sw.elements)
+        if m:
+            sw = _closure_verdict(gs, m, arity)
+            if not sw:
+                return Witness(False, kind=sw.kind, failing_parameter=w, elements=sw.elements)
     return PASSED
 
 
@@ -73,12 +73,14 @@ def is_whole_soft(gs: GammaSemiring, ss: SoftSet) -> bool:
 
 def soft_image_under_hom(hom: GammaHom, ss: SoftSet) -> SoftSet:
     """Pointwise image of every value, same parameters, over the target carrier."""
+    _require_hom(hom)
     _require_carrier(hom.source, ss)
     return SoftSet(hom.target.elements, ss.parameters, tuple(hom.image_mask(m) for m in ss.masks))
 
 
 def soft_preimage_under_hom(hom: GammaHom, ss: SoftSet) -> SoftSet:
     """Pointwise preimage of every value, same parameters, over the source carrier."""
+    _require_hom(hom)
     _require_carrier(hom.target, ss)
     return SoftSet(
         hom.source.elements, ss.parameters, tuple(hom.preimage_mask(m) for m in ss.masks)

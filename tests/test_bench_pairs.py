@@ -1,10 +1,12 @@
 """The summary math of tools/bench_pairs.py on canned runs: medians,
 quartiles, the parent's IQR, the pairs won, the gain rule and the bound
-rule."""
+rule; and, on stubbed runs, that a run exiting non-zero is recorded and
+left out of the summary."""
 
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -113,3 +115,31 @@ def test_a_higher_is_better_metric_is_worse_when_it_falls():
 def test_every_end_to_end_metric_has_a_bound():
     benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert all(metric["bound"] > 0 for metric in benchmark["end_to_end"])
+
+
+def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_path):
+    benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    metrics = {m["name"]: {"unit": m["unit"], "value": 1.0} for m in benchmark["end_to_end"]}
+    calls = []
+
+    def run(argv, cwd=None, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, stdout="subject\n", stderr="")
+        calls.append(Path(cwd).name)
+        if len(calls) == 3:  # pair 1, the change side, which runs first on odd pairs
+            return subprocess.CompletedProcess(argv, 3, stdout="", stderr="".join(f"line {i}\n" for i in range(30)))
+        result = {"correct": True, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(argv, 0, stdout=f"{{}}\n{json.dumps(result)}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "checkout", lambda rev, into: rev)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["parent", "--workload", "cli", "--seeds", "5", "--pairs", "3"]) == 1
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    doc = json.loads((tmp_path / "BENCH_cli.json").read_text(encoding="utf-8"))
+    failed = [run for run in doc["runs"] if "result" not in run]
+    assert failed == [{"exit_code": 3, "first": "change", "pair": 1, "seed": 5, "side": "change",
+                       "stderr": [f"line {i}" for i in range(10, 30)]}]
+    # pair 1 lost its change run, so two pairs are summarized
+    assert doc["summary"]["5"]["wall_s"]["pairs"] == 2

@@ -28,20 +28,26 @@ from softgamma import GenerationError, harness
 from softgamma.harness import (
     _EMPTY_ONE_IN,
     _HEAD,
+    _LAWS,
     _SEEDS,
+    ALL_THEOREMS,
     InstanceSpec,
+    _draw_instance,
     _below,
     _bits,
     _draw_chain,
     _draw_descriptor,
     _draw_parameters,
-    _draw_value,
+    _draw_values,
     _head,
+    _opening,
     _parameter_sets,
+    _Plan,
     _random_gamma,
     _stream,
     base_structure,
     fuzz_theorem,
+    generate_instance,
 )
 
 SEEDS = range(2000)
@@ -101,9 +107,11 @@ def _oracle_parameters(rng, pool, max_size, anchored):
     return sets[rng.randrange(len(sets))]
 
 
-def _oracle_value(rng, candidates):
+def _oracle_value(rng, candidates, size):
     if rng.randrange(5) == 0:
         return 0
+    if candidates is None:
+        return rng.getrandbits(size)
     return candidates[rng.randrange(len(candidates))] if candidates else 0
 
 
@@ -147,17 +155,29 @@ def test_draw_descriptor():
     _agree(pinned, lambda word, p: _draw_descriptor(p, word), lambda ref, p: _oracle_descriptor(p, ref))
 
 
-def test_draw_value():
+# a member's values: one to three of them, from candidates, or arbitrary
+# subsets (None) of a carrier of 4 or 40 elements, which reads two words
+MEMBER_VALUES = [
+    ((candidates,) * count, size)
+    for candidates in [tuple(range(1, k + 1)) for k in range(6)] + [None]
+    for count in (1, 2, 3)
+    for size in (4, 40)
+]
+
+
+def test_draw_values():
     assert _EMPTY_ONE_IN == 5
-    spec, gs = InstanceSpec(), base_structure(("zn", 4, (1,)))
-    candidates = [tuple(range(1, size + 1)) for size in range(6)]
-    _agree(candidates, lambda word, c: _draw_value(word, spec, gs, c), _oracle_value)
+    _agree(
+        MEMBER_VALUES,
+        lambda word, c: _draw_values(word, *c),
+        lambda ref, c: tuple(_oracle_value(ref, candidates, c[1]) for candidates in c[0]),
+    )
 
 
 def test_draw_parameters():
     _agree(
         PARAMETER_CASES,
-        lambda word, c: _draw_parameters(word, *c),
+        lambda word, c: _draw_parameters(word, _parameter_sets(c[0], c[2]), c[1]),
         lambda ref, c: _oracle_parameters(ref, *c),
     )
 
@@ -238,7 +258,9 @@ PARAMETER_CASES = [
 def test_parameter_draws_keep_the_sample_distribution(monkeypatch, case):
     expected = _exact(lambda below: _stdlib_parameters(_Scripted(below), *case))
     assert sum(expected.values()) == 1
-    assert _harness_exact(monkeypatch, lambda word: _draw_parameters(word, *case)) == expected
+    pool, cap, anchored = case
+    sets = _parameter_sets(pool, anchored)
+    assert _harness_exact(monkeypatch, lambda word: _draw_parameters(word, sets, cap)) == expected
 
 
 # subalgebra lattices of 4-7 masks, and the subsets of {0, 1, 2} of one or
@@ -259,7 +281,7 @@ def test_chain_draws_keep_the_shuffle_distribution(monkeypatch, subs):
 @pytest.mark.parametrize("anchored", [False, True])
 def test_draw_parameters_refuses_an_empty_pool(anchored):
     with pytest.raises(GenerationError, match="empty pool"):
-        _draw_parameters(_stream(0).__next__, (), 3, anchored)
+        _draw_parameters(_stream(0).__next__, _parameter_sets((), anchored), 3)
 
 
 def _words(rng, count):
@@ -294,6 +316,88 @@ def test_the_word_memo_stays_bounded():
     info = _head.cache_info()
     assert info.maxsize == _SEEDS and info.misses == _SEEDS + 176
     assert 0 < info.currsize <= _SEEDS
+
+
+def test_the_opening_memo_stays_bounded():
+    _opening.cache_clear()
+    fuzz_theorem("T3.7", _SEEDS + 176, InstanceSpec(seed=5_000_000))
+    info = _opening.cache_info()
+    assert info.maxsize == _SEEDS and info.misses == _SEEDS + 176
+    assert 0 < info.currsize <= _SEEDS
+
+
+def test_a_suite_draws_each_seeds_descriptor_once():
+    _opening.cache_clear()
+    for law in ALL_THEOREMS:
+        fuzz_theorem(law, 200, InstanceSpec(seed=7_000_000))
+    info = _opening.cache_info()
+    assert len(ALL_THEOREMS) == 25
+    assert (info.misses, info.hits) == (200, 24 * 200)
+
+
+@pytest.mark.parametrize("drop", [False, True])
+def test_a_descriptor_pinned_whole_takes_no_entry(drop):
+    _opening.cache_clear()
+    for template in (InstanceSpec(generator="zn", size=(8,), gamma=(2, 4, 6)),
+                     InstanceSpec(generator="matrix", size=(2, 1, 2))):
+        for law in ("T3.7", "T4.2", "L3.16"):
+            fuzz_theorem(law, 50, template, drop)
+    info = _opening.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+
+
+# a mix, a zn spec with n drawn and a minmax spec with n pinned and gamma
+# drawn: three openings of each seed, one entry each
+INTERLEAVED = [
+    _LAWS[law].spec(template, drop)
+    for law, template, drop in (
+        ("T3.8", InstanceSpec(), False),
+        ("T4.7", InstanceSpec(generator="zn"), False),
+        ("L3.16", InstanceSpec(generator="minmax", size=(4,)), True),
+    )
+]
+
+
+def _whole_stream(monkeypatch, seeds):
+    """Every INTERLEAVED instance at seeds, each descriptor drawn from the
+    seed's whole stream, as if it read past the head: no opening is kept."""
+
+    def past_the_head(pinned, seed):
+        raise StopIteration
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_opening", past_the_head)
+        return [generate_instance(base.replace(seed=seed)) for seed in seeds for base in INTERLEAVED]
+
+
+def test_interleaved_runs_draw_the_instance_of_the_whole_stream_cold_and_warm(monkeypatch):
+    seeds = range(300)
+    expected = _whole_stream(monkeypatch, seeds)
+    plans = [(_Plan(base), base) for base in INTERLEAVED]
+    _head.cache_clear()
+    _opening.cache_clear()
+    for memo in ("cold", "warm"):
+        drawn = [_draw_instance(plan, plan_base.replace(seed=seed)) for seed in seeds for plan, plan_base in plans]
+        assert drawn == expected, memo
+        assert [generate_instance(base.replace(seed=seed)) for seed in seeds for base in INTERLEAVED] == expected, memo
+    info = _opening.cache_info()
+    assert (info.misses, info.currsize) == (3 * len(seeds), 3 * len(seeds))
+
+
+def test_a_descriptor_that_reads_past_the_head_takes_no_entry(monkeypatch):
+    # with a one-word head, a mix descriptor that draws n reads past it
+    seeds = range(200)
+    expected = _whole_stream(monkeypatch, seeds)
+    _head.cache_clear()
+    _opening.cache_clear()
+    try:
+        monkeypatch.setattr(harness, "_HEAD", 1)
+        assert [generate_instance(base.replace(seed=seed)) for seed in seeds for base in INTERLEAVED] == expected
+        info = _opening.cache_info()
+        assert 0 < info.currsize < info.misses == 3 * len(seeds)
+    finally:
+        _head.cache_clear()
+        _opening.cache_clear()
 
 
 def test_parameter_tables_are_built_for_the_shared_pool_and_its_subsets_only():

@@ -9,7 +9,7 @@ import pytest
 
 from softgamma import FiniteCommutativeSemigroup, GammaSemiring, Instance, InstanceSpec, SoftSet, check_theorem
 from softgamma import check_gamma_semiring, fuzz_theorem, gamma_hom, identity_hom, make_zn_gamma
-from softgamma.harness import _HYPOTHESES, _LAWS, _SHAPES, _TABLE, _check_spec, _draw_instance, _stream, canonical_hom
+from softgamma.harness import _HYPOTHESES, _LAWS, _SHAPES, _TABLE, _draw_instance, _Plan, canonical_hom
 
 # the five families of the necessity and drop-hypothesis profiles
 TEMPLATES = {
@@ -27,9 +27,9 @@ def test_every_enforced_draw_meets_its_rows_hypotheses(name):
     template = TEMPLATES[name]
     for law in _TABLE:
         base = law.spec(template, drop=False)
-        pinned = _check_spec(base)
+        plan = _Plan(base)
         for seed in range(500):
-            inst = _draw_instance(base.replace(seed=seed), pinned, _stream(seed).__next__)
+            inst = _draw_instance(plan, base.replace(seed=seed))
             assert law.missed(inst) is None, (law.theorem_id, seed)
 
 
@@ -50,9 +50,9 @@ def test_a_template_policy_leaves_enforced_hypotheses_on(law_id, name):
     template = POLICY_TEMPLATES[name]
     law = _LAWS[law_id]
     base = law.spec(template, drop=False)
-    pinned = _check_spec(base)
+    plan = _Plan(base)
     for seed in range(50):
-        assert law.missed(_draw_instance(base.replace(seed=seed), pinned, _stream(seed).__next__)) is None, seed
+        assert law.missed(_draw_instance(plan, base.replace(seed=seed))) is None, seed
     assert fuzz_theorem(law_id, 100, template).failures == 0
 
 

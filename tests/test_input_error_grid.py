@@ -1,6 +1,8 @@
 """Input errors of the file readers, of the CLI's op arity checks, of
 check_theorem's instance fields, of the structure that the axiom scan and
-the enumeration take, of the carrier that the semigroup scan takes and of
+the enumeration take, of the structure and homomorphism arguments of the
+record constructors, the homomorphism helpers, product_gamma and the soft
+image and preimage, of the carrier that the semigroup scan takes and of
 the family that the soft-set family operations take, one malformed input
 each: every one is refused with its own message, a ParseError from the
 reader, exit 2 with the message on stderr from the CLI, and an InputError
@@ -16,6 +18,8 @@ import sys
 import pytest
 
 from softgamma import (
+    GammaHom,
+    GammaSemiring,
     InputError,
     Instance,
     ParseError,
@@ -29,11 +33,17 @@ from softgamma import (
     extended_intersect,
     extended_union,
     files,
+    gamma_hom,
     identity_hom,
+    is_gamma_homomorphism,
+    kernel,
     make_zn_gamma,
     or_union_family,
+    product_gamma,
     restricted_intersect,
     restricted_union,
+    soft_image_under_hom,
+    soft_preimage_under_hom,
 )
 from softgamma.algebra import sub_gamma_witness_mask
 from softgamma.harness import ALL_THEOREMS
@@ -198,6 +208,30 @@ def test_a_malformed_instance_field_is_an_input_error(law, fields, message):
 def test_a_structure_that_is_not_a_gamma_semiring_is_an_input_error(judge):
     with pytest.raises(InputError, match="^a structure must be of type GammaSemiring, got int$"):
         judge(5)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: GammaSemiring(5, ("g",), None, []), "a carrier must be of type FiniteCommutativeSemigroup, got int"),
+        (lambda: GammaHom(5, Z4, (0, 1, 2, 3)), "a structure must be of type GammaSemiring, got int"),
+        (lambda: GammaHom(Z4, 5, (0, 1, 2, 3)), "a structure must be of type GammaSemiring, got int"),
+        (lambda: identity_hom(5), "a structure must be of type GammaSemiring, got int"),
+        (lambda: gamma_hom(5, Z4, {}), "a structure must be of type GammaSemiring, got int"),
+        (lambda: is_gamma_homomorphism({}, 5, Z4), "a structure must be of type GammaSemiring, got int"),
+        (lambda: kernel(5), "a homomorphism must be of type GammaHom, got int"),
+        (lambda: product_gamma(5, 2), "a structure must be of type GammaSemiring, got int"),
+        (lambda: soft_image_under_hom(5, MEMBER), "a homomorphism must be of type GammaHom, got int"),
+        (lambda: soft_preimage_under_hom(5, MEMBER), "a homomorphism must be of type GammaHom, got int"),
+    ],
+    ids=[
+        "gamma-semiring-carrier", "gamma-hom-source", "gamma-hom-target", "identity-hom", "gamma-hom",
+        "is-gamma-homomorphism", "kernel", "product-gamma", "soft-image", "soft-preimage",
+    ],
+)
+def test_a_structure_or_homomorphism_argument_of_the_wrong_type_is_an_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize(

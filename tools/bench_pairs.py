@@ -17,8 +17,11 @@ than the parent's interquartile range.  Each metric is also held to
 its `bound` in BENCHMARK.json, a fraction of the parent's median: the
 change's median is within the bound or worse than it, and the metric is
 unresolved when the parent's interquartile range is wider than the bound,
-unless every change run is better than every parent run.  Needs git, tar
-and the standard library only.
+unless every change run is better than every parent run.  A run that
+exits non-zero is recorded with its exit code and the last lines of its
+stderr, left out of the summary, and makes the script exit 1 once
+BENCH_<workload>.json is written.  Needs git, tar and the standard library
+only.
 """
 
 from __future__ import annotations
@@ -51,12 +54,19 @@ def command(workload: str, seconds: float) -> list[str]:
     return ["perfbench/run.py", "--workload", workload, "--seed", "SEED", "--seconds", f"{seconds:g}", "--trace", "0"]
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One benchmark run in tree: its info line and its result line."""
+# the stderr lines kept of a run that exits non-zero
+STDERR_LINES = 20
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in tree: {"info", "result"} from its last two
+    stdout lines, or {"exit_code", "stderr"} when it exits non-zero."""
     argv = [sys.executable, *(str(seed) if a == "SEED" else a for a in command(workload, seconds))]
-    out = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True).stdout
-    *_, info, result = out.strip().splitlines()
-    return json.loads(info), json.loads(result)
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        return {"exit_code": done.returncode, "stderr": done.stderr.splitlines()[-STDERR_LINES:]}
+    *_, info, result = done.stdout.strip().splitlines()
+    return {"info": json.loads(info), "result": json.loads(result)}
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -65,13 +75,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     to "lower" or "higher"."""
     values: dict = {}
     for run in runs:
+        if "result" not in run:  # a failed run
+            continue
         for name, metric in run["result"]["metrics"].items():
             entry = values.setdefault(str(run["seed"]), {}).setdefault(name, {"unit": metric["unit"]})
             entry.setdefault(run["side"], {})[run["pair"]] = metric["value"]
     summary: dict = {}
     for seed, metrics in values.items():
         for name, entry in metrics.items():
-            pairs = sorted(set(entry["parent"]) & set(entry["change"]))
+            pairs = sorted(set(entry.get("parent", {})) & set(entry.get("change", {})))
+            if not pairs:  # every run of one side failed
+                continue
             parent = [entry["parent"][p] for p in pairs]
             change = [entry["change"][p] for p in pairs]
             sign = 1 if better[name] == "lower" else -1
@@ -136,10 +150,15 @@ def main(argv: list[str] | None = None) -> int:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for seed in args.seeds:
                 for side in order:
-                    info, result = run_once(trees[side], args.workload, seed, args.seconds)
-                    runs.append({"first": order[0], "info": info, "pair": pair, "result": result, "seed": seed, "side": side})
-                    print(f"pair {pair} seed {seed} {side}: wall_s {result['metrics']['wall_s']['value']:.4f}"
-                          f" correct {result['correct']} failed {result['failed']}", file=sys.stderr)
+                    run = {"first": order[0], "pair": pair, "seed": seed, "side": side}
+                    run.update(run_once(trees[side], args.workload, seed, args.seconds))
+                    runs.append(run)
+                    if "result" in run:
+                        result = run["result"]
+                        print(f"pair {pair} seed {seed} {side}: wall_s {result['metrics']['wall_s']['value']:.4f}"
+                              f" correct {result['correct']} failed {result['failed']}", file=sys.stderr)
+                    else:
+                        print(f"pair {pair} seed {seed} {side}: exit code {run['exit_code']}", file=sys.stderr)
 
     summary = summarize(runs, better)
     held_out = "not used while the change was written"
@@ -164,9 +183,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{seed} {name}: parent {row['parent_median']:g} change {row['change_median']:g} "
                   f"wins {row['change_wins']}/{row['pairs']} parent IQR {row['parent_iqr']:g} "
                   f"bound {bounds[name]:g}: {status}")
-    bad = [r for r in runs if not r["result"]["correct"] or r["result"]["failed"]]
+    bad = [r for r in runs if "result" not in r or not r["result"]["correct"] or r["result"]["failed"]]
     if bad:
-        print(f"{len(bad)} runs were not correct or had failed requests", file=sys.stderr)
+        print(f"{len(bad)} runs exited non-zero, were not correct or had failed requests", file=sys.stderr)
     print(f"wrote {out.relative_to(ROOT)}", file=sys.stderr)
     return 1 if bad else 0
 
