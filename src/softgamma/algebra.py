@@ -283,11 +283,11 @@ class GammaSemiring(Record):
             s.pos(zero)
         self.__dict__.update(s=s, gamma_elements=gamma, gamma_add=gamma_add, product=layers, zero=zero)
 
-    @property
+    @cached_property
     def elements(self) -> tuple[Label, ...]:
         return self.s.elements
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.s.elements)
 
@@ -340,6 +340,12 @@ class GammaSemiring(Record):
     @cached_property
     def _closed_memo(self) -> dict[int | tuple[int, int], Witness]:
         # a mask of this carrier, or (k, mask) for the k-fold product's carrier
+        return {}
+
+    @cached_property
+    def _fold_memo(self) -> dict[tuple[int, int, int], int]:
+        # (operation, j, mask) -> the operation's image of mask with itself,
+        # a mask of the j-fold product's carrier (see _product_closed)
         return {}
 
     @cached_property
@@ -505,10 +511,10 @@ def _closure_witness(gs: GammaSemiring, mask: int, arity: int | None = None) -> 
     judged from the base tables.
 
     The verdict comes first: on one coordinate from the pair table, for
-    k >= 2 from each operation's _fold_image of the whole mask.  Only an
-    unclosed mask is scanned for its witness, additive pairs (p, q) first,
-    then product triples (p, alpha, q), both lexicographic by position; for
-    k >= 2 each p o q is built digit by digit.
+    k >= 2 from the mask's fibre classes (_product_closed).  Only an
+    unclosed mask lists its members and is scanned for its witness, additive
+    pairs (p, q) first, then product triples (p, alpha, q), both
+    lexicographic by position; for k >= 2 each p o q is built digit by digit.
     """
     if mask == 0:
         return Witness(False, kind="empty-subset")
@@ -516,12 +522,14 @@ def _closure_witness(gs: GammaSemiring, mask: int, arity: int | None = None) -> 
     k = arity or 1
     ops = gs._ops
     inv = ~mask
-    members = list(iter_bits(mask))
     if k == 1:
+        members = list(iter_bits(mask))
         if not _meets(gs._pair, members, inv):
             return PASSED
-    elif not any(_fold_image(t, n, k, mask, mask, {}) & inv for t in ops):
+    elif _product_closed(gs, mask, k):
         return PASSED
+    else:
+        members = list(iter_bits(mask))
 
     def digits(p: int) -> tuple:
         return tuple(p // n**c % n for c in reversed(range(k)))
@@ -542,6 +550,48 @@ def _closure_witness(gs: GammaSemiring, mask: int, arity: int | None = None) -> 
                     if inv >> r & 1:
                         tag = (gs.gamma_elements[o - 1],) if o else ()
                         return Witness(False, kind=kind, elements=(label(p), *tag, label(q), label(r)))
+
+
+def _product_closed(gs: GammaSemiring, mask: int, k: int) -> bool:
+    """Whether mask, a nonempty subset of the k-fold product of gs (k >= 2),
+    is closed under every operation of gs applied coordinatewise.
+
+    Position x * m + r, m = n**(k-1), pairs base position x with tail
+    position r, so the mask is its fibres f_x = {r : (x, r) in mask}, and it
+    is closed under an operation o exactly when, for all x and y with
+    nonempty fibres, the tail image f_x o f_y lies in the fibre f_(x o y).
+    The first coordinates are grouped into classes of equal fibre, and each
+    ordered pair of classes (F, X), (G, Y) is checked once: F o G must lie in
+    the fibre at every position of X o Y.  The tail image of a fibre with
+    itself is kept in gs._fold_memo, one entry per operation and fibre.
+    """
+    n = gs.size
+    j = k - 1
+    m = n**j
+    low = (1 << m) - 1
+    fibres = [mask >> x * m & low for x in range(n)]
+    outside = [~f for f in fibres]
+    grouped: dict[int, list[int]] = {}
+    for x, f in enumerate(fibres):
+        if f:
+            grouped.setdefault(f, []).append(x)
+    classes = list(grouped.items())
+    memo = gs._fold_memo
+    for o, table in enumerate(gs._ops):
+        for f, xs in classes:
+            for g, ys in classes:
+                if f == g:
+                    image = memo.get((o, j, f))
+                    if image is None:
+                        image = memo[(o, j, f)] = _fold_image(table, n, j, f, f, {})
+                else:
+                    image = _fold_image(table, n, j, f, g, {})
+                for x in xs:
+                    row = table[x]
+                    for y in ys:
+                        if image & outside[row[y]]:
+                            return False
+    return True
 
 
 def _meets(pair, members: list[int], inv: int) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .algebra import (
@@ -23,30 +24,39 @@ def _int_subset(values, n: int, what: str) -> tuple[int, ...]:
     return out
 
 
+def _integer_ops(kind: str, n: int) -> tuple:
+    """The + and the multiplication of family "zn" (mod n) or "minmax" (max and min)."""
+    if kind == "zn":
+        return (lambda a, b: (a + b) % n), (lambda a, b: a * b % n)
+    return max, min
+
+
+# the most (kind, n) carriers that _integer_carrier keeps
+CARRIER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=CARRIER_CACHE_SIZE)
+def _integer_carrier(kind: str, n: int) -> tuple[FiniteCommutativeSemigroup, tuple[tuple[int, ...], ...]]:
+    """The checked carrier 0..n-1 of a family and its multiplication table,
+    shared by every gamma set over (kind, n)."""
+    add, mul = _integer_ops(kind, n)
+    add_table = tuple(tuple(add(i, j) for j in range(n)) for i in range(n))
+    rows = tuple(tuple(mul(k, j) for j in range(n)) for k in range(n))
+    return FiniteCommutativeSemigroup(tuple(str(i) for i in range(n)), add_table), rows
+
+
 def _integer_gamma(kind: str, n: int, gamma: tuple[int, ...], with_gamma_add: bool) -> GammaSemiring:
     """Carrier 0..n-1 of family "zn" (+ and a*alpha*b mod n) or "minmax" (max
     and min(a, alpha, b)), zero 0.  Gamma labels are taken as given and may
     exceed n - 1; with_gamma_add attaches their sums as a label table."""
-    if kind == "zn":
-        add = lambda a, b: (a + b) % n
-        mul = lambda a, b: a * b % n
-    else:
-        add, mul = max, min
-    elements = tuple(str(i) for i in range(n))
-    add_table = tuple(tuple(add(i, j) for j in range(n)) for i in range(n))
+    s, rows = _integer_carrier(kind, n)
+    add, mul = _integer_ops(kind, n)
     # a·alpha·b is mul(mul(a, alpha), b), so the row b -> a·alpha·b is the
     # row of mul(a, alpha) < n in mul's table, one tuple shared by every
     # (a, alpha) with that value
-    rows = tuple(tuple(mul(k, j) for j in range(n)) for k in range(n))
     product = tuple(tuple(rows[mul(i, g)] for g in gamma) for i in range(n))
     gamma_add = tuple(tuple(str(add(g, h)) for h in gamma) for g in gamma) if with_gamma_add else None
-    return GammaSemiring(
-        FiniteCommutativeSemigroup(elements, add_table),
-        tuple(str(g) for g in gamma),
-        gamma_add,
-        product,
-        zero="0",
-    )
+    return GammaSemiring(s, tuple(str(g) for g in gamma), gamma_add, product, zero="0")
 
 
 def make_zn_gamma(n: int, gamma_subset, strict: bool = False) -> GammaSemiring:

@@ -69,7 +69,6 @@ from .algebra import (
     _count,
     gamma_hom,
     identity_hom,
-    kernel,
 )
 from .errors import DomainError, GenerationError, InputError
 from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma
@@ -439,7 +438,10 @@ def _forced_mask(policy: str, side: GammaSemiring, hom) -> int | None:
     policy; None when values are drawn.  _check_spec has made sure that
     the kernel and carrier-image policies come with a homomorphism."""
     if policy == "kernel":
-        return hom.source.subset_mask(kernel(hom))
+        target = hom.target
+        if target.zero is None:
+            raise InputError("kernel requires a designated zero in the target")
+        return hom.preimage_mask(1 << target.s.pos(target.zero))
     if policy == "whole":
         return side.full_mask
     if policy == "carrier-image":
@@ -609,7 +611,7 @@ _OPS: dict[str, tuple[Callable, str]] = {
 
 def _closed(side: GammaSemiring, ss: SoftSet) -> bool:
     """Every nonempty value of ss is a subalgebra of side; a null ss passes (evaluate's null gates judge it)."""
-    return ss.is_null() or bool(is_soft_gamma_semiring(side, ss))
+    return not any(ss.masks) or is_soft_gamma_semiring(side, ss).verdict
 
 
 def _is_chain(masks) -> bool:
@@ -780,7 +782,7 @@ class Law:
             # a trivial soft set is defined by the zero, so without one the shape is undefined
             if self.conclusion == "trivial" and over.zero is None:
                 return _VACUOUS
-            if _SHAPES[self.conclusion](over, result) and is_soft_gamma_semiring(over, result):
+            if _SHAPES[self.conclusion](over, result) and is_soft_gamma_semiring(over, result).verdict:
                 return _PASS
             return "fail", lambda: _dump(inst, operation, members_over, members, result)
 
@@ -796,15 +798,15 @@ class Law:
         # that is not one leaves the conclusion undefined, and then a result
         # that is not one fails it
         for bound in bounds:
-            if not is_soft_gamma_semiring(over, bound, arity):
+            if not is_soft_gamma_semiring(over, bound, arity).verdict:
                 return _VACUOUS
         w = is_soft_gamma_semiring(over, result, arity)
-        if not w:
+        if not w.verdict:
             extra = None if arity is None else {"product_arity": arity}
             return "fail", lambda: _dump(inst, operation, members_over, members, result, w, extra)
         for bound in bounds:
             w = _subset_witness(result, bound)
-            if not w:
+            if not w.verdict:
                 outer_result = bound if self.conclusion == "outer-op" else None
                 return "fail", lambda: _dump(
                     inst, operation, members_over, members, shown, w, outer_result=outer_result

@@ -29,13 +29,13 @@ def is_soft_gamma_semiring(gs: GammaSemiring, ss: SoftSet, arity: int | None = N
     that carrier would exceed MAX_PRODUCT_SIZE elements.
     """
     _require_carrier(gs, ss, arity)
-    if ss.is_null():
+    if not any(ss.masks):
         return Witness(False, kind="null-soft-set")
     # a SoftSet's masks are exact ints inside its universe, the carrier checked above
     for w, m in zip(ss.parameters, ss.masks):
         if m:
             sw = _closure_verdict(gs, m, arity)
-            if not sw:
+            if not sw.verdict:
                 return Witness(False, kind=sw.kind, failing_parameter=w, elements=sw.elements)
     return PASSED
 

@@ -224,15 +224,19 @@ def cartesian_product(family: Sequence[SoftSet]) -> SoftSet:
     universe = tuple(iproduct(*[m.universe for m in fam]))
     params = tuple(iproduct(*[m.parameters for m in fam]))
     widths = [len(m.universe) for m in fam]
+    # row-major: point t of the product so far owns block t of the next one,
+    # so the next value is mask placed in each block of spread(prev), bit t
+    # moved to bit t * width; mask < 1 << width, so mask * spread(prev) is
+    # that sum with no carries
+    spreads: dict[tuple[int, int], int] = {}
     masks = []
     for combo in iproduct(*[m.masks for m in fam]):
-        # row-major: point t of the product so far owns block t of the next one
         prev = 1
         for mask, width in zip(combo, widths):
-            box = 0
-            for t in iter_bits(prev):
-                box |= mask << t * width
-            prev = box
+            spread = spreads.get((prev, width))
+            if spread is None:
+                spread = spreads[(prev, width)] = sum(1 << t * width for t in iter_bits(prev))
+            prev = mask * spread
         masks.append(prev)
     return SoftSet._unchecked(universe, params, tuple(masks))
 

@@ -143,3 +143,36 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_pa
                        "stderr": [f"line {i}" for i in range(10, 30)]}]
     # pair 1 lost its change run, so two pairs are summarized
     assert doc["summary"]["5"]["wall_s"]["pairs"] == 2
+
+
+@pytest.mark.parametrize(
+    "stdout,last",
+    [("", ""), ('{"correct": true}\n', '{"correct": true}'), ("{}\nTraceback: not JSON\n", "Traceback: not JSON")],
+    ids=["empty", "one-line", "not-json"],
+)
+def test_a_run_exiting_zero_without_its_json_lines_is_recorded_as_failed(monkeypatch, tmp_path, stdout, last):
+    benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    metrics = {m["name"]: {"unit": m["unit"], "value": 1.0} for m in benchmark["end_to_end"]}
+    calls = []
+
+    def run(argv, cwd=None, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, stdout="subject\n", stderr="")
+        calls.append(Path(cwd).name)
+        if len(calls) == 2:  # pair 0, the change side
+            return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="warning\n")
+        result = {"correct": True, "failed": 0, "metrics": metrics}
+        return subprocess.CompletedProcess(argv, 0, stdout=f"{{}}\n{json.dumps(result)}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "checkout", lambda rev, into: rev)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main(["parent", "--workload", "cli", "--seeds", "5", "--pairs", "2"]) == 1
+    assert calls == ["parent", "change", "change", "parent"]
+    doc = json.loads((tmp_path / "BENCH_cli.json").read_text(encoding="utf-8"))
+    failed = [run for run in doc["runs"] if "result" not in run]
+    assert failed == [{"exit_code": 0, "first": "parent", "pair": 0, "seed": 5, "side": "change",
+                       "stderr": ["warning"], "stdout": last}]
+    # pair 0 lost its change run, so one pair is summarized
+    assert doc["summary"]["5"]["wall_s"]["pairs"] == 1

@@ -3,6 +3,7 @@ distinct row b -> a·alpha·b once, and the table check and the axiom scans
 read each distinct row object once.  The tables must still be the ones the
 definitions give, and a shared row must be judged as a copy of it would be."""
 
+import random
 import re
 from itertools import product as iproduct
 
@@ -18,7 +19,7 @@ from softgamma import (
     make_zn_gamma,
     product_gamma,
 )
-from softgamma.generators import _integer_gamma
+from softgamma.generators import _integer_carrier, _integer_gamma
 
 GAMMAS = [(0,), (1,), (0, 1), (1, 2, 3), (2, 4, 6, 8, 10), tuple(range(12))]
 
@@ -53,6 +54,37 @@ def test_tables_with_gamma_labels_at_or_above_n_match_the_definitions(kind, n):
         gs = _integer_gamma(kind, n, gamma, with_gamma_add=False)
         _assert_tables(gs, kind, n, gamma)
         assert gs.gamma_add is None
+
+
+def _definitional(kind, n, gamma, strict):
+    """The structure of the family's definitions, built from plain lists through the public constructors."""
+    add, mul = DEFINITIONS[kind]
+    s = FiniteCommutativeSemigroup([str(i) for i in range(n)], [[add(a, b, n) for b in range(n)] for a in range(n)])
+    product = [[[mul(a, g, b, n) for b in range(n)] for g in gamma] for a in range(n)]
+    gamma_add = [[str(add(g, h, n)) for h in gamma] for g in gamma] if strict else None
+    return GammaSemiring(s, [str(g) for g in gamma], gamma_add, product, zero="0")
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("kind", ["zn", "minmax"])
+def test_structures_over_a_shared_carrier_equal_the_definitional_ones(kind, n):
+    rng = random.Random(n)
+    for _ in range(8):
+        # labels up to 3n - 1, as a homomorphism target keeps its source's gamma labels
+        gamma = tuple(sorted(rng.sample(range(3 * n), rng.randint(1, min(4, 3 * n)))))
+        for strict in (False, True):
+            assert _integer_gamma(kind, n, gamma, strict) == _definitional(kind, n, gamma, strict)
+        inside = tuple(sorted({g % n for g in gamma}))
+        public = make_zn_gamma(n, inside) if kind == "zn" else make_minmax_gamma(n, inside)
+        assert public == _definitional(kind, n, inside, kind == "minmax")
+
+
+def test_gamma_sets_over_one_carrier_share_it():
+    assert make_zn_gamma(6, (1,)).s is make_zn_gamma(6, (2, 3), strict=True).s is _integer_gamma("zn", 6, (7,), False).s
+    assert make_minmax_gamma(6, (1,)).s is make_minmax_gamma(6, (2, 5)).s
+    assert make_minmax_gamma(6, (1,)).s is not make_zn_gamma(6, (1,)).s
+    assert make_zn_gamma(6, (1,)).s is not make_zn_gamma(5, (1,)).s
+    assert type(_integer_carrier.cache_info().maxsize) is int
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -20,7 +20,7 @@ from softgamma import (
     sub_gamma_witness,
     ternary_product,
 )
-from softgamma.algebra import MAX_SUBALGEBRAS, _closure_witness, sub_gamma_witness_mask
+from softgamma.algebra import MAX_SUBALGEBRAS, _closure_witness, _fold_image, sub_gamma_witness_mask
 
 from conftest import mutant
 
@@ -165,6 +165,73 @@ class TestProductScan:
         rng = random.Random(base.size)
         for _ in range(25):
             self.assert_agrees(mutant(base, rng), k, range(1 << base.size**k))
+
+    @staticmethod
+    def rebuild(gs):
+        """gs as a fresh structure over the same tables, its memos empty."""
+        return GammaSemiring(gs.s, gs.gamma_elements, gs.gamma_add, gs.product, gs.zero)
+
+    @pytest.mark.parametrize(
+        "base,k",
+        [
+            (make_zn_gamma(3, (1, 2)), 2),
+            (make_zn_gamma(2, (1,)), 3),
+            (make_minmax_gamma(3, (1, 2)), 2),
+            (make_matrix_gamma(2, 1, 1), 3),
+            *((mutant(make_zn_gamma(3, (1, 2)), random.Random(seed)), 2) for seed in range(3)),
+            *((mutant(make_minmax_gamma(3, (0, 2)), random.Random(seed)), 2) for seed in range(3)),
+            *((mutant(make_zn_gamma(2, (0, 1)), random.Random(seed)), 3) for seed in range(3)),
+        ],
+        ids=["z3-squared", "z2-cubed", "minmax3-squared", "matrix211-cubed"]
+        + [f"{name}-mutant{seed}" for name in ("z3-squared", "minmax3-squared", "z2-cubed") for seed in range(3)],
+    )
+    def test_product_verdicts_do_not_depend_on_what_the_fold_memo_holds(self, base, k):
+        oracle = product_gamma(base, k)
+        masks = range(1 << oracle.size)
+        expected = [_closure_witness(oracle, mask) for mask in masks]
+        fresh = self.rebuild(base)
+        for gs, order in ((base, masks), (base, reversed(masks)), (fresh, masks)):
+            for mask in order:
+                assert _closure_witness(gs, mask, k) == expected[mask], (k, mask)
+        # one entry per operation and tail fibre (level k - 1), each the
+        # operation's image of that fibre with itself
+        n, j = base.size, k - 1
+        tails = 1 << n**j
+        for gs in (base, fresh):
+            memo = gs._fold_memo
+            assert len(memo) <= len(gs._ops) * (tails - 1)
+            for (o, level, fibre), image in memo.items():
+                assert 0 <= o < len(gs._ops) and level == j and 0 < fibre < tails
+                assert image == _fold_image(gs._ops[o], n, j, fibre, fibre, {})
+
+    @pytest.mark.parametrize(
+        "base", [make_zn_gamma(4, (1, 3)), make_minmax_gamma(4, (1, 2)), make_zn_gamma(6, (2, 3))],
+        ids=["z4", "minmax4", "z6"],
+    )
+    def test_a_union_of_two_boxes_is_judged_by_its_two_fibre_classes(self, base):
+        # a mask of the square is X1 x F1 | X2 x F2 exactly when it has two
+        # distinct nonempty fibres F1, F2, over the disjoint rows X1, X2
+        n = base.size
+        oracle = product_gamma(base, 2)
+        rng = random.Random(n)
+
+        def classes(mask):
+            return len({mask >> x * n & (1 << n) - 1 for x in range(n)} - {0})
+
+        def box(rows, fibre):
+            return sum(fibre << x * n for x in range(n) if rows >> x & 1)
+
+        unions = []
+        for _ in range(300):
+            x1 = rng.randrange(1, (1 << n) - 1)
+            x2 = rng.randrange(1, 1 << n) & ~x1 or (1 << n) - 1 & ~x1
+            f1, f2 = rng.sample(range(1, 1 << n), 2)
+            unions.append(box(x1, f1) | box(x2, f2))
+        closed = [mask for mask in oracle.sub_masks if classes(mask) == 2]
+        assert closed
+        for mask in unions + closed:
+            assert classes(mask) == 2
+            assert _closure_witness(base, mask, 2) == _closure_witness(oracle, mask), mask
 
     def test_a_product_above_the_size_limit_is_refused_unbuilt(self):
         base = make_zn_gamma(17, (1,))

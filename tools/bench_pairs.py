@@ -18,10 +18,11 @@ its `bound` in BENCHMARK.json, a fraction of the parent's median: the
 change's median is within the bound or worse than it, and the metric is
 unresolved when the parent's interquartile range is wider than the bound,
 unless every change run is better than every parent run.  A run that
-exits non-zero is recorded with its exit code and the last lines of its
-stderr, left out of the summary, and makes the script exit 1 once
-BENCH_<workload>.json is written.  Needs git, tar and the standard library
-only.
+exits non-zero, or exits 0 without its two JSON lines at the end of its
+stdout, is recorded with its exit code and the last lines of its stderr
+(the second kind with its last stdout line too), left out of the summary,
+and makes the script exit 1 once BENCH_<workload>.json is written.  Needs
+git, tar and the standard library only.
 """
 
 from __future__ import annotations
@@ -60,13 +61,19 @@ STDERR_LINES = 20
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in tree: {"info", "result"} from its last two
-    stdout lines, or {"exit_code", "stderr"} when it exits non-zero."""
+    stdout lines; {"exit_code", "stderr"} when it exits non-zero, and with
+    "stdout", its last stdout line, when it exits 0 without those lines."""
     argv = [sys.executable, *(str(seed) if a == "SEED" else a for a in command(workload, seconds))]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    failed = {"exit_code": done.returncode, "stderr": done.stderr.splitlines()[-STDERR_LINES:]}
     if done.returncode != 0:
-        return {"exit_code": done.returncode, "stderr": done.stderr.splitlines()[-STDERR_LINES:]}
-    *_, info, result = done.stdout.strip().splitlines()
-    return {"info": json.loads(info), "result": json.loads(result)}
+        return failed
+    lines = done.stdout.strip().splitlines()
+    try:
+        info, result = map(json.loads, lines[-2:])
+    except ValueError:  # fewer than two lines, or one is not JSON (JSONDecodeError is a ValueError)
+        return {**failed, "stdout": lines[-1] if lines else ""}
+    return {"info": info, "result": result}
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -158,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"pair {pair} seed {seed} {side}: wall_s {result['metrics']['wall_s']['value']:.4f}"
                               f" correct {result['correct']} failed {result['failed']}", file=sys.stderr)
                     else:
-                        print(f"pair {pair} seed {seed} {side}: exit code {run['exit_code']}", file=sys.stderr)
+                        print(f"pair {pair} seed {seed} {side}: exit code {run['exit_code']}, no result", file=sys.stderr)
 
     summary = summarize(runs, better)
     held_out = "not used while the change was written"
@@ -185,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"bound {bounds[name]:g}: {status}")
     bad = [r for r in runs if "result" not in r or not r["result"]["correct"] or r["result"]["failed"]]
     if bad:
-        print(f"{len(bad)} runs exited non-zero, were not correct or had failed requests", file=sys.stderr)
+        print(f"{len(bad)} runs gave no result, were not correct or had failed requests", file=sys.stderr)
     print(f"wrote {out.relative_to(ROOT)}", file=sys.stderr)
     return 1 if bad else 0
 
