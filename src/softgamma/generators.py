@@ -31,14 +31,10 @@ def _integer_ops(kind: str, n: int) -> tuple:
     return max, min
 
 
-# the most (kind, n) carriers that _integer_carrier keeps
-CARRIER_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=CARRIER_CACHE_SIZE)
+@lru_cache(maxsize=64)
 def _integer_carrier(kind: str, n: int) -> tuple[FiniteCommutativeSemigroup, tuple[tuple[int, ...], ...]]:
     """The checked carrier 0..n-1 of a family and its multiplication table,
-    shared by every gamma set over (kind, n)."""
+    shared by every gamma set over (kind, n); the 64 latest pairs are kept."""
     add, mul = _integer_ops(kind, n)
     add_table = tuple(tuple(add(i, j) for j in range(n)) for i in range(n))
     rows = tuple(tuple(mul(k, j) for j in range(n)) for k in range(n))

@@ -147,8 +147,14 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_pa
 
 @pytest.mark.parametrize(
     "stdout,last",
-    [("", ""), ('{"correct": true}\n', '{"correct": true}'), ("{}\nTraceback: not JSON\n", "Traceback: not JSON")],
-    ids=["empty", "one-line", "not-json"],
+    [
+        ("", ""),
+        ('{"correct": true}\n', '{"correct": true}'),
+        ("{}\nTraceback: not JSON\n", "Traceback: not JSON"),
+        ("{}\n[1, 2]\n", "[1, 2]"),
+        ('{}\n{"correct": true}\n', '{"correct": true}'),
+    ],
+    ids=["empty", "one-line", "not-json", "not-an-object", "no-metrics"],
 )
 def test_a_run_exiting_zero_without_its_json_lines_is_recorded_as_failed(monkeypatch, tmp_path, stdout, last):
     benchmark = json.loads((_PATH.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -19,7 +19,7 @@ change's median is within the bound or worse than it, and the metric is
 unresolved when the parent's interquartile range is wider than the bound,
 unless every change run is better than every parent run.  A run that
 exits non-zero, or exits 0 without its two JSON lines at the end of its
-stdout, is recorded with its exit code and the last lines of its stderr
+stdout (the last a result object), is recorded with its exit code and the last lines of its stderr
 (the second kind with its last stdout line too), left out of the summary,
 and makes the script exit 1 once BENCH_<workload>.json is written.  Needs
 git, tar and the standard library only.
@@ -72,6 +72,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         info, result = map(json.loads, lines[-2:])
     except ValueError:  # fewer than two lines, or one is not JSON (JSONDecodeError is a ValueError)
+        result = None
+    if not isinstance(result, dict) or not {"correct", "failed", "metrics"} <= result.keys():
         return {**failed, "stdout": lines[-1] if lines else ""}
     return {"info": info, "result": result}
 
