@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from functools import cache, cached_property
 
-from .errors import ConstraintError, InputError, SizeLimitError
+from .errors import ConstraintError, InputError, SizeLimitError, _require_type
 from .reports import PASSED, AxiomReport, Record, Violation, Witness
 
 Label = Hashable
@@ -259,8 +259,7 @@ class GammaSemiring(Record):
     zero: Label | None
 
     def __init__(self, s, gamma_elements, gamma_add, product, zero=None):
-        if not isinstance(s, FiniteCommutativeSemigroup):
-            raise InputError(f"a carrier must be of type FiniteCommutativeSemigroup, got {type(s).__name__}")
+        _require_type(s, FiniteCommutativeSemigroup, "a carrier")
         gamma = _entries(_labels(gamma_elements, "gamma"), None, "gamma set")
         if not gamma:
             raise InputError("gamma set must be nonempty")
@@ -343,12 +342,6 @@ class GammaSemiring(Record):
         return {}
 
     @cached_property
-    def _fold_memo(self) -> dict[tuple[int, int, int], int]:
-        # (operation, j, mask) -> the operation's image of mask with itself,
-        # a mask of the j-fold product's carrier (see _product_closed)
-        return {}
-
-    @cached_property
     def _axiom_witnesses(self) -> dict[str, tuple | None]:
         # axiom name -> its first witness, or None when it holds, filled by
         # check_gamma_semiring; a scan reads only the tables and the zero
@@ -409,17 +402,16 @@ class GammaSemiring(Record):
 
 
 def _require_structure(gs) -> None:
-    if not isinstance(gs, GammaSemiring):
-        raise InputError(f"a structure must be of type GammaSemiring, got {type(gs).__name__}")
+    _require_type(gs, GammaSemiring, "a structure")
 
 
 def _require_hom(hom) -> None:
-    if not isinstance(hom, GammaHom):
-        raise InputError(f"a homomorphism must be of type GammaHom, got {type(hom).__name__}")
+    _require_type(hom, GammaHom, "a homomorphism")
 
 
 def ternary_product(gs: GammaSemiring, a: Label, alpha: str, b: Label) -> Label:
     """Table lookup a·alpha·b; total on valid labels, InputError otherwise."""
+    _require_structure(gs)
     return gs.elements[gs.product[gs.s.pos(a)][gs.gamma_pos(alpha)][gs.s.pos(b)]]
 
 
@@ -511,7 +503,8 @@ def _closure_witness(gs: GammaSemiring, mask: int, arity: int | None = None) -> 
     judged from the base tables.
 
     The verdict comes first: on one coordinate from the pair table, for
-    k >= 2 from the mask's fibre classes (_product_closed).  Only an
+    k >= 2 from the mask's fibre classes (_product_closed), imaged afresh;
+    _closure_verdict memoizes the result.  Only an
     unclosed mask lists its members and is scanned for its witness, additive
     pairs (p, q) first, then product triples (p, alpha, q), both
     lexicographic by position; for k >= 2 each p o q is built digit by digit.
@@ -561,9 +554,10 @@ def _product_closed(gs: GammaSemiring, mask: int, k: int) -> bool:
     is closed under an operation o exactly when, for all x and y with
     nonempty fibres, the tail image f_x o f_y lies in the fibre f_(x o y).
     The first coordinates are grouped into classes of equal fibre, and each
-    ordered pair of classes (F, X), (G, Y) is checked once: F o G must lie in
-    the fibre at every position of X o Y.  The tail image of a fibre with
-    itself is kept in gs._fold_memo, one entry per operation and fibre.
+    ordered pair of classes (F, X), (G, Y) is checked once: F o G, imaged
+    from the base table at each scan, must lie in the fibre at every
+    position of X o Y.  No image outlives the call: the verdict is memoized
+    once per (k, mask), in gs._closed_memo (see _closure_verdict).
     """
     n = gs.size
     j = k - 1
@@ -576,16 +570,10 @@ def _product_closed(gs: GammaSemiring, mask: int, k: int) -> bool:
         if f:
             grouped.setdefault(f, []).append(x)
     classes = list(grouped.items())
-    memo = gs._fold_memo
-    for o, table in enumerate(gs._ops):
+    for table in gs._ops:
         for f, xs in classes:
             for g, ys in classes:
-                if f == g:
-                    image = memo.get((o, j, f))
-                    if image is None:
-                        image = memo[(o, j, f)] = _fold_image(table, n, j, f, f, {})
-                else:
-                    image = _fold_image(table, n, j, f, g, {})
+                image = _fold_image(table, n, j, f, g, {})
                 for x in xs:
                     row = table[x]
                     for y in ys:
@@ -613,6 +601,7 @@ def _compose(rows, n: int, ys) -> int:
 
 
 def sub_gamma_witness(gs: GammaSemiring, subset: Iterable[Label]) -> Witness:
+    _require_structure(gs)
     return sub_gamma_witness_mask(gs, gs.subset_mask(subset))
 
 

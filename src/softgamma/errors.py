@@ -46,3 +46,9 @@ class ConstraintError(DomainError):
 
 class GenerationError(SoftGammaError):
     """An instance-generation policy is unsatisfiable as configured."""
+
+
+def _require_type(value, kind: type, name: str) -> None:
+    """InputError naming name, kind and value's type unless value is a kind."""
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")

@@ -67,10 +67,11 @@ from .algebra import (
     GammaSemiring,
     _collection,
     _count,
+    _require_hom,
     gamma_hom,
     identity_hom,
 )
-from .errors import DomainError, GenerationError, InputError
+from .errors import DomainError, GenerationError, InputError, _require_type
 from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma
 from .reports import Record, TheoremVerdict, Witness
 from .soft_gamma import (
@@ -492,6 +493,8 @@ class _Plan:
 
 def generate_instance(spec: InstanceSpec) -> Instance:
     """Build the seed-determined instance for a spec; identical specs give identical instances."""
+    if not isinstance(spec, InstanceSpec):
+        raise InputError(f"a spec must be an InstanceSpec, got {type(spec).__name__}")
     return _draw_instance(_Plan(spec), spec)
 
 
@@ -909,8 +912,8 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
         ("hom", GammaHom, True), ("aux_target", SoftSet, True), ("descriptor", tuple, False),
     ):
         value = getattr(instance, name)
-        if not (isinstance(value, kind) or optional and value is None):
-            raise InputError(f"an instance's {name} must be of type {kind.__name__}, got {type(value).__name__}")
+        if not (optional and value is None):
+            _require_type(value, kind, f"an instance's {name}")
     members = instance.soft_sets
     if not isinstance(members, (list, tuple)) or not all(isinstance(m, SoftSet) for m in members):
         raise InputError("an instance's soft_sets must be a list of SoftSets")
@@ -936,6 +939,7 @@ def check_trivial_whole_theorem(hom: GammaHom, ss: SoftSet, case: str) -> Theore
     Each hypothesis also asks the member, and each conclusion the result, to
     be a soft gamma-semiring.
     """
+    _require_hom(hom)
     spec = InstanceSpec(target_side=case in ("iii", "iv"))
     return check_theorem(f"T3.17{case}", Instance(hom.source, [ss], hom=hom, spec=spec))
 

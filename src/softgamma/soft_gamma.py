@@ -9,13 +9,19 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .algebra import GammaHom, GammaSemiring, _closure_verdict, _product_labels, _require_hom, gamma_hom
-from .errors import ConstraintError, DomainError, InputError
+from .algebra import (
+    GammaHom, GammaSemiring, _closure_verdict, _product_labels, _require_hom, _require_structure, gamma_hom,
+)
+from .errors import ConstraintError, DomainError, InputError, _require_type
 from .reports import PASSED, Record, Witness
-from .soft_sets import SoftSet, _subset_witness
+from .soft_sets import SoftSet, _require_soft_set, _subset_witness
 
 
 def _require_carrier(gs: GammaSemiring, ss: SoftSet, arity: int | None = None) -> None:
+    # every judged soft set passes here, so the right types cost two isinstance calls only
+    if not (isinstance(gs, GammaSemiring) and isinstance(ss, SoftSet)):
+        _require_structure(gs)
+        _require_soft_set(ss)
     carrier = gs.elements if arity is None else _product_labels(gs, arity)
     if ss.universe != carrier:
         raise InputError("soft set universe must equal the structure carrier, in order")
@@ -110,12 +116,15 @@ def is_soft_gamma_homomorphism(
 ) -> Witness:
     """Three clauses: f a surjective structure homomorphism, g onto the target
     parameters, and pointwise image compatibility f(value(y)) == target value
-    at g(y).  Never raises, malformed maps included: an f that is not a
-    mapping, is undefined somewhere on the source carrier or leaves the target
-    carrier fails the first clause ("epimorphism"); a g that is not a mapping,
-    is undefined at a source parameter or leaves the target parameters fails
-    the second ("parameter-surjection").
+    at g(y).  Malformed maps never raise: an f that is not a mapping, is
+    undefined somewhere on the source carrier or leaves the target carrier
+    fails the first clause ("epimorphism"); a g that is not a mapping, is
+    undefined at a source parameter or leaves the target parameters fails
+    the second ("parameter-surjection").  A source or target that is not a
+    SoftGammaSemiring is an InputError.
     """
+    _require_type(source, SoftGammaSemiring, "a soft gamma-semiring")
+    _require_type(target, SoftGammaSemiring, "a soft gamma-semiring")
     sgs, tgs = source.base, target.base
     sss, tss = source.soft, target.soft
 

@@ -18,9 +18,9 @@ from types import MappingProxyType
 
 from .algebra import (
     GammaSemiring, Label, _collection, _entries, _image_mask, _label_mask, _labels, _map_positions,
-    _position_map, _preimage_mask, _require_mapping, iter_bits,
+    _position_map, _preimage_mask, _require_mapping, _require_structure, iter_bits,
 )
-from .errors import ConstraintError, DomainError, InputError
+from .errors import ConstraintError, DomainError, InputError, _require_type
 from .reports import PASSED, Record, Witness
 
 
@@ -95,8 +95,13 @@ class SoftSet(Record):
         return not any(self.masks)
 
 
+def _require_soft_set(ss) -> None:
+    _require_type(ss, SoftSet, "a soft set")
+
+
 def support(ss: SoftSet) -> tuple[Label, ...]:
     """Parameters with nonempty value, in parameter order."""
+    _require_soft_set(ss)
     return tuple(w for w, m in zip(ss.parameters, ss.masks) if m)
 
 
@@ -115,6 +120,9 @@ def _family(family: Sequence[SoftSet], shared: bool = True) -> tuple[SoftSet, ..
 
 
 def _same_universe(a: SoftSet, b: SoftSet) -> None:
+    if not (isinstance(a, SoftSet) and isinstance(b, SoftSet)):  # as in soft_gamma._require_carrier
+        _require_soft_set(a)
+        _require_soft_set(b)
     if a.universe != b.universe:
         raise InputError("soft sets must share an identically ordered universe")
 
@@ -270,6 +278,8 @@ class SoftFunction(Record):
     g_positions: tuple[int, ...]
 
     def __init__(self, source, target, f_positions, g_positions):
+        _require_soft_set(source)
+        _require_soft_set(target)
         f_positions = _position_map(
             f_positions, len(source.universe), len(target.universe), "carrier map positions", "source universe"
         )
@@ -312,6 +322,8 @@ def make_soft_function(f: Mapping, g: Mapping, source: SoftSet, target: SoftSet)
     """The soft function of label maps f and g; InputError where a map is
     undefined or leaves the target, ConstraintError naming the first
     incompatible parameter."""
+    _require_soft_set(source)
+    _require_soft_set(target)
     return SoftFunction(
         source,
         target,
@@ -322,6 +334,8 @@ def make_soft_function(f: Mapping, g: Mapping, source: SoftSet, target: SoftSet)
 
 def compose_soft_functions(first: SoftFunction, second: SoftFunction) -> SoftFunction:
     """(f' o f, g' o g); the target of first must be exactly the source of second."""
+    _require_type(first, SoftFunction, "a soft function")
+    _require_type(second, SoftFunction, "a soft function")
     if first.target != second.source:
         raise InputError("target of the first soft function must equal the source of the second")
     return SoftFunction(
@@ -335,6 +349,7 @@ def compose_soft_functions(first: SoftFunction, second: SoftFunction) -> SoftFun
 def soft_image(sf: SoftFunction) -> SoftSet:
     """Over the target parameters: at y, the union of f(value(w)) over the
     fiber g(w) == y; empty off the image of g."""
+    _require_type(sf, SoftFunction, "a soft function")
     masks = [0] * len(sf.target.parameters)
     for m, y in zip(sf.source.masks, sf.g_positions):
         masks[y] |= _image_mask(sf.f_positions, m)
@@ -346,6 +361,7 @@ def soft_preimage(f: Mapping, g: Mapping, target: SoftSet, parameters) -> SoftSe
 
     The result universe is the ordered domain of f.
     """
+    _require_soft_set(target)
     fpos = _map_positions(f, f, target._upos, "carrier map", "the target universe")
     parameters = _labels(parameters, "parameter")
     gpos = _map_positions(g, parameters, target._ppos, "parameter map", "the target parameters")
@@ -384,6 +400,8 @@ def soft_set_from_relation(rel: TernaryRelation, gs: GammaSemiring) -> SoftSet:
 
     The quantification over the gamma set is universal, not existential.
     """
+    _require_type(rel, TernaryRelation, "a relation")
+    _require_structure(gs)
     if rel.gamma != gs.gamma_elements:
         raise InputError("relation gamma set must match the structure gamma set, in order")
     related: dict[tuple, list] = {}

@@ -2,14 +2,19 @@
 check_theorem's instance fields, of the structure that the axiom scan and
 the enumeration take, of the structure and homomorphism arguments of the
 record constructors, the homomorphism helpers, product_gamma and the soft
-image and preimage, of the carrier that the semigroup scan takes and of
-the family that the soft-set family operations take, one malformed input
-each: every one is refused with its own message, a ParseError from the
-reader, exit 2 with the message on stderr from the CLI, and an InputError
-from check_theorem before any hypothesis is judged, from the scans and the
-enumeration before any table is read, and from the family operations before
-any member is read; a mask that is not an exact int is an InputError from
-the closure judge and from labels_of_mask."""
+image and preimage, of the record arguments (soft set, soft function,
+relation, soft gamma-semiring, structure, homomorphism, spec) of the soft
+predicates, the soft-set and soft-function operations, the subalgebra
+predicates, check_trivial_whole_theorem and generate_instance, of the
+carrier that the semigroup scan takes and of the family that the soft-set
+family operations take, one malformed input each: every one is refused with
+its own message, a ParseError from the reader, exit 2 with the message on
+stderr from the CLI, and an InputError from check_theorem before any
+hypothesis is judged, from the scans and the enumeration before any table
+is read, from a record argument's entry point before any of its attributes
+is read, and from the family operations before any member is read; a mask
+that is not an exact int is an InputError from the closure judge and from
+labels_of_mask."""
 
 import json
 import re
@@ -23,27 +28,48 @@ from softgamma import (
     InputError,
     Instance,
     ParseError,
+    SoftFunction,
+    SoftGammaSemiring,
     SoftSet,
+    TernaryRelation,
     and_intersect_family,
     cartesian_product,
     check_commutative_semigroup,
     check_gamma_semiring,
     check_theorem,
+    check_trivial_whole_theorem,
+    compose_soft_functions,
     enumerate_sub_gamma_semirings,
     extended_intersect,
     extended_union,
     files,
     gamma_hom,
+    generate_instance,
     identity_hom,
     is_gamma_homomorphism,
+    is_soft_gamma_homomorphism,
+    is_soft_gamma_semiring,
+    is_soft_sub_gamma_semiring,
+    is_soft_subset,
+    is_sub_gamma_semiring,
+    is_trivial_soft,
+    is_whole_soft,
     kernel,
+    make_soft_function,
     make_zn_gamma,
     or_union_family,
     product_gamma,
     restricted_intersect,
     restricted_union,
+    soft_equal,
+    soft_image,
     soft_image_under_hom,
+    soft_preimage,
     soft_preimage_under_hom,
+    soft_set_from_relation,
+    sub_gamma_witness,
+    support,
+    ternary_product,
 )
 from softgamma.algebra import sub_gamma_witness_mask
 from softgamma.harness import ALL_THEOREMS
@@ -230,6 +256,72 @@ def test_a_structure_that_is_not_a_gamma_semiring_is_an_input_error(judge):
     ],
 )
 def test_a_structure_or_homomorphism_argument_of_the_wrong_type_is_an_input_error(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+IDENTITY = {x: x for x in Z4.elements}
+FUNCTION = make_soft_function(IDENTITY, {"a": "a"}, MEMBER, MEMBER)
+SOFT = SoftGammaSemiring(Z4, MEMBER)
+RELATION = TernaryRelation(("a",), Z4.gamma_elements, ())
+STRUCTURE = "a structure must be of type GammaSemiring, got int"
+SOFT_SET = "a soft set must be of type SoftSet, got int"
+SOFT_FUNCTION = "a soft function must be of type SoftFunction, got int"
+SOFT_GAMMA = "a soft gamma-semiring must be of type SoftGammaSemiring, got int"
+
+
+# one row per entry point and record argument, each checked before any of
+# the argument's attributes is read
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: is_soft_gamma_semiring(5, MEMBER), STRUCTURE),
+        (lambda: is_soft_gamma_semiring(Z4, 5), SOFT_SET),
+        (lambda: is_soft_gamma_semiring(Z4, 5, 2), SOFT_SET),
+        (lambda: is_trivial_soft(Z4, None), "a soft set must be of type SoftSet, got NoneType"),
+        (lambda: is_whole_soft(Z4, "ab"), "a soft set must be of type SoftSet, got str"),
+        (lambda: soft_image_under_hom(identity_hom(Z4), 5), SOFT_SET),
+        (lambda: soft_preimage_under_hom(identity_hom(Z4), 5), SOFT_SET),
+        (lambda: SoftGammaSemiring(5, MEMBER), STRUCTURE),
+        (lambda: SoftGammaSemiring(Z4, 5), SOFT_SET),
+        (lambda: is_soft_sub_gamma_semiring(5, MEMBER, MEMBER), STRUCTURE),
+        (lambda: is_soft_sub_gamma_semiring(Z4, 5, MEMBER), SOFT_SET),
+        (lambda: is_soft_sub_gamma_semiring(Z4, MEMBER, 5), SOFT_SET),
+        (lambda: is_soft_subset(5, MEMBER), SOFT_SET),
+        (lambda: is_soft_subset(MEMBER, 5), SOFT_SET),
+        (lambda: soft_equal(5, MEMBER), SOFT_SET),
+        (lambda: soft_equal(MEMBER, 5), SOFT_SET),
+        (lambda: support(5), SOFT_SET),
+        (lambda: make_soft_function(IDENTITY, {"a": "a"}, 5, MEMBER), SOFT_SET),
+        (lambda: make_soft_function(IDENTITY, {"a": "a"}, MEMBER, 5), SOFT_SET),
+        (lambda: SoftFunction(5, MEMBER, (0, 1, 2, 3), (0,)), SOFT_SET),
+        (lambda: SoftFunction(MEMBER, 5, (0, 1, 2, 3), (0,)), SOFT_SET),
+        (lambda: compose_soft_functions(5, FUNCTION), SOFT_FUNCTION),
+        (lambda: compose_soft_functions(FUNCTION, 5), SOFT_FUNCTION),
+        (lambda: soft_image(5), SOFT_FUNCTION),
+        (lambda: soft_preimage(IDENTITY, {"a": "a"}, 5, ("a",)), SOFT_SET),
+        (lambda: soft_set_from_relation(5, Z4), "a relation must be of type TernaryRelation, got int"),
+        (lambda: soft_set_from_relation(RELATION, 5), STRUCTURE),
+        (lambda: is_soft_gamma_homomorphism(IDENTITY, {"a": "a"}, 5, SOFT), SOFT_GAMMA),
+        (lambda: is_soft_gamma_homomorphism(IDENTITY, {"a": "a"}, SOFT, 5), SOFT_GAMMA),
+        (lambda: ternary_product(5, "0", "1", "0"), STRUCTURE),
+        (lambda: sub_gamma_witness(5, ["0"]), STRUCTURE),
+        (lambda: is_sub_gamma_semiring(5, ["0"]), STRUCTURE),
+        (lambda: check_trivial_whole_theorem(5, MEMBER, "i"), "a homomorphism must be of type GammaHom, got int"),
+        (lambda: generate_instance(5), "a spec must be an InstanceSpec, got int"),
+    ],
+    ids=[
+        "soft-gamma-structure", "soft-gamma-soft-set", "soft-gamma-product-soft-set", "trivial-none",
+        "whole-str", "soft-image", "soft-preimage", "soft-gamma-semiring-base", "soft-gamma-semiring-soft",
+        "soft-sub-structure", "soft-sub-inner", "soft-sub-outer", "soft-subset-first", "soft-subset-second",
+        "soft-equal-first", "soft-equal-second", "support", "make-soft-function-source",
+        "make-soft-function-target", "soft-function-source", "soft-function-target", "compose-first",
+        "compose-second", "soft-image-function", "soft-preimage-target", "relation-relation",
+        "relation-structure", "soft-hom-source", "soft-hom-target", "ternary-product", "sub-gamma-witness",
+        "is-sub-gamma-semiring", "trivial-whole-hom", "generate-instance",
+    ],
+)
+def test_a_record_argument_of_the_wrong_type_is_an_input_error(call, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
 

@@ -8,7 +8,8 @@ it, and must still give the same weak and strict `passed`, the same set of
 violated axioms, and the same closed subsets once its masks, or its listed
 label tuples, are mapped back.  Its k-fold product is the relabelled
 product: renaming each coordinate is an isomorphism onto the product of the
-original.
+original, so a product mask judged from the base tables, mapped
+coordinatewise, keeps its closure verdict.
 A witness depends on scan order, so it is not compared; each one, mapped
 back, must be a real violation of the original structure, judged here from
 the definitions, label by label.  This is a metamorphic test (Chen, Cheung &
@@ -29,7 +30,9 @@ from softgamma import (
     make_minmax_gamma,
     make_zn_gamma,
     product_gamma,
+    ternary_product,
 )
+from softgamma.algebra import iter_bits, sub_gamma_witness_mask
 
 BASES = {
     "zn6-weak": make_zn_gamma(6, (1,)),
@@ -210,6 +213,70 @@ def test_the_product_of_a_relabelled_base_is_the_relabelled_product(name, k):
     if moved.gamma_add is not None:
         assert all(back.get(moved.gamma_add[g][h], moved.gamma_add[g][h]) == big.gamma_add[gat[g]][gat[h]]
                    for g in range(len(gat)) for h in range(len(gat)))
+
+
+def _box(n, factors):
+    """The mask of the product of factors, base masks of an n-element carrier,
+    in product_gamma's row-major positions."""
+    mask = 1
+    for factor in factors:
+        # point t of the product so far owns the block of positions t * n ..
+        mask = sum(factor << t * n for t in iter_bits(mask))
+    return mask
+
+
+def _moved(mask, inverse, n, k):
+    """mask of the k-fold product with every coordinate d moved to inverse[d]."""
+    out = 0
+    for q in iter_bits(mask):
+        r = 0
+        for c in reversed(range(k)):
+            r = r * n + inverse[q // n**c % n]
+        out |= 1 << r
+    return out
+
+
+def _unclosed_at(big, mask, kind, elements):
+    """Whether a closure witness's kind and elements, labels of big, show mask
+    unclosed: its operands lie in mask and their sum or product, its last
+    label, does not."""
+    inside = set(big.labels_of_mask(mask))
+    if kind == "add-closure":
+        p, q, r = elements
+        value = big.s.add(p, q)
+    else:
+        p, alpha, q, r = elements
+        value = ternary_product(big, p, alpha, q)
+    return p in inside and q in inside and value == r and r not in inside
+
+
+@pytest.mark.parametrize("name,k", PRODUCTS)
+def test_a_product_mask_keeps_its_verdict_when_the_base_is_relabelled(name, k):
+    # the judge reads a product mask by its fibre classes over the base
+    # tables: a box A x T has one class, a union of boxes over disjoint first
+    # coordinates, X1 x T1 | X2 x T2 with T1 != T2, has two
+    gs = BASES[name]
+    n, m, rng = gs.size, gs.size ** (k - 1), random.Random(name)
+    copy, back, p = relabel(gs, rng)
+    inverse = [0] * n
+    for i, old in enumerate(p):
+        inverse[old] = i
+    masks = [_box(n, [rng.choice(gs.sub_masks) for _ in range(k)]) for _ in range(8)]
+    masks += [_box(n, [rng.randrange(1, 1 << n) for _ in range(k)]) for _ in range(8)]
+    for _ in range(12):
+        first = rng.randrange(1, (1 << n) - 1)
+        second = rng.randrange(1, 1 << n) & ~first or (1 << n) - 1 & ~first
+        tails = rng.sample(range(1, 1 << m), 2)
+        masks.append(sum(tail << x * m for rows, tail in zip((first, second), tails) for x in iter_bits(rows)))
+    big, failed = product_gamma(gs, k), 0
+    for mask in masks:
+        w = sub_gamma_witness_mask(copy, _moved(mask, inverse, n, k), k)
+        assert w.verdict == sub_gamma_witness_mask(gs, mask, k).verdict, mask
+        if not w:
+            failed += 1
+            mapped = [tuple(back[x] for x in e) if isinstance(e, tuple) else back[e] for e in w.elements]
+            assert _unclosed_at(big, mask, w.kind, mapped), (mask, w)
+    assert 0 < failed < len(masks), failed
 
 
 # the kinds of label in each axiom's witness, in order: e carrier, g gamma
