@@ -220,7 +220,7 @@ def _box(n, factors):
     in product_gamma's row-major positions."""
     mask = 1
     for factor in factors:
-        # point t of the product so far owns the block of positions t * n ..
+        # point t of the product so far owns positions t * n .. t * n + n - 1
         mask = sum(factor << t * n for t in iter_bits(mask))
     return mask
 
