@@ -3,13 +3,8 @@
 Each law is one row of a table (Law, _TABLE): the names of its hypotheses,
 the InstanceSpec fields it fixes outright (family_size, hom, target_side),
 its operations, each fixing the structure its result is judged over, the
-members it reads, and the conclusion; Law.evaluate checks every row.  Each
-hypothesis is defined once, in _HYPOTHESES: a predicate on an instance
-(values that are subalgebras, value chains, disjoint or shared parameter
-sets, a common parameter, members nested in an enclosing soft set, an onto
-or injective homomorphism, the forced values of T3.17, an auxiliary target
-member of subalgebra values), the generation policy fields that realize it,
-and those that drop it.  A trial verdict is:
+members it reads, and the conclusion.  Each hypothesis is defined once, in
+_HYPOTHESES.  A trial verdict is:
 
   pass     the conclusion held (in L3.16's row of two operations: for one
            at least, and failed for none);
@@ -27,8 +22,14 @@ and those that drop it.  A trial verdict is:
            counterexample document, which names the row's operation and
            the side its members lie over, is built.
 
-check_theorem judges every named hypothesis before the conclusion;
-fuzz_theorem judges none per trial (see each).
+Law.evaluate reads each soft set's (parameters, masks) pair once and hands
+the pairs to Law._judge, which applies each operation's mask-level core (the
+one its public function wraps) and reads closure from the structure's
+memo, building no SoftSet or Witness.  A failure defers its document to
+Law._counterexample, which rebuilds the result and its witness through the
+public functions, for the lowest failing trial only.  check_theorem checks
+every soft set's carrier, then judges every named hypothesis before the
+conclusion; fuzz_theorem judges none per trial (see each).
 
 Randomness is the MT19937 output words of random.Random(template.seed +
 trial_index), read in order from _stream, one stream per trial.  A _Plan
@@ -43,12 +44,8 @@ does and _below (a uniform integer below n) as randrange does in CPython
 tests/test_draws.py holds randrange oracles of the draws, and checks that
 the parameter and chain draws keep the exact distributions of the
 random.sample and random.shuffle draws they replaced.  The laws of a run
-reuse the trial seeds: _head keeps the first _HEAD words of each of the
-last _SEEDS seeds, so a seed's MT19937 state is built once per run, and
-_opening keeps the descriptor each of the last _SEEDS (pinned, seed) pairs
-drew, its structure and the words it read, so the laws of a suite draw
-each seed's descriptor once and read on from there.  A descriptor pinned
-whole reads no word, so its plan holds it and it takes no entry.
+reuse each trial seed's first words (_head) and drawn descriptor
+(_opening), and a descriptor pinned whole reads no word, so its plan holds it.
 """
 
 from __future__ import annotations
@@ -59,38 +56,22 @@ import random
 import sys
 from array import array
 from collections.abc import Callable, Iterator
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import files
 from .algebra import (
-    GammaHom,
-    GammaSemiring,
-    _collection,
-    _count,
-    _require_hom,
-    gamma_hom,
+    GammaHom, GammaSemiring, _closure_verdict, _collection, _count, _product_size, _require_hom, gamma_hom,
     identity_hom,
 )
 from .errors import DomainError, GenerationError, InputError, _require_type
 from .generators import _integer_gamma, make_matrix_gamma, make_minmax_gamma, make_zn_gamma
 from .reports import Record, TheoremVerdict, Witness
 from .soft_gamma import (
-    is_soft_gamma_semiring,
-    is_trivial_soft,
-    is_whole_soft,
-    soft_image_under_hom,
-    soft_preimage_under_hom,
+    _pointwise, _require_carrier, is_soft_gamma_semiring, soft_image_under_hom, soft_preimage_under_hom,
 )
 from .soft_sets import (
-    SoftSet,
-    _subset_witness,
-    and_intersect_family,
-    cartesian_product,
-    extended_intersect,
-    extended_union,
-    or_union_family,
-    restricted_intersect,
-    restricted_union,
+    SoftSet, _extended, _restricted, _spread, _subset_witness, _tabular, and_intersect_family, cartesian_product,
+    extended_intersect, extended_union, or_union_family, restricted_intersect, restricted_union,
 )
 
 
@@ -178,9 +159,7 @@ class Instance(Record):
 
     @property
     def side_gs(self) -> GammaSemiring:
-        if self.spec.target_side and self.hom is not None:
-            return self.hom.target
-        return self.gs
+        return self.hom.target if self.spec.target_side and self.hom is not None else self.gs
 
 
 _VALUE_POLICIES = ("subsemirings", "arbitrary", "kernel", "whole", "carrier-image", "trivial")
@@ -571,14 +550,11 @@ def _dump(
     }
     if inst.hom is not None:
         doc["hom"] = files.hom_to_doc(inst.hom)
-    if inst.outer is not None:
-        doc["outer"] = files.soft_set_to_doc(inst.outer)
-    if result is not None:
-        doc["result"] = files.soft_set_to_doc(result)
+    for key, ss in (("outer", inst.outer), ("result", result), ("outer_result", outer_result)):
+        if ss is not None:
+            doc[key] = files.soft_set_to_doc(ss)
     if witness is not None:
         doc["violation"] = files.witness_to_doc(witness)
-    if outer_result is not None:
-        doc["outer_result"] = files.soft_set_to_doc(outer_result)
     if extra:
         doc.update(extra)
     return doc
@@ -591,30 +567,36 @@ _PASS: Outcome = ("pass", None)
 _VACUOUS: Outcome = ("vacuous", None)
 
 
-# the shape conclusions: every value of the result is {zero}, or the whole carrier
-_SHAPES: dict[str, Callable] = {"trivial": is_trivial_soft, "whole": is_whole_soft}
-
-
-# the operations a law row names, each with the structure its result is
-# judged over: the members' side, its k-fold product for k members (judged
-# from the side's tables, never built), or the homomorphism's target or
-# source; hom-image and hom-preimage take (hom, soft set)
-_OPS: dict[str, tuple[Callable, str]] = {
-    "restricted-intersection": (restricted_intersect, "side"),
-    "extended-intersection": (extended_intersect, "side"),
-    "restricted-union": (restricted_union, "side"),
-    "extended-union": (extended_union, "side"),
-    "and-intersection": (and_intersect_family, "side"),
-    "or-union": (or_union_family, "side"),
-    "cartesian-product": (cartesian_product, "product"),
-    "hom-image": (soft_image_under_hom, "target"),
-    "hom-preimage": (soft_preimage_under_hom, "source"),
+# the shape conclusions: the mask each result value equals, {zero} (None without a zero) or the whole carrier
+_SHAPES: dict[str, Callable] = {
+    "trivial": lambda over: None if over.zero is None else 1 << over.s.pos(over.zero),
+    "whole": lambda over: over.full_mask,
 }
 
 
-def _closed(side: GammaSemiring, ss: SoftSet) -> bool:
-    """Every nonempty value of ss is a subalgebra of side; a null ss passes (evaluate's null gates judge it)."""
-    return not any(ss.masks) or is_soft_gamma_semiring(side, ss).verdict
+# the operations a law row names: each one's public function, the structure
+# its result is judged over (the members' side, its k-fold product for k
+# members, judged from the side's tables and never built, or the
+# homomorphism's target or source) and the mask-level core that the function
+# wraps, called on (parameters, masks) pairs, their side and the homomorphism
+_OPERATIONS = (
+    ("restricted-intersection", restricted_intersect, "side", lambda ps, side, hom: _restricted(ps, operator.and_)),
+    ("extended-intersection", extended_intersect, "side", lambda ps, side, hom: _extended(ps, operator.and_)),
+    ("restricted-union", restricted_union, "side", lambda ps, side, hom: _restricted(ps, operator.or_)),
+    ("extended-union", extended_union, "side", lambda ps, side, hom: _extended(ps, operator.or_)),
+    ("and-intersection", and_intersect_family, "side", lambda ps, side, hom: _tabular(ps, operator.and_)),
+    ("or-union", or_union_family, "side", lambda ps, side, hom: _tabular(ps, operator.or_)),
+    ("cartesian-product", cartesian_product, "product", lambda ps, side, hom: _spread(ps, (side.size,) * len(ps))),
+    ("hom-image", soft_image_under_hom, "target", lambda ps, side, hom: _pointwise(hom.image_mask, ps[0])),
+    ("hom-preimage", soft_preimage_under_hom, "source", lambda ps, side, hom: _pointwise(hom.preimage_mask, ps[0])),
+)
+_OPS: dict[str, tuple[Callable, str]] = {name: (public, judged) for name, public, judged, _ in _OPERATIONS}
+_CORES: dict[str, Callable] = {name: core for name, _, _, core in _OPERATIONS}
+
+
+def _closed(over: GammaSemiring, masks, arity: int | None = None) -> bool:
+    """Every nonempty mask is a subalgebra of over (of its arity-fold product)."""
+    return all(_closure_verdict(over, m, arity).verdict for m in masks if m)
 
 
 def _is_chain(masks) -> bool:
@@ -625,21 +607,21 @@ def _is_chain(masks) -> bool:
 
 def _nested(inst: Instance, members) -> bool:
     """The outer and every member are closed over the side, and every member
-    is a soft subset of the outer.  The outer is judged first, so an outer off
-    the side's carrier is an InputError whatever the members hold."""
+    is a soft subset of the outer."""
     side, outer = inst.side_gs, inst.outer
-    return _closed(side, outer) and all(_closed(side, m) and _subset_witness(m, outer) for m in members)
+    return _closed(side, outer.masks) and all(_closed(side, m.masks) and _subset_witness(m, outer) for m in members)
 
 
 def _forced_values(policy: str, over: str) -> Callable:
     """A T3.17 case's value hypothesis: every member is a soft gamma-semiring
     over the homomorphism's `over` side, the side its case fixes, and every
     value is the mask the forced value policy gives (a trivial one needs a
-    zero).  A member off that side's carrier is an InputError."""
+    zero)."""
 
     def holds(inst: Instance, members) -> bool:
         side = getattr(inst.hom, over)
-        if not all(is_soft_gamma_semiring(side, m) for m in members) or policy == "trivial" and side.zero is None:
+        gamma = all(any(m.masks) and _closed(side, m.masks) for m in members)
+        if not gamma or policy == "trivial" and side.zero is None:
             return False
         mask = _forced_mask(policy, side, inst.hom)
         return all(v == mask for m in members for v in m.masks)
@@ -658,7 +640,7 @@ def _forced_values(policy: str, over: str) -> Callable:
 # values under drop, so their conclusions stay defined, and draw members
 # free of the outer's values.
 _HYPOTHESES: dict[str, tuple[Callable, dict, dict | None]] = {
-    "values": (lambda inst, ms: all(_closed(inst.side_gs, m) for m in ms), {"value_policy": "subsemirings"},
+    "values": (lambda inst, ms: all(_closed(inst.side_gs, m.masks) for m in ms), {"value_policy": "subsemirings"},
                {"value_policy": "arbitrary"}),
     "chain": (lambda inst, ms: _is_chain(v for m in ms for v in m.masks), {"chain": "members"}, {"chain": None}),
     "chain-outer": (lambda inst, ms: _is_chain(v for m in (inst.outer, *ms) for v in m.masks),
@@ -673,7 +655,7 @@ _HYPOTHESES: dict[str, tuple[Callable, dict, dict | None]] = {
     "nested": (_nested, {"nested": "confined", "value_policy": "subsemirings"},
                {"nested": "free", "value_policy": "subsemirings"}),
     # the auxiliary target member whose preimage L3.16 reads
-    "target-values": (lambda inst, ms: inst.aux_target is None or _closed(inst.hom.target, inst.aux_target),
+    "target-values": (lambda inst, ms: inst.aux_target is None or _closed(inst.hom.target, inst.aux_target.masks),
                       {"value_policy": "subsemirings"}, {"value_policy": "arbitrary"}),
     "onto": (lambda inst, ms: inst.hom.surjective, {}, None),
     "injective": (lambda inst, ms: inst.hom.injective, {}, None),
@@ -717,11 +699,17 @@ class Law:
         self.theorem_id, self.hypotheses, self.conclusion = theorem_id, hypotheses, conclusion
         self.operation, self.reads, self.necessity = operation, reads, necessity
         self.flags = flags
-        # per operation: its name, _OPS entry and whether it reads the auxiliary target member
+        # per operation: its name, mask-level core, the structure its result
+        # is judged over (_OPS) and whether it reads the auxiliary target member
         self._ops = []
         for name in (operation,) if isinstance(operation, str) else operation:
-            function, judged = _OPS.get(name, (None, "side"))
-            self._ops.append((name, function, judged, judged == "source" and not flags.get("target_side")))
+            judged = _OPS.get(name, (None, "side"))[1]
+            self._ops.append((name, _CORES.get(name), judged, judged == "source" and not flags.get("target_side")))
+        # a shape's mask rule, else a containment conclusion, whose bounds
+        # _judge reads: none, the members, the outer, or the operation on copies of it
+        self._shape = _SHAPES.get(conclusion)
+        if self._shape is None and conclusion not in ("closed", "members", "outer", "outer-op"):
+            raise ValueError(f"unknown conclusion {conclusion!r}")
 
     def spec(self, template: InstanceSpec, drop: bool) -> InstanceSpec:
         """template with the row's flags and each hypothesis's realizing fields, or dropping ones under drop."""
@@ -735,92 +723,97 @@ class Law:
         return inst.soft_sets if self.reads is None else inst.soft_sets[: self.reads]
 
     def missed(self, inst: Instance) -> str | None:
-        """The first of the row's hypotheses that inst misses, None when it
-        meets them all."""
+        """The first of the row's hypotheses that inst misses, None when it meets them all."""
         members = self._members(inst)
         return next((name for name in self.hypotheses if not _HYPOTHESES[name][0](inst, members)), None)
 
     def evaluate(self, inst: Instance) -> Outcome:
+        """The row judged on inst by _judge, from each soft set's (parameters,
+        masks) pair, an absent one's null; a failure's document is deferred to _counterexample."""
+        members = [(m.parameters, m.masks) for m in self._members(inst)]
+        outer, aux = [((), ()) if ss is None else (ss.parameters, ss.masks) for ss in (inst.outer, inst.aux_target)]
         found = _VACUOUS
         for op in self._ops:
-            outcome = self._judge(inst, op)
+            outcome = self._judge(inst.side_gs, inst.hom, members, outer, aux, op)
             if outcome is _PASS:
                 found = _PASS
             elif outcome is not _VACUOUS:  # a failure
-                return outcome
+                return "fail", lambda: self._counterexample(inst, op, outcome[1])
         return found
 
-    def _judge(self, inst: Instance, op: tuple) -> Outcome:
-        """The conclusion judged on the result of op, an entry of _ops."""
-        operation, function, judged, aux = op
-        if aux:
-            if inst.aux_target is None:
-                return _VACUOUS
-            members = [inst.aux_target]
+    def _judge(self, side: GammaSemiring, hom, members: list, outer, aux, op: tuple) -> tuple:
+        """The conclusion judged on the result of op, an entry of _ops, from
+        the (parameters, masks) pairs of the members the row reads, the outer
+        and the auxiliary target member, over side and, through hom, its other
+        end.  A failure is ("fail", what failed): None for a shape, "closure"
+        for the result, else the failing bound's index."""
+        _, core, judged, reads_aux = op
+        members = [aux] if reads_aux else members
+        bound = self.conclusion
+        if not all(any(masks) for _, masks in ((outer, *members) if bound in ("outer", "outer-op") else members)):
+            return _VACUOUS  # a null soft set
+        if core is None:
+            result = members[0]
         else:
-            members = self._members(inst)
-        for ss in (inst.outer, *members) if self.conclusion in ("outer", "outer-op") else members:
-            if not any(ss.masks):  # a null soft set
-                return _VACUOUS
-        if function is not None:
             try:
-                result = _apply(function, judged, inst, members)
+                result = core(members, side, hom)
             except DomainError:
                 return _VACUOUS
             # a null result leaves a closure conclusion vacuous; a shape judges it
-            if not any(result.masks) and self.conclusion not in _SHAPES:
+            if not any(result[1]) and self._shape is None:
                 return _VACUOUS
-            shown = result
+        over = side if judged in ("side", "product") else getattr(hom, judged)
+        if self._shape is not None:
+            want = self._shape(over)
+            if want is None:  # a trivial soft set is defined by the zero, so without one the shape is undefined
+                return _VACUOUS
+            masks = result[1]
+            return _PASS if all(m == want for m in masks) and any(masks) and _closed(over, masks) else ("fail", None)
+
+        arity = len(members) if judged == "product" else None
+        if arity:
+            _product_size(over, arity)  # SizeLimitError above MAX_PRODUCT_SIZE, as is_soft_gamma_semiring raises
+        if bound == "outer-op":
+            bounds = [core([outer] * len(members), side, hom)]
         else:
-            result, shown = members[0], None
-        k = len(members)
-        arity = k if judged == "product" else None
+            bounds = members if bound == "members" else [outer] if bound == "outer" else []
+        # a soft sub-gamma-semiring relates two soft gamma-semirings: a bound
+        # that is not one leaves the conclusion undefined, and then a result
+        # that is not one fails it
+        if not all(any(masks) and _closed(over, masks, arity) for _, masks in bounds):
+            return _VACUOUS
+        if not _closed(over, result[1], arity):  # the result is not null here
+            return "fail", "closure"
+        for index, (params, masks) in enumerate(bounds):
+            within = dict(zip(params, masks))
+            if any(w not in within or m & ~within[w] for w, m in zip(*result)):
+                return "fail", index
+        return _PASS
+
+    def _counterexample(self, inst: Instance, op: tuple, failed) -> dict:
+        """The document of what _judge found failed on inst, with the result
+        rebuilt by the public operation and the witness by the public predicates."""
+        operation, _, judged, reads_aux = op
+        members = [inst.aux_target] if reads_aux else self._members(inst)
+        function = _OPS.get(operation, (None,))[0]
+        apply = (lambda family: function(inst.hom, family[0])) if judged in ("target", "source") else function
+        result = members[0] if function is None else apply(members)
         # the members lie over the side, or over the other end of the homomorphism from the result
         if judged in ("side", "product"):
             over, members_over = inst.side_gs, "target" if inst.spec.target_side else "source"
         else:
             over, members_over = getattr(inst.hom, judged), "source" if judged == "target" else "target"
-
-        if self.conclusion in _SHAPES:
-            # a trivial soft set is defined by the zero, so without one the shape is undefined
-            if self.conclusion == "trivial" and over.zero is None:
-                return _VACUOUS
-            if _SHAPES[self.conclusion](over, result) and is_soft_gamma_semiring(over, result).verdict:
-                return _PASS
-            return "fail", lambda: _dump(inst, operation, members_over, members, result)
-
-        if self.conclusion == "closed":
-            bounds = []
-        elif self.conclusion == "members":
-            bounds = members
-        elif self.conclusion == "outer":
-            bounds = [inst.outer]
-        else:
-            bounds = [_apply(function, judged, inst, [inst.outer] * k)]
-        # a soft sub-gamma-semiring relates two soft gamma-semirings: a bound
-        # that is not one leaves the conclusion undefined, and then a result
-        # that is not one fails it
-        for bound in bounds:
-            if not is_soft_gamma_semiring(over, bound, arity).verdict:
-                return _VACUOUS
-        w = is_soft_gamma_semiring(over, result, arity)
-        if not w.verdict:
-            extra = None if arity is None else {"product_arity": arity}
-            return "fail", lambda: _dump(inst, operation, members_over, members, result, w, extra)
-        for bound in bounds:
-            w = _subset_witness(result, bound)
-            if not w.verdict:
-                outer_result = bound if self.conclusion == "outer-op" else None
-                return "fail", lambda: _dump(
-                    inst, operation, members_over, members, shown, w, outer_result=outer_result
-                )
-        return _PASS
-
-
-def _apply(function: Callable, judged: str, inst: Instance, family) -> SoftSet:
-    if judged in ("target", "source"):
-        return function(inst.hom, family[0])
-    return function(family)
+        dump = partial(_dump, inst, operation, members_over, members)
+        if failed is None:  # a shape
+            return dump(result)
+        if failed == "closure":
+            arity = len(members) if judged == "product" else None
+            return dump(result, is_soft_gamma_semiring(over, result, arity), arity and {"product_arity": arity})
+        if self.conclusion == "outer-op":
+            bound = apply([inst.outer] * len(members))
+            return dump(result, _subset_witness(result, bound), outer_result=bound)
+        bound = members[failed] if self.conclusion == "members" else inst.outer
+        return dump(None if function is None else result, _subset_witness(result, bound))
 
 
 # the drop-hypothesis family that four rows of the necessity column share
@@ -900,9 +893,9 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
     _HYPOTHESES) is vacuous, and so is one where the operation is undefined
     or a soft set the law reads is null; otherwise the conclusion is judged,
     so a failure is a counterexample to the law.  An instance whose fields
-    have the wrong types, or without the homomorphism, the enclosing soft set
-    or the member that the law reads, is an InputError, raised before any
-    hypothesis is judged; so is a soft set off the carrier it is judged over.
+    have the wrong types, without the homomorphism, the enclosing soft set
+    or the member that the law reads, or with a soft set off the carrier it
+    lies over, is an InputError, raised before any hypothesis is judged.
     """
     law = _lookup(theorem_id)
     if not isinstance(instance, Instance):
@@ -923,6 +916,14 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
         raise InputError(f"{theorem_id} reads an enclosing soft set, and the instance has none")
     if not members:
         raise InputError(f"{theorem_id} reads a member, and the instance has none")
+    # the side's soft sets, the target's auxiliary member, and a homomorphism operation's members over its start
+    hom = instance.hom
+    starts = {"target": hom and hom.source, "source": hom and hom.target}
+    carriers = [(instance.side_gs, ss) for ss in (*members, instance.outer)] + [(starts["source"], instance.aux_target)]
+    carriers += [(starts[judged], members[0]) for _, _, judged, aux in law._ops if judged in starts and not aux]
+    for gs, ss in carriers:
+        if gs is not None and ss is not None:
+            _require_carrier(gs, ss)
     outcome = _VACUOUS if law.missed(instance) else law.evaluate(instance)
     return _verdict(theorem_id, [(0, instance.spec, outcome)])
 
@@ -952,11 +953,8 @@ def fuzz_theorem(
     Each trial's draw realizes the law's hypotheses by construction (see
     Law.spec), so no hypothesis is judged per trial; a draw that missed one
     would be a generator bug.  With drop_hypothesis each hypothesis's
-    dropping fields replace its realizing ones: the plain closure laws draw
-    arbitrary subsets as values, the nested containment laws keep subalgebra
-    values, so their preconditions stay evaluable, but no longer confine
-    members to the enclosing soft set (nested "free" for "confined").  The
-    checks then report honest conclusion failures, which show a hypothesis
+    dropping fields replace its realizing ones (see _HYPOTHESES), and the
+    checks report honest conclusion failures, which show a hypothesis
     necessary; the recorded counterexample is the lowest failing trial's.
 
     The template and the law's spec are checked once, before trial 0, so a

@@ -18,10 +18,8 @@ from .soft_sets import SoftSet, _require_soft_set, _subset_witness
 
 
 def _require_carrier(gs: GammaSemiring, ss: SoftSet, arity: int | None = None) -> None:
-    # every judged soft set passes here, so the right types cost two isinstance calls only
-    if not (isinstance(gs, GammaSemiring) and isinstance(ss, SoftSet)):
-        _require_structure(gs)
-        _require_soft_set(ss)
+    _require_structure(gs)
+    _require_soft_set(ss)
     carrier = gs.elements if arity is None else _product_labels(gs, arity)
     if ss.universe != carrier:
         raise InputError("soft set universe must equal the structure carrier, in order")
@@ -77,20 +75,23 @@ def is_whole_soft(gs: GammaSemiring, ss: SoftSet) -> bool:
     return all(m == gs.full_mask for m in ss.masks)
 
 
+def _pointwise(transport, pair: tuple) -> tuple:
+    """Both transports' mask-level core: the mask map transport at every value of a (parameters, masks) pair."""
+    return pair[0], tuple([transport(m) for m in pair[1]])
+
+
 def soft_image_under_hom(hom: GammaHom, ss: SoftSet) -> SoftSet:
     """Pointwise image of every value, same parameters, over the target carrier."""
     _require_hom(hom)
     _require_carrier(hom.source, ss)
-    return SoftSet(hom.target.elements, ss.parameters, tuple(hom.image_mask(m) for m in ss.masks))
+    return SoftSet(hom.target.elements, *_pointwise(hom.image_mask, (ss.parameters, ss.masks)))
 
 
 def soft_preimage_under_hom(hom: GammaHom, ss: SoftSet) -> SoftSet:
     """Pointwise preimage of every value, same parameters, over the source carrier."""
     _require_hom(hom)
     _require_carrier(hom.target, ss)
-    return SoftSet(
-        hom.source.elements, ss.parameters, tuple(hom.preimage_mask(m) for m in ss.masks)
-    )
+    return SoftSet(hom.source.elements, *_pointwise(hom.preimage_mask, (ss.parameters, ss.masks)))
 
 
 def is_soft_sub_gamma_semiring(gs: GammaSemiring, inner: SoftSet, outer: SoftSet) -> Witness:

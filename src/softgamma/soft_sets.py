@@ -119,19 +119,14 @@ def _family(family: Sequence[SoftSet], shared: bool = True) -> tuple[SoftSet, ..
     return fam
 
 
-def _same_universe(a: SoftSet, b: SoftSet) -> None:
-    if not (isinstance(a, SoftSet) and isinstance(b, SoftSet)):  # as in soft_gamma._require_carrier
-        _require_soft_set(a)
-        _require_soft_set(b)
-    if a.universe != b.universe:
-        raise InputError("soft sets must share an identically ordered universe")
-
-
 def _subset_witness(a: SoftSet, b: SoftSet) -> Witness:
     """Soft subset a <= b: every parameter of a is one of b's, then every value
     of a lies inside b's value there.  The first failure is witnessed; a value
     failure names its first escaping element by universe position."""
-    _same_universe(a, b)
+    _require_soft_set(a)
+    _require_soft_set(b)
+    if a.universe != b.universe:
+        raise InputError("soft sets must share an identically ordered universe")
     bound = dict(zip(b.parameters, b.masks))
     for w in a.parameters:
         if w not in bound:
@@ -153,68 +148,89 @@ def soft_equal(a: SoftSet, b: SoftSet) -> bool:
     return is_soft_subset(a, b) and is_soft_subset(b, a)
 
 
-# the three operation shapes, each folding the members' masks in member order
-# with the pointwise combiner operator.and_ (intersection) or operator.or_
-# (union); folds of in-range masks stay in range, and a subset, dict-ordered
-# union or product of distinct parameter tuples stays distinct, so results are unchecked
-def _restricted(family: Sequence[SoftSet], combine) -> SoftSet:
-    first, *rest = _family(family)
-    folded = dict(zip(first.parameters, first.masks))  # the first member's parameter order
-    for m in rest:
-        values = dict(zip(m.parameters, m.masks))
+# the mask-level cores take (parameters, masks) pairs and return the result's,
+# folding masks in member order with operator.and_ (intersection) or operator.or_
+# (union); folds of in-range masks stay in range, and a subset, dict-ordered union
+# or product of distinct parameter tuples stays distinct, so results are unchecked
+def _restricted(pairs, combine) -> tuple:
+    (params, masks), *rest = pairs
+    folded = dict(zip(params, masks))  # the first member's parameter order
+    for params, masks in rest:
+        values = dict(zip(params, masks))
         folded = {w: combine(v, values[w]) for w, v in folded.items() if w in values}
     if not folded:
         raise DomainError("restricted operation needs a nonempty parameter intersection")
-    return SoftSet._unchecked(first.universe, tuple(folded), tuple(folded.values()))
+    return tuple(folded), tuple(folded.values())
 
 
-def _extended(family: Sequence[SoftSet], combine) -> SoftSet:
-    fam = _family(family)
+def _extended(pairs, combine) -> tuple:
     folded = {}  # first-seen parameter order
-    for m in fam:
-        for w, v in zip(m.parameters, m.masks):
+    for params, masks in pairs:
+        for w, v in zip(params, masks):
             folded[w] = combine(folded[w], v) if w in folded else v
-    return SoftSet._unchecked(fam[0].universe, tuple(folded), tuple(folded.values()))
+    return tuple(folded), tuple(folded.values())
 
 
-def _tabular(family: Sequence[SoftSet], combine) -> SoftSet:
+def _tabular(pairs, combine) -> tuple:
+    params = tuple(iproduct(*[p for p, _ in pairs]))
+    return params, tuple([reduce(combine, combo) for combo in iproduct(*[m for _, m in pairs])])
+
+
+def _spread(pairs, widths) -> tuple:
+    # the cartesian product's pair, members over universes of the given widths;
+    # row-major: point t of the product so far owns block t of the next one,
+    # so the next value is mask placed in each block of spread(prev), bit t
+    # moved to bit t * width; mask < 1 << width, so mask * spread(prev) is
+    # that sum with no carries
+    spreads: dict[tuple[int, int], int] = {}
+    masks = []
+    for combo in iproduct(*[m for _, m in pairs]):
+        prev = 1
+        for mask, width in zip(combo, widths):
+            spread = spreads.get((prev, width))
+            if spread is None:
+                spread = spreads[(prev, width)] = sum(1 << t * width for t in iter_bits(prev))
+            prev = mask * spread
+        masks.append(prev)
+    return tuple(iproduct(*[p for p, _ in pairs])), tuple(masks)
+
+
+def _on_family(core, family: Sequence[SoftSet], combine) -> SoftSet:
     fam = _family(family)
-    params = tuple(iproduct(*[m.parameters for m in fam]))
-    masks = tuple([reduce(combine, combo) for combo in iproduct(*[m.masks for m in fam])])
-    return SoftSet._unchecked(fam[0].universe, params, masks)
+    return SoftSet._unchecked(fam[0].universe, *core([(m.parameters, m.masks) for m in fam], combine))
 
 
 def restricted_intersect(family: Sequence[SoftSet]) -> SoftSet:
     """Pointwise intersection over the (nonempty) intersection of parameter sets."""
-    return _restricted(family, and_)
+    return _on_family(_restricted, family, and_)
 
 
 def restricted_union(family: Sequence[SoftSet]) -> SoftSet:
     """Pointwise union over the (nonempty) intersection of parameter sets."""
-    return _restricted(family, or_)
+    return _on_family(_restricted, family, or_)
 
 
 def extended_intersect(family: Sequence[SoftSet]) -> SoftSet:
     """Over the union of parameter sets, in first-seen order; at each
     parameter, intersect exactly the members that carry it."""
-    return _extended(family, and_)
+    return _on_family(_extended, family, and_)
 
 
 def extended_union(family: Sequence[SoftSet]) -> SoftSet:
     """Over the union of parameter sets, in first-seen order; at each
     parameter, unite exactly the members that carry it."""
-    return _extended(family, or_)
+    return _on_family(_extended, family, or_)
 
 
 def and_intersect_family(family: Sequence[SoftSet]) -> SoftSet:
     """Parameters are tuples from the ordered product of the parameter sets;
     the value at (y_1..y_k) is the intersection of the coordinate values."""
-    return _tabular(family, and_)
+    return _on_family(_tabular, family, and_)
 
 
 def or_union_family(family: Sequence[SoftSet]) -> SoftSet:
     """Like and_intersect_family with pointwise union."""
-    return _tabular(family, or_)
+    return _on_family(_tabular, family, or_)
 
 
 def and_intersect(a: SoftSet, b: SoftSet) -> SoftSet:
@@ -230,23 +246,8 @@ def cartesian_product(family: Sequence[SoftSet]) -> SoftSet:
     the value at a parameter tuple is the product of the coordinate values."""
     fam = _family(family, shared=False)
     universe = tuple(iproduct(*[m.universe for m in fam]))
-    params = tuple(iproduct(*[m.parameters for m in fam]))
-    widths = [len(m.universe) for m in fam]
-    # row-major: point t of the product so far owns block t of the next one,
-    # so the next value is mask placed in each block of spread(prev), bit t
-    # moved to bit t * width; mask < 1 << width, so mask * spread(prev) is
-    # that sum with no carries
-    spreads: dict[tuple[int, int], int] = {}
-    masks = []
-    for combo in iproduct(*[m.masks for m in fam]):
-        prev = 1
-        for mask, width in zip(combo, widths):
-            spread = spreads.get((prev, width))
-            if spread is None:
-                spread = spreads[(prev, width)] = sum(1 << t * width for t in iter_bits(prev))
-            prev = mask * spread
-        masks.append(prev)
-    return SoftSet._unchecked(universe, params, tuple(masks))
+    pairs = [(m.parameters, m.masks) for m in fam]
+    return SoftSet._unchecked(universe, *_spread(pairs, [len(m.universe) for m in fam]))
 
 
 def relative_null(universe, parameters) -> SoftSet:

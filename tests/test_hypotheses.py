@@ -167,7 +167,12 @@ def _function(tree: ast.Module, dotted: str) -> ast.FunctionDef:
     return node
 
 
-@pytest.mark.parametrize("dotted", ["Law.evaluate", "Law._judge"])
+def _constants(dotted: str) -> set:
+    return {n.value for n in ast.walk(_function(ast.parse(HARNESS.read_text(encoding="utf-8")), dotted))
+            if isinstance(n, ast.Constant)}
+
+
+@pytest.mark.parametrize("dotted", ["Law.evaluate", "Law._judge", "Law._counterexample"])
 def test_the_checkers_read_no_policy_field(dotted):
     body = _function(ast.parse(HARNESS.read_text(encoding="utf-8")), dotted)
     read = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(body) if isinstance(n, (ast.Name, ast.Attribute))}
@@ -176,10 +181,11 @@ def test_the_checkers_read_no_policy_field(dotted):
 
 
 def test_every_conclusion_is_one_the_judge_names():
-    # Law._judge reads a conclusion it does not name as "outer-op"
-    named = {n.value for n in ast.walk(_function(ast.parse(HARNESS.read_text(encoding="utf-8")), "Law._judge"))
-             if isinstance(n, ast.Constant)}
-    assert {law.conclusion for law in _TABLE} <= named | _SHAPES.keys()
+    # Law.__init__ resolves each conclusion by name, and Law._judge reads a
+    # containment conclusion whose bound it does not name as "closed"
+    conclusions = {law.conclusion for law in _TABLE} - _SHAPES.keys()
+    assert conclusions <= _constants("Law.__init__")
+    assert conclusions - {"closed"} <= _constants("Law._judge")
 
 
 def test_every_row_names_table_entries_only():

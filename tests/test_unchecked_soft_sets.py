@@ -1,6 +1,7 @@
 """SoftSet._unchecked skips the constructor's checks, so only code that
 builds from parts already valid may call it: the soft-set operations, whose
-results fold, subset or multiply their members' validated parts, and the
+results fold, subset or multiply their members' validated parts (the family
+operations through _on_family, which wraps their mask-level cores), and the
 harness's instance draw, whose soft sets lie over a structure's carrier.  No
 files or cli path, which reads outside input, may reach it."""
 
@@ -27,9 +28,7 @@ UNCHECKED = "_unchecked"
 
 # (module, function) pairs that may call SoftSet._unchecked, and must
 ALLOWED = {
-    ("soft_sets.py", "_restricted"),
-    ("soft_sets.py", "_extended"),
-    ("soft_sets.py", "_tabular"),
+    ("soft_sets.py", "_on_family"),
     ("soft_sets.py", "cartesian_product"),
     ("harness.py", "_draw_instance"),
 }
