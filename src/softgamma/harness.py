@@ -22,14 +22,13 @@ _HYPOTHESES.  A trial verdict is:
            counterexample document, which names the row's operation and
            the side its members lie over, is built.
 
-Law.evaluate reads each soft set's (parameters, masks) pair once and hands
-the pairs to Law._judge, which applies each operation's mask-level core (the
-one its public function wraps) and reads closure from the structure's
-memo, building no SoftSet or Witness.  A failure defers its document to
-Law._counterexample, which rebuilds the result and its witness through the
-public functions, for the lowest failing trial only.  check_theorem checks
-every soft set's carrier, then judges every named hypothesis before the
-conclusion; fuzz_theorem judges none per trial (see each).
+Law.evaluate reads each soft set's (parameters, masks) pair once for
+Law._judge, which applies each operation's mask-level core (the one its
+public function wraps) and reads closure from the structure's memo, building
+no SoftSet or Witness; a failure defers its document to Law._counterexample,
+which rebuilds the result and witness through the public functions.
+check_theorem checks every soft set's carrier, then judges every named
+hypothesis before the conclusion; fuzz_theorem judges none per trial.
 
 Randomness is the MT19937 output words of random.Random(template.seed +
 trial_index), read in order from _stream, one stream per trial.  A _Plan
@@ -560,8 +559,7 @@ def _dump(
     return doc
 
 
-# A check's outcome and, for a failure, a callable that builds its
-# counterexample document; only the lowest failing trial's is ever built.
+# a check's outcome and, for a failure, the callable that builds its counterexample document
 Outcome = tuple[str, Callable[[], dict] | None]
 _PASS: Outcome = ("pass", None)
 _VACUOUS: Outcome = ("vacuous", None)
@@ -574,11 +572,10 @@ _SHAPES: dict[str, Callable] = {
 }
 
 
-# the operations a law row names: each one's public function, the structure
-# its result is judged over (the members' side, its k-fold product for k
-# members, judged from the side's tables and never built, or the
-# homomorphism's target or source) and the mask-level core that the function
-# wraps, called on (parameters, masks) pairs, their side and the homomorphism
+# the operations a law row names: each one's public function, the structure its
+# result is judged over (the members' side, its k-fold product for k members,
+# judged from the side's tables and never built, or the homomorphism's target or
+# source) and the mask-level core it wraps, called on pairs, side and homomorphism
 _OPERATIONS = (
     ("restricted-intersection", restricted_intersect, "side", lambda ps, side, hom: _restricted(ps, operator.and_)),
     ("extended-intersection", extended_intersect, "side", lambda ps, side, hom: _extended(ps, operator.and_)),
@@ -596,7 +593,10 @@ _CORES: dict[str, Callable] = {name: core for name, _, _, core in _OPERATIONS}
 
 def _closed(over: GammaSemiring, masks, arity: int | None = None) -> bool:
     """Every nonempty mask is a subalgebra of over (of its arity-fold product)."""
-    return all(_closure_verdict(over, m, arity).verdict for m in masks if m)
+    for m in masks:
+        if m and not _closure_verdict(over, m, arity).verdict:
+            return False
+    return True
 
 
 def _is_chain(masks) -> bool:
@@ -682,14 +682,13 @@ class Law:
     sub-gamma-semiring of the "outer" soft set, of the operation applied to
     copies of the outer ("outer-op"), or of each of the "members"; or that
     it has a shape, "trivial" (every value is {zero}) or "whole" (every
-    value is the carrier), and is a soft gamma-semiring.  The outcome is the
-    first failure, else pass when an operation passed, else vacuous.
-    necessity pins the structure family on which fuzzing with the hypotheses
-    dropped finds a counterexample, showing they are needed.  T4.3, like
-    T4.5, has no necessity family, and it cannot have one: the intersection
-    of two subalgebras is a subalgebra, so its hypothesis is exactly the
-    condition under which its conclusion is defined, and dropping it can
-    only make trials vacuous.
+    value is the carrier), and is a soft gamma-semiring.  necessity pins the
+    structure family on which fuzzing with the hypotheses dropped finds a
+    counterexample, showing they are needed.  T4.3, like T4.5, has no
+    necessity family, and it cannot have one: the intersection of two
+    subalgebras is a subalgebra, so its hypothesis is exactly the condition
+    under which its conclusion is defined, and dropping it can only make
+    trials vacuous.
     """
 
     def __init__(
@@ -705,9 +704,8 @@ class Law:
         for name in (operation,) if isinstance(operation, str) else operation:
             judged = _OPS.get(name, (None, "side"))[1]
             self._ops.append((name, _CORES.get(name), judged, judged == "source" and not flags.get("target_side")))
-        # a shape's mask rule, else a containment conclusion, whose bounds
-        # _judge reads: none, the members, the outer, or the operation on copies of it
-        self._shape = _SHAPES.get(conclusion)
+        # a shape's mask rule, else a containment conclusion, whose bounds _judge reads
+        self._shape, self._gated = _SHAPES.get(conclusion), conclusion in ("outer", "outer-op")
         if self._shape is None and conclusion not in ("closed", "members", "outer", "outer-op"):
             raise ValueError(f"unknown conclusion {conclusion!r}")
 
@@ -731,27 +729,29 @@ class Law:
         """The row judged on inst by _judge, from each soft set's (parameters,
         masks) pair, an absent one's null; a failure's document is deferred to _counterexample."""
         members = [(m.parameters, m.masks) for m in self._members(inst)]
-        outer, aux = [((), ()) if ss is None else (ss.parameters, ss.masks) for ss in (inst.outer, inst.aux_target)]
+        outer, aux = inst.outer, inst.aux_target
+        outer = ((), ()) if outer is None else (outer.parameters, outer.masks)
+        aux = ((), ()) if aux is None else (aux.parameters, aux.masks)
         found = _VACUOUS
         for op in self._ops:
             outcome = self._judge(inst.side_gs, inst.hom, members, outer, aux, op)
             if outcome is _PASS:
                 found = _PASS
             elif outcome is not _VACUOUS:  # a failure
-                return "fail", lambda: self._counterexample(inst, op, outcome[1])
+                return "fail", partial(self._counterexample, inst, op, outcome[1])
         return found
 
     def _judge(self, side: GammaSemiring, hom, members: list, outer, aux, op: tuple) -> tuple:
-        """The conclusion judged on the result of op, an entry of _ops, from
-        the (parameters, masks) pairs of the members the row reads, the outer
-        and the auxiliary target member, over side and, through hom, its other
-        end.  A failure is ("fail", what failed): None for a shape, "closure"
-        for the result, else the failing bound's index."""
+        """The conclusion judged on the result of op, an entry of _ops, from the
+        (parameters, masks) pairs of the members the row reads, the outer and the
+        auxiliary target member, over side and, through hom, its other end.  A failure is
+        ("fail", what failed): None (a shape), "closure" (the result) or a bound's index."""
         _, core, judged, reads_aux = op
         members = [aux] if reads_aux else members
         bound = self.conclusion
-        if not all(any(masks) for _, masks in ((outer, *members) if bound in ("outer", "outer-op") else members)):
-            return _VACUOUS  # a null soft set
+        for _, masks in (outer, *members) if self._gated else members:
+            if not any(masks):  # a null soft set
+                return _VACUOUS
         if core is None:
             result = members[0]
         else:
@@ -777,22 +777,22 @@ class Law:
             bounds = [core([outer] * len(members), side, hom)]
         else:
             bounds = members if bound == "members" else [outer] if bound == "outer" else []
-        # a soft sub-gamma-semiring relates two soft gamma-semirings: a bound
-        # that is not one leaves the conclusion undefined, and then a result
-        # that is not one fails it
-        if not all(any(masks) and _closed(over, masks, arity) for _, masks in bounds):
-            return _VACUOUS
+        # a soft sub-gamma-semiring relates two soft gamma-semirings: a bound that is not
+        # one leaves the conclusion undefined, and then a result that is not one fails it
+        for _, masks in bounds:
+            if not (any(masks) and _closed(over, masks, arity)):
+                return _VACUOUS
         if not _closed(over, result[1], arity):  # the result is not null here
             return "fail", "closure"
         for index, (params, masks) in enumerate(bounds):
             within = dict(zip(params, masks))
-            if any(w not in within or m & ~within[w] for w, m in zip(*result)):
-                return "fail", index
+            for w, m in zip(*result):
+                if w not in within or m & ~within[w]:
+                    return "fail", index
         return _PASS
 
     def _counterexample(self, inst: Instance, op: tuple, failed) -> dict:
-        """The document of what _judge found failed on inst, with the result
-        rebuilt by the public operation and the witness by the public predicates."""
+        """The document of what _judge found failed on inst: result and witness by the public functions."""
         operation, _, judged, reads_aux = op
         members = [inst.aux_target] if reads_aux else self._members(inst)
         function = _OPS.get(operation, (None,))[0]
