@@ -425,9 +425,11 @@ def sub_gamma_witness_mask(gs: GammaSemiring, mask: int, arity: int | None = Non
     mask only, one witness scan in the report order, additive pairs first,
     then product triples (i, alpha, j), both lexicographic by position, so
     witnesses are deterministic.  The verdict is memoized on gs per mask, or
-    per (k, mask) for a product.  A mask that is not an exact int (a bool
-    included) or not a subset of the carrier is an InputError.
+    per (k, mask) for a product.  A structure that is not a GammaSemiring,
+    and a mask that is not an exact int (a bool included) or not a subset of
+    the carrier, are InputErrors.
     """
+    _require_structure(gs)
     full = gs.full_mask if arity is None else (1 << _product_size(gs, arity)) - 1
     if type(mask) is not int or mask & ~full:
         raise InputError(f"mask {mask!r} is not a subset of the {full.bit_length()}-element carrier")

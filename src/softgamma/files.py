@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .algebra import FiniteCommutativeSemigroup, GammaHom, GammaSemiring, gamma_hom
-from .errors import DomainError, InputError, ParseError
+from .algebra import FiniteCommutativeSemigroup, GammaHom, GammaSemiring, _require_hom, _require_structure, gamma_hom
+from .errors import DomainError, InputError, ParseError, _require_type
 from .reports import AxiomReport, TheoremVerdict, Witness
-from .soft_sets import SoftSet, TernaryRelation
+from .soft_sets import SoftSet, TernaryRelation, _require_soft_set
 
 
 def dumps(doc) -> str:
@@ -95,6 +95,7 @@ _STRUCTURE_FIELDS = {"name", "s_elements", "s_add", "gamma_elements", "gamma_add
 
 
 def structure_to_doc(gs: GammaSemiring, name: str = "structure") -> dict:
+    _require_structure(gs)
     return {
         "name": name,
         "s_elements": [label_to_jsonable(e) for e in gs.elements],
@@ -135,6 +136,7 @@ _SOFT_FIELDS = {"universe", "parameters", "values"}
 
 
 def soft_set_to_doc(ss: SoftSet) -> dict:
+    _require_soft_set(ss)
     values = {}
     for w in ss.parameters:
         key = param_key(w)
@@ -179,6 +181,7 @@ _RELATION_FIELDS = {"n_params", "gamma", "triples"}
 
 
 def relation_to_doc(rel: TernaryRelation) -> dict:
+    _require_type(rel, TernaryRelation, "a relation")
     triples = [
         [label_to_jsonable(p), g, label_to_jsonable(s)]
         for p, g, s in sorted(rel.triples, key=lambda t: (param_key(t[0]), t[1], param_key(t[2])))
@@ -211,6 +214,7 @@ def relation_from_doc(doc: dict) -> TernaryRelation:
 
 
 def hom_to_doc(hom: GammaHom) -> dict:
+    _require_hom(hom)
     return {
         "source": structure_to_doc(hom.source, name="source"),
         "target": structure_to_doc(hom.target, name="target"),
@@ -235,6 +239,7 @@ def hom_from_doc(doc: dict) -> GammaHom:
 
 
 def axiom_report_to_doc(report: AxiomReport) -> dict:
+    _require_type(report, AxiomReport, "an axiom report")
     return {
         "mode": report.mode,
         "passed": report.passed,
@@ -246,6 +251,7 @@ def axiom_report_to_doc(report: AxiomReport) -> dict:
 
 
 def witness_to_doc(w: Witness) -> dict:
+    _require_type(w, Witness, "a witness")
     return {
         "verdict": w.verdict,
         "kind": w.kind,
@@ -257,6 +263,7 @@ def witness_to_doc(w: Witness) -> dict:
 
 
 def verdict_to_doc(v: TheoremVerdict) -> dict:
+    _require_type(v, TheoremVerdict, "a verdict")
     return {
         "theorem": v.theorem,
         "trials": v.trials,
