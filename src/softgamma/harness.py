@@ -704,7 +704,7 @@ class Law:
         for name in (operation,) if isinstance(operation, str) else operation:
             judged = _OPS.get(name, (None, "side"))[1]
             self._ops.append((name, _CORES.get(name), judged, judged == "source" and not flags.get("target_side")))
-        # a shape's mask rule, else a containment conclusion, whose bounds _judge reads
+        # a shape's mask rule, else a containment conclusion; "outer" ones also need a non-null outer
         self._shape, self._gated = _SHAPES.get(conclusion), conclusion in ("outer", "outer-op")
         if self._shape is None and conclusion not in ("closed", "members", "outer", "outer-op"):
             raise ValueError(f"unknown conclusion {conclusion!r}")
