@@ -1,20 +1,21 @@
 """Input errors of the file readers, of the CLI's op arity checks, of
-check_theorem's instance fields, of the structure that the axiom scan and
-the enumeration take, of the structure and homomorphism arguments of the
-record constructors, the homomorphism helpers, product_gamma and the soft
-image and preimage, of the record arguments (soft set, soft function,
-relation, soft gamma-semiring, structure, homomorphism, spec) of the soft
+check_theorem's instance fields and of its soft sets off their carriers, of
+the structure that the axiom scan and the enumeration take, of the structure
+and homomorphism arguments of the record constructors, the homomorphism
+helpers, product_gamma and the soft image and preimage, of the record
+arguments (soft set, soft function, relation, soft gamma-semiring,
+structure, homomorphism, spec, axiom report, witness, verdict) of the soft
 predicates, the soft-set and soft-function operations, the subalgebra
-predicates, check_trivial_whole_theorem and generate_instance, of the
-carrier that the semigroup scan takes and of the family that the soft-set
-family operations take, one malformed input each: every one is refused with
-its own message, a ParseError from the reader, exit 2 with the message on
-stderr from the CLI, and an InputError from check_theorem before any
-hypothesis is judged, from the scans and the enumeration before any table
-is read, from a record argument's entry point before any of its attributes
-is read, and from the family operations before any member is read; a mask
-that is not an exact int is an InputError from the closure judge and from
-labels_of_mask."""
+predicates, the mask closure judge, the document emitters,
+check_trivial_whole_theorem and generate_instance, of the carrier that the
+semigroup scan takes and of the family that the soft-set family operations
+take, one malformed input each: every one is refused with its own message,
+a ParseError from the reader, exit 2 with the message on stderr from the
+CLI, and an InputError from check_theorem before any hypothesis is judged,
+from the scans and the enumeration before any table is read, from a record
+argument's entry point before any of its attributes is read, and from the
+family operations before any member is read; a mask that is not an exact
+int is an InputError from the closure judge and from labels_of_mask."""
 
 import json
 import re
@@ -72,7 +73,7 @@ from softgamma import (
     ternary_product,
 )
 from softgamma.algebra import sub_gamma_witness_mask
-from softgamma.harness import ALL_THEOREMS
+from softgamma.harness import ALL_THEOREMS, canonical_hom
 from softgamma.cli import main
 
 Z4 = make_zn_gamma(4, (1, 3))
@@ -228,6 +229,32 @@ def test_a_malformed_instance_field_is_an_input_error(law, fields, message):
         check_theorem(law, _instance(**fields))
 
 
+Z8 = make_zn_gamma(8, (2, 4, 6))
+COLLAPSE = canonical_hom(("zn", 8, (2, 4, 6)))  # Z8 onto Z4's carrier
+UNCLOSED_Z8 = SoftSet(Z8.elements, ("a",), (0b101,))  # {0, 2}: 2 + 2 = 4 is missing
+CLOSED_Z8 = SoftSet(Z8.elements, ("a",), (0b10001,))  # {0, 4}
+OFF_Z6 = SoftSet(make_zn_gamma(6, (1,)).elements, ("a",), (1,))
+
+
+# every soft set lies over its carrier before any hypothesis is judged, so a
+# missed hypothesis (the unclosed member) hides no carrier error, whatever
+# the member order
+@pytest.mark.parametrize(
+    "law,instance",
+    [
+        ("T3.8", Instance(Z8, [UNCLOSED_Z8, OFF_Z6])),
+        ("T3.8", Instance(Z8, [OFF_Z6, UNCLOSED_Z8])),
+        ("T4.4", Instance(Z8, [CLOSED_Z8, CLOSED_Z8], outer=OFF_Z6)),
+        ("L3.16", Instance(Z8, [CLOSED_Z8], hom=COLLAPSE, aux_target=CLOSED_Z8)),
+        ("T4.11", Instance(COLLAPSE.target, [MEMBER], outer=MEMBER, hom=COLLAPSE)),
+    ],
+    ids=["unclosed-then-off", "off-then-unclosed", "outer", "aux-target-off-the-target", "image-off-the-source"],
+)
+def test_a_soft_set_off_its_carrier_is_an_input_error(law, instance):
+    with pytest.raises(InputError, match="^soft set universe must equal the structure carrier, in order$"):
+        check_theorem(law, instance)
+
+
 @pytest.mark.parametrize(
     "judge", [check_gamma_semiring, enumerate_sub_gamma_semirings], ids=["check-gamma-semiring", "enumerate"]
 )
@@ -309,6 +336,14 @@ SOFT_GAMMA = "a soft gamma-semiring must be of type SoftGammaSemiring, got int"
         (lambda: is_sub_gamma_semiring(5, ["0"]), STRUCTURE),
         (lambda: check_trivial_whole_theorem(5, MEMBER, "i"), "a homomorphism must be of type GammaHom, got int"),
         (lambda: generate_instance(5), "a spec must be an InstanceSpec, got int"),
+        (lambda: sub_gamma_witness_mask(5, 1), STRUCTURE),
+        (lambda: files.structure_to_doc(5), STRUCTURE),
+        (lambda: files.soft_set_to_doc(5), SOFT_SET),
+        (lambda: files.relation_to_doc(5), "a relation must be of type TernaryRelation, got int"),
+        (lambda: files.hom_to_doc(5), "a homomorphism must be of type GammaHom, got int"),
+        (lambda: files.axiom_report_to_doc(5), "an axiom report must be of type AxiomReport, got int"),
+        (lambda: files.witness_to_doc(5), "a witness must be of type Witness, got int"),
+        (lambda: files.verdict_to_doc(5), "a verdict must be of type TheoremVerdict, got int"),
     ],
     ids=[
         "soft-gamma-structure", "soft-gamma-soft-set", "soft-gamma-product-soft-set", "trivial-none",
@@ -318,7 +353,8 @@ SOFT_GAMMA = "a soft gamma-semiring must be of type SoftGammaSemiring, got int"
         "make-soft-function-target", "soft-function-source", "soft-function-target", "compose-first",
         "compose-second", "soft-image-function", "soft-preimage-target", "relation-relation",
         "relation-structure", "soft-hom-source", "soft-hom-target", "ternary-product", "sub-gamma-witness",
-        "is-sub-gamma-semiring", "trivial-whole-hom", "generate-instance",
+        "is-sub-gamma-semiring", "trivial-whole-hom", "generate-instance", "witness-mask", "structure-doc",
+        "soft-set-doc", "relation-doc", "hom-doc", "axiom-report-doc", "witness-doc", "verdict-doc",
     ],
 )
 def test_a_record_argument_of_the_wrong_type_is_an_input_error(call, message):
