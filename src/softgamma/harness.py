@@ -741,7 +741,7 @@ class Law:
                 return "fail", partial(self._counterexample, inst, op, outcome[1])
         return found
 
-    def _judge(self, side: GammaSemiring, hom, members: list, outer, aux, op: tuple) -> tuple:
+    def _judge(self, side: GammaSemiring, hom: GammaHom | None, members: list, outer: tuple, aux: tuple, op) -> tuple:
         """The conclusion judged on the result of op, an entry of _ops, from the
         (parameters, masks) pairs of the members the row reads, the outer and the
         auxiliary target member, over side and, through hom, its other end.  A failure is
@@ -916,7 +916,7 @@ def check_theorem(theorem_id: str, instance: Instance) -> TheoremVerdict:
         raise InputError(f"{theorem_id} reads an enclosing soft set, and the instance has none")
     if not members:
         raise InputError(f"{theorem_id} reads a member, and the instance has none")
-    # the side's soft sets, the target's auxiliary member, and a homomorphism operation's members over its start
+    # members and outer lie over the side, the auxiliary member over the target, an image's or preimage's over its start
     hom = instance.hom
     starts = {"target": hom and hom.source, "source": hom and hom.target}
     carriers = [(instance.side_gs, ss) for ss in (*members, instance.outer)] + [(starts["source"], instance.aux_target)]
